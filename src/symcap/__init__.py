@@ -5,9 +5,8 @@ path optima, weight decompositions, capacities, and obstruction reports
 are `fractions.Fraction` values with zero rounding anywhere.
 """
 
-from .capacities import (INFINITY, CapacityResult, SpectrumEntry,
-                         TruncationWarning, ball_multiplicity,
-                         capacity_sequence, ck, ck_ball,
+from .capacities import (CapacityResult, SpectrumEntry, TruncationWarning,
+                         ball_multiplicity, capacity_sequence, ck, ck_ball,
                          ck_closed, ck_concave_toric, ck_concave_via_weights,
                          ck_convex_toric, ck_convex_via_weights, ck_polydisk,
                          ck_union, clear_memo, ech_index_closed,

@@ -14,15 +14,31 @@ Formulas implemented here:
   closed      the projective plane shares the ball values, the sphere
               product shares the polydisk values
 
-The dispatcher memoizes by (canonical domain key, k) behind a lock; values
-are deterministic so racing writers are harmless.  The memo can be spilled
-to and reloaded from a JSON file for cross-process reuse.
+Every family except balls, the projective plane and the convex path
+search (which compute c_k alone) keeps its capacity sequence as a prefix
+c_0..c_{n-1} per domain that grows on demand: asking for c_k past the end
+extends the prefix up to k and keeps the work done so far.  An ellipsoid's
+prefix is a slice of its spectrum and at least doubles when it grows; a
+polydisk or sphere product appends one k at a time; a union, and a concave
+domain read as the union of its weight balls, adds max-plus DP columns and
+keeps the stage rows and pick tables.  The polydisk formula and the DP
+run in integers over a common denominator and return Fractions.  Each
+prefix grows under its own lock.
+
+The dispatcher memoizes by (canonical domain key, k) behind a lock, holding
+exactly the entries that were asked for, union parts included: a prefix
+that ran ahead leaves no memo entry behind.  Values are deterministic, so
+racing writers are harmless.  The memo can be spilled to and reloaded from
+a JSON file for cross-process reuse.
 """
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import json
 import math
+import operator
 import os
 import threading
 import warnings
@@ -42,20 +58,6 @@ class TruncationWarning(RuntimeWarning):
     """The inf over the shift l was truncated exactly at l_max."""
 
 
-class _Infinity:
-    """Marker for +infinity capacities.  Never produced for the supported
-    domain families (all their capacities are finite); carried on the value
-    type for forward compatibility only."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-
 @dataclass(frozen=True)
 class CapacityResult:
     k: int
@@ -73,8 +75,6 @@ class SpectrumEntry:
 
 
 def _checked(result: CapacityResult) -> CapacityResult:
-    if isinstance(result.value, _Infinity):
-        return result
     if result.value < 0 or (result.value == 0) != (result.k == 0):
         raise RuntimeError(f"capacity invariant violated: {result}")
     return result
@@ -106,40 +106,52 @@ def ck_ball(a, k) -> CapacityResult:
 
 
 _SPECTRUM_LOCK = threading.Lock()
-_SPECTRUM_CACHE: dict = {}
+_SPECTRUM_CACHE: dict = {}  # (a, b) -> _Spectrum
+
+
+class _Spectrum:
+    """The actions of one ellipsoid found so far, in order, and the heap
+    that yields the next ones: integers m*A+n*B over the common
+    denominator `scale`, as (action, m, n) triples."""
+
+    def __init__(self, a: Fraction, b: Fraction):
+        self.scale = math.lcm(a.denominator, b.denominator)
+        self.A, self.B = int(a * self.scale), int(b * self.scale)
+        self.entries: list = []
+        self.heap = [(0, 0, 0)]
+
+    def extend(self, need: int) -> None:
+        # (m, n) enters the heap when (m, n-1), or (m-1, 0) for n = 0, leaves
+        # it; that predecessor is smaller, so every pair is pushed once and
+        # the pops come out sorted by (action, m, n)
+        entries, heap, A, B = self.entries, self.heap, self.A, self.B
+        while len(entries) < need:
+            v, m, n = heapq.heappop(heap)
+            entries.append(SpectrumEntry(Fraction(v, self.scale), m, n, 2 * len(entries)))
+            heapq.heappush(heap, (v + B, m, n + 1))
+            if n == 0:
+                heapq.heappush(heap, (v + A, m + 1, 0))
 
 
 def ellipsoid_spectrum(a, b, k_max) -> list:
     """The k_max+1 smallest actions m*a+n*b, sorted, ties ordered by (m,n);
-    entry k carries ech_index 2k."""
+    entry k carries ech_index 2k.
+
+    The actions of each pair of axes are cached as far as any caller asked,
+    and a longer request continues the enumeration where it stopped instead
+    of starting again.  Ellipsoid prefixes ask for at least double their
+    length, so a scan over k = 0..K calls this O(log K) times.
+    """
     a, b = rational(a), rational(b)
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid axes must be positive")
-    k_max = _nonneg_k(k_max)
-    need = k_max + 1
-    key = (a, b)
+    need = _nonneg_k(k_max) + 1
     with _SPECTRUM_LOCK:
-        cached = _SPECTRUM_CACHE.get(key)
-        if cached is not None and len(cached) >= need:
-            return list(cached[:need])
-    L = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    A, B = int(a * L), int(b * L)
-    T = A + B
-    while sum((T - m * A) // B + 1 for m in range(T // A + 1)) < need:
-        T *= 2
-    raw = []
-    for m in range(T // A + 1):
-        rem = T - m * A
-        for n in range(rem // B + 1):
-            raw.append((m * A + n * B, m, n))
-    raw.sort()
-    entries = [SpectrumEntry(Fraction(v, L), m, n, 2 * i)
-               for i, (v, m, n) in enumerate(raw[:need])]
-    with _SPECTRUM_LOCK:
-        cached = _SPECTRUM_CACHE.get(key)
-        if cached is None or len(cached) < len(entries):
-            _SPECTRUM_CACHE[key] = entries
-    return list(entries)
+        spectrum = _SPECTRUM_CACHE.get((a, b))
+        if spectrum is None:
+            spectrum = _SPECTRUM_CACHE[(a, b)] = _Spectrum(a, b)
+        spectrum.extend(need)
+        return spectrum.entries[:need]
 
 
 def ck_polydisk(a, b, k) -> CapacityResult:
@@ -170,26 +182,74 @@ def ck_concave_toric(omega, k) -> CapacityResult:
     return _checked(CapacityResult(k, opt.value, "concave_path", opt.witness))
 
 
-def _union_table(parts, kmax: int):
-    """DP over parts; returns (values row 0..kmax, pick tables for parts
-    1..m-1 used to rebuild the witness composition)."""
-    rows = [[ck(p, t).value for t in range(kmax + 1)] for p in parts]
-    f = list(rows[0])
-    picks = []
+class _UnionParts:
+    """State of the max-plus DP over the parts of a union.
+
+    values[i] holds c_0, c_1, ... of part i and best[i] the best total of
+    parts 0..i at each column, both as integers over the common
+    denominator `scale`; picks[i-1][j] is part i's share of column j in
+    best[i].  A part added later starts with empty rows, which the next
+    _union_table call fills.
+    """
+
+    def __init__(self, parts=()):
+        self.parts: list = []
+        self.scale = 1
+        self.values: list = []
+        self.best: list = []
+        self.picks: list = []
+        for p in parts:
+            self.add(p)
+
+    def add(self, part) -> None:
+        if self.parts:
+            self.picks.append([])
+        self.parts.append(part)
+        self.values.append([])
+        self.best.append([])
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def result(self, k: int, method: str, stages: int | None = None) -> CapacityResult:
+        """c_k of the union of the first `stages` parts (default: all)."""
+        stages = len(self.parts) if stages is None else stages
+        value = Fraction(self.best[stages - 1][k], self.scale)
+        return _checked(CapacityResult(k, value, method,
+                                       _union_witness(self.picks, k, stages)))
+
+
+def _union_table(parts, kmax: int) -> None:
+    """Extend the DP of `parts` (a _UnionParts) through column kmax, which
+    must be at least the number of columns it has.
+
+    New part values are read through ck, c_kmax first so that a part's own
+    prefix grows in one step.  Column j of every part after the first
+    costs j+1 steps, so growing from nothing to kmax costs
+    (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the growth is split.
+    Ties keep the smallest share for the later part.
+    """
+    fresh = []
+    for p, row in zip(parts.parts, parts.values):
+        top = ck(p, kmax).value
+        fresh.append([ck(p, t).value for t in range(len(row), kmax)] + [top])
+    scale = math.lcm(parts.scale, *(v.denominator for row in fresh for v in row))
+    if scale != parts.scale:
+        factor = scale // parts.scale
+        for row in parts.values + parts.best:
+            row[:] = [x * factor for x in row]
+        parts.scale = scale
+    for row, new in zip(parts.values, fresh):
+        row.extend(v.numerator * (scale // v.denominator) for v in new)
+    first, best0 = parts.values[0], parts.best[0]
+    best0.extend(first[len(best0):kmax + 1])
     for i in range(1, len(parts)):
-        vi = rows[i]
-        nf, pk = [], []
-        for j in range(kmax + 1):
-            bt, bv = 0, f[j] + vi[0]
-            for t in range(1, j + 1):
-                v = f[j - t] + vi[t]
-                if v > bv:
-                    bv, bt = v, t
-            nf.append(bv)
-            pk.append(bt)
-        f = nf
-        picks.append(pk)
-    return f, picks
+        f, vi, row, picks = parts.best[i - 1], parts.values[i], parts.best[i], parts.picks[i - 1]
+        for j in range(len(row), kmax + 1):
+            sums = list(map(operator.add, f[j::-1], vi))  # f[j-t] + vi[t]
+            top = max(sums)
+            row.append(top)
+            picks.append(sums.index(top))
 
 
 def _union_witness(picks, k: int, nparts: int):
@@ -204,28 +264,30 @@ def _union_witness(picks, k: int, nparts: int):
 
 
 def ck_union(parts, k) -> CapacityResult:
+    """c_k of a union from a DP built for this k alone; the reference the
+    union prefix is tested against."""
     if isinstance(parts, DisjointUnion):
         parts = parts.parts
-    parts = tuple(parts)
-    if not parts:
+    table = _UnionParts(parts)
+    if not table.parts:
         raise ValueError("disjoint union needs at least one part")
     k = _nonneg_k(k)
-    f, picks = _union_table(parts, k)
-    witness = _union_witness(picks, k, len(parts))
-    return _checked(CapacityResult(k, f[k], "union_dp", witness))
+    _union_table(table, k)
+    return table.result(k, "union_dp")
 
 
 def ck_concave_via_weights(omega, k, depth_cap: int = 64) -> CapacityResult:
+    """c_k of a concave domain from its weight expansion, for this k alone;
+    the reference the concave prefix is tested against."""
     k = _nonneg_k(k)
     if k == 0:
         return CapacityResult(0, Fraction(0), "weights", ())
     ws = weight_expansion(omega, depth_cap)
     # at most k parts can receive a positive share, and the ball formula
     # prefers larger sizes, so the k largest weights suffice
-    balls = [Ball(w) for w in ws[:k]]
-    f, picks = _union_table(balls, k)
-    witness = _union_witness(picks, k, len(balls))
-    return _checked(CapacityResult(k, f[k], "weights", witness))
+    table = _UnionParts([Ball(w) for w in ws[:k]])
+    _union_table(table, k)
+    return table.result(k, "weights")
 
 
 def ck_convex_via_weights(omega, k, l_max: int = 100,
@@ -236,8 +298,9 @@ def ck_convex_via_weights(omega, k, l_max: int = 100,
         raise ValueError("l_max must be nonnegative")
     decomp = negative_weight_sequence(omega, depth_cap)
     if decomp.negatives:
-        balls = [Ball(w) for w in decomp.negatives[:max(l_max, 1)]]
-        f_neg, _ = _union_table(balls, l_max)
+        table = _UnionParts([Ball(w) for w in decomp.negatives[:max(l_max, 1)]])
+        _union_table(table, l_max)
+        f_neg = [table.result(l, "union_dp").value for l in range(l_max + 1)]
     else:
         f_neg = [Fraction(0)]  # no excised balls: only l = 0 applies
     best = None
@@ -281,27 +344,162 @@ def ech_index_closed(kind: str, cls) -> int:
     raise ValueError(f"unknown closed kind {kind!r}")
 
 
+# --- growable prefixes ------------------------------------------------------
+
+class _Prefix:
+    """c_0..c_{n-1} of one domain, grown on demand under a lock and kept.
+
+    Subclasses define _grow(k), which extends the prefix so that n > k, and
+    _result(k) for k < n.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.n = 0
+
+    def result(self, k: int) -> CapacityResult:
+        with self.lock:
+            if k >= self.n:
+                self._grow(k)
+            return self._result(k)
+
+
+class _EllipsoidPrefix(_Prefix):
+    """A slice of the ellipsoid spectrum, at least doubled on each growth so
+    a scan over k = 0..K asks for the spectrum O(log K) times."""
+
+    def __init__(self, d: Ellipsoid):
+        super().__init__()
+        self.a, self.b = d.a, d.b
+        self.entries: list = []
+
+    def _grow(self, k: int) -> None:
+        self.entries = ellipsoid_spectrum(self.a, self.b, max(k, 2 * self.n - 1))
+        self.n = len(self.entries)
+
+    def _result(self, k: int) -> CapacityResult:
+        e = self.entries[k]
+        return _checked(CapacityResult(k, e.action, "ellipsoid_spectrum", (e.m, e.n)))
+
+
+class _PolydiskPrefix(_Prefix):
+    """c_k = min{a*m+b*n : (m+1)(n+1) >= k+1} appended one k at a time, in
+    integers over a common denominator.  Per k only the smallest m of each
+    run of equal n can win, so the scan jumps between runs: O(sqrt k) steps.
+    Ties keep the smallest m, as ck_polydisk does."""
+
+    def __init__(self, d, method: str):
+        super().__init__()
+        a, b = rational(d.a), rational(d.b)
+        if a <= 0 or b <= 0:
+            raise ValueError("polydisk factors must be positive")
+        self.scale = math.lcm(a.denominator, b.denominator)
+        self.A, self.B = int(a * self.scale), int(b * self.scale)
+        self.method = method
+        self.results: list = []
+
+    def _grow(self, k: int) -> None:
+        A, B = self.A, self.B
+        for j in range(self.n, k + 1):
+            best = witness = None
+            m = 0
+            while True:
+                n = -(-(j + 1) // (m + 1)) - 1  # smallest n with (m+1)(n+1) >= j+1
+                v = A * m + B * n
+                if best is None or v < best:
+                    best, witness = v, (m, n)
+                if n == 0:
+                    break
+                m = -(-(j + 1) // n) - 1  # smallest m whose n is below this one
+            self.results.append(_checked(CapacityResult(
+                j, Fraction(best, self.scale), self.method, witness)))
+        self.n = k + 1
+
+    def _result(self, k: int) -> CapacityResult:
+        return self.results[k]
+
+
+class _UnionPrefix(_Prefix):
+    """A union's max-plus DP, extended by one column per new k."""
+
+    def __init__(self, d: DisjointUnion):
+        super().__init__()
+        self.table = _UnionParts(d.parts)
+
+    def _grow(self, k: int) -> None:
+        _union_table(self.table, k)
+        self.n = k + 1
+
+    def _result(self, k: int) -> CapacityResult:
+        return self.table.result(k, "union_dp")
+
+
+class _ConcavePrefix(_Prefix):
+    """The union of the domain's weight balls, largest first.  c_k uses
+    only the k largest balls, so ball i joins the DP at column i+1; the
+    expansion itself waits for the first k >= 1, as c_0 = 0 needs none."""
+
+    def __init__(self, d: ConcaveToric):
+        super().__init__()
+        self.domain = d
+        self.weights = None
+        self.table = _UnionParts()
+
+    def _grow(self, k: int) -> None:
+        if k >= 1:
+            if self.weights is None:
+                self.weights = weight_expansion(self.domain)
+            for w in self.weights[len(self.table):k]:
+                self.table.add(Ball(w))
+            _union_table(self.table, k)
+        self.n = k + 1
+
+    def _result(self, k: int) -> CapacityResult:
+        if k == 0:
+            return CapacityResult(0, Fraction(0), "weights", ())
+        return self.table.result(k, "weights", min(k, len(self.table)))
+
+
+# families whose sequence is a growable prefix; balls, the projective plane
+# and convex toric domains compute each c_k alone
+_PREFIX_KINDS = {
+    Ellipsoid: _EllipsoidPrefix,
+    Polydisk: lambda d: _PolydiskPrefix(d, "polydisk_formula"),
+    S2xS2: lambda d: _PolydiskPrefix(d, "s2xs2"),
+    DisjointUnion: _UnionPrefix,
+    ConcaveToric: _ConcavePrefix,
+}
+
 _MEMO_LOCK = threading.Lock()
-_MEMO: dict = {}
+_MEMO: dict = {}  # (domain key, k) -> CapacityResult
+_PREFIXES: dict = {}  # domain key -> _Prefix
 
 
-def _dispatch(d: Domain, k: int) -> CapacityResult:
+def _prefix(d: Domain, key: str):
+    """The growable prefix of d, or None for a family without one."""
+    make = _PREFIX_KINDS.get(type(d))
+    if make is None:
+        return None
+    with _MEMO_LOCK:
+        prefix = _PREFIXES.get(key)
+    if prefix is None:
+        made = make(d)
+        with _MEMO_LOCK:
+            prefix = _PREFIXES.setdefault(key, made)
+    return prefix
+
+
+def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
     if isinstance(d, Ball):
         return ck_ball(d.a, k)
-    if isinstance(d, Ellipsoid):
-        e = ellipsoid_spectrum(d.a, d.b, k)[k]
-        return _checked(CapacityResult(k, e.action, "ellipsoid_spectrum", (e.m, e.n)))
-    if isinstance(d, Polydisk):
-        return ck_polydisk(d.a, d.b, k)
+    if isinstance(d, CP2):
+        return ck_closed(d, k)
     if isinstance(d, ConvexToric):
         return ck_convex_toric(d, k)
-    if isinstance(d, ConcaveToric):
-        return ck_concave_via_weights(d, k)
-    if isinstance(d, DisjointUnion):
-        return ck_union(d, k)
-    if isinstance(d, (CP2, S2xS2)):
-        return ck_closed(d, k)
-    raise ValueError(f"unsupported domain: {d!r}")
+    prefix = _prefix(d, key)
+    if prefix is None:
+        raise ValueError(f"unsupported domain: {d!r}")
+    return prefix.result(k)
 
 
 def _cross_check(d: Domain, k: int, result: CapacityResult) -> None:
@@ -319,20 +517,26 @@ def _cross_check(d: Domain, k: int, result: CapacityResult) -> None:
 
 
 def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
-    """Capacity via the fastest applicable formula.
+    """Capacity via the fastest applicable formula, memoized per (domain, k).
+
+    A memo miss extends the domain's prefix up to k, keeping it for later
+    calls, so asking k = 0, 1, 2, ... in turn costs about what one
+    capacity_sequence costs.  Balls, the projective plane and convex toric
+    domains (one path search per k) compute c_k alone.
 
     verify=True recomputes convex-toric values through the weight formula
     and concave-toric values through the path optimum and insists they
     agree; other kinds have a single formula each.
     """
     k = _nonneg_k(k)
-    key = (domain_key(d), k)
+    dkey = domain_key(d)
+    key = (dkey, k)
     if not verify:
         with _MEMO_LOCK:
             hit = _MEMO.get(key)
         if hit is not None:
             return hit
-    result = _dispatch(d, k)
+    result = _dispatch(d, k, dkey)
     if verify:
         _cross_check(d, k, result)
     with _MEMO_LOCK:
@@ -341,17 +545,36 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
 
 
 def capacity_sequence(d: Domain, kmax) -> list:
-    """CapacityResults for k = 0..kmax; ellipsoids build their spectrum
-    once instead of once per k."""
+    """CapacityResults for k = 0..kmax.
+
+    One ck(d, kmax) grows the domain's prefix to kmax in one step; the
+    lower entries are then read from the memo where it has them and from
+    the prefix otherwise, and memoized as ck would.  Families without a
+    prefix (balls, the projective plane, convex toric domains) call ck
+    once per k.
+    """
     kmax = _nonneg_k(kmax)
-    if isinstance(d, Ellipsoid):
-        ellipsoid_spectrum(d.a, d.b, kmax)  # warm the shared cache
-    return [ck(d, k) for k in range(kmax + 1)]
+    key = domain_key(d)
+    prefix = _prefix(d, key)
+    if prefix is None:
+        return [ck(d, k) for k in range(kmax + 1)]
+    ck(d, kmax)
+    with _MEMO_LOCK:
+        found = [_MEMO.get((key, k)) for k in range(kmax + 1)]
+    for k, result in enumerate(found):
+        if result is None:
+            result = prefix.result(k)
+            with _MEMO_LOCK:
+                found[k] = _MEMO.setdefault((key, k), result)
+    return found
 
 
 def clear_memo() -> None:
+    """Forget every memoized capacity and every prefix (the ellipsoid
+    spectrum cache is kept)."""
     with _MEMO_LOCK:
         _MEMO.clear()
+        _PREFIXES.clear()
 
 
 # --- cross-process persistence --------------------------------------------
@@ -409,16 +632,24 @@ def save_disk_cache(cache_dir: str) -> int:
     with _MEMO_LOCK:
         snapshot = dict(_MEMO)
     for (dk, k), result in snapshot.items():
-        if isinstance(result.value, _Infinity):
-            continue
         entries[f"{dk}#{k}"] = {"c": rational_str(result.value),
                                 "method": result.method,
                                 "witness": witness_to_json(result.witness)}
-    tmp = _cache_file(cache_dir) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # sort entry keys by hand; sort_keys would also reorder nested
-        # witness objects and break byte-stable reloads
-        json.dump({"version": 1,
-                   "entries": {key: entries[key] for key in sorted(entries)}}, fh)
-    os.replace(tmp, _cache_file(cache_dir))
+    # each writer (process and thread) gets a temp file of its own, so
+    # concurrent writers never share a half-written file; the
+    # read-merge-write above can still drop entries another writer saved in
+    # between.  Not mkstemp: its files are private (0600), and the cache
+    # keeps the permissions the umask gives
+    tmp = f"{_cache_file(cache_dir)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            # sort entry keys by hand; sort_keys would also reorder nested
+            # witness objects and break byte-stable reloads
+            json.dump({"version": 1,
+                       "entries": {key: entries[key] for key in sorted(entries)}}, fh)
+        os.replace(tmp, _cache_file(cache_dir))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return len(entries)

@@ -36,7 +36,13 @@ class ObstructionReport:
 
 
 def check_embedding(src, tgt, k_max) -> ObstructionReport:
-    """Scan k = 0..k_max for a capacity violation of src -> tgt."""
+    """Scan k = 0..k_max for a capacity violation of src -> tgt.
+
+    Each step asks ck for the next index, which only extends the source's
+    and the target's capacity prefixes (see capacities).  Stopping at the
+    first violation memoizes nothing past it; only an ellipsoid's spectrum,
+    which grows by doubling, is computed beyond it.
+    """
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -57,6 +63,8 @@ def scaling_lower_bound(src, tgt, k_max) -> Fraction:
 
     The target must scale quadratically, which rules out the closed
     manifolds; capacities are positive for k >= 1, so no division by zero.
+    Capacities are read through ck one k at a time; each step only extends
+    the domains' capacity prefixes.
     """
     k_max = int(k_max)
     if k_max < 1:

@@ -3,6 +3,8 @@
 import concurrent.futures
 import functools
 import json
+import os
+import sys
 import threading
 import warnings
 from fractions import Fraction as F
@@ -320,6 +322,54 @@ def test_disk_cache_round_trip(tmp_path):
     blob = (tmp_path / "capacities.json").read_bytes()
     cap.save_disk_cache(str(tmp_path))
     assert (tmp_path / "capacities.json").read_bytes() == blob
+
+
+def test_disk_cache_concurrent_writers(tmp_path):
+    cap.clear_memo()
+    capacity_sequence(dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, F(5, 2))), 12)
+    barrier = threading.Barrier(2)
+
+    def writer(_):
+        barrier.wait(timeout=30)
+        return cap.save_disk_cache(str(tmp_path))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
+                futures = [ex.submit(writer, i) for i in range(2)]
+                counts = [f.result(timeout=60) for f in futures]
+            assert counts[0] == counts[1] == len(cap._MEMO)
+            payload = json.loads((tmp_path / "capacities.json").read_text())
+            assert len(payload["entries"]) == len(cap._MEMO)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [p.name for p in tmp_path.iterdir()] == ["capacities.json"]
+
+
+def test_disk_cache_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    cap.clear_memo()
+    ck(dom.ball(1), 3)
+
+    def broken(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cap.json, "dump", broken)
+    with pytest.raises(OSError):
+        cap.save_disk_cache(str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_disk_cache_file_mode_follows_umask(tmp_path):
+    cap.clear_memo()
+    ck(dom.ball(1), 2)
+    old = os.umask(0o022)
+    try:
+        cap.save_disk_cache(str(tmp_path))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "capacities.json").stat().st_mode & 0o777 == 0o644
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path):
