@@ -19,8 +19,8 @@ from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
 from .geometry import (Polygon, cross, is_convex, lattice_points_on_path,
                        lattice_points_under_path, path_vertices, point_on_path,
                        rational, rational_str)
-from .norms import (NormContext, anti_norm, chain_context, concave_context,
-                    convex_context, dual_norm)
+from .norms import (NormContext, anti_norm, concave_context, convex_context,
+                    dual_norm)
 from .obstructions import (AsymptoticReport, ObstructionReport,
                            asymptotic_ratio, check_embedding,
                            scaling_lower_bound, sqrt_interval)

@@ -29,7 +29,8 @@ The dispatcher memoizes by (canonical domain key, k) behind a lock, holding
 exactly the entries that were asked for, union parts included: a prefix
 that ran ahead leaves no memo entry behind.  Values are deterministic, so
 racing writers are harmless.  The memo can be spilled to and reloaded from
-a JSON file for cross-process reuse.
+a JSON file for cross-process reuse; a reloaded entry equals the one that
+was saved, witness types included.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
                       Domain, Ellipsoid, Polydisk, S2xS2, domain_key)
 from .geometry import rational, rational_str
 from .norms import concave_context, convex_context
-from .paths import LatticePath, path_to_json
+from .paths import LatticePath, path_from_json, path_to_json
 from .weights import negative_weight_sequence, weight_expansion
 
 
@@ -169,17 +170,21 @@ def ck_polydisk(a, b, k) -> CapacityResult:
     return _checked(CapacityResult(k, best, "polydisk_formula", witness))
 
 
+def _path_capacity(ctx, k: int, fast_monotone: bool = False) -> CapacityResult:
+    """c_k as the optimum of the path search matching the context's kind."""
+    if ctx.kind == "convex":
+        opt = paths.min_convex(ctx, k, "at_least", fast_monotone=fast_monotone)
+    else:
+        opt = paths.max_concave(ctx, k)
+    return _checked(CapacityResult(k, opt.value, f"{ctx.kind}_path", opt.witness))
+
+
 def ck_convex_toric(omega, k, fast_monotone: bool = False) -> CapacityResult:
-    k = _nonneg_k(k)
-    opt = paths.min_convex(convex_context(omega), k, "at_least",
-                           fast_monotone=fast_monotone)
-    return _checked(CapacityResult(k, opt.value, "convex_path", opt.witness))
+    return _path_capacity(convex_context(omega), _nonneg_k(k), fast_monotone)
 
 
 def ck_concave_toric(omega, k) -> CapacityResult:
-    k = _nonneg_k(k)
-    opt = paths.max_concave(concave_context(omega), k)
-    return _checked(CapacityResult(k, opt.value, "concave_path", opt.witness))
+    return _path_capacity(concave_context(omega), _nonneg_k(k))
 
 
 class _UnionParts:
@@ -473,6 +478,19 @@ _PREFIX_KINDS = {
 _MEMO_LOCK = threading.Lock()
 _MEMO: dict = {}  # (domain key, k) -> CapacityResult
 _PREFIXES: dict = {}  # domain key -> _Prefix
+_CONTEXTS: dict = {}  # (kind, domain key) -> NormContext
+
+
+def _kept(table: dict, key, make):
+    """table[key], made by make() on first use and kept; the lookups hold
+    the memo lock, make() runs outside it."""
+    with _MEMO_LOCK:
+        found = table.get(key)
+    if found is None:
+        made = make()
+        with _MEMO_LOCK:
+            found = table.setdefault(key, made)
+    return found
 
 
 def _prefix(d: Domain, key: str):
@@ -480,13 +498,14 @@ def _prefix(d: Domain, key: str):
     make = _PREFIX_KINDS.get(type(d))
     if make is None:
         return None
-    with _MEMO_LOCK:
-        prefix = _PREFIXES.get(key)
-    if prefix is None:
-        made = make(d)
-        with _MEMO_LOCK:
-            prefix = _PREFIXES.setdefault(key, made)
-    return prefix
+    return _kept(_PREFIXES, key, lambda: make(d))
+
+
+def _context(d: Domain, key: str, kind: str):
+    """The norm context of d for the path search of `kind`, built once per
+    domain: validating the polygon costs more than a small search."""
+    make = convex_context if kind == "convex" else concave_context
+    return _kept(_CONTEXTS, (kind, key), lambda: make(d))
 
 
 def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
@@ -495,16 +514,16 @@ def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
     if isinstance(d, CP2):
         return ck_closed(d, k)
     if isinstance(d, ConvexToric):
-        return ck_convex_toric(d, k)
+        return _path_capacity(_context(d, key, "convex"), k)
     prefix = _prefix(d, key)
     if prefix is None:
         raise ValueError(f"unsupported domain: {d!r}")
     return prefix.result(k)
 
 
-def _cross_check(d: Domain, k: int, result: CapacityResult) -> None:
+def _cross_check(d: Domain, k: int, key: str, result: CapacityResult) -> None:
     if isinstance(d, ConcaveToric):
-        other = ck_concave_toric(d, k)
+        other = _path_capacity(_context(d, key, "concave"), k)
     elif isinstance(d, ConvexToric):
         other = ck_convex_via_weights(d, k)
     else:
@@ -522,7 +541,9 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     A memo miss extends the domain's prefix up to k, keeping it for later
     calls, so asking k = 0, 1, 2, ... in turn costs about what one
     capacity_sequence costs.  Balls, the projective plane and convex toric
-    domains (one path search per k) compute c_k alone.
+    domains (one path search per k) compute c_k alone; a convex domain's
+    norm context is built once and kept, as is a concave domain's for
+    verify=True.
 
     verify=True recomputes convex-toric values through the weight formula
     and concave-toric values through the path optimum and insists they
@@ -538,7 +559,7 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
             return hit
     result = _dispatch(d, k, dkey)
     if verify:
-        _cross_check(d, k, result)
+        _cross_check(d, k, dkey, result)
     with _MEMO_LOCK:
         _MEMO.setdefault(key, result)
     return result
@@ -570,11 +591,12 @@ def capacity_sequence(d: Domain, kmax) -> list:
 
 
 def clear_memo() -> None:
-    """Forget every memoized capacity and every prefix (the ellipsoid
-    spectrum cache is kept)."""
+    """Forget every memoized capacity, prefix and norm context (the
+    ellipsoid spectrum cache is kept)."""
     with _MEMO_LOCK:
         _MEMO.clear()
         _PREFIXES.clear()
+        _CONTEXTS.clear()
 
 
 # --- cross-process persistence --------------------------------------------
@@ -595,6 +617,18 @@ def witness_to_json(w):
     raise ValueError(f"unserializable witness: {w!r}")
 
 
+def _witness_from_json(method: str, w):
+    """Invert witness_to_json for the witnesses ck produces: lattice paths
+    for the path searches, tuples for pairs and compositions."""
+    if method in ("convex_path", "concave_path"):
+        return path_from_json(w, method.partition("_")[0])
+    if isinstance(w, list):
+        return tuple(_witness_from_json(method, x) for x in w)
+    if isinstance(w, dict):
+        return {key: _witness_from_json(method, v) for key, v in w.items()}
+    return w
+
+
 def _cache_file(cache_dir: str) -> str:
     return os.path.join(cache_dir, "capacities.json")
 
@@ -612,8 +646,9 @@ def load_disk_cache(cache_dir: str) -> int:
     loaded = 0
     for key, entry in payload.get("entries", {}).items():
         dk, _, ks = key.rpartition("#")
-        result = CapacityResult(int(ks), rational(entry["c"]), entry["method"],
-                                entry.get("witness"))
+        method = entry["method"]
+        result = CapacityResult(int(ks), rational(entry["c"]), method,
+                                _witness_from_json(method, entry.get("witness")))
         with _MEMO_LOCK:
             _MEMO.setdefault((dk, int(ks)), result)
         loaded += 1

@@ -310,14 +310,6 @@ def scale_domain(d: Domain, mu) -> Domain:
     raise ValueError(f"unsupported domain: {d!r}")
 
 
-def omega_vertices(d) -> tuple[Point, ...]:
-    """Vertices of the canonical moment polygon (origin included)."""
-    report = validate(d)
-    if report.normalized_omega is None:
-        raise ValueError("domain has no moment polygon")
-    return report.normalized_omega.vertices
-
-
 def upper_boundary(d) -> tuple[Point, ...]:
     """The outer boundary chain, from (0, ymax) down to (xmax, 0).
 

@@ -9,9 +9,9 @@ Conventions used throughout the package:
   * lattice paths live on integer coordinates and are encoded by their
     integer edge vectors, walked from (0, start_y).
 
-Lattice-point counts are exact integers obtained by scanning integer
-columns; Pick's theorem is used in the tests as an independent oracle,
-not here.
+Lattice-point counts are exact integers from Pick's theorem on the
+integer region, O(edges) in Python ints; the tests recount column by
+column as an independent oracle.
 """
 
 from __future__ import annotations
@@ -161,58 +161,45 @@ def lattice_points_on_path(edges: Sequence[Edge]) -> int:
     return total
 
 
-def _region_cycle(edges: Sequence[Edge], start_y: int) -> list[tuple[int, int]]:
-    # closed cycle (0,0) -> (0,b) -> path -> (a,0) -> (0,0), duplicates dropped
-    cycle = [(0, 0)]
-    for v in path_vertices(edges, start_y):
-        if v != cycle[-1]:
-            cycle.append(v)
-    while len(cycle) > 1 and cycle[-1] == cycle[0]:
-        cycle.pop()
-    return cycle
-
-
 def lattice_points_under_path(edges: Sequence[Edge], start_y: int,
                               include_path: bool = True) -> int:
     """Count lattice points of the region bounded by the path and the axes.
 
     The region is the closed polygon (0,0),(0,start_y),...,(a,0); it must be
-    column-convex (true for every valid convex or concave path, degenerate
-    axis segments included).  With include_path False, points lying on the
-    path itself (its endpoints included) are not counted; points on the axis
-    closures still are.
+    simple, possibly with segments traced out and back (true for every valid
+    convex or concave path, degenerate axis segments and a concave path's
+    terminal run along the x-axis included).  With include_path False,
+    points lying on the path itself (its endpoints included) are not
+    counted; points on the axis closures still are.
+
+    Pick's theorem, I + B = A + B/2 + 1, walked around the region once: the
+    shoelace sum gives 2A and gcds give the boundary points B.  A segment
+    traced both ways adds its length to B twice and nothing to A, which
+    counts its points exactly once.
     """
-    cycle = _region_cycle(edges, start_y)
-    n = len(cycle)
-    if n == 1:
-        count = 1
-    else:
-        xmax = max(v[0] for v in cycle)
-        xmin = min(v[0] for v in cycle)
-        if xmin < 0 or min(v[1] for v in cycle) < 0:
-            raise ValueError("path region leaves the nonnegative quadrant")
-        count = 0
-        for x0 in range(xmin, xmax + 1):
-            ylo = None
-            yhi = None
-            for i in range(n):
-                (px, py), (qx, qy) = cycle[i], cycle[(i + 1) % n]
-                if n == 2 and i == 1:
-                    break  # a segment has one geometric edge
-                if min(px, qx) <= x0 <= max(px, qx):
-                    if px == qx:
-                        lo, hi = min(py, qy), max(py, qy)
-                    else:
-                        y = Fraction(py) + Fraction(qy - py, qx - px) * (x0 - px)
-                        lo = hi = y
-                    ylo = lo if ylo is None else min(ylo, lo)
-                    yhi = hi if yhi is None else max(yhi, hi)
-            if ylo is None:
-                continue
-            count += math.floor(yhi) - math.ceil(ylo) + 1
+    b = int(start_y)
+    x, y = 0, b
+    area2 = 0
+    on_path = 0
+    xmin = 0
+    ymin = y
+    for dx, dy in edges:
+        area2 += x * dy - y * dx  # cross((x, y), (x+dx, y+dy))
+        on_path += math.gcd(dx, dy)
+        x += dx
+        y += dy
+        if x < xmin:
+            xmin = x
+        if y < ymin:
+            ymin = y
+    if xmin < 0 or ymin < 0:
+        raise ValueError("path region leaves the nonnegative quadrant")
+    # axis legs (0,0)->(0,start_y) and the closing edge back to the origin
+    boundary = b + on_path + math.gcd(x, y)
+    count = (abs(area2) + boundary) // 2 + 1
     if include_path:
         return count
-    return count - lattice_points_on_path(edges)
+    return count - on_path - 1
 
 
 def point_on_path(edges: Sequence[Edge], start_y: int, q) -> bool:

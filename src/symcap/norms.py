@@ -57,12 +57,6 @@ def concave_context(d) -> NormContext:
     return NormContext("concave", tuple(reversed(vs[1:])))
 
 
-def chain_context(chain) -> NormContext:
-    """Concave context straight from an outer boundary chain
-    ((0,b) ... (a,0)); used by the weight recursion on intermediate pieces."""
-    return NormContext("concave", tuple((Fraction(x), Fraction(y)) for x, y in chain))
-
-
 def dual_norm(ctx: NormContext, v) -> Fraction:
     if ctx.kind != "convex":
         raise ValueError("dual_norm needs a convex context")

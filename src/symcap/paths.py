@@ -281,30 +281,34 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
     dirs.sort(key=dir_key)
     nus = [nu(p, q) for p, q in dirs]
     ndirs = len(dirs)
+    # cheaper[j]: the first index after j whose direction costs less than
+    # direction j (ndirs if none).  best_cost only falls, so when j is too
+    # dear every direction before cheaper[j] is too, and the loop jumps
+    cheaper = [ndirs] * ndirs
+    stack: list[int] = []
+    for j, c in enumerate(nus):
+        while stack and nus[stack[-1]] > c:
+            cheaper[stack.pop()] = j
+        stack.append(j)
     chosen: list[Edge] = []
 
-    def dfs(start_idx: int, sumdx: int, sumdy: int, summul: int, cost: int):
+    def dfs(start_idx: int, sumdx: int, sumdy: int, summul: int, cost: int,
+            xtop: int, dytop: int):
+        # xtop, dytop: the largest x and the largest rise above the start
+        # over the vertices so far, so the path's bounding box is
+        # (xtop + 1) x (dytop - sumdy + 1) lattice points
         nonlocal best_cost
         if chosen and sumdx >= 0 and sumdy <= 0:
             # cheap necessary bound before the real count
-            x = y = my = 0
-            b0 = -sumdy
-            y = my = b0
-            mx = 0
-            for dx, dy in chosen:
-                x += dx
-                y += dy
-                if x > mx:
-                    mx = x
-                if y > my:
-                    my = y
-            if (mx + 1) * (my + 1) >= target:
+            if (xtop + 1) * (dytop - sumdy + 1) >= target:
                 consider(tuple(chosen))
-        for j in range(start_idx, ndirs):
-            p, q = dirs[j]
+        j = start_idx
+        while j < ndirs:
             nuj = nus[j]
             if cost + nuj > best_cost:
+                j = cheaper[j]
                 continue
+            p, q = dirs[j]
             m = 1
             while True:
                 c2 = cost + m * nuj
@@ -320,11 +324,13 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
                 if c2 + pend > best_cost:
                     break  # c2+pend is nondecreasing in m (nu >= |q|*ymax)
                 chosen.append((m * p, m * q))
-                dfs(j + 1, ndx, ndy, summul + m, c2)
+                dfs(j + 1, ndx, ndy, summul + m, c2,
+                    ndx if ndx > xtop else xtop, ndy if ndy > dytop else dytop)
                 chosen.pop()
                 m += 1
+            j += 1
 
-    dfs(0, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, 0, 0)
 
     witness = LatticePath("convex", best_edges, -sum(dy for _, dy in best_edges) if best_edges else 0)
     return PathOptimum(Fraction(best_cost, scale), witness, best_count)

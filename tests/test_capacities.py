@@ -324,6 +324,26 @@ def test_disk_cache_round_trip(tmp_path):
     assert (tmp_path / "capacities.json").read_bytes() == blob
 
 
+def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
+    family = CORPUS + [STAIR, dom.cp2(F(3, 2)), dom.s2xs2(1, F(5, 3))]
+    cap.clear_memo()
+    cold = [ck(d, k) for d in family for k in range(6)]
+    cap.save_disk_cache(str(tmp_path))
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+
+    def no_compute(*args):
+        raise AssertionError("a warm ck must come from the loaded cache")
+
+    monkeypatch.setattr(cap, "_dispatch", no_compute)
+    warm = [ck(d, k) for d in family for k in range(6)]
+    assert warm == cold
+    assert [type(r.witness) for r in warm] == [type(r.witness) for r in cold]
+    # the path witnesses of both searches, including ones ck never memoizes
+    for r in (ck_convex_toric(PENT, 5), ck_concave_toric(STAIR, 4), ck_concave_toric(STAIR, 0)):
+        assert cap._witness_from_json(r.method, witness_to_json(r.witness)) == r.witness
+
+
 def test_disk_cache_concurrent_writers(tmp_path):
     cap.clear_memo()
     capacity_sequence(dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, F(5, 2))), 12)

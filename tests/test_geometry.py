@@ -1,18 +1,58 @@
 """Geometry primitives: rationals, polygons, lattice counting.
 
-Pick's theorem is the independent oracle here; the library counts
-columnwise, the tests recount via area + boundary/2 + 1.
+The library counts lattice points with Pick's theorem; the tests recount
+column by column, interpolating each edge with Fractions, as an
+independent oracle, on hand-picked and on seeded random convex and
+concave paths.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from symcap.geometry import (Polygon, cross, is_convex,
                              lattice_points_on_path,
-                             lattice_points_under_path, point_on_path,
-                             rational, rational_str)
+                             lattice_points_under_path, path_vertices,
+                             point_on_path, rational, rational_str)
+from symcap.paths import concave_path, convex_path
+
+
+def _column_count(edges, start_y, include_path=True):
+    """Lattice points of the region (0,0),(0,start_y),...,(a,0) counted
+    column by column: each integer column x meets the column-convex region
+    in one interval, read off the edges crossing it."""
+    cycle = [(0, 0)]
+    for v in path_vertices(edges, start_y):
+        if v != cycle[-1]:
+            cycle.append(v)
+    while len(cycle) > 1 and cycle[-1] == cycle[0]:
+        cycle.pop()
+    n = len(cycle)
+    if n == 1:
+        count = 1
+    else:
+        if min(v[0] for v in cycle) < 0 or min(v[1] for v in cycle) < 0:
+            raise ValueError("path region leaves the nonnegative quadrant")
+        count = 0
+        for x0 in range(max(v[0] for v in cycle) + 1):
+            ylo = yhi = None
+            # a two-vertex cycle is a segment: one geometric edge
+            for i in range(n if n > 2 else 1):
+                (px, py), (qx, qy) = cycle[i], cycle[(i + 1) % n]
+                if min(px, qx) <= x0 <= max(px, qx):
+                    if px == qx:
+                        lo, hi = min(py, qy), max(py, qy)
+                    else:
+                        lo = hi = F(py) + F(qy - py, qx - px) * (x0 - px)
+                    ylo = lo if ylo is None else min(ylo, lo)
+                    yhi = hi if yhi is None else max(yhi, hi)
+            if ylo is not None:
+                count += math.floor(yhi) - math.ceil(ylo) + 1
+    if include_path:
+        return count
+    return count - lattice_points_on_path(edges)
 
 
 def test_rational_round_trip():
@@ -59,6 +99,12 @@ def test_under_path_degenerate_segments():
     # flat region along the x-axis: the path itself
     assert lattice_points_under_path(((3, 0),), 0, include_path=True) == 4
     assert lattice_points_under_path(((0, -2),), 2, include_path=True) == 3
+    # a segment up the y-axis, with nothing walked
+    assert lattice_points_under_path((), 3, include_path=True) == 4
+    assert lattice_points_under_path((), 3, include_path=False) == 3
+    # a concave path ending in a run along the x-axis: triangle plus segment
+    assert lattice_points_under_path(((1, -2), (2, 0)), 2, include_path=True) == 6
+    assert lattice_points_under_path(((1, -2), (2, 0)), 2, include_path=False) == 2
 
 
 def test_point_on_path_examples():
@@ -109,6 +155,7 @@ def test_columnwise_count_matches_pick(edges, b):
         dedup.pop()
     want = _pick_count(dedup)
     assert lattice_points_under_path(edges, b, include_path=True) == want
+    assert _column_count(edges, b) == want
 
 
 @pytest.mark.parametrize("edges,b", [
@@ -128,6 +175,84 @@ def test_region_must_stay_in_quadrant():
         lattice_points_under_path(((1, -2),), 1, include_path=True)
     with pytest.raises(ValueError):
         lattice_points_under_path(((-2, -1),), 1, include_path=True)
+    for count in (lattice_points_under_path, _column_count):
+        with pytest.raises(ValueError):
+            count(((1, 1), (1, -3)), 1)
+        with pytest.raises(ValueError):
+            count((), -1)
+
+
+def _convex_direction_key(d):
+    # clockwise order along a convex path: up-right, right, down-right,
+    # down, down-left; by slope, steepest first, inside each group
+    p, q = d
+    group = 0 if p > 0 and q > 0 else 1 if p > 0 and q == 0 else 2 if p > 0 else 3 if p == 0 else 4
+    return (group, -F(q, p) if p else 0)
+
+
+def _random_convex_path(rng):
+    """A valid convex path: empty, an axis segment, or distinct primitive
+    directions from the admissible arc in clockwise order with small
+    multiplicities, often with up-right first and down-left last edges so
+    the path is not monotone."""
+    shape = rng.random()
+    if shape < 0.02:
+        return convex_path([])
+    if shape < 0.07:
+        return convex_path([(rng.randint(1, 6), 0)])
+    if shape < 0.12:
+        return convex_path([(0, -rng.randint(1, 6))])
+    while True:
+        dirs = set()
+        for _ in range(rng.randint(1, 5)):
+            p, q = rng.randint(-3, 4), rng.randint(-4, 3)
+            admissible = p > 0 or (p <= 0 and q < 0)
+            if (p, q) != (0, 0) and math.gcd(p, q) == 1 and admissible:
+                dirs.add((p, q))
+        edges = [(m * p, m * q) for p, q in sorted(dirs, key=_convex_direction_key)
+                 for m in [rng.randint(1, 3)]]
+        try:
+            if edges:
+                return convex_path(edges)
+        except ValueError:
+            pass  # ends left of the y-axis or below the x-axis
+
+
+def _random_concave_path(rng):
+    """A valid concave path: edges with dx >= 1, dy <= -1 and strictly
+    increasing slopes, often followed by a horizontal run along the x-axis
+    (alone, when no sloped edge was drawn)."""
+    slopes = {F(rng.randint(-5, -1), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))}
+    edges = [(m * s.denominator, m * s.numerator) for s in sorted(slopes)
+             for m in [rng.randint(1, 3)]]
+    if not edges or rng.random() < 0.4:
+        edges.append((rng.randint(1, 4), 0))
+    return concave_path(edges)
+
+
+@pytest.mark.parametrize("make", [_random_convex_path, _random_concave_path])
+def test_pick_matches_column_scan_on_random_paths(make):
+    rng = random.Random(20221)
+    for _ in range(300):
+        path = make(rng)
+        for include_path in (True, False):
+            want = _column_count(path.edges, path.start_y, include_path)
+            got = lattice_points_under_path(path.edges, path.start_y, include_path)
+            assert got == want, (path, include_path)
+
+
+def test_random_convex_paths_cover_the_degenerate_and_non_monotone_cases():
+    rng = random.Random(20221)
+    drawn = [_random_convex_path(rng) for _ in range(300)]
+    assert any(len(p.edges) == 1 and p.edges[0][1] == 0 for p in drawn)
+    assert any(len(p.edges) == 1 and p.edges[0][0] == 0 for p in drawn)
+    drawn = [p for p in drawn if len(p.edges) > 1]
+    assert any(p.edges[0][1] > 0 for p in drawn)
+    assert any(p.edges[-1][0] < 0 for p in drawn)
+    rng = random.Random(20221)
+    drawn = [_random_concave_path(rng) for _ in range(300)]
+    assert any(len(p.edges) > 1 and p.edges[-1][1] == 0 for p in drawn)
+    assert any(p.edges[-1][1] < 0 for p in drawn)
 
 
 def test_polygon_rejects_spike():

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import symcap.domains as dom
+import symcap.paths as paths
 from symcap.geometry import path_vertices
 from symcap.norms import concave_context, convex_context
 from symcap.paths import (
@@ -168,6 +169,28 @@ def test_both_optimizations_agree_on_ellipsoids(ab):
     d = dom.ellipsoid(*ab)
     for k in range(13):
         assert _mc(d, k).value == _xc(d, k).value
+
+
+@pytest.mark.parametrize("domain,k,mode,scored", [
+    (T1, 17, "at_least", 199),
+    (T1, 17, "exact", 686),
+    (PENT, 20, "at_least", 207),
+    (P12, 20, "at_least", 42),
+])
+def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, mode, scored):
+    # the direction loop jumps only over directions a plain scan would skip,
+    # so the searched tree, and with it the number of lattice counts, stays
+    # that of the scan; a sharper bound would lower these numbers
+    calls = []
+    real = paths.lattice_points_under_path
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "lattice_points_under_path", counting)
+    min_convex(convex_context(domain), k, bound_mode=mode)
+    assert len(calls) == scored
 
 
 def test_optimizers_deterministic():

@@ -248,6 +248,41 @@ def test_staircase_sequence_expands_weights_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(cap, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cap, name, counting)
+    return calls
+
+
+def test_convex_sequence_builds_its_norm_context_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "convex_context")
+    cap.clear_memo()
+    d = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+    capacity_sequence(d, 10)
+    assert len(calls) <= 1
+    cap.clear_memo()
+    ck(d, 3)
+    assert len(calls) == 2
+
+
+def test_concave_verify_builds_its_norm_context_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "concave_context")
+    cap.clear_memo()
+    d = dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])
+    ck(d, 4, verify=True)
+    ck(d, 5, verify=True)
+    assert len(calls) <= 1
+    cap.clear_memo()
+    ck(d, 4, verify=True)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("scan", ["sequence", "per_k"])
 def test_union_dp_steps_stay_within_one_table(monkeypatch, scan):
     steps = []
