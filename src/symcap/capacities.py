@@ -28,9 +28,16 @@ prefix grows under its own lock.
 The dispatcher memoizes by (canonical domain key, k) behind a lock, holding
 exactly the entries that were asked for, union parts included: a prefix
 that ran ahead leaves no memo entry behind.  Values are deterministic, so
-racing writers are harmless.  The memo can be spilled to and reloaded from
-a JSON file for cross-process reuse; a reloaded entry equals the one that
-was saved, witness types included.
+racing writers are harmless.
+
+The memo can be spilled to and reloaded from a JSON file for cross-process
+reuse.  Loading parses the file once and keeps its entries raw; a memo
+miss looks there before computing and builds only the entry asked for,
+equal to the one that was saved, witness types included.  A malformed
+entry is reported with a warning and computed afresh.  Saving reuses the
+parsed entries while the file is unchanged on disk, encodes only the memo
+entries the file does not hold yet, and leaves the file alone when none
+would change it.
 """
 
 from __future__ import annotations
@@ -479,6 +486,22 @@ _MEMO_LOCK = threading.Lock()
 _MEMO: dict = {}  # (domain key, k) -> CapacityResult
 _PREFIXES: dict = {}  # domain key -> _Prefix
 _CONTEXTS: dict = {}  # (kind, domain key) -> NormContext
+_DISK: dict = {}  # "domain key#k" -> raw entry of a loaded cache file
+_SAVED: set = set()  # memo keys whose entry a cache file held when it was built or saved
+_FILE = None  # (path, signature, entries) of the cache file last read or written
+
+
+def _key(d: Domain) -> str:
+    """domain_key(d), computed once per domain object and kept in its
+    __dict__ (as functools.cached_property would): domains are frozen, so
+    the key cannot go stale, and fields-based equality ignores it."""
+    kept = getattr(d, "__dict__", None)
+    if kept is None:
+        return domain_key(d)
+    key = kept.get("_domain_key")
+    if key is None:
+        key = kept["_domain_key"] = domain_key(d)
+    return key
 
 
 def _kept(table: dict, key, make):
@@ -530,7 +553,7 @@ def _cross_check(d: Domain, k: int, key: str, result: CapacityResult) -> None:
         return
     if other.value != result.value:
         raise RuntimeError(
-            f"cross-check failed for {domain_key(d)} at k={k}: "
+            f"cross-check failed for {key} at k={k}: "
             f"{result.method} gives {rational_str(result.value)}, "
             f"{other.method} gives {rational_str(other.value)}")
 
@@ -550,11 +573,13 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     agree; other kinds have a single formula each.
     """
     k = _nonneg_k(k)
-    dkey = domain_key(d)
+    dkey = _key(d)
     key = (dkey, k)
     if not verify:
         with _MEMO_LOCK:
             hit = _MEMO.get(key)
+        if hit is None and _DISK:
+            hit = _from_disk(key)
         if hit is not None:
             return hit
     result = _dispatch(d, k, dkey)
@@ -569,13 +594,13 @@ def capacity_sequence(d: Domain, kmax) -> list:
     """CapacityResults for k = 0..kmax.
 
     One ck(d, kmax) grows the domain's prefix to kmax in one step; the
-    lower entries are then read from the memo where it has them and from
-    the prefix otherwise, and memoized as ck would.  Families without a
-    prefix (balls, the projective plane, convex toric domains) call ck
-    once per k.
+    lower entries are then read from the memo where it has them, from the
+    loaded cache file next and from the prefix otherwise, and memoized as
+    ck would.  Families without a prefix (balls, the projective plane,
+    convex toric domains) call ck once per k.
     """
     kmax = _nonneg_k(kmax)
-    key = domain_key(d)
+    key = _key(d)
     prefix = _prefix(d, key)
     if prefix is None:
         return [ck(d, k) for k in range(kmax + 1)]
@@ -583,6 +608,8 @@ def capacity_sequence(d: Domain, kmax) -> list:
     with _MEMO_LOCK:
         found = [_MEMO.get((key, k)) for k in range(kmax + 1)]
     for k, result in enumerate(found):
+        if result is None and _DISK:
+            result = found[k] = _from_disk((key, k))
         if result is None:
             result = prefix.result(k)
             with _MEMO_LOCK:
@@ -591,12 +618,16 @@ def capacity_sequence(d: Domain, kmax) -> list:
 
 
 def clear_memo() -> None:
-    """Forget every memoized capacity, prefix and norm context (the
-    ellipsoid spectrum cache is kept)."""
+    """Forget every memoized capacity, prefix, norm context and loaded
+    cache entry (the ellipsoid spectrum cache is kept)."""
+    global _FILE
     with _MEMO_LOCK:
         _MEMO.clear()
         _PREFIXES.clear()
         _CONTEXTS.clear()
+        _DISK.clear()
+        _SAVED.clear()
+        _FILE = None
 
 
 # --- cross-process persistence --------------------------------------------
@@ -633,58 +664,161 @@ def _cache_file(cache_dir: str) -> str:
     return os.path.join(cache_dir, "capacities.json")
 
 
-def load_disk_cache(cache_dir: str) -> int:
-    """Merge a previously saved memo file into the in-process memo.
-    Returns the number of entries loaded; missing file is not an error."""
+def _signature(st) -> tuple:
+    # writers replace the file by renaming a new one over it, so a file
+    # whose inode, size and mtime are unchanged holds the same entries
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _read_cache(path: str):
+    """(signature, entries) of the cache file at path.  Raises
+    FileNotFoundError when there is none and ValueError when it is not a
+    version-1 cache."""
+    with open(path, "r", encoding="utf-8") as fh:
+        signature = _signature(os.fstat(fh.fileno()))
+        payload = json.load(fh)
+    entries = None
+    if isinstance(payload, dict) and payload.get("version") == 1:
+        entries = payload.get("entries", {})
+    if not isinstance(entries, dict):
+        raise ValueError("unrecognized capacity cache format")
+    return signature, entries
+
+
+def _entry_json(result: CapacityResult) -> dict:
+    return {"c": rational_str(result.value), "method": result.method,
+            "witness": witness_to_json(result.witness)}
+
+
+def _entry_result(k: int, entry) -> CapacityResult:
+    """Invert _entry_json; a malformed entry raises LookupError, TypeError
+    or ValueError."""
+    method = entry["method"]
+    if not isinstance(method, str):
+        raise TypeError(f"method {method!r} is not a string")
+    return CapacityResult(k, rational(entry["c"]), method,
+                          _witness_from_json(method, entry.get("witness")))
+
+
+_ABSENT = object()
+
+
+def _from_disk(key):
+    """The loaded cache entry under key, built and memoized; None when the
+    file held no such entry, or a malformed one, which warns so that the
+    caller computes and memoizes the value afresh (the memo then answers
+    every later lookup of key, so one entry warns once)."""
+    dk, k = key
+    skey = f"{dk}#{k}"
+    entry = _DISK.get(skey, _ABSENT)
+    if entry is _ABSENT:
+        return None
     try:
-        with open(_cache_file(cache_dir), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        result = _entry_result(k, entry)
+    except (LookupError, TypeError, ValueError) as e:
+        warnings.warn(f"ignoring malformed capacity cache entry {skey}: "
+                      f"{type(e).__name__}: {e}", RuntimeWarning, stacklevel=3)
+        return None
+    with _MEMO_LOCK:
+        _SAVED.add(key)
+        return _MEMO.setdefault(key, result)
+
+
+def load_disk_cache(cache_dir: str) -> int:
+    """Read a previously saved memo file for ck and capacity_sequence to
+    draw on; returns the number of entries in it.
+
+    The file is parsed once and its entries kept raw under the file's own
+    keys: a memo miss builds and memoizes only the entry asked for, and a
+    malformed entry becomes a miss with a warning.  The parsed entries and
+    the file's signature are kept for save_disk_cache.  A missing file is
+    not an error; a file that is not a version-1 cache raises ValueError.
+    """
+    global _FILE
+    path = _cache_file(cache_dir)
+    try:
+        signature, entries = _read_cache(path)
     except FileNotFoundError:
         return 0
-    if not isinstance(payload, dict) or payload.get("version") != 1:
-        raise ValueError("unrecognized capacity cache format")
-    loaded = 0
-    for key, entry in payload.get("entries", {}).items():
-        dk, _, ks = key.rpartition("#")
-        method = entry["method"]
-        result = CapacityResult(int(ks), rational(entry["c"]), method,
-                                _witness_from_json(method, entry.get("witness")))
-        with _MEMO_LOCK:
-            _MEMO.setdefault((dk, int(ks)), result)
-        loaded += 1
-    return loaded
+    with _MEMO_LOCK:
+        for skey, entry in entries.items():
+            _DISK.setdefault(skey, entry)
+        _FILE = (path, signature, entries)
+    return len(entries)
 
 
 def save_disk_cache(cache_dir: str) -> int:
-    """Write the current memo next to any previously saved entries."""
+    """Write the memo into the cache file next to the entries it holds;
+    returns the number of entries in the file.
+
+    The entries parsed by the last load or save of this file are reused
+    while its signature (inode, size, mtime) is unchanged; otherwise the
+    file is read again, so entries other writers saved in between are
+    kept.  Only memo entries that did not come from the file are encoded,
+    and when none of them would change an entry of a readable cache file,
+    nothing is written.
+    """
+    global _FILE
+    path = _cache_file(cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
-    try:
-        with open(_cache_file(cache_dir), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        entries = payload.get("entries", {}) if payload.get("version") == 1 else {}
-    except (FileNotFoundError, ValueError):
-        entries = {}
     with _MEMO_LOCK:
-        snapshot = dict(_MEMO)
-    for (dk, k), result in snapshot.items():
-        entries[f"{dk}#{k}"] = {"c": rational_str(result.value),
-                                "method": result.method,
-                                "witness": witness_to_json(result.witness)}
+        kept = _FILE
+        memo = [(key, result, key in _SAVED) for key, result in _MEMO.items()]
+    readable = True
+    try:
+        if kept is not None and kept[0] == path and _signature(os.stat(path)) == kept[1]:
+            signature, entries = kept[1:]
+        else:
+            signature, entries = _read_cache(path)
+    except (FileNotFoundError, ValueError):
+        signature, entries, readable = None, {}, False
+    updates = {}
+    for (dk, k), result, saved in memo:
+        skey = f"{dk}#{k}"
+        if saved and skey in entries:
+            continue
+        entry = _entry_json(result)
+        if entries.get(skey) != entry:
+            updates[skey] = entry
+    if updates or not readable:
+        merged = entries | updates
+        # sort entry keys by hand; sort_keys would also reorder nested
+        # witness objects and break byte-stable reloads
+        entries = {key: merged[key] for key in sorted(merged)}
+        signature = _write_cache(path, entries)
+    with _MEMO_LOCK:
+        _SAVED.update(key for key, _, _ in memo)
+        _FILE = (path, signature, entries)
+    return len(entries)
+
+
+_WRITE_BATCH = 256  # cache entries encoded per json.dumps call
+
+
+def _write_cache(path: str, entries: dict) -> tuple:
+    """Replace the cache file at path with entries; returns its signature."""
     # each writer (process and thread) gets a temp file of its own, so
     # concurrent writers never share a half-written file; the
-    # read-merge-write above can still drop entries another writer saved in
-    # between.  Not mkstemp: its files are private (0600), and the cache
-    # keeps the permissions the umask gives
-    tmp = f"{_cache_file(cache_dir)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    # read-merge-write of save_disk_cache can still drop entries another
+    # writer saved in between.  Not mkstemp: its files are private (0600),
+    # and the cache keeps the permissions the umask gives
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    items = list(entries.items())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            # sort entry keys by hand; sort_keys would also reorder nested
-            # witness objects and break byte-stable reloads
-            json.dump({"version": 1,
-                       "entries": {key: entries[key] for key in sorted(entries)}}, fh)
-        os.replace(tmp, _cache_file(cache_dir))
+            # the bytes json.dump({"version": 1, "entries": entries}) writes,
+            # a batch of entries per json.dumps: json.dump encodes in pure
+            # Python, and one json.dumps of everything holds it all in memory
+            fh.write('{"version": 1, "entries": {')
+            for i in range(0, len(items), _WRITE_BATCH):
+                batch = json.dumps(dict(items[i:i + _WRITE_BATCH]))[1:-1]
+                fh.write(f", {batch}" if i else batch)
+            fh.write("}}")
+            fh.flush()
+            signature = _signature(os.fstat(fh.fileno()))
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    return len(entries)
+    return signature

@@ -368,17 +368,27 @@ def test_disk_cache_concurrent_writers(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["capacities.json"]
 
 
-def test_disk_cache_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+def _fail_after_temp_file(tmp_path, monkeypatch, module, name):
     cap.clear_memo()
     ck(dom.ball(1), 3)
 
     def broken(*args, **kwargs):
+        assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
         raise OSError("disk full")
 
-    monkeypatch.setattr(cap.json, "dump", broken)
+    monkeypatch.setattr(module, name, broken)
     with pytest.raises(OSError):
         cap.save_disk_cache(str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_disk_cache_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the entries are encoded into the temp file by json.dumps
+    _fail_after_temp_file(tmp_path, monkeypatch, cap.json, "dumps")
+
+
+def test_disk_cache_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    _fail_after_temp_file(tmp_path, monkeypatch, cap.os, "replace")
 
 
 def test_disk_cache_file_mode_follows_umask(tmp_path):
@@ -390,6 +400,135 @@ def test_disk_cache_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(old)
     assert (tmp_path / "capacities.json").stat().st_mode & 0o777 == 0o644
+
+
+def _count_builds(monkeypatch):
+    """Counts of the calls that turn a loaded entry into a CapacityResult,
+    through capacities' own bindings."""
+    counts = {"rational": 0, "_witness_from_json": 0}
+    for name in counts:
+        original = getattr(cap, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cap, name, counted)
+    return counts
+
+
+def _saved_family(tmp_path):
+    """A cache file of several families, saved from a cleared memo; the
+    memo is cleared again.  Returns the number of entries."""
+    cap.clear_memo()
+    for d in CORPUS + [STAIR]:
+        capacity_sequence(d, 6)
+    n = cap.save_disk_cache(str(tmp_path))
+    cap.clear_memo()
+    return n
+
+
+def test_disk_cache_load_builds_no_results(tmp_path, monkeypatch):
+    n = _saved_family(tmp_path)
+    counts = _count_builds(monkeypatch)
+    assert cap.load_disk_cache(str(tmp_path)) == n
+    assert counts == {"rational": 0, "_witness_from_json": 0}
+    assert cap._MEMO == {}
+
+
+def test_disk_cache_builds_only_the_entries_asked_for(tmp_path, monkeypatch):
+    _saved_family(tmp_path)
+    union = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1))
+    key = dom.domain_key(union)
+    cap.load_disk_cache(str(tmp_path))
+    counts = _count_builds(monkeypatch)
+
+    def no_compute(*args):
+        raise AssertionError("every entry asked for is in the loaded file")
+
+    monkeypatch.setattr(cap, "_dispatch", no_compute)
+    ck(union, 4)
+    assert counts["rational"] == 1
+    assert set(cap._MEMO) == {(key, 4)}
+    capacity_sequence(union, 6)  # reads k < 6 from the file, not the parts
+    assert counts["rational"] == 7
+    assert set(cap._MEMO) == {(key, k) for k in range(7)}
+
+
+def test_disk_cache_save_with_nothing_new_leaves_the_file(tmp_path, monkeypatch):
+    _saved_family(tmp_path)
+    path = tmp_path / "capacities.json"
+    before = path.stat()
+    cap.load_disk_cache(str(tmp_path))
+    for d in CORPUS:
+        ck(d, 3)
+    encoded = []
+    entry_json = cap._entry_json
+    monkeypatch.setattr(cap, "_entry_json", lambda r: encoded.append(r) or entry_json(r))
+    cap.save_disk_cache(str(tmp_path))
+    cap.save_disk_cache(str(tmp_path))
+    assert encoded == []  # entries that came from the file are not encoded again
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    # one new entry rewrites it
+    ck(dom.ball(3), 2)
+    cap.save_disk_cache(str(tmp_path))
+    assert path.stat().st_ino != before.st_ino
+
+
+def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    cap.clear_memo()
+    ck(dom.ball(1), 3)
+    cap.save_disk_cache(str(ours))
+    cap.clear_memo()
+    ck(dom.ellipsoid(1, 3), 3)
+    ck(dom.ball(1), 2)
+    cap.save_disk_cache(str(theirs))
+    their_keys = set(json.loads((theirs / "capacities.json").read_text())["entries"])
+    cap.clear_memo()
+    cap.load_disk_cache(str(ours))
+    ck(dom.ball(1), 3)
+    ck(dom.polydisk(1, 2), 2)
+    # another writer, which never saw ball(1) at k=3, replaces the file
+    os.replace(theirs / "capacities.json", ours / "capacities.json")
+    n = cap.save_disk_cache(str(ours))
+    keys = set(json.loads((ours / "capacities.json").read_text())["entries"])
+    assert keys == their_keys | {f"{dom.domain_key(dom.ball(1))}#3",
+                                 f"{dom.domain_key(dom.polydisk(1, 2))}#2"}
+    assert n == len(keys)
+
+
+def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
+    # written in batches of entries, byte for byte what one json.dumps gives
+    cap.clear_memo()
+    for d in CORPUS:
+        capacity_sequence(d, 80 if d != PENT else 4)
+    n = cap.save_disk_cache(str(tmp_path))
+    assert n > 2 * cap._WRITE_BATCH
+    text = (tmp_path / "capacities.json").read_text()
+    payload = json.loads(text)
+    assert list(payload["entries"]) == sorted(payload["entries"])
+    assert text == json.dumps(payload)
+    cap.clear_memo()
+    cap.save_disk_cache(str(tmp_path / "empty"))
+    assert (tmp_path / "empty" / "capacities.json").read_text() == \
+        json.dumps({"version": 1, "entries": {}})
+
+
+def test_ck_computes_each_domain_key_once(monkeypatch):
+    cap.clear_memo()
+    calls = []
+    monkeypatch.setattr(cap, "domain_key", lambda d: calls.append(d) or dom.domain_key(d))
+    pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+    union = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1), pent)
+    capacity_sequence(union, 5)
+    for k in range(8):
+        ck(union, k)
+    assert sorted(map(dom.domain_key, calls)) == sorted(
+        dom.domain_key(d) for d in (union, *union.parts))
+    for d in CORPUS + [STAIR, union, dom.cp2(1), dom.s2xs2(1, 2)]:
+        assert cap._key(d) == dom.domain_key(d)
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path):

@@ -201,3 +201,69 @@ def test_cache_disabled_without_env(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _run(capsys, "capacity", "-d", BALL1, "-k", "2")
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_compute(*args):
+    raise AssertionError("a warm run must read every value from the cache")
+
+
+def test_warm_runs_compute_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
+    runs = [("obstruct", "--source", TWO_BALLS, "--target", E12, "--kmax", "12",
+             "--format", "json"),
+            ("sequence", "-d", TWO_BALLS, "--kmax", "15", "--format", "json")]
+    cold = []
+    for argv in runs:
+        cap.clear_memo()
+        cold.append(_run(capsys, *argv))
+    monkeypatch.setattr(cap, "_dispatch", _no_compute)
+    monkeypatch.setattr(cap._Prefix, "result", _no_compute)  # capacity_sequence's lower k
+    for argv, want in zip(runs, cold):
+        cap.clear_memo()
+        assert _run(capsys, *argv) == want
+    assert all(rc == 0 for rc, _, _ in cold)
+
+
+def test_cache_session_matches_one_process(tmp_path, monkeypatch, capsys):
+    runs = [("obstruct", "--source", TWO_BALLS, "--target", f'{{"type":"ball","a":"{a}"}}',
+             "--kmax", "20", "--format", "json") for a in ("3/2", "2", "5/2", "3")]
+    runs.append(("sequence", "-d", TWO_BALLS, "--kmax", "25", "--format", "json"))
+    runs.append(("obstruct", "--source", E12, "--target", TWO_BALLS, "--kmax", "10"))
+    session = tmp_path / "session"
+    monkeypatch.setenv("CAPACITY_CACHE_DIR", str(session))
+    for argv in runs:
+        cap.clear_memo()
+        assert _run(capsys, *argv)[0] == 0
+    monkeypatch.delenv("CAPACITY_CACHE_DIR")
+    cap.clear_memo()
+    for argv in runs:
+        _run(capsys, *argv)
+    cap.save_disk_cache(str(tmp_path / "once"))
+    assert (session / "capacities.json").read_bytes() == \
+        (tmp_path / "once" / "capacities.json").read_bytes()
+
+
+@pytest.mark.parametrize("corrupt", ["bad_value", "missing_method"])
+def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corrupt):
+    monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
+    argv = ("obstruct", "--source", BALL1, "--target", E12, "--kmax", "8", "--format", "json")
+    cap.clear_memo()
+    cold = _run(capsys, *argv)
+    cache = tmp_path / "capacities.json"
+    blob = cache.read_bytes()
+    payload = json.loads(blob)
+    key = f"{dom.domain_key(dom.ellipsoid(1, 2))}#4"
+    if corrupt == "bad_value":
+        payload["entries"][key]["c"] = "three"
+    else:
+        del payload["entries"][key]["method"]
+    cache.write_text(json.dumps(payload))
+    dispatched = []
+    dispatch = cap._dispatch
+    monkeypatch.setattr(cap, "_dispatch", lambda *a: dispatched.append(a[1]) or dispatch(*a))
+    cap.clear_memo()
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == cold[:2]
+    assert err.count("warning:") == 1 and key in err and err.count("\n") == 1
+    assert dispatched == [4]  # every other entry came from the file
+    assert cache.read_bytes() == blob
