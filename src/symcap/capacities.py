@@ -14,16 +14,17 @@ Formulas implemented here:
   closed      the projective plane shares the ball values, the sphere
               product shares the polydisk values
 
-Every family except balls, the projective plane and the convex path
-search (which compute c_k alone) keeps its capacity sequence as a prefix
-c_0..c_{n-1} per domain that grows on demand: asking for c_k past the end
-extends the prefix up to k and keeps the work done so far.  An ellipsoid's
-prefix is a slice of its spectrum and at least doubles when it grows; a
-polydisk or sphere product appends one k at a time; a union, and a concave
-domain read as the union of its weight balls, adds max-plus DP columns and
-keeps the stage rows and pick tables.  The polydisk formula and the DP
-run in integers over a common denominator and return Fractions.  Each
-prefix grows under its own lock.
+Every family except balls and the projective plane (whose closed forms
+compute c_k alone) keeps its capacity sequence as a prefix c_0..c_{n-1}
+per domain that grows on demand: asking for c_k past the end extends the
+prefix up to k and keeps the work done so far.  An ellipsoid's prefix is
+a slice of its spectrum and at least doubles when it grows; a polydisk or
+sphere product appends one k at a time; a union, and a concave domain
+read as the union of its weight balls, adds max-plus DP columns and keeps
+the stage rows and pick tables; a convex domain runs one path search over
+the missing range n..k.  The polydisk formula and the DP run in integers
+over a common denominator and return Fractions.  Each prefix grows under
+its own lock.
 
 The dispatcher memoizes by (canonical domain key, k) behind a lock, holding
 exactly the entries that were asked for, union parts included: a prefix
@@ -472,9 +473,33 @@ class _ConcavePrefix(_Prefix):
         return self.table.result(k, "weights", min(k, len(self.table)))
 
 
-# families whose sequence is a growable prefix; balls, the projective plane
-# and convex toric domains compute each c_k alone
+class _ConvexPrefix(_Prefix):
+    """Path optima of a convex domain.  Growing from n to k runs one
+    min_convex_range search over n..k, which gives each k what its own
+    min_convex search gives, so growth by one is that lone search.  The
+    norm context is built on the first growth and kept."""
+
+    def __init__(self, d: ConvexToric):
+        super().__init__()
+        self.domain = d
+        self.ctx = None
+        self.results: list = []
+
+    def _grow(self, k: int) -> None:
+        if self.ctx is None:
+            self.ctx = convex_context(self.domain)
+        for j, opt in enumerate(paths.min_convex_range(self.ctx, self.n, k), self.n):
+            self.results.append(_checked(CapacityResult(j, opt.value, "convex_path", opt.witness)))
+        self.n = k + 1
+
+    def _result(self, k: int) -> CapacityResult:
+        return self.results[k]
+
+
+# families whose sequence is a growable prefix; balls and the projective
+# plane compute each c_k alone from a closed form
 _PREFIX_KINDS = {
+    ConvexToric: _ConvexPrefix,
     Ellipsoid: _EllipsoidPrefix,
     Polydisk: lambda d: _PolydiskPrefix(d, "polydisk_formula"),
     S2xS2: lambda d: _PolydiskPrefix(d, "s2xs2"),
@@ -485,7 +510,7 @@ _PREFIX_KINDS = {
 _MEMO_LOCK = threading.Lock()
 _MEMO: dict = {}  # (domain key, k) -> CapacityResult
 _PREFIXES: dict = {}  # domain key -> _Prefix
-_CONTEXTS: dict = {}  # (kind, domain key) -> NormContext
+_CONTEXTS: dict = {}  # domain key -> concave NormContext, for verify=True
 _DISK: dict = {}  # "domain key#k" -> raw entry of a loaded cache file
 _SAVED: set = set()  # memo keys whose entry a cache file held when it was built or saved
 _FILE = None  # (path, signature, entries) of the cache file last read or written
@@ -524,20 +549,11 @@ def _prefix(d: Domain, key: str):
     return _kept(_PREFIXES, key, lambda: make(d))
 
 
-def _context(d: Domain, key: str, kind: str):
-    """The norm context of d for the path search of `kind`, built once per
-    domain: validating the polygon costs more than a small search."""
-    make = convex_context if kind == "convex" else concave_context
-    return _kept(_CONTEXTS, (kind, key), lambda: make(d))
-
-
 def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
     if isinstance(d, Ball):
         return ck_ball(d.a, k)
     if isinstance(d, CP2):
         return ck_closed(d, k)
-    if isinstance(d, ConvexToric):
-        return _path_capacity(_context(d, key, "convex"), k)
     prefix = _prefix(d, key)
     if prefix is None:
         raise ValueError(f"unsupported domain: {d!r}")
@@ -546,7 +562,10 @@ def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
 
 def _cross_check(d: Domain, k: int, key: str, result: CapacityResult) -> None:
     if isinstance(d, ConcaveToric):
-        other = _path_capacity(_context(d, key, "concave"), k)
+        # built once per domain: validating the polygon costs more than a
+        # small search
+        ctx = _kept(_CONTEXTS, key, lambda: concave_context(d))
+        other = _path_capacity(ctx, k)
     elif isinstance(d, ConvexToric):
         other = ck_convex_via_weights(d, k)
     else:
@@ -563,10 +582,12 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
 
     A memo miss extends the domain's prefix up to k, keeping it for later
     calls, so asking k = 0, 1, 2, ... in turn costs about what one
-    capacity_sequence costs.  Balls, the projective plane and convex toric
-    domains (one path search per k) compute c_k alone; a convex domain's
-    norm context is built once and kept, as is a concave domain's for
-    verify=True.
+    capacity_sequence costs.  Balls and the projective plane compute c_k
+    alone.  A convex domain's prefix keeps its norm context and grows by
+    one path search over the missing indices: a cold ck(d, k) finds
+    c_0..c_k in one search, and a scan that asks k = n, n+1, ... runs one
+    lone min_convex search per step.  A concave domain's norm context for verify=True is
+    built once and kept too.
 
     verify=True recomputes convex-toric values through the weight formula
     and concave-toric values through the path optimum and insists they
@@ -593,11 +614,11 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
 def capacity_sequence(d: Domain, kmax) -> list:
     """CapacityResults for k = 0..kmax.
 
-    One ck(d, kmax) grows the domain's prefix to kmax in one step; the
-    lower entries are then read from the memo where it has them, from the
-    loaded cache file next and from the prefix otherwise, and memoized as
-    ck would.  Families without a prefix (balls, the projective plane,
-    convex toric domains) call ck once per k.
+    One ck(d, kmax) grows the domain's prefix to kmax in one step (for a
+    convex domain, one path search); the lower entries are then read from
+    the memo where it has them, from the loaded cache file next and from
+    the prefix otherwise, and memoized as ck would.  Balls and the
+    projective plane, which have no prefix, call ck once per k.
     """
     kmax = _nonneg_k(kmax)
     key = _key(d)

@@ -310,6 +310,12 @@ def scale_domain(d: Domain, mu) -> Domain:
     raise ValueError(f"unsupported domain: {d!r}")
 
 
+def outer_chain(canonical: Polygon) -> tuple[Point, ...]:
+    """The boundary of a canonical moment polygon away from the origin,
+    from (0, ymax) down to (xmax, 0)."""
+    return tuple(reversed(canonical.vertices[1:]))
+
+
 def upper_boundary(d) -> tuple[Point, ...]:
     """The outer boundary chain, from (0, ymax) down to (xmax, 0).
 
@@ -319,8 +325,7 @@ def upper_boundary(d) -> tuple[Point, ...]:
     report = validate(d)
     if report.normalized_omega is None:
         raise ValueError("domain has no moment polygon")
-    vs = report.normalized_omega.vertices
-    return tuple(reversed(vs[1:]))
+    return outer_chain(report.normalized_omega)
 
 
 # --- wire format -----------------------------------------------------------

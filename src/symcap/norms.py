@@ -48,13 +48,11 @@ def concave_context(d) -> NormContext:
         report = domains.classify_polygon(d)
         if not report.is_concave_toric:
             raise ValueError("polygon is not concave toric")
-        vs = report.normalized_omega.vertices
-        return NormContext("concave", tuple(reversed(vs[1:])))
+        return NormContext("concave", domains.outer_chain(report.normalized_omega))
     report = domains.validate(d)
     if not report.is_concave_toric:
         raise ValueError(f"domain is not concave toric: {d!r}")
-    vs = report.normalized_omega.vertices
-    return NormContext("concave", tuple(reversed(vs[1:])))
+    return NormContext("concave", domains.outer_chain(report.normalized_omega))
 
 
 def dual_norm(ctx: NormContext, v) -> Fraction:

@@ -23,11 +23,15 @@ axis segments, rectangle corners, and straight diagonals.  Every candidate
 edge m*(p,q) of an improving path satisfies m*||(p,q)|| <= incumbent, and
 the norm of a direction is at least max(|p|*xmax, |q|*ymax), which bounds
 the direction set and all multiplicities; the search space is finite and
-complete without any a-priori coordinate box.
+complete without any a-priori coordinate box.  The convex search runs over
+a range of k at once (min_convex_range), pruning against the optimum of
+the largest; min_convex is its one-k case.  Candidates are built valid and
+counted without validation; each returned witness is validated once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,12 +197,27 @@ EMPTY_CONVEX = LatticePath("convex", (), 0)
 EMPTY_CONCAVE = LatticePath("concave", (), 0)
 
 
+def _witness(kind: str, edges: tuple[Edge, ...]) -> LatticePath:
+    """An optimum's edges as a validated LatticePath.  The searches build
+    only direction-sorted, strictly rotating edge sequences and do not
+    validate their candidates, so the one path they return is checked here
+    and a failure is a bug in the search."""
+    try:
+        p = convex_path(edges) if kind == "convex" else concave_path(edges)
+    except ValueError as e:
+        raise RuntimeError(f"{kind} search built an invalid path {edges}: {e}") from None
+    if p.edges != edges:
+        raise RuntimeError(f"{kind} search built an unmerged path {edges}")
+    return p
+
+
 def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
                fast_monotone: bool = False) -> PathOptimum:
     """Cheapest convex path whose region holds k+1 lattice points.
 
     bound_mode "exact" demands exactly k+1; "at_least" allows more (the two
-    give the same minimum value, which the tests cross-check).
+    give the same minimum value, which the tests cross-check).  This is
+    the search of min_convex_range for the one index k.
     """
     if ctx.kind != "convex":
         raise ValueError("min_convex needs a convex context")
@@ -209,9 +228,43 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
         raise ValueError("k must be nonnegative")
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
+    return _convex_search(ctx, k, k, bound_mode == "exact", fast_monotone)[0]
 
-    exact = bound_mode == "exact"
-    target = k + 1
+
+def min_convex_range(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
+    """min_convex(ctx, k) for k = kmin..kmax, from one search.
+
+    Each k gets the value, witness and count of its own search: both
+    return the least (cost, edges) over every convex path with at least
+    k+1 lattice points, and this search prunes against the optimum for
+    kmax, which costs no less than those of the lower k.
+    """
+    if ctx.kind != "convex":
+        raise ValueError("min_convex_range needs a convex context")
+    kmin, kmax = int(kmin), int(kmax)
+    if not 0 <= kmin <= kmax:
+        raise ValueError("need 0 <= kmin <= kmax")
+    out = []
+    if kmin == 0:
+        out.append(PathOptimum(Fraction(0), EMPTY_CONVEX, 1))
+        if kmax == 0:
+            return out
+        kmin = 1
+    return out + _convex_search(ctx, kmin, kmax, False, False)
+
+
+def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
+                   fast_monotone: bool) -> list[PathOptimum]:
+    """The branch and bound behind min_convex and min_convex_range, for
+    1 <= kmin <= kmax; exact and fast_monotone need kmin == kmax.
+
+    costs[i], wits[i], counts[i] hold the least (cost, edges) found so far
+    among scored paths with count >= kmin+i+1 (exactly kmin+1 when exact).
+    The candidate sets shrink as i grows, so (costs[i], wits[i]) never
+    decrease in i.  The tree is pruned against costs[-1]; a path of running
+    cost c can improve only the entries from the first i with costs[i] >= c
+    on, so it is scored only when its bounding box holds kmin+i+1 points.
+    """
     scale, iverts = _scaled_support(ctx.support_vertices)
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
     b_int = max(iy for _, iy in iverts)
@@ -220,38 +273,45 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
         ap, aq = abs(p), abs(q)
         return max(ap * ix + aq * iy for ix, iy in iverts)
 
-    best_cost: int | None = None
-    best_edges: tuple[Edge, ...] | None = None
-    best_count = 0
+    n = kmax - kmin + 1
+    costs: list = [math.inf] * n
+    wits: list = [None] * n
+    counts = [0] * n
+    top = math.inf  # costs[-1]
 
-    def consider(edges: tuple[Edge, ...]):
-        nonlocal best_cost, best_edges, best_count
-        try:
-            _, b = _validate_convex_edges(edges)
-        except ValueError:
-            return
+    def consider(edges: tuple[Edge, ...], b: int, cost: int):
+        nonlocal top
         count = lattice_points_under_path(edges, b, include_path=True)
-        if (count != target) if exact else (count < target):
-            return
-        cost = sum(nu(dx, dy) for dx, dy in edges)
-        if best_cost is None or (cost, edges) < (best_cost, best_edges):
-            best_cost, best_edges, best_count = cost, edges, count
+        if exact:
+            if count != kmin + 1:
+                return
+            i = 0
+        else:
+            i = min(count, kmax + 1) - kmin - 1
+        # the entries this path improves end at i and start wherever the
+        # (cost, edges) order first puts it ahead
+        while i >= 0 and (cost < costs[i] or (cost == costs[i] and edges < wits[i])):
+            costs[i], wits[i], counts[i] = cost, edges, count
+            i -= 1
+        top = costs[-1]
 
-    # canonical seeds; the axis segments hit every lattice count exactly,
-    # so both modes always start with a feasible incumbent
-    consider(((0, -k),))
-    consider(((k, 0),))
+    # canonical seeds of kmax; the axis segments hit every lattice count
+    # exactly, so both modes always start with a feasible incumbent
+    k = kmax
+    target = k + 1
+    consider(((0, -k),), k, nu(0, -k))
+    consider(((k, 0),), 0, nu(k, 0))
     for m in range(1, k + 1):
-        n = -(-target // (m + 1)) - 1
-        edges = tuple(e for e in ((m, 0), (0, -n)) if e != (0, 0))
-        consider(edges)
+        n_up = -(-target // (m + 1)) - 1
+        edges = tuple(e for e in ((m, 0), (0, -n_up)) if e != (0, 0))
+        consider(edges, n_up, sum(nu(dx, dy) for dx, dy in edges))
     d = 1
     while (d + 1) * (d + 2) // 2 < target:
         d += 1
-    consider(((d, -d),))
+    consider(((d, -d),), d, nu(d, -d))
 
-    pmax = best_cost // a_int
-    qmax = best_cost // b_int
+    pmax = top // a_int
+    qmax = top // b_int
     dirs: list[tuple[int, int]] = []
     for p in range(-pmax, pmax + 1):
         for q in range(-qmax, qmax + 1):
@@ -262,6 +322,9 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
             if fast_monotone and not (p >= 0 and q <= 0):
                 continue
             dirs.append((p, q))
+
+    # slopes q/p as integers over the common denominator lcm(1..pmax)
+    lcm = math.lcm(*range(1, pmax + 1))
 
     def dir_key(d):
         p, q = d
@@ -275,15 +338,14 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
             g = 3
         else:
             g = 4
-        s = Fraction(q, p) if p != 0 else Fraction(0)
-        return (g, -s)
+        return (g, -q * (lcm // p) if p != 0 else 0)
 
     dirs.sort(key=dir_key)
     nus = [nu(p, q) for p, q in dirs]
     ndirs = len(dirs)
     # cheaper[j]: the first index after j whose direction costs less than
-    # direction j (ndirs if none).  best_cost only falls, so when j is too
-    # dear every direction before cheaper[j] is too, and the loop jumps
+    # direction j (ndirs if none).  top only falls, so when j is too dear
+    # every direction before cheaper[j] is too, and the loop jumps
     cheaper = [ndirs] * ndirs
     stack: list[int] = []
     for j, c in enumerate(nus):
@@ -297,31 +359,36 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
         # xtop, dytop: the largest x and the largest rise above the start
         # over the vertices so far, so the path's bounding box is
         # (xtop + 1) x (dytop - sumdy + 1) lattice points
-        nonlocal best_cost
         if chosen and sumdx >= 0 and sumdy <= 0:
             # cheap necessary bound before the real count
-            if (xtop + 1) * (dytop - sumdy + 1) >= target:
-                consider(tuple(chosen))
+            box = (xtop + 1) * (dytop - sumdy + 1)
+            if box > kmin and box > kmin + bisect.bisect_left(costs, cost):
+                consider(tuple(chosen), -sumdy, cost)
         j = start_idx
         while j < ndirs:
             nuj = nus[j]
-            if cost + nuj > best_cost:
+            if cost + nuj > top:
                 j = cheaper[j]
                 continue
             p, q = dirs[j]
+            if p < 0 and chosen and chosen[-1][0] * q >= chosen[-1][1] * p:
+                # an up-right last edge turns 180 degrees or more to reach
+                # this down-left direction and every later one: paths with
+                # such a corner are not convex
+                break
             m = 1
             while True:
                 c2 = cost + m * nuj
-                if c2 > best_cost:
+                if c2 > top:
                     break
-                if exact and summul + m > k:
+                if exact and summul + m > kmax:
                     break
                 ndx = sumdx + m * p
                 ndy = sumdy + m * q
                 if p < 0 and ndx < 0:
                     break  # later directions only lose x; no recovery
                 pend = ndy * b_int if ndy > 0 else 0
-                if c2 + pend > best_cost:
+                if c2 + pend > top:
                     break  # c2+pend is nondecreasing in m (nu >= |q|*ymax)
                 chosen.append((m * p, m * q))
                 dfs(j + 1, ndx, ndy, summul + m, c2,
@@ -332,8 +399,8 @@ def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
 
     dfs(0, 0, 0, 0, 0, 0, 0)
 
-    witness = LatticePath("convex", best_edges, -sum(dy for _, dy in best_edges) if best_edges else 0)
-    return PathOptimum(Fraction(best_cost, scale), witness, best_count)
+    return [PathOptimum(Fraction(c, scale), _witness("convex", w), count)
+            for c, w, count in zip(costs, wits, counts)]
 
 
 def max_concave(ctx: NormContext, k: int) -> PathOptimum:
@@ -368,21 +435,16 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
     best_val = -1
     best_edges: tuple[Edge, ...] | None = None
 
-    def consider(edges: tuple[Edge, ...]):
+    def consider(edges: tuple[Edge, ...], b: int, val: int):
         nonlocal best_val, best_edges
-        try:
-            _, b = _validate_concave_edges(edges)
-        except ValueError:
-            return
         count = lattice_points_under_path(edges, b, include_path=False)
         if count != k:
             return
-        val = sum(anu(dx, dy) for dx, dy in edges)
         if val > best_val or (val == best_val and edges < best_edges):
             best_val, best_edges = val, edges
 
-    consider(((k, -1),))  # always has count k
-    consider(((1, -k),))
+    consider(((k, -1),), 1, anu(k, -1))  # always has count k
+    consider(((1, -k),), k, anu(1, -k))
 
     dirs = [(p, q)
             for p in range(1, budget)
@@ -393,9 +455,11 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
     ndirs = len(dirs)
     chosen: list[Edge] = []
 
-    def dfs(start_idx: int, used: int, val: int):
+    # the directions are sorted by strictly increasing slope and all have
+    # dx >= 1, dy <= -1, so every path the DFS builds is a valid concave one
+    def dfs(start_idx: int, used: int, val: int, b: int):
         if chosen:
-            consider(tuple(chosen))
+            consider(tuple(chosen), b, val)
         for j in range(start_idx, ndirs):
             p, q = dirs[j]
             w = p - q
@@ -409,12 +473,10 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
                 if v2 + (budget - u2) * rate < best_val:
                     break  # even a perfect completion cannot tie
                 chosen.append((m * p, m * q))
-                dfs(j + 1, u2, v2)
+                dfs(j + 1, u2, v2, b - m * q)
                 chosen.pop()
                 m += 1
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0)
 
-    witness = LatticePath("concave", best_edges,
-                          -sum(dy for _, dy in best_edges) if best_edges else 0)
-    return PathOptimum(Fraction(best_val, scale), witness, k)
+    return PathOptimum(Fraction(best_val, scale), _witness("concave", best_edges), k)

@@ -56,7 +56,7 @@ def _chain_of(omega) -> tuple[Point, ...]:
     report = _report(omega)
     if report.normalized_omega is None:
         raise ValueError("domain has no moment polygon")
-    return tuple(reversed(report.normalized_omega.vertices[1:]))
+    return domains.outer_chain(report.normalized_omega)
 
 
 def _check_chain(chain) -> None:
@@ -134,7 +134,7 @@ def negative_weight_sequence(omega, depth_cap: int = 64) -> NegativeWeightDecomp
     report = _report(omega)
     if not report.is_convex_toric or report.normalized_omega is None:
         raise ValueError("negative weight sequence needs a convex toric polygon")
-    chain = tuple(reversed(report.normalized_omega.vertices[1:]))
+    chain = domains.outer_chain(report.normalized_omega)
     area = report.normalized_omega.area()
     g = [x + y for x, y in chain]
     head = max(g)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from symcap.paths import (
     lhat,
     max_concave,
     min_convex,
+    min_convex_range,
     path_from_json,
     path_to_json,
     validate_path,
@@ -191,6 +193,71 @@ def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, mod
     monkeypatch.setattr(paths, "lattice_points_under_path", counting)
     min_convex(convex_context(domain), k, bound_mode=mode)
     assert len(calls) == scored
+
+
+@pytest.mark.parametrize("domain", [T1, P12, PENT])
+def test_min_convex_range_matches_lone_searches(domain):
+    ctx = convex_context(domain)
+    lone = [_mc(domain, k) for k in range(15)]
+    for kmin in (0, 1, 6, 14):
+        assert min_convex_range(ctx, kmin, 14) == lone[kmin:]
+    with pytest.raises(ValueError):
+        min_convex_range(ctx, 5, 4)
+    with pytest.raises(ValueError):
+        min_convex_range(concave_context(T1), 0, 4)
+
+
+def _rational(rng):
+    q = rng.choice([1, 2, 3, 5])
+    return F(rng.randint(q + 1, 3 * q), q)
+
+
+def _random_convex(rng):
+    """A rectangle with its outer corner cut by one edge or two."""
+    a, b = _rational(rng), _rational(rng)
+    if rng.random() < 0.5:
+        corner = [(a * F(rng.randint(7, 8), 10), b * F(rng.randint(7, 8), 10))]
+        x1, y1 = a * F(rng.randint(2, 4), 10), b * F(rng.randint(2, 4), 10)
+    else:
+        corner = []
+        x1, y1 = a * F(rng.randint(2, 8), 10), b * F(rng.randint(2, 8), 10)
+    return dom.convex_toric([(0, 0), (a, 0), (a, y1), *corner, (x1, b), (0, b)])
+
+
+def _random_concave(rng):
+    """A staircase whose boundary has 2 or 3 edges of increasing slope."""
+    slopes = sorted(rng.sample(range(1, 7), rng.randint(2, 3)), reverse=True)
+    x, y, chain = F(0), F(0), [(F(0), F(0))]
+    for s in slopes:
+        dx = _rational(rng)
+        x, y = x + dx, y - s * dx / rng.randint(1, 3)
+        chain.append((x, y))
+    return dom.concave_toric([(0, 0), *reversed([(px, py - y) for px, py in chain])])
+
+
+def test_search_candidates_are_valid_paths(monkeypatch):
+    # the searches count lattice points under the paths they build without
+    # validating them first; every such path must be a merged, valid path
+    # of its kind with the start height passed along
+    rng = random.Random("candidates")
+    scored = {"convex": 0, "concave": 0}
+    real = paths.lattice_points_under_path
+
+    def checked(edges, start_y, include_path):
+        kind = "convex" if include_path else "concave"
+        p = convex_path(edges) if include_path else concave_path(edges)
+        assert (p.edges, p.start_y) == (edges, start_y)
+        scored[kind] += 1
+        return real(edges, start_y, include_path=include_path)
+
+    monkeypatch.setattr(paths, "lattice_points_under_path", checked)
+    for _ in range(6):
+        ctx = convex_context(_random_convex(rng))
+        min_convex_range(ctx, 0, 14)
+        min_convex(ctx, rng.randint(1, 12), "exact")
+        min_convex(ctx, rng.randint(1, 12), fast_monotone=True)
+        max_concave(concave_context(_random_concave(rng)), rng.randint(6, 14))
+    assert scored["convex"] > 1000 and scored["concave"] > 1000
 
 
 def test_optimizers_deterministic():

@@ -13,10 +13,12 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+import symcap.paths as paths
 from symcap.capacities import (capacity_sequence, ck, ck_ball, ck_closed,
-                               ck_concave_via_weights, ck_polydisk, ck_union,
-                               ellipsoid_spectrum)
+                               ck_concave_via_weights, ck_convex_toric,
+                               ck_polydisk, ck_union, ellipsoid_spectrum)
 from symcap.domains import domain_key
+from symcap.norms import convex_context
 from symcap.obstructions import check_embedding
 from symcap.weights import weight_expansion
 
@@ -42,6 +44,19 @@ def _staircase(rng):
     return dom.concave_toric([(0, 0), *reversed(chain)])
 
 
+def _cut_rectangle(rng):
+    """Convex toric domain: a rectangle with its outer corner cut by one
+    edge or two."""
+    a, b = _frac(rng, 1, 3), _frac(rng, 1, 3)
+    if rng.random() < 0.5:
+        corner = [(a * F(rng.randint(7, 8), 10), b * F(rng.randint(7, 8), 10))]
+        x1, y1 = a * F(rng.randint(2, 4), 10), b * F(rng.randint(2, 4), 10)
+    else:
+        corner = []
+        x1, y1 = a * F(rng.randint(2, 8), 10), b * F(rng.randint(2, 8), 10)
+    return dom.convex_toric([(0, 0), (a, 0), (a, y1), *corner, (x1, b), (0, b)])
+
+
 def _part(rng):
     kind = rng.choice(["ball", "ellipsoid", "polydisk"])
     if kind == "ball":
@@ -63,6 +78,8 @@ def _domain(rng, family):
         return dom.s2xs2(_frac(rng, 1, 3), _frac(rng, 1, 3))
     if family == "union":
         return dom.disjoint_union(*[_part(rng) for _ in range(rng.randint(2, 4))])
+    if family == "convex":
+        return _cut_rectangle(rng)
     return _staircase(rng)
 
 
@@ -79,6 +96,8 @@ def _per_k(d, k):
         return ck_union(d, k)
     if isinstance(d, dom.ConcaveToric):
         return ck_concave_via_weights(d, k)
+    if isinstance(d, dom.ConvexToric):
+        return ck_convex_toric(d, k)
     return ck_closed(d, k)
 
 
@@ -86,7 +105,10 @@ def _triple(r):
     return (r.k, r.value, r.method, r.witness)
 
 
-FAMILIES = ["ball", "ellipsoid", "polydisk", "cp2", "s2xs2", "union", "staircase"]
+FAMILIES = ["ball", "ellipsoid", "polydisk", "cp2", "s2xs2", "union", "staircase",
+            "convex"]
+# the largest K drawn per family: a convex c_k is a path search
+KMAX = {"convex": 16}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -94,25 +116,27 @@ def test_sequence_matches_per_k_formulas(family):
     rng = random.Random(f"sequence-{family}")
     for _ in range(6):
         d = _domain(rng, family)
-        kmax = rng.randint(0, 40)
+        kmax = rng.randint(0, KMAX.get(family, 40))
         cap.clear_memo()
         seq = capacity_sequence(d, kmax)
         cap.clear_memo()
         assert [_triple(r) for r in seq] == [_triple(_per_k(d, k)) for k in range(kmax + 1)]
 
 
-@pytest.mark.parametrize("family", ["ellipsoid", "polydisk", "union", "staircase"])
+@pytest.mark.parametrize("family", ["ellipsoid", "polydisk", "union", "staircase",
+                                    "convex"])
 def test_prefix_grown_in_steps_matches_one_step(family):
     rng = random.Random(f"steps-{family}")
+    K = KMAX.get(family, 40)
     for _ in range(4):
         d = _domain(rng, family)
         cap.clear_memo()
-        want = [_triple(r) for r in capacity_sequence(d, 40)]
+        want = [_triple(r) for r in capacity_sequence(d, K)]
         cap.clear_memo()
-        order = list(range(41))
+        order = list(range(K + 1))
         rng.shuffle(order)
         got = {k: _triple(ck(d, k)) for k in order}
-        assert [got[k] for k in range(41)] == want
+        assert [got[k] for k in range(K + 1)] == want
 
 
 def test_union_sequence_matches_brute_force_compositions():
@@ -248,15 +272,15 @@ def test_staircase_sequence_expands_weights_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=cap):
     calls = []
-    real = getattr(cap, name)
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cap, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -269,6 +293,36 @@ def test_convex_sequence_builds_its_norm_context_once(monkeypatch):
     cap.clear_memo()
     ck(d, 3)
     assert len(calls) == 2
+
+
+PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+
+
+def test_convex_sequence_runs_one_path_search(monkeypatch):
+    ctx = convex_context(PENT)
+    counts = _count_calls(monkeypatch, "lattice_points_under_path", paths)
+    for k in range(1, 19):
+        paths.min_convex(ctx, k)
+    lone = len(counts)
+    counts.clear()
+    searches = _count_calls(monkeypatch, "_convex_search", paths)
+    cap.clear_memo()
+    capacity_sequence(PENT, 18)
+    assert len(searches) == 1
+    # 1242 for the 18 lone searches; the bounding-box test against the
+    # lowest k a path can still improve keeps the one search at 566
+    assert len(counts) < lone
+    assert len(counts) == 566
+
+
+def test_convex_embedding_scan_grows_by_lone_searches(monkeypatch):
+    # each step of the scan asks for one more index, which is the lone
+    # min_convex search: as many lattice counts as one search per k
+    counts = _count_calls(monkeypatch, "lattice_points_under_path", paths)
+    cap.clear_memo()
+    rep = check_embedding(dom.ellipsoid(1, 3), PENT, 25)
+    assert not rep.obstructed
+    assert len(counts) == 3879
 
 
 def test_concave_verify_builds_its_norm_context_once(monkeypatch):
