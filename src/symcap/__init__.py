@@ -7,18 +7,17 @@ are `fractions.Fraction` values with zero rounding anywhere.
 
 from .capacities import (CapacityResult, SpectrumEntry, TruncationWarning,
                          ball_multiplicity, capacity_sequence, ck, ck_ball,
-                         ck_closed, ck_concave_toric, ck_concave_via_weights,
-                         ck_convex_toric, ck_convex_via_weights, ck_polydisk,
-                         ck_union, clear_memo, ech_index_closed,
-                         ellipsoid_spectrum, load_disk_cache, save_disk_cache)
+                         ck_concave_toric, ck_convex_toric,
+                         ck_convex_via_weights, clear_memo, ellipsoid_spectrum,
+                         load_disk_cache, save_disk_cache)
 from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
                       Domain, Ellipsoid, Polydisk, S2xS2, ball, concave_toric,
                       convex_toric, cp2, disjoint_union, domain_from_json,
                       domain_key, domain_to_json, ellipsoid, polydisk, s2xs2,
-                      scale_domain, validate, volume)
+                      scale_domain, volume)
 from .geometry import (Polygon, cross, is_convex, lattice_points_on_path,
-                       lattice_points_under_path, path_vertices, point_on_path,
-                       rational, rational_str)
+                       lattice_points_under_path, path_vertices, rational,
+                       rational_str)
 from .norms import (NormContext, anti_norm, concave_context, convex_context,
                     dual_norm)
 from .obstructions import (AsymptoticReport, ObstructionReport,

@@ -14,17 +14,17 @@ Formulas implemented here:
   closed      the projective plane shares the ball values, the sphere
               product shares the polydisk values
 
-Every family except balls and the projective plane (whose closed forms
-compute c_k alone) keeps its capacity sequence as a prefix c_0..c_{n-1}
-per domain that grows on demand: asking for c_k past the end extends the
-prefix up to k and keeps the work done so far.  An ellipsoid's prefix is
-a slice of its spectrum and at least doubles when it grows; a polydisk or
-sphere product appends one k at a time; a union, and a concave domain
-read as the union of its weight balls, adds max-plus DP columns and keeps
-the stage rows and pick tables; a convex domain runs one path search over
-the missing range n..k.  The polydisk formula and the DP run in integers
-over a common denominator and return Fractions.  Each prefix grows under
-its own lock.
+Each domain's family names its capacity source (SOURCE) and the method
+string its results carry (METHOD).  Balls and the projective plane compute
+each c_k alone; every other source keeps a prefix c_0..c_{n-1} per domain
+that grows on demand, keeping the work done so far.  An ellipsoid's prefix
+is a slice of its spectrum and at least doubles when it grows; a polydisk
+or sphere product appends one k at a time; a union, and a concave domain
+read as the union of its weight balls, adds max-plus DP columns; a convex
+domain runs one path search over the missing range n..k.  The polydisk
+formula and the DP run in integers over a common denominator.  Each prefix
+grows under its own lock; the two toric sources also hold the second
+method verify=True compares against.
 
 The dispatcher memoizes by (canonical domain key, k) behind a lock, holding
 exactly the entries that were asked for, union parts included: a prefix
@@ -54,9 +54,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import domains, paths
-from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
-                      Domain, Ellipsoid, Polydisk, S2xS2, domain_key)
+from . import paths
+from .domains import Ball, Domain
 from .geometry import rational, rational_str
 from .norms import concave_context, convex_context
 from .paths import LatticePath, path_from_json, path_to_json
@@ -80,7 +79,6 @@ class SpectrumEntry:
     action: Fraction
     m: int
     n: int
-    ech_index: int
 
 
 def _checked(result: CapacityResult) -> CapacityResult:
@@ -106,12 +104,7 @@ def ball_multiplicity(k: int) -> int:
 
 
 def ck_ball(a, k) -> CapacityResult:
-    a = rational(a)
-    if a <= 0:
-        raise ValueError("ball size must be positive")
-    k = _nonneg_k(k)
-    d = ball_multiplicity(k)
-    return _checked(CapacityResult(k, d * a, "ball_formula", d))
+    return _BallFormula(Ball(a)).result(k)
 
 
 _SPECTRUM_LOCK = threading.Lock()
@@ -136,15 +129,14 @@ class _Spectrum:
         entries, heap, A, B = self.entries, self.heap, self.A, self.B
         while len(entries) < need:
             v, m, n = heapq.heappop(heap)
-            entries.append(SpectrumEntry(Fraction(v, self.scale), m, n, 2 * len(entries)))
+            entries.append(SpectrumEntry(Fraction(v, self.scale), m, n))
             heapq.heappush(heap, (v + B, m, n + 1))
             if n == 0:
                 heapq.heappush(heap, (v + A, m + 1, 0))
 
 
 def ellipsoid_spectrum(a, b, k_max) -> list:
-    """The k_max+1 smallest actions m*a+n*b, sorted, ties ordered by (m,n);
-    entry k carries ech_index 2k.
+    """The k_max+1 smallest actions m*a+n*b, sorted, ties ordered by (m,n).
 
     The actions of each pair of axes are cached as far as any caller asked,
     and a longer request continues the enumeration where it stopped instead
@@ -163,36 +155,21 @@ def ellipsoid_spectrum(a, b, k_max) -> list:
         return spectrum.entries[:need]
 
 
-def ck_polydisk(a, b, k) -> CapacityResult:
-    a, b = rational(a), rational(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("polydisk factors must be positive")
-    k = _nonneg_k(k)
-    best = None
-    witness = None
-    for m in range(k + 1):
-        n = -(-(k + 1) // (m + 1)) - 1  # smallest n with (m+1)(n+1) >= k+1
-        v = a * m + b * n
-        if best is None or v < best:
-            best, witness = v, (m, n)
-    return _checked(CapacityResult(k, best, "polydisk_formula", witness))
-
-
-def _path_capacity(ctx, k: int, fast_monotone: bool = False) -> CapacityResult:
+def _path_capacity(ctx, k: int) -> CapacityResult:
     """c_k as the optimum of the path search matching the context's kind."""
     if ctx.kind == "convex":
-        opt = paths.min_convex(ctx, k, "at_least", fast_monotone=fast_monotone)
+        opt = paths.min_convex(ctx, k)
     else:
         opt = paths.max_concave(ctx, k)
     return _checked(CapacityResult(k, opt.value, f"{ctx.kind}_path", opt.witness))
 
 
-def ck_convex_toric(omega, k, fast_monotone: bool = False) -> CapacityResult:
-    return _path_capacity(convex_context(omega), _nonneg_k(k), fast_monotone)
+def ck_convex_toric(d, k) -> CapacityResult:
+    return _path_capacity(convex_context(d), _nonneg_k(k))
 
 
-def ck_concave_toric(omega, k) -> CapacityResult:
-    return _path_capacity(concave_context(omega), _nonneg_k(k))
+def ck_concave_toric(d, k) -> CapacityResult:
+    return _path_capacity(concave_context(d), _nonneg_k(k))
 
 
 class _UnionParts:
@@ -276,33 +253,6 @@ def _union_witness(picks, k: int, nparts: int):
     return tuple(comp)
 
 
-def ck_union(parts, k) -> CapacityResult:
-    """c_k of a union from a DP built for this k alone; the reference the
-    union prefix is tested against."""
-    if isinstance(parts, DisjointUnion):
-        parts = parts.parts
-    table = _UnionParts(parts)
-    if not table.parts:
-        raise ValueError("disjoint union needs at least one part")
-    k = _nonneg_k(k)
-    _union_table(table, k)
-    return table.result(k, "union_dp")
-
-
-def ck_concave_via_weights(omega, k, depth_cap: int = 64) -> CapacityResult:
-    """c_k of a concave domain from its weight expansion, for this k alone;
-    the reference the concave prefix is tested against."""
-    k = _nonneg_k(k)
-    if k == 0:
-        return CapacityResult(0, Fraction(0), "weights", ())
-    ws = weight_expansion(omega, depth_cap)
-    # at most k parts can receive a positive share, and the ball formula
-    # prefers larger sizes, so the k largest weights suffice
-    table = _UnionParts([Ball(w) for w in ws[:k]])
-    _union_table(table, k)
-    return table.result(k, "weights")
-
-
 def ck_convex_via_weights(omega, k, l_max: int = 100,
                           depth_cap: int = 64) -> CapacityResult:
     k = _nonneg_k(k)
@@ -330,45 +280,22 @@ def ck_convex_via_weights(omega, k, l_max: int = 100,
     return _checked(CapacityResult(k, best, "weights", {"l": l_star}))
 
 
-def ck_closed(d, k) -> CapacityResult:
-    k = _nonneg_k(k)
-    if isinstance(d, CP2):
-        inner = ck_ball(d.a, k)
-        return CapacityResult(k, inner.value, "cp2", inner.witness)
-    if isinstance(d, S2xS2):
-        inner = ck_polydisk(d.a, d.b, k)
-        return CapacityResult(k, inner.value, "s2xs2", inner.witness)
-    raise ValueError(f"not a supported closed manifold: {d!r}")
 
 
-def ech_index_closed(kind: str, cls) -> int:
-    """Index of the degree-d line class (cp2) or the bidegree-(m,n) class
-    (s2xs2)."""
-    if kind == "cp2":
-        d = int(cls[0]) if isinstance(cls, (tuple, list)) else int(cls)
-        if d < 0:
-            raise ValueError("class degree must be nonnegative")
-        return d * d + 3 * d
-    if kind == "s2xs2":
-        m, n = int(cls[0]), int(cls[1])
-        if m < 0 or n < 0:
-            raise ValueError("class bidegree must be nonnegative")
-        return 2 * (m * n + m + n)
-    raise ValueError(f"unknown closed kind {kind!r}")
-
-
-# --- growable prefixes ------------------------------------------------------
+# --- capacity sources --------------------------------------------------------
 
 class _Prefix:
     """c_0..c_{n-1} of one domain, grown on demand under a lock and kept.
 
     Subclasses define _grow(k), which extends the prefix so that n > k, and
-    _result(k) for k < n.
+    _result(k) for k < n.  A family with a second method overrides oracle.
     """
 
-    def __init__(self):
+    def __init__(self, d: Domain):
         self.lock = threading.Lock()
         self.n = 0
+        self.domain = d
+        self.method = d.METHOD
 
     def result(self, k: int) -> CapacityResult:
         with self.lock:
@@ -376,39 +303,49 @@ class _Prefix:
                 self._grow(k)
             return self._result(k)
 
+    def oracle(self, k: int) -> CapacityResult | None:
+        """c_k by a second method for verify=True, None if there is none."""
+        return None
+
+
+class _BallFormula(_Prefix):
+    """No prefix: c_k = d*a from the closed form, computed alone per k."""
+
+    def __init__(self, d: Domain):
+        self.a, self.method = d.a, d.METHOD
+
+    def result(self, k: int) -> CapacityResult:
+        d = ball_multiplicity(k)
+        return _checked(CapacityResult(_nonneg_k(k), d * self.a, self.method, d))
+
 
 class _EllipsoidPrefix(_Prefix):
     """A slice of the ellipsoid spectrum, at least doubled on each growth so
     a scan over k = 0..K asks for the spectrum O(log K) times."""
 
-    def __init__(self, d: Ellipsoid):
-        super().__init__()
-        self.a, self.b = d.a, d.b
+    def __init__(self, d: Domain):
+        super().__init__(d)
         self.entries: list = []
 
     def _grow(self, k: int) -> None:
-        self.entries = ellipsoid_spectrum(self.a, self.b, max(k, 2 * self.n - 1))
+        self.entries = ellipsoid_spectrum(self.domain.a, self.domain.b, max(k, 2 * self.n - 1))
         self.n = len(self.entries)
 
     def _result(self, k: int) -> CapacityResult:
         e = self.entries[k]
-        return _checked(CapacityResult(k, e.action, "ellipsoid_spectrum", (e.m, e.n)))
+        return _checked(CapacityResult(k, e.action, self.method, (e.m, e.n)))
 
 
 class _PolydiskPrefix(_Prefix):
     """c_k = min{a*m+b*n : (m+1)(n+1) >= k+1} appended one k at a time, in
     integers over a common denominator.  Per k only the smallest m of each
     run of equal n can win, so the scan jumps between runs: O(sqrt k) steps.
-    Ties keep the smallest m, as ck_polydisk does."""
+    Ties keep the smallest m."""
 
-    def __init__(self, d, method: str):
-        super().__init__()
-        a, b = rational(d.a), rational(d.b)
-        if a <= 0 or b <= 0:
-            raise ValueError("polydisk factors must be positive")
-        self.scale = math.lcm(a.denominator, b.denominator)
-        self.A, self.B = int(a * self.scale), int(b * self.scale)
-        self.method = method
+    def __init__(self, d: Domain):
+        super().__init__(d)
+        self.scale = math.lcm(d.a.denominator, d.b.denominator)
+        self.A, self.B = int(d.a * self.scale), int(d.b * self.scale)
         self.results: list = []
 
     def _grow(self, k: int) -> None:
@@ -435,8 +372,8 @@ class _PolydiskPrefix(_Prefix):
 class _UnionPrefix(_Prefix):
     """A union's max-plus DP, extended by one column per new k."""
 
-    def __init__(self, d: DisjointUnion):
-        super().__init__()
+    def __init__(self, d: Domain):
+        super().__init__(d)
         self.table = _UnionParts(d.parts)
 
     def _grow(self, k: int) -> None:
@@ -444,19 +381,21 @@ class _UnionPrefix(_Prefix):
         self.n = k + 1
 
     def _result(self, k: int) -> CapacityResult:
-        return self.table.result(k, "union_dp")
+        return self.table.result(k, self.method)
 
 
 class _ConcavePrefix(_Prefix):
     """The union of the domain's weight balls, largest first.  c_k uses
     only the k largest balls, so ball i joins the DP at column i+1; the
-    expansion itself waits for the first k >= 1, as c_0 = 0 needs none."""
+    expansion itself waits for the first k >= 1, as c_0 = 0 needs none.
+    The oracle is the concave path optimum, whose norm context is built
+    on first use and kept."""
 
-    def __init__(self, d: ConcaveToric):
-        super().__init__()
-        self.domain = d
+    def __init__(self, d: Domain):
+        super().__init__(d)
         self.weights = None
         self.table = _UnionParts()
+        self.ctx = None
 
     def _grow(self, k: int) -> None:
         if k >= 1:
@@ -469,19 +408,24 @@ class _ConcavePrefix(_Prefix):
 
     def _result(self, k: int) -> CapacityResult:
         if k == 0:
-            return CapacityResult(0, Fraction(0), "weights", ())
-        return self.table.result(k, "weights", min(k, len(self.table)))
+            return CapacityResult(0, Fraction(0), self.method, ())
+        return self.table.result(k, self.method, min(k, len(self.table)))
+
+    def oracle(self, k: int) -> CapacityResult:
+        if self.ctx is None:
+            self.ctx = concave_context(self.domain)
+        return _path_capacity(self.ctx, k)
 
 
 class _ConvexPrefix(_Prefix):
     """Path optima of a convex domain.  Growing from n to k runs one
     min_convex_range search over n..k, which gives each k what its own
     min_convex search gives, so growth by one is that lone search.  The
-    norm context is built on the first growth and kept."""
+    norm context is built on the first growth and kept.  The oracle is the
+    weight formula."""
 
-    def __init__(self, d: ConvexToric):
-        super().__init__()
-        self.domain = d
+    def __init__(self, d: Domain):
+        super().__init__(d)
         self.ctx = None
         self.results: list = []
 
@@ -489,96 +433,51 @@ class _ConvexPrefix(_Prefix):
         if self.ctx is None:
             self.ctx = convex_context(self.domain)
         for j, opt in enumerate(paths.min_convex_range(self.ctx, self.n, k), self.n):
-            self.results.append(_checked(CapacityResult(j, opt.value, "convex_path", opt.witness)))
+            self.results.append(_checked(CapacityResult(j, opt.value, self.method, opt.witness)))
         self.n = k + 1
 
     def _result(self, k: int) -> CapacityResult:
         return self.results[k]
 
+    def oracle(self, k: int) -> CapacityResult:
+        return ck_convex_via_weights(self.domain, k)
 
-# families whose sequence is a growable prefix; balls and the projective
-# plane compute each c_k alone from a closed form
-_PREFIX_KINDS = {
-    ConvexToric: _ConvexPrefix,
-    Ellipsoid: _EllipsoidPrefix,
-    Polydisk: lambda d: _PolydiskPrefix(d, "polydisk_formula"),
-    S2xS2: lambda d: _PolydiskPrefix(d, "s2xs2"),
-    DisjointUnion: _UnionPrefix,
-    ConcaveToric: _ConcavePrefix,
+
+_SOURCE_KINDS = {  # by the family's SOURCE
+    "ball": _BallFormula,
+    "ellipsoid": _EllipsoidPrefix,
+    "polydisk": _PolydiskPrefix,
+    "union": _UnionPrefix,
+    "concave": _ConcavePrefix,
+    "convex": _ConvexPrefix,
 }
 
 _MEMO_LOCK = threading.Lock()
 _MEMO: dict = {}  # (domain key, k) -> CapacityResult
-_PREFIXES: dict = {}  # domain key -> _Prefix
-_CONTEXTS: dict = {}  # domain key -> concave NormContext, for verify=True
+_SOURCES: dict = {}  # domain key -> capacity source
 _DISK: dict = {}  # "domain key#k" -> raw entry of a loaded cache file
 _SAVED: set = set()  # memo keys whose entry a cache file held when it was built or saved
 _FILE = None  # (path, signature, entries) of the cache file last read or written
 
 
-def _key(d: Domain) -> str:
-    """domain_key(d), computed once per domain object and kept in its
-    __dict__ (as functools.cached_property would): domains are frozen, so
-    the key cannot go stale, and fields-based equality ignores it."""
-    kept = getattr(d, "__dict__", None)
-    if kept is None:
-        return domain_key(d)
-    key = kept.get("_domain_key")
-    if key is None:
-        key = kept["_domain_key"] = domain_key(d)
-    return key
-
-
-def _kept(table: dict, key, make):
-    """table[key], made by make() on first use and kept; the lookups hold
-    the memo lock, make() runs outside it."""
+def _source(d: Domain, key: str):
+    """The capacity source of d, made on first use and kept; the lookups
+    hold the memo lock, making a source runs outside it."""
     with _MEMO_LOCK:
-        found = table.get(key)
+        found = _SOURCES.get(key)
     if found is None:
-        made = make()
+        made = _SOURCE_KINDS[d.SOURCE](d)
         with _MEMO_LOCK:
-            found = table.setdefault(key, made)
+            found = _SOURCES.setdefault(key, made)
     return found
 
 
-def _prefix(d: Domain, key: str):
-    """The growable prefix of d, or None for a family without one."""
-    make = _PREFIX_KINDS.get(type(d))
-    if make is None:
-        return None
-    return _kept(_PREFIXES, key, lambda: make(d))
-
-
 def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
-    if isinstance(d, Ball):
-        return ck_ball(d.a, k)
-    if isinstance(d, CP2):
-        return ck_closed(d, k)
-    prefix = _prefix(d, key)
-    if prefix is None:
-        raise ValueError(f"unsupported domain: {d!r}")
-    return prefix.result(k)
-
-
-def _cross_check(d: Domain, k: int, key: str, result: CapacityResult) -> None:
-    if isinstance(d, ConcaveToric):
-        # built once per domain: validating the polygon costs more than a
-        # small search
-        ctx = _kept(_CONTEXTS, key, lambda: concave_context(d))
-        other = _path_capacity(ctx, k)
-    elif isinstance(d, ConvexToric):
-        other = ck_convex_via_weights(d, k)
-    else:
-        return
-    if other.value != result.value:
-        raise RuntimeError(
-            f"cross-check failed for {key} at k={k}: "
-            f"{result.method} gives {rational_str(result.value)}, "
-            f"{other.method} gives {rational_str(other.value)}")
+    return _source(d, key).result(k)
 
 
 def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
-    """Capacity via the fastest applicable formula, memoized per (domain, k).
+    """Capacity from the domain's source, memoized per (domain, k).
 
     A memo miss extends the domain's prefix up to k, keeping it for later
     calls, so asking k = 0, 1, 2, ... in turn costs about what one
@@ -586,15 +485,14 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     alone.  A convex domain's prefix keeps its norm context and grows by
     one path search over the missing indices: a cold ck(d, k) finds
     c_0..c_k in one search, and a scan that asks k = n, n+1, ... runs one
-    lone min_convex search per step.  A concave domain's norm context for verify=True is
-    built once and kept too.
+    lone min_convex search per step.
 
     verify=True recomputes convex-toric values through the weight formula
     and concave-toric values through the path optimum and insists they
-    agree; other kinds have a single formula each.
+    agree; other families have a single formula each.
     """
     k = _nonneg_k(k)
-    dkey = _key(d)
+    dkey = d.key
     key = (dkey, k)
     if not verify:
         with _MEMO_LOCK:
@@ -604,8 +502,12 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
         if hit is not None:
             return hit
     result = _dispatch(d, k, dkey)
-    if verify:
-        _cross_check(d, k, dkey, result)
+    other = _source(d, dkey).oracle(k) if verify else None
+    if other is not None and other.value != result.value:
+        raise RuntimeError(
+            f"cross-check failed for {dkey} at k={k}: "
+            f"{result.method} gives {rational_str(result.value)}, "
+            f"{other.method} gives {rational_str(other.value)}")
     with _MEMO_LOCK:
         _MEMO.setdefault(key, result)
     return result
@@ -617,14 +519,11 @@ def capacity_sequence(d: Domain, kmax) -> list:
     One ck(d, kmax) grows the domain's prefix to kmax in one step (for a
     convex domain, one path search); the lower entries are then read from
     the memo where it has them, from the loaded cache file next and from
-    the prefix otherwise, and memoized as ck would.  Balls and the
-    projective plane, which have no prefix, call ck once per k.
+    the source otherwise, and memoized as ck would.
     """
     kmax = _nonneg_k(kmax)
-    key = _key(d)
-    prefix = _prefix(d, key)
-    if prefix is None:
-        return [ck(d, k) for k in range(kmax + 1)]
+    key = d.key
+    source = _source(d, key)
     ck(d, kmax)
     with _MEMO_LOCK:
         found = [_MEMO.get((key, k)) for k in range(kmax + 1)]
@@ -632,20 +531,19 @@ def capacity_sequence(d: Domain, kmax) -> list:
         if result is None and _DISK:
             result = found[k] = _from_disk((key, k))
         if result is None:
-            result = prefix.result(k)
+            result = source.result(k)
             with _MEMO_LOCK:
                 found[k] = _MEMO.setdefault((key, k), result)
     return found
 
 
 def clear_memo() -> None:
-    """Forget every memoized capacity, prefix, norm context and loaded
-    cache entry (the ellipsoid spectrum cache is kept)."""
+    """Forget every memoized capacity, capacity source and loaded cache
+    entry (the ellipsoid spectrum cache is kept)."""
     global _FILE
     with _MEMO_LOCK:
         _MEMO.clear()
-        _PREFIXES.clear()
-        _CONTEXTS.clear()
+        _SOURCES.clear()
         _DISK.clear()
         _SAVED.clear()
         _FILE = None

@@ -2,7 +2,8 @@
 
 Domains are given as JSON, either inline (first non-space character "{")
 or as a path to a file.  Rationals in any JSON field are "p/q" strings,
-"p" strings, or plain integers.
+"p" strings, or plain integers.  The weights and paths subcommands take
+the decomposition and the default path kind from the domain's family.
 
 Exit codes: 0 success (an obstruction verdict is a successful run), 1
 validation or input error, 2 internal limit (weight recursion depth cap, or
@@ -24,8 +25,7 @@ from fractions import Fraction
 from . import capacities
 from .capacities import (TruncationWarning, capacity_sequence, ck,
                          ck_convex_via_weights, witness_to_json)
-from .domains import (Ball, ConcaveToric, ConvexToric, Domain, Ellipsoid,
-                      Polydisk, domain_from_json, volume)
+from .domains import Domain, domain_from_json
 from .geometry import rational_str
 from .norms import concave_context, convex_context
 from .obstructions import asymptotic_ratio, check_embedding
@@ -149,20 +149,16 @@ def _cmd_obstruct(args) -> int:
 
 def _cmd_weights(args) -> int:
     domain = _load_domain(args.domain)
-    if isinstance(domain, (Ball, Ellipsoid, ConcaveToric)):
-        ws = weight_expansion(domain, depth_cap=args.depth_cap)
-        head = None
-        ok = sum((w * w / 2 for w in ws), Fraction(0)) == volume(domain)
-    elif isinstance(domain, (Polydisk, ConvexToric)):
+    if domain.WEIGHTS == "expansion":
+        head, ws = None, weight_expansion(domain, depth_cap=args.depth_cap)
+    elif domain.WEIGHTS == "negative":
         dec = negative_weight_sequence(domain, depth_cap=args.depth_cap)
-        ws = dec.negatives
-        head = rational_str(dec.head)
-        total = sum((w * w / 2 for w in ws), Fraction(0))
-        ok = dec.head * dec.head / 2 - total == volume(domain)
+        head, ws = rational_str(dec.head), dec.negatives
     else:
         raise ValueError("weights apply to toric domains only")
+    # both decompositions raise unless their volume identity holds
     print(_dumps({"head": head, "weights": [rational_str(w) for w in ws],
-                  "volume_check": ok}))
+                  "volume_check": True}))
     return 0
 
 
@@ -183,23 +179,12 @@ def _cmd_asymptotics(args) -> int:
     return 0
 
 
-def _default_path_kind(domain: Domain) -> str:
-    if isinstance(domain, ConcaveToric):
-        return "concave"
-    return "convex"
-
-
 def _cmd_paths(args) -> int:
     domain = _load_domain(args.domain)
-    kind = args.kind or _default_path_kind(domain)
+    kind = args.kind or domain.PATHS
     if kind == "convex":
-        opt = min_convex(convex_context(domain), args.k, args.bound_mode,
-                         fast_monotone=args.fast_monotone)
+        opt = min_convex(convex_context(domain), args.k)
     else:
-        if args.bound_mode != "at_least":
-            raise ValueError("--bound-mode applies to convex paths only")
-        if args.fast_monotone:
-            raise ValueError("--fast-monotone applies to convex paths only")
         opt = max_concave(concave_context(domain), args.k)
     print(_dumps({
         "kind": kind,
@@ -271,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=_nonneg, required=True)
     p.add_argument("--kind", choices=("convex", "concave"), default=None,
                    help="default: concave for concave toric domains, else convex")
-    p.add_argument("--bound-mode", choices=("at_least", "exact"),
-                   default="at_least")
-    p.add_argument("--fast-monotone", action="store_true",
-                   help="restrict the convex search to monotone staircases")
     p.set_defaults(func=_cmd_paths)
 
     return parser

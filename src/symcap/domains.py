@@ -1,82 +1,26 @@
-"""Domain model: balls, ellipsoids, polydisks, toric polygons, disjoint
-unions, and the two closed manifolds that share the same capacity formulas.
+"""Domain model: one definition per family.
 
-The moment polygon Omega of a toric domain lives in the closed positive
-quadrant.  "Convex toric" means the four-fold axis reflection Omega-hat is
-convex; "concave toric" means the complement of Omega inside the quadrant is
-convex.  A ball or ellipsoid triangle is both at once, a polydisk rectangle
-is convex only.
-
-Moment polygons are stored canonically: counterclockwise, starting at the
-origin, collinear runs merged.  Balls, ellipsoids and polydisks stay
-symbolic and are lowered to polygons on demand so the closed-form capacity
-paths stay available.
+Balls, ellipsoids, polydisks, convex and concave toric domains, their
+disjoint unions, and the closed manifolds CP^2 and S^2 x S^2 are frozen
+dataclasses.  Each family defines, once, what every layer reads: the wire
+TYPE and fields, the moment polygon omega (canonical and stored for toric
+domains, derived for balls, ellipsoids and polydisks, else None), the
+convex and concave toric flags (the axis reflection of omega, or the
+complement of omega in the quadrant, is convex) and CLOSED, volume and
+scale, the capacity SOURCE and METHOD, the CLI's WEIGHTS and PATHS, and a
+key computed once.  A domain is validated once, when it is built.
+Canonical polygons run counterclockwise from the origin, collinear runs
+merged; union parts are flat and sorted by key.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .geometry import Point, Polygon, rational, rational_str
-
-
-@dataclass(frozen=True)
-class Ball:
-    a: Fraction
-
-
-@dataclass(frozen=True)
-class Ellipsoid:
-    a: Fraction
-    b: Fraction
-
-
-@dataclass(frozen=True)
-class Polydisk:
-    a: Fraction
-    b: Fraction
-
-
-@dataclass(frozen=True)
-class ConvexToric:
-    omega: Polygon
-
-
-@dataclass(frozen=True)
-class ConcaveToric:
-    omega: Polygon
-
-
-@dataclass(frozen=True)
-class DisjointUnion:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class CP2:
-    """Complex projective plane with line class of size a."""
-    a: Fraction
-
-
-@dataclass(frozen=True)
-class S2xS2:
-    """Product of two spheres with factor sizes a and b."""
-    a: Fraction
-    b: Fraction
-
-
-Domain = Ball | Ellipsoid | Polydisk | ConvexToric | ConcaveToric | DisjointUnion | CP2 | S2xS2
-
-CLOSED_KINDS = (CP2, S2xS2)
-
-
-@dataclass(frozen=True)
-class DomainKindReport:
-    is_convex_toric: bool
-    is_concave_toric: bool
-    normalized_omega: Polygon | None
+from .geometry import Point, Polygon, cross, is_convex, rational, rational_str
 
 
 def _positive(value, name: str) -> Fraction:
@@ -84,26 +28,6 @@ def _positive(value, name: str) -> Fraction:
     if v <= 0:
         raise ValueError(f"field '{name}': must be positive, got {rational_str(v)}")
     return v
-
-
-def ball(a) -> Ball:
-    return Ball(_positive(a, "a"))
-
-
-def ellipsoid(a, b) -> Ellipsoid:
-    return Ellipsoid(_positive(a, "a"), _positive(b, "b"))
-
-
-def polydisk(a, b) -> Polydisk:
-    return Polydisk(_positive(a, "a"), _positive(b, "b"))
-
-
-def cp2(a) -> CP2:
-    return CP2(_positive(a, "a"))
-
-
-def s2xs2(a, b) -> S2xS2:
-    return S2xS2(_positive(a, "a"), _positive(b, "b"))
 
 
 def canonical_omega(poly) -> Polygon:
@@ -143,7 +67,6 @@ def _reflected(canonical: Polygon) -> Polygon:
 
 
 def _convex_toric_flag(canonical: Polygon) -> bool:
-    from .geometry import is_convex
     vs = canonical.vertices
     v1, vlast = vs[1], vs[-1]
     if not (v1[1] == 0 and v1[0] > 0):
@@ -158,200 +81,35 @@ def _convex_toric_flag(canonical: Polygon) -> bool:
         return False
 
 
-def _concave_toric_flag(canonical: Polygon) -> bool:
-    from .geometry import cross
-    vs = canonical.vertices
-    v1, vlast = vs[1], vs[-1]
-    if not (v1[1] == 0 and v1[0] > 0):
-        return False
-    if not (vlast[0] == 0 and vlast[1] > 0):
-        return False
-    # climb from (a,0) to (0,b): strictly up and to the left, and the upper
-    # boundary must be the graph of a convex function (slopes increase)
-    chain = vs[1:]
+def check_concave_chain(chain) -> None:
+    """Raise ValueError unless chain, from (0, b) down to (a, 0), has x
+    strictly increasing, y strictly decreasing and slopes increasing."""
+    if len(chain) < 2:
+        raise ValueError(f"bad boundary chain (too short): {chain}")
+    if not (chain[0][0] == 0 and chain[0][1] > 0 and chain[-1][1] == 0 and chain[-1][0] > 0):
+        raise ValueError(f"bad boundary chain (endpoints off the axes): {chain}")
     dirs = []
     for i in range(len(chain) - 1):
         dx = chain[i + 1][0] - chain[i][0]
         dy = chain[i + 1][1] - chain[i][1]
-        if not (dx < 0 and dy > 0):
-            return False
+        if not (dx > 0 and dy < 0):
+            raise ValueError(f"bad boundary chain (not monotone): {chain}")
         dirs.append((dx, dy))
     for i in range(len(dirs) - 1):
-        if cross(dirs[i], dirs[i + 1]) >= 0:
-            return False
+        if cross(dirs[i], dirs[i + 1]) <= 0:
+            raise ValueError(f"bad boundary chain (slopes not increasing): {chain}")
+
+
+def _concave_toric_flag(canonical: Polygon) -> bool:
+    try:
+        check_concave_chain(tuple(reversed(canonical.vertices[1:])))
+    except ValueError:
+        return False
     return True
 
 
 def _triangle(a: Fraction, b: Fraction) -> Polygon:
     return Polygon.from_points([(0, 0), (a, 0), (0, b)])
-
-
-def _rectangle(a: Fraction, b: Fraction) -> Polygon:
-    return Polygon.from_points([(0, 0), (a, 0), (a, b), (0, b)])
-
-
-def convex_toric(vertices) -> ConvexToric:
-    omega = canonical_omega(vertices)
-    if not _convex_toric_flag(omega):
-        raise ValueError("polygon is not convex toric (axis reflection is not convex)")
-    return ConvexToric(omega)
-
-
-def concave_toric(vertices) -> ConcaveToric:
-    omega = canonical_omega(vertices)
-    if not _concave_toric_flag(omega):
-        raise ValueError("polygon is not concave toric (quadrant complement is not convex)")
-    return ConcaveToric(omega)
-
-
-def disjoint_union(*parts) -> DisjointUnion:
-    flat: list = []
-    for p in parts:
-        if isinstance(p, DisjointUnion):
-            flat.extend(p.parts)
-        elif isinstance(p, CLOSED_KINDS):
-            raise ValueError("closed manifolds cannot be parts of a disjoint union")
-        else:
-            flat.append(p)
-    if not flat:
-        raise ValueError("disjoint union needs at least one part")
-    for p in flat:
-        validate(p)
-    flat.sort(key=domain_key)
-    return DisjointUnion(tuple(flat))
-
-
-def validate(d: Domain) -> DomainKindReport:
-    """Kind flags plus the canonical moment polygon, where one exists.
-
-    Validation is idempotent: validating an already-canonical domain returns
-    the same report.
-    """
-    if isinstance(d, Ball):
-        a = _positive(d.a, "a")
-        return DomainKindReport(True, True, _triangle(a, a))
-    if isinstance(d, Ellipsoid):
-        return DomainKindReport(True, True, _triangle(_positive(d.a, "a"), _positive(d.b, "b")))
-    if isinstance(d, Polydisk):
-        return DomainKindReport(True, False, _rectangle(_positive(d.a, "a"), _positive(d.b, "b")))
-    if isinstance(d, ConvexToric):
-        omega = canonical_omega(d.omega)
-        if not _convex_toric_flag(omega):
-            raise ValueError("polygon is not convex toric")
-        return DomainKindReport(True, _concave_toric_flag(omega), omega)
-    if isinstance(d, ConcaveToric):
-        omega = canonical_omega(d.omega)
-        if not _concave_toric_flag(omega):
-            raise ValueError("polygon is not concave toric")
-        return DomainKindReport(_convex_toric_flag(omega), True, omega)
-    if isinstance(d, DisjointUnion):
-        if not d.parts:
-            raise ValueError("disjoint union needs at least one part")
-        for p in d.parts:
-            if isinstance(p, (DisjointUnion, *CLOSED_KINDS)):
-                raise ValueError("disjoint union parts must be flat open domains")
-            validate(p)
-        return DomainKindReport(False, False, None)
-    if isinstance(d, CP2):
-        _positive(d.a, "a")
-        return DomainKindReport(False, False, None)
-    if isinstance(d, S2xS2):
-        _positive(d.a, "a")
-        _positive(d.b, "b")
-        return DomainKindReport(False, False, None)
-    raise ValueError(f"unsupported domain: {d!r}")
-
-
-def classify_polygon(vertices) -> DomainKindReport:
-    """Kind flags for a raw polygon, without committing to a variant."""
-    omega = canonical_omega(vertices)
-    return DomainKindReport(_convex_toric_flag(omega), _concave_toric_flag(omega), omega)
-
-
-def volume(d: Domain) -> Fraction:
-    """Exact symplectic volume; equals the moment-polygon area for toric
-    domains, a^2/2 and ab for the two closed manifolds."""
-    if isinstance(d, Ball):
-        return d.a * d.a / 2
-    if isinstance(d, Ellipsoid):
-        return d.a * d.b / 2
-    if isinstance(d, Polydisk):
-        return d.a * d.b
-    if isinstance(d, (ConvexToric, ConcaveToric)):
-        return validate(d).normalized_omega.area()
-    if isinstance(d, DisjointUnion):
-        return sum((volume(p) for p in d.parts), Fraction(0))
-    if isinstance(d, CP2):
-        return d.a * d.a / 2
-    if isinstance(d, S2xS2):
-        return d.a * d.b
-    raise ValueError(f"unsupported domain: {d!r}")
-
-
-def scale_domain(d: Domain, mu) -> Domain:
-    """Scale all moment data by the positive rational mu."""
-    mu = _positive(mu, "mu")
-    if isinstance(d, Ball):
-        return Ball(d.a * mu)
-    if isinstance(d, Ellipsoid):
-        return Ellipsoid(d.a * mu, d.b * mu)
-    if isinstance(d, Polydisk):
-        return Polydisk(d.a * mu, d.b * mu)
-    if isinstance(d, ConvexToric):
-        return ConvexToric(Polygon(tuple((x * mu, y * mu) for x, y in d.omega.vertices)))
-    if isinstance(d, ConcaveToric):
-        return ConcaveToric(Polygon(tuple((x * mu, y * mu) for x, y in d.omega.vertices)))
-    if isinstance(d, DisjointUnion):
-        return DisjointUnion(tuple(scale_domain(p, mu) for p in d.parts))
-    if isinstance(d, CP2):
-        return CP2(d.a * mu)
-    if isinstance(d, S2xS2):
-        return S2xS2(d.a * mu, d.b * mu)
-    raise ValueError(f"unsupported domain: {d!r}")
-
-
-def outer_chain(canonical: Polygon) -> tuple[Point, ...]:
-    """The boundary of a canonical moment polygon away from the origin,
-    from (0, ymax) down to (xmax, 0)."""
-    return tuple(reversed(canonical.vertices[1:]))
-
-
-def upper_boundary(d) -> tuple[Point, ...]:
-    """The outer boundary chain, from (0, ymax) down to (xmax, 0).
-
-    Defined for any domain with a moment polygon whose boundary, away from
-    the axes, is a single monotone chain; this covers both toric kinds.
-    """
-    report = validate(d)
-    if report.normalized_omega is None:
-        raise ValueError("domain has no moment polygon")
-    return outer_chain(report.normalized_omega)
-
-
-# --- wire format -----------------------------------------------------------
-
-def domain_to_json(d: Domain) -> dict:
-    if isinstance(d, Ball):
-        return {"type": "ball", "a": rational_str(d.a)}
-    if isinstance(d, Ellipsoid):
-        return {"type": "ellipsoid", "a": rational_str(d.a), "b": rational_str(d.b)}
-    if isinstance(d, Polydisk):
-        return {"type": "polydisk", "a": rational_str(d.a), "b": rational_str(d.b)}
-    if isinstance(d, ConvexToric):
-        return {"type": "convex_toric",
-                "vertices": [[rational_str(x), rational_str(y)]
-                             for x, y in canonical_omega(d.omega).vertices]}
-    if isinstance(d, ConcaveToric):
-        return {"type": "concave_toric",
-                "vertices": [[rational_str(x), rational_str(y)]
-                             for x, y in canonical_omega(d.omega).vertices]}
-    if isinstance(d, DisjointUnion):
-        return {"type": "disjoint_union", "parts": [domain_to_json(p) for p in d.parts]}
-    if isinstance(d, CP2):
-        return {"type": "cp2", "a": rational_str(d.a)}
-    if isinstance(d, S2xS2):
-        return {"type": "s2xs2", "a": rational_str(d.a), "b": rational_str(d.b)}
-    raise ValueError(f"unsupported domain: {d!r}")
 
 
 def _need(obj: dict, field: str):
@@ -360,38 +118,279 @@ def _need(obj: dict, field: str):
     return obj[field]
 
 
+class Domain:
+    """The base of every family, with the common defaults."""
+
+    CLOSED = False
+    WEIGHTS = None
+    PATHS = "convex"
+    convex = False
+    concave = False
+
+    @functools.cached_property
+    def key(self) -> str:
+        return json.dumps(domain_to_json(self), sort_keys=True, separators=(",", ":"))
+
+
+class _Sized(Domain):
+    """A family given by its positive sizes, one field each."""
+
+    omega = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _positive(getattr(self, f.name), f.name))
+
+    def scale(self, mu: Fraction):
+        return type(self)(*(getattr(self, f.name) * mu for f in fields(self)))
+
+    def to_json(self) -> dict:
+        return {"type": self.TYPE,
+                **{f.name: rational_str(getattr(self, f.name)) for f in fields(self)}}
+
+    @classmethod
+    def _from_json(cls, obj: dict):
+        return cls(*[_need(obj, f.name) for f in fields(cls)])
+
+
+@dataclass(frozen=True)
+class Ball(_Sized):
+    a: Fraction
+
+    TYPE = "ball"
+    SOURCE = "ball"
+    METHOD = "ball_formula"
+    WEIGHTS = "expansion"
+    convex = concave = True
+
+    @property
+    def omega(self) -> Polygon:
+        return _triangle(self.a, self.a)
+
+    def volume(self) -> Fraction:
+        return self.a * self.a / 2
+
+
+@dataclass(frozen=True)
+class Ellipsoid(_Sized):
+    a: Fraction
+    b: Fraction
+
+    TYPE = "ellipsoid"
+    SOURCE = "ellipsoid"
+    METHOD = "ellipsoid_spectrum"
+    WEIGHTS = "expansion"
+    convex = concave = True
+
+    @property
+    def omega(self) -> Polygon:
+        return _triangle(self.a, self.b)
+
+    def volume(self) -> Fraction:
+        return self.a * self.b / 2
+
+
+@dataclass(frozen=True)
+class Polydisk(_Sized):
+    a: Fraction
+    b: Fraction
+
+    TYPE = "polydisk"
+    SOURCE = "polydisk"
+    METHOD = "polydisk_formula"
+    WEIGHTS = "negative"
+    convex = True
+
+    @property
+    def omega(self) -> Polygon:
+        return Polygon.from_points([(0, 0), (self.a, 0), (self.a, self.b), (0, self.b)])
+
+    def volume(self) -> Fraction:
+        return self.a * self.b
+
+
+@dataclass(frozen=True)
+class CP2(_Sized):
+    """Complex projective plane with line class of size a."""
+    a: Fraction
+
+    TYPE = "cp2"
+    SOURCE = "ball"
+    METHOD = "cp2"
+    CLOSED = True
+    volume = Ball.volume
+
+
+@dataclass(frozen=True)
+class S2xS2(_Sized):
+    """Product of two spheres with factor sizes a and b."""
+    a: Fraction
+    b: Fraction
+
+    TYPE = "s2xs2"
+    SOURCE = "polydisk"
+    METHOD = "s2xs2"
+    CLOSED = True
+    volume = Polydisk.volume
+
+
+@dataclass(frozen=True)
+class _Toric(Domain):
+    """A family given by its moment polygon, stored canonical."""
+
+    omega: Polygon
+
+    def __post_init__(self):
+        omega = canonical_omega(self.omega)
+        if not self._valid(omega):
+            raise ValueError(self._INVALID)
+        object.__setattr__(self, "omega", omega)
+
+    def volume(self) -> Fraction:
+        return self.omega.area()
+
+    def scale(self, mu: Fraction):
+        return type(self)([(x * mu, y * mu) for x, y in self.omega.vertices])
+
+    def to_json(self) -> dict:
+        return {"type": self.TYPE,
+                "vertices": [[rational_str(x), rational_str(y)] for x, y in self.omega.vertices]}
+
+    @classmethod
+    def _from_json(cls, obj: dict):
+        raw = _need(obj, "vertices")
+        if not isinstance(raw, list) or len(raw) < 3:
+            raise ValueError("field 'vertices': need a list of at least 3 points")
+        for entry in raw:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"field 'vertices': bad point {entry!r}")
+        return cls(raw)
+
+
+@dataclass(frozen=True)
+class ConvexToric(_Toric):
+    TYPE = "convex_toric"
+    SOURCE = "convex"
+    METHOD = "convex_path"
+    WEIGHTS = "negative"
+    convex = True
+
+    _valid = staticmethod(_convex_toric_flag)
+    _INVALID = "polygon is not convex toric (axis reflection is not convex)"
+
+    @property
+    def concave(self) -> bool:
+        return _concave_toric_flag(self.omega)
+
+
+@dataclass(frozen=True)
+class ConcaveToric(_Toric):
+    TYPE = "concave_toric"
+    SOURCE = "concave"
+    METHOD = "weights"
+    WEIGHTS = "expansion"
+    PATHS = "concave"
+    concave = True
+
+    _valid = staticmethod(_concave_toric_flag)
+    _INVALID = "polygon is not concave toric (quadrant complement is not convex)"
+
+    @property
+    def convex(self) -> bool:
+        return _convex_toric_flag(self.omega)
+
+
+@dataclass(frozen=True)
+class DisjointUnion(Domain):
+    """Open domains side by side; nested unions are flattened."""
+    parts: tuple
+
+    TYPE = "disjoint_union"
+    SOURCE = "union"
+    METHOD = "union_dp"
+    omega = None
+
+    def __post_init__(self):
+        flat: list = []
+        for p in self.parts:
+            if isinstance(p, DisjointUnion):
+                flat.extend(p.parts)
+            elif p.CLOSED:
+                raise ValueError("closed manifolds cannot be parts of a disjoint union")
+            else:
+                flat.append(p)
+        if not flat:
+            raise ValueError("disjoint union needs at least one part")
+        flat.sort(key=domain_key)
+        object.__setattr__(self, "parts", tuple(flat))
+
+    def volume(self) -> Fraction:
+        return sum((p.volume() for p in self.parts), Fraction(0))
+
+    def scale(self, mu: Fraction):
+        return DisjointUnion(tuple(p.scale(mu) for p in self.parts))
+
+    def to_json(self) -> dict:
+        return {"type": self.TYPE, "parts": [p.to_json() for p in self.parts]}
+
+    @classmethod
+    def _from_json(cls, obj: dict):
+        raw = _need(obj, "parts")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("field 'parts': need a nonempty list")
+        return cls(tuple(domain_from_json(p) for p in raw))
+
+
+FAMILIES = (Ball, Ellipsoid, Polydisk, ConvexToric, ConcaveToric, DisjointUnion, CP2, S2xS2)
+
+ball = Ball
+ellipsoid = Ellipsoid
+polydisk = Polydisk
+cp2 = CP2
+s2xs2 = S2xS2
+convex_toric = ConvexToric
+concave_toric = ConcaveToric
+
+
+def disjoint_union(*parts) -> DisjointUnion:
+    return DisjointUnion(parts)
+
+
+def volume(d: Domain) -> Fraction:
+    """Exact symplectic volume; equals the moment-polygon area for toric
+    domains, a^2/2 and ab for the two closed manifolds."""
+    return d.volume()
+
+
+def scale_domain(d: Domain, mu) -> Domain:
+    """Scale all moment data by the positive rational mu."""
+    return d.scale(_positive(mu, "mu"))
+
+
+def upper_boundary(d: Domain) -> tuple[Point, ...]:
+    """The outer boundary chain of the moment polygon, from (0, ymax) down
+    to (xmax, 0): the boundary away from the axes."""
+    if d.omega is None:
+        raise ValueError("domain has no moment polygon")
+    return tuple(reversed(d.omega.vertices[1:]))
+
+
+# --- wire format -----------------------------------------------------------
+
+def domain_to_json(d: Domain) -> dict:
+    return d.to_json()
+
+
 def domain_from_json(obj) -> Domain:
     if not isinstance(obj, dict):
         raise ValueError("domain spec must be a JSON object")
     kind = _need(obj, "type")
-    if kind == "ball":
-        return ball(_need(obj, "a"))
-    if kind == "ellipsoid":
-        return ellipsoid(_need(obj, "a"), _need(obj, "b"))
-    if kind == "polydisk":
-        return polydisk(_need(obj, "a"), _need(obj, "b"))
-    if kind in ("convex_toric", "concave_toric"):
-        raw = _need(obj, "vertices")
-        if not isinstance(raw, list) or len(raw) < 3:
-            raise ValueError("field 'vertices': need a list of at least 3 points")
-        pts = []
-        for entry in raw:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise ValueError(f"field 'vertices': bad point {entry!r}")
-            pts.append((rational(entry[0]), rational(entry[1])))
-        return convex_toric(pts) if kind == "convex_toric" else concave_toric(pts)
-    if kind == "disjoint_union":
-        raw = _need(obj, "parts")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("field 'parts': need a nonempty list")
-        return disjoint_union(*[domain_from_json(p) for p in raw])
-    if kind == "cp2":
-        return cp2(_need(obj, "a"))
-    if kind == "s2xs2":
-        return s2xs2(_need(obj, "a"), _need(obj, "b"))
+    for family in FAMILIES:
+        if family.TYPE == kind:
+            return family._from_json(obj)
     raise ValueError(f"field 'type': unknown domain type {kind!r}")
 
 
 def domain_key(d: Domain) -> str:
     """Stable string key for caching and canonical part ordering."""
-    return json.dumps(domain_to_json(d), sort_keys=True, separators=(",", ":"))
+    return d.key

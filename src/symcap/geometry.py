@@ -200,24 +200,3 @@ def lattice_points_under_path(edges: Sequence[Edge], start_y: int,
     if include_path:
         return count
     return count - on_path - 1
-
-
-def point_on_path(edges: Sequence[Edge], start_y: int, q) -> bool:
-    """True iff q lies on some closed edge segment of the path.
-
-    The empty path is the single point (0, start_y).
-    """
-    qp = point(q[0], q[1])
-    verts = path_vertices(edges, start_y)
-    if len(verts) == 1:
-        return qp == (Fraction(verts[0][0]), Fraction(verts[0][1]))
-    for i in range(len(verts) - 1):
-        a, b = verts[i], verts[i + 1]
-        av = (Fraction(a[0]), Fraction(a[1]))
-        bv = (Fraction(b[0]), Fraction(b[1]))
-        if cross(_sub(bv, av), _sub(qp, av)) != 0:
-            continue
-        if min(av[0], bv[0]) <= qp[0] <= max(av[0], bv[0]) and \
-           min(av[1], bv[1]) <= qp[1] <= max(av[1], bv[1]):
-            return True
-    return False

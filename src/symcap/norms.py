@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import domains
-from .geometry import Point, Polygon
+from .geometry import Point
 
 
 @dataclass(frozen=True)
@@ -30,29 +30,17 @@ class NormContext:
 
 
 def convex_context(d) -> NormContext:
-    """Context for the dual norm; accepts a Domain or a moment Polygon."""
-    if isinstance(d, (Polygon, list, tuple)):
-        report = domains.classify_polygon(d)
-        if not report.is_convex_toric:
-            raise ValueError("polygon is not convex toric")
-        return NormContext("convex", report.normalized_omega.vertices)
-    report = domains.validate(d)
-    if not report.is_convex_toric:
+    """Context for the dual norm of a convex toric domain."""
+    if not d.convex:
         raise ValueError(f"domain is not convex toric: {d!r}")
-    return NormContext("convex", report.normalized_omega.vertices)
+    return NormContext("convex", d.omega.vertices)
 
 
 def concave_context(d) -> NormContext:
     """Context for the anti-norm; vertices are the outer boundary chain."""
-    if isinstance(d, (Polygon, list, tuple)):
-        report = domains.classify_polygon(d)
-        if not report.is_concave_toric:
-            raise ValueError("polygon is not concave toric")
-        return NormContext("concave", domains.outer_chain(report.normalized_omega))
-    report = domains.validate(d)
-    if not report.is_concave_toric:
+    if not d.concave:
         raise ValueError(f"domain is not concave toric: {d!r}")
-    return NormContext("concave", domains.outer_chain(report.normalized_omega))
+    return NormContext("concave", domains.upper_boundary(d))
 
 
 def dual_norm(ctx: NormContext, v) -> Fraction:

@@ -69,7 +69,7 @@ def scaling_lower_bound(src, tgt, k_max) -> Fraction:
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if isinstance(tgt, domains.CLOSED_KINDS):
+    if tgt.CLOSED:
         raise ValueError("scaling bound needs a target that scales "
                          "quadratically; closed manifolds do not")
     best = Fraction(0)

@@ -8,8 +8,7 @@ Edge directions, read along the path, rotate strictly clockwise inside the
 open arc from just below "straight up" round to just above "straight left";
 the degenerate all-horizontal and all-vertical segment paths are admitted
 too.  Edges may point up-right or down-left: nothing restricts the path to
-monotone staircases, and min_convex searches the full class (a monotone-only
-mode exists for cross-checking).
+monotone staircases, and min_convex searches the full class.
 
 Concave kind: the path is the graph of a piecewise linear convex function;
 after stripping terminal height-zero runs every edge has dx >= 1, dy <= -1
@@ -36,8 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (Edge, cross, dot, lattice_points_on_path,
-                       lattice_points_under_path)
+from .geometry import Edge, cross, dot, lattice_points_under_path
 from .norms import NormContext, anti_norm, dual_norm
 
 
@@ -46,10 +44,6 @@ class LatticePath:
     kind: str  # "convex" | "concave"
     edges: tuple[Edge, ...]
     start_y: int
-
-    @property
-    def end_x(self) -> int:
-        return sum(dx for dx, _ in self.edges)
 
 
 @dataclass(frozen=True)
@@ -132,17 +126,12 @@ def concave_path(edges) -> LatticePath:
 
 
 def validate_path(p: LatticePath) -> LatticePath:
-    if p.kind == "convex":
-        merged = _merge(p.edges)
-        _, b = _validate_convex_edges(merged)
-    elif p.kind == "concave":
-        merged = _merge(p.edges)
-        _, b = _validate_concave_edges(merged)
-    else:
+    if p.kind not in ("convex", "concave"):
         raise ValueError(f"unknown path kind {p.kind!r}")
-    if b != p.start_y:
-        raise ValueError(f"start height {p.start_y} does not match edges (want {b})")
-    return LatticePath(p.kind, merged, b)
+    q = convex_path(p.edges) if p.kind == "convex" else concave_path(p.edges)
+    if q.start_y != p.start_y:
+        raise ValueError(f"start height {p.start_y} does not match edges (want {q.start_y})")
+    return q
 
 
 def lhat(p: LatticePath) -> int:
@@ -211,33 +200,25 @@ def _witness(kind: str, edges: tuple[Edge, ...]) -> LatticePath:
     return p
 
 
-def min_convex(ctx: NormContext, k: int, bound_mode: str = "at_least",
-               fast_monotone: bool = False) -> PathOptimum:
-    """Cheapest convex path whose region holds k+1 lattice points.
-
-    bound_mode "exact" demands exactly k+1; "at_least" allows more (the two
-    give the same minimum value, which the tests cross-check).  This is
-    the search of min_convex_range for the one index k.
-    """
-    if ctx.kind != "convex":
-        raise ValueError("min_convex needs a convex context")
-    if bound_mode not in ("exact", "at_least"):
-        raise ValueError(f"unknown bound_mode {bound_mode!r}")
+def min_convex(ctx: NormContext, k: int) -> PathOptimum:
+    """Cheapest convex path whose region holds at least k+1 lattice points,
+    from min_convex_range.  The tests check that every optimum holds exactly
+    k+1, the count of the capacity formula (Hutchings, Beyond ECH
+    capacities, Geom. Topol. 2016), so the two minima agree."""
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
-    return _convex_search(ctx, k, k, bound_mode == "exact", fast_monotone)[0]
+    return min_convex_range(ctx, k, k)[0]
 
 
 def min_convex_range(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
-    """min_convex(ctx, k) for k = kmin..kmax, from one search.
+    """The cheapest convex paths holding at least k+1 lattice points, for
+    k = kmin..kmax, from one search.
 
-    Each k gets the value, witness and count of its own search: both
-    return the least (cost, edges) over every convex path with at least
-    k+1 lattice points, and this search prunes against the optimum for
-    kmax, which costs no less than those of the lower k.
+    Each k gets the least (cost, edges) over every convex path with at
+    least k+1 lattice points, whatever the range: the search prunes
+    against the optimum for kmax, which costs no less than those of the
+    lower k.
     """
     if ctx.kind != "convex":
         raise ValueError("min_convex_range needs a convex context")
@@ -250,20 +231,18 @@ def min_convex_range(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum
         if kmax == 0:
             return out
         kmin = 1
-    return out + _convex_search(ctx, kmin, kmax, False, False)
+    return out + _convex_search(ctx, kmin, kmax)
 
 
-def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
-                   fast_monotone: bool) -> list[PathOptimum]:
-    """The branch and bound behind min_convex and min_convex_range, for
-    1 <= kmin <= kmax; exact and fast_monotone need kmin == kmax.
+def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
+    """The branch and bound behind min_convex_range, for 1 <= kmin <= kmax.
 
     costs[i], wits[i], counts[i] hold the least (cost, edges) found so far
-    among scored paths with count >= kmin+i+1 (exactly kmin+1 when exact).
-    The candidate sets shrink as i grows, so (costs[i], wits[i]) never
-    decrease in i.  The tree is pruned against costs[-1]; a path of running
-    cost c can improve only the entries from the first i with costs[i] >= c
-    on, so it is scored only when its bounding box holds kmin+i+1 points.
+    among scored paths with count >= kmin+i+1.  The candidate sets shrink
+    as i grows, so (costs[i], wits[i]) never decrease in i.  The tree is
+    pruned against costs[-1]; a path of running cost c can improve only the
+    entries from the first i with costs[i] >= c on, so it is scored only
+    when its bounding box holds kmin+i+1 points.
     """
     scale, iverts = _scaled_support(ctx.support_vertices)
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
@@ -282,12 +261,7 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
     def consider(edges: tuple[Edge, ...], b: int, cost: int):
         nonlocal top
         count = lattice_points_under_path(edges, b, include_path=True)
-        if exact:
-            if count != kmin + 1:
-                return
-            i = 0
-        else:
-            i = min(count, kmax + 1) - kmin - 1
+        i = min(count, kmax + 1) - kmin - 1
         # the entries this path improves end at i and start wherever the
         # (cost, edges) order first puts it ahead
         while i >= 0 and (cost < costs[i] or (cost == costs[i] and edges < wits[i])):
@@ -296,7 +270,7 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
         top = costs[-1]
 
     # canonical seeds of kmax; the axis segments hit every lattice count
-    # exactly, so both modes always start with a feasible incumbent
+    # exactly, so the search always starts with a feasible incumbent
     k = kmax
     target = k + 1
     consider(((0, -k),), k, nu(0, -k))
@@ -318,8 +292,6 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
             if (p, q) == (0, 0) or math.gcd(abs(p), abs(q)) != 1:
                 continue
             if not (p > 0 or (p == 0 and q < 0) or (p < 0 and q < 0)):
-                continue
-            if fast_monotone and not (p >= 0 and q <= 0):
                 continue
             dirs.append((p, q))
 
@@ -354,8 +326,7 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
         stack.append(j)
     chosen: list[Edge] = []
 
-    def dfs(start_idx: int, sumdx: int, sumdy: int, summul: int, cost: int,
-            xtop: int, dytop: int):
+    def dfs(start_idx: int, sumdx: int, sumdy: int, cost: int, xtop: int, dytop: int):
         # xtop, dytop: the largest x and the largest rise above the start
         # over the vertices so far, so the path's bounding box is
         # (xtop + 1) x (dytop - sumdy + 1) lattice points
@@ -381,8 +352,6 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
                 c2 = cost + m * nuj
                 if c2 > top:
                     break
-                if exact and summul + m > kmax:
-                    break
                 ndx = sumdx + m * p
                 ndy = sumdy + m * q
                 if p < 0 and ndx < 0:
@@ -391,13 +360,13 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int, exact: bool,
                 if c2 + pend > top:
                     break  # c2+pend is nondecreasing in m (nu >= |q|*ymax)
                 chosen.append((m * p, m * q))
-                dfs(j + 1, ndx, ndy, summul + m, c2,
+                dfs(j + 1, ndx, ndy, c2,
                     ndx if ndx > xtop else xtop, ndy if ndy > dytop else dytop)
                 chosen.pop()
                 m += 1
             j += 1
 
-    dfs(0, 0, 0, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, 0)
 
     return [PathOptimum(Fraction(c, scale), _witness("convex", w), count)
             for c, w, count in zip(costs, wits, counts)]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import domains
-from .geometry import Point, Polygon, cross, rational_str
+from .geometry import rational_str
 
 
 class DepthCapError(Exception):
@@ -39,68 +39,20 @@ class NegativeWeightDecomposition:
     negatives: tuple[Fraction, ...]
 
 
-def _report(omega) -> domains.DomainKindReport:
-    if isinstance(omega, (Polygon, list)):
-        return domains.classify_polygon(omega)
-    return domains.validate(omega)
-
-
-def _chain_of(omega) -> tuple[Point, ...]:
-    """Outer boundary chain from (0, b) to (a, 0).
-
-    Accepts a raw chain (tuple of points), a Polygon or vertex list, or any
-    domain with a moment polygon.
-    """
-    if isinstance(omega, tuple) and omega and isinstance(omega[0], tuple):
-        return omega
-    report = _report(omega)
-    if report.normalized_omega is None:
-        raise ValueError("domain has no moment polygon")
-    return domains.outer_chain(report.normalized_omega)
-
-
-def _check_chain(chain) -> None:
-    # valid concave boundary: starts on the y-axis, ends on the x-axis,
-    # x strictly increasing, y strictly decreasing, slopes strictly increasing
-    if len(chain) < 2:
-        raise ValueError(f"bad boundary chain (too short): {chain}")
-    if not (chain[0][0] == 0 and chain[0][1] > 0 and chain[-1][1] == 0 and chain[-1][0] > 0):
-        raise ValueError(f"bad boundary chain (endpoints off the axes): {chain}")
-    dirs = []
-    for i in range(len(chain) - 1):
-        dx = chain[i + 1][0] - chain[i][0]
-        dy = chain[i + 1][1] - chain[i][1]
-        if not (dx > 0 and dy < 0):
-            raise ValueError(f"bad boundary chain (not monotone): {chain}")
-        dirs.append((dx, dy))
-    for i in range(len(dirs) - 1):
-        if cross(dirs[i], dirs[i + 1]) <= 0:
-            raise ValueError(f"bad boundary chain (slopes not increasing): {chain}")
-
-
-def _chain_area(chain) -> Fraction:
-    # area of the region bounded by the chain and the two axes
-    cycle = [(Fraction(0), Fraction(0))] + list(chain)
-    s = Fraction(0)
-    for i in range(len(cycle)):
-        s += cross(cycle[i], cycle[(i + 1) % len(cycle)])
-    return abs(s) / 2
-
-
 def inscribed_triangle_size(omega) -> Fraction:
     """Largest r with {x + y <= r} (within the quadrant) inside the region.
 
     Equals the minimum of x + y over the outer boundary chain, attained at
     a vertex.
     """
-    return min(x + y for x, y in _chain_of(omega))
+    return min(x + y for x, y in domains.upper_boundary(omega))
 
 
 def _expand(chain, depth_cap: int, out: list) -> None:
     if depth_cap <= 0:
         raise DepthCapError("weight expansion exceeded depth_cap; "
                             "check the polygon or raise the cap")
-    _check_chain(chain)
+    domains.check_concave_chain(chain)
     g = [x + y for x, y in chain]
     r = min(g)
     out.append(r)
@@ -116,12 +68,12 @@ def _expand(chain, depth_cap: int, out: list) -> None:
 
 def weight_expansion(omega, depth_cap: int = 64) -> tuple[Fraction, ...]:
     """Ball sizes filling a concave region, sorted nonincreasing."""
-    chain = _chain_of(omega)
+    chain = domains.upper_boundary(omega)
     out: list[Fraction] = []
     _expand(chain, depth_cap, out)
     weights = tuple(sorted(out, reverse=True))
     total = sum((w * w / 2 for w in weights), Fraction(0))
-    want = _chain_area(chain)
+    want = domains.volume(omega)
     if total != want:
         raise ValueError("volume identity failed for weight expansion "
                          f"(got {rational_str(total)}, want {rational_str(want)})")
@@ -131,11 +83,10 @@ def weight_expansion(omega, depth_cap: int = 64) -> tuple[Fraction, ...]:
 def negative_weight_sequence(omega, depth_cap: int = 64) -> NegativeWeightDecomposition:
     """Head size plus the ball sizes of the two sheared corner pieces of the
     head triangle minus the polygon, sorted nonincreasing."""
-    report = _report(omega)
-    if not report.is_convex_toric or report.normalized_omega is None:
+    if not omega.convex:
         raise ValueError("negative weight sequence needs a convex toric polygon")
-    chain = domains.outer_chain(report.normalized_omega)
-    area = report.normalized_omega.area()
+    chain = domains.upper_boundary(omega)
+    area = domains.volume(omega)
     g = [x + y for x, y in chain]
     head = max(g)
     # x + y is unimodal along the chain, so the peak is a vertex or one

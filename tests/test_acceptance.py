@@ -11,14 +11,13 @@ from fractions import Fraction as F
 
 import symcap.capacities as cap
 import symcap.domains as dom
+from per_k import ck_concave_via_weights, ck_polydisk
 from symcap.capacities import (
     ck,
     ck_ball,
     ck_concave_toric,
-    ck_concave_via_weights,
     ck_convex_toric,
     ck_convex_via_weights,
-    ck_polydisk,
     ellipsoid_spectrum,
 )
 from symcap.obstructions import asymptotic_ratio, check_embedding, scaling_lower_bound

@@ -13,20 +13,16 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+from per_k import ck_concave_via_weights, ck_polydisk, ck_union
 from symcap.capacities import (
     CapacityResult,
     TruncationWarning,
     ck,
     ck_ball,
-    ck_closed,
     ck_concave_toric,
-    ck_concave_via_weights,
     ck_convex_toric,
     ck_convex_via_weights,
-    ck_polydisk,
-    ck_union,
     capacity_sequence,
-    ech_index_closed,
     ellipsoid_spectrum,
     witness_to_json,
 )
@@ -76,7 +72,6 @@ def test_ball_scales_linearly():
 def test_spectrum_examples():
     sp = ellipsoid_spectrum(1, 2, 4)
     assert [e.action for e in sp] == [0, 1, 2, 2, 3]
-    assert [e.ech_index for e in sp] == [0, 2, 4, 6, 8]
     sp0 = ellipsoid_spectrum(1, F(7, 2), 0)
     assert sp0[0].action == 0 and (sp0[0].m, sp0[0].n) == (0, 0)
 
@@ -175,16 +170,9 @@ def test_convex_via_weights_truncation_warning():
 
 
 def test_closed_examples():
-    assert ck_closed(dom.cp2(1), 3).value == 2
-    assert ck_closed(dom.s2xs2(1, 1), 1).value == 1
-    assert ck_closed(dom.s2xs2(2, 3), 0).value == 0
-
-
-def test_ech_index_closed():
-    assert ech_index_closed("cp2", (2,)) == 10
-    assert ech_index_closed("s2xs2", (1, 1)) == 6
-    assert ech_index_closed("cp2", (0,)) == 0
-    assert ech_index_closed("s2xs2", (0, 0)) == 0
+    assert ck(dom.cp2(1), 3).value == 2
+    assert ck(dom.s2xs2(1, 1), 1).value == 1
+    assert ck(dom.s2xs2(2, 3), 0).value == 0
 
 
 def test_dispatcher_examples_and_methods():
@@ -517,9 +505,11 @@ def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
 
 
 def test_ck_computes_each_domain_key_once(monkeypatch):
+    # a key is the JSON of its domain, encoded on first use and kept
     cap.clear_memo()
     calls = []
-    monkeypatch.setattr(cap, "domain_key", lambda d: calls.append(d) or dom.domain_key(d))
+    to_json = dom.domain_to_json
+    monkeypatch.setattr(dom, "domain_to_json", lambda d: calls.append(d) or to_json(d))
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
     union = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1), pent)
     capacity_sequence(union, 5)
@@ -527,8 +517,6 @@ def test_ck_computes_each_domain_key_once(monkeypatch):
         ck(union, k)
     assert sorted(map(dom.domain_key, calls)) == sorted(
         dom.domain_key(d) for d in (union, *union.parts))
-    for d in CORPUS + [STAIR, union, dom.cp2(1), dom.s2xs2(1, 2)]:
-        assert cap._key(d) == dom.domain_key(d)
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path):

@@ -1,38 +1,41 @@
 """Domain model: validation flags, canonicalization, volume, wire format."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
+import symcap.capacities as cap
 import symcap.domains as dom
+from symcap.norms import concave_context, convex_context
+from symcap.obstructions import scaling_lower_bound
+from symcap.weights import negative_weight_sequence, weight_expansion
 
 
 def test_validate_examples():
-    r = dom.validate(dom.ball(1))
-    assert r.is_convex_toric and r.is_concave_toric
-    assert r.normalized_omega.vertices == ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
+    b = dom.ball(1)
+    assert b.convex and b.concave
+    assert b.omega.vertices == ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))
 
-    r = dom.validate(dom.polydisk(1, 1))
-    assert r.is_convex_toric and not r.is_concave_toric
+    p = dom.polydisk(1, 1)
+    assert p.convex and not p.concave
 
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
-    r = dom.validate(pent)
-    assert r.is_convex_toric and not r.is_concave_toric
+    assert pent.convex and not pent.concave
 
 
 def test_every_ellipsoid_is_both_kinds():
     for a, b in [(1, 2), (F(3, 2), 1), (3, F(7, 5))]:
-        r = dom.validate(dom.ellipsoid(a, b))
-        assert r.is_convex_toric and r.is_concave_toric
-        assert r.normalized_omega.vertices == (
+        e = dom.ellipsoid(a, b)
+        assert e.convex and e.concave
+        assert e.omega.vertices == (
             (F(0), F(0)), (F(a), F(0)), (F(0), F(b)))
 
 
 def test_concave_polygon_flags():
     # staircase region under a convex graph: concave toric, not convex toric
     c = dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])
-    r = dom.validate(c)
-    assert r.is_concave_toric and not r.is_convex_toric
+    assert c.concave and not c.convex
 
 
 def test_convex_toric_rejects_reflex_polygon():
@@ -51,9 +54,9 @@ def test_reflection_condition_is_stronger_than_convexity():
 
 def test_validate_idempotent():
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
-    r1 = dom.validate(pent)
-    r2 = dom.validate(dom.ConvexToric(r1.normalized_omega))
-    assert r1 == r2
+    again = dom.ConvexToric(pent.omega)
+    assert again == pent and again.omega == pent.omega
+    assert (again.convex, again.concave) == (pent.convex, pent.concave)
 
 
 def test_canonical_omega_accepts_any_rotation_and_orientation():
@@ -108,7 +111,18 @@ def test_scale_domain_scales_moment_data():
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
     sp = dom.scale_domain(pent, 3)
     assert dom.volume(sp) == 9 * dom.volume(pent)
-    assert dom.validate(sp).is_convex_toric
+    assert sp == dom.convex_toric([(0, 0), (6, 0), (6, 3), (3, 6), (0, 6)])
+
+
+def test_scaled_union_is_the_union_of_the_scaled_parts():
+    # parts stay in key order, so a scaled union has one key, one memo entry
+    # and one witness order
+    scaled = dom.scale_domain(dom.disjoint_union(dom.ball(1), dom.ball(F(2, 3))), 3)
+    union = dom.disjoint_union(dom.ball(3), dom.ball(2))
+    assert scaled == union
+    assert dom.domain_key(scaled) == dom.domain_key(union)
+    cap.clear_memo()
+    assert cap.ck(scaled, 4) == cap.ck(union, 4)
 
 
 def test_wire_format_round_trip():
@@ -156,3 +170,69 @@ def test_upper_boundary_runs_down_from_y_axis():
     chain = dom.upper_boundary(pent)
     assert chain[0] == (F(0), F(2)) and chain[-1] == (F(2), F(0))
     assert [tuple(map(int, p)) for p in chain] == [(0, 2), (1, 2), (2, 1), (2, 0)]
+
+
+# one domain per family, plus a staircase, with its key: the key bytes name
+# entries of capacities.json files already written, so they never change
+FAMILY_CASES = [
+    (dom.ball(F(3, 2)), '{"a":"3/2","type":"ball"}', False),
+    (dom.ellipsoid(1, F(5, 3)), '{"a":"1","b":"5/3","type":"ellipsoid"}', False),
+    (dom.polydisk(1, F(3, 2)), '{"a":"1","b":"3/2","type":"polydisk"}', False),
+    (dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)]),
+     '{"type":"convex_toric","vertices":[["0","0"],["2","0"],["2","1"],["1","2"],["0","2"]]}',
+     False),
+    (dom.concave_toric([(0, F(1)), (0, 0), (F(3, 2), 0)]),
+     '{"type":"concave_toric","vertices":[["0","0"],["3/2","0"],["0","1"]]}', False),
+    (dom.disjoint_union(dom.ball(1), dom.polydisk(F(1, 2), 1), dom.ellipsoid(1, 2)),
+     '{"parts":[{"a":"1","b":"2","type":"ellipsoid"},{"a":"1","type":"ball"},'
+     '{"a":"1/2","b":"1","type":"polydisk"}],"type":"disjoint_union"}', False),
+    (dom.cp2(2), '{"a":"2","type":"cp2"}', True),
+    (dom.s2xs2(1, 2), '{"a":"1","b":"2","type":"s2xs2"}', True),
+    (dom.concave_toric([(0, 0), (5, 0), (3, F(1, 2)), (1, 2), (0, 4)]),
+     '{"type":"concave_toric","vertices":[["0","0"],["5","0"],["3","1/2"],["1","2"],["0","4"]]}',
+     False),
+]
+
+
+@pytest.mark.parametrize("d,key,closed", FAMILY_CASES,
+                         ids=[type(d).__name__ for d, _, _ in FAMILY_CASES[:-1]] + ["staircase"])
+def test_family_definition(d, key, closed):
+    assert dom.domain_key(d) == key
+    assert dom.domain_from_json(json.loads(key)) == d
+    assert dom.domain_from_json(dom.domain_to_json(d)) == d
+    mu = F(5, 3)
+    scaled = dom.scale_domain(d, mu)
+    assert dom.volume(scaled) == mu * mu * dom.volume(d)
+    cap.clear_memo()
+    values = [r.value for r in cap.capacity_sequence(d, 8)]
+    assert [r.value for r in cap.capacity_sequence(scaled, 8)] == [mu * v for v in values]
+    if closed:
+        with pytest.raises(ValueError, match="closed manifolds"):
+            dom.disjoint_union(dom.ball(1), d)
+        with pytest.raises(ValueError, match="closed manifolds"):
+            scaling_lower_bound(dom.ball(1), d, 3)
+    else:
+        assert dom.volume(dom.disjoint_union(dom.ball(9), d)) == F(81, 2) + dom.volume(d)
+        assert scaling_lower_bound(dom.ball(1), d, 3) > 0
+
+
+def test_domains_are_validated_once(monkeypatch):
+    # construction canonicalizes and checks the polygon; nothing after it does
+    pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+    stair = dom.concave_toric([(0, 0), (5, 0), (3, F(1, 2)), (1, 2), (0, 4)])
+    calls = []
+    real = dom.canonical_omega
+    monkeypatch.setattr(dom, "canonical_omega", lambda poly: calls.append(poly) or real(poly))
+    cap.clear_memo()
+    for d in (pent, stair):
+        cap.capacity_sequence(d, 10)
+        cap.ck(d, 6, verify=True)
+        dom.volume(d)
+        dom.domain_key(d)
+    convex_context(pent)
+    concave_context(stair)
+    negative_weight_sequence(pent)
+    weight_expansion(stair)
+    assert calls == []
+    dom.convex_toric([(0, 0), (2, 0), (0, 2)])
+    assert len(calls) == 1

@@ -15,7 +15,7 @@ import pytest
 from symcap.geometry import (Polygon, cross, is_convex,
                              lattice_points_on_path,
                              lattice_points_under_path, path_vertices,
-                             point_on_path, rational, rational_str)
+                             rational, rational_str)
 from symcap.paths import concave_path, convex_path
 
 
@@ -105,12 +105,6 @@ def test_under_path_degenerate_segments():
     # a concave path ending in a run along the x-axis: triangle plus segment
     assert lattice_points_under_path(((1, -2), (2, 0)), 2, include_path=True) == 6
     assert lattice_points_under_path(((1, -2), (2, 0)), 2, include_path=False) == 2
-
-
-def test_point_on_path_examples():
-    assert point_on_path(((1, -1),), 1, (F(1, 2), F(1, 2)))
-    assert not point_on_path(((1, -1),), 1, (F(0), F(0)))
-    assert not point_on_path(((1, -2),), 2, (F(0), F(1)))
 
 
 def test_points_on_path_counts_interior_edge_points():

@@ -91,5 +91,9 @@ def test_context_kind_mismatch_rejected():
 
 
 def test_context_from_raw_vertex_list():
-    ctx = convex_context([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+    ctx = convex_context(dom.convex_toric([(2, 0), (2, 1), (1, 2), (0, 2), (0, 0)]))
     assert dual_norm(ctx, (1, 1)) == 3
+    with pytest.raises(ValueError, match="not convex toric"):
+        convex_context(dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)]))
+    with pytest.raises(ValueError, match="not concave toric"):
+        concave_context(dom.polydisk(1, 1))

@@ -35,8 +35,8 @@ PENT_CONCAVE = dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])
 
 
 @functools.lru_cache(maxsize=None)
-def _mc(domain, k, mode="at_least", fast=False):
-    return min_convex(convex_context(domain), k, bound_mode=mode, fast_monotone=fast)
+def _mc(domain, k):
+    return min_convex(convex_context(domain), k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,16 +137,10 @@ def test_concave_witness_invariants(ab):
 
 @pytest.mark.parametrize("domain", [T1, SQ, P12, PENT])
 def test_exact_equals_at_least(domain):
-    for k in range(13):
-        exact = _mc(domain, k, "exact")
-        assert exact.count_constraint == k + 1
-        assert exact.value == _mc(domain, k).value
-
-
-@pytest.mark.parametrize("domain", [T1, P12, PENT])
-def test_fast_monotone_agrees_with_general_search(domain):
-    for k in range(13):
-        assert _mc(domain, k, fast=True).value == _mc(domain, k).value
+    # the cheapest path with at least k+1 points holds exactly k+1, so it is
+    # also the cheapest with exactly k+1, the count the capacity formula asks
+    for k in range(21):
+        assert _mc(domain, k).count_constraint == k + 1
 
 
 def test_values_nondecreasing_in_k():
@@ -173,13 +167,12 @@ def test_both_optimizations_agree_on_ellipsoids(ab):
         assert _mc(d, k).value == _xc(d, k).value
 
 
-@pytest.mark.parametrize("domain,k,mode,scored", [
-    (T1, 17, "at_least", 199),
-    (T1, 17, "exact", 686),
-    (PENT, 20, "at_least", 207),
-    (P12, 20, "at_least", 42),
+@pytest.mark.parametrize("domain,k,scored", [
+    pytest.param(T1, 17, 199, id="domain0-17-at_least-199"),
+    pytest.param(PENT, 20, 207, id="domain2-20-at_least-207"),
+    pytest.param(P12, 20, 42, id="domain3-20-at_least-42"),
 ])
-def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, mode, scored):
+def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, scored):
     # the direction loop jumps only over directions a plain scan would skip,
     # so the searched tree, and with it the number of lattice counts, stays
     # that of the scan; a sharper bound would lower these numbers
@@ -191,7 +184,7 @@ def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, mod
         return real(*args, **kwargs)
 
     monkeypatch.setattr(paths, "lattice_points_under_path", counting)
-    min_convex(convex_context(domain), k, bound_mode=mode)
+    min_convex(convex_context(domain), k)
     assert len(calls) == scored
 
 
@@ -238,7 +231,8 @@ def _random_concave(rng):
 def test_search_candidates_are_valid_paths(monkeypatch):
     # the searches count lattice points under the paths they build without
     # validating them first; every such path must be a merged, valid path
-    # of its kind with the start height passed along
+    # of its kind with the start height passed along.  Every convex optimum
+    # holds exactly k+1 points (see test_exact_equals_at_least)
     rng = random.Random("candidates")
     scored = {"convex": 0, "concave": 0}
     real = paths.lattice_points_under_path
@@ -253,9 +247,10 @@ def test_search_candidates_are_valid_paths(monkeypatch):
     monkeypatch.setattr(paths, "lattice_points_under_path", checked)
     for _ in range(6):
         ctx = convex_context(_random_convex(rng))
-        min_convex_range(ctx, 0, 14)
-        min_convex(ctx, rng.randint(1, 12), "exact")
-        min_convex(ctx, rng.randint(1, 12), fast_monotone=True)
+        optima = min_convex_range(ctx, 0, 14)
+        ks = [rng.randint(1, 12), rng.randint(1, 12)]
+        optima += [min_convex(ctx, k) for k in ks]
+        assert [opt.count_constraint for opt in optima] == [*range(1, 16), *(k + 1 for k in ks)]
         max_concave(concave_context(_random_concave(rng)), rng.randint(6, 14))
     assert scored["convex"] > 1000 and scored["concave"] > 1000
 

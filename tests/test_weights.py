@@ -40,8 +40,6 @@ def test_ellipsoid_expansions():
 def test_polygon_expansions():
     assert weight_expansion(dom.concave_toric(STAIR)) == (2, 1, 1)
     assert weight_expansion(dom.concave_toric(STAIR2)) == (3, 1, 1)
-    # raw vertex list works too
-    assert weight_expansion(STAIR) == (2, 1, 1)
 
 
 def _subtractive_euclid(p, q):
