@@ -24,13 +24,17 @@ the norm of a direction is at least max(|p|*xmax, |q|*ymax), which bounds
 the direction set and all multiplicities; the search space is finite and
 complete without any a-priori coordinate box.  The convex search runs over
 a range of k at once (min_convex_range), pruning against the optimum of
-the largest; min_convex is its one-k case.  Candidates are built valid and
-counted without validation; each returned witness is validated once.
+the largest; min_convex is its one-k case.  max_concave also prunes on the
+lattice count, which only grows along a branch, and bounds the value per
+direction.  Candidates are built valid and never validated: each DFS
+carries the shoelace sum and the boundary points of its path, so Pick's
+theorem counts a path in O(1), and a path is built as a tuple and scored
+only when it may improve an incumbent.  Each returned witness is validated
+once.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,6 +204,22 @@ def _witness(kind: str, edges: tuple[Edge, ...]) -> LatticePath:
     return p
 
 
+def _score(best: list, i: int, edges: tuple[Edge, ...], key: int, count: int) -> None:
+    """Enter a candidate path into a search's incumbents.
+
+    best[j] is the least (key, edges, count) found so far among the paths
+    that qualify for entry j, and this path qualifies for entries 0..i (for
+    none if i < 0), so it replaces them from i down while it is ahead.  The
+    searches pass the running lattice count of a path they built valid, and
+    only when the path may win; the tests wrap this function to recount and
+    validate every such path.
+    """
+    entry = (key, edges, count)
+    while i >= 0 and entry < best[i]:
+        best[i] = entry
+        i -= 1
+
+
 def min_convex(ctx: NormContext, k: int) -> PathOptimum:
     """Cheapest convex path whose region holds at least k+1 lattice points,
     from min_convex_range.  The tests check that every optimum holds exactly
@@ -237,12 +257,12 @@ def min_convex_range(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum
 def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
     """The branch and bound behind min_convex_range, for 1 <= kmin <= kmax.
 
-    costs[i], wits[i], counts[i] hold the least (cost, edges) found so far
-    among scored paths with count >= kmin+i+1.  The candidate sets shrink
-    as i grows, so (costs[i], wits[i]) never decrease in i.  The tree is
-    pruned against costs[-1]; a path of running cost c can improve only the
-    entries from the first i with costs[i] >= c on, so it is scored only
-    when its bounding box holds kmin+i+1 points.
+    best[i] holds the least (cost, edges, count) found so far among scored
+    paths with count >= kmin+i+1.  The candidate sets shrink as i grows, so
+    best[i] never decreases in i.  The tree is pruned against the cost of
+    best[-1]; a path of count c can enter only the entries up to
+    i = min(c, kmax+1) - kmin - 1, so it is scored only when it is no
+    dearer than best[i].
     """
     scale, iverts = _scaled_support(ctx.support_vertices)
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
@@ -252,22 +272,14 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
         ap, aq = abs(p), abs(q)
         return max(ap * ix + aq * iy for ix, iy in iverts)
 
-    n = kmax - kmin + 1
-    costs: list = [math.inf] * n
-    wits: list = [None] * n
-    counts = [0] * n
-    top = math.inf  # costs[-1]
+    best: list = [(math.inf, None, 0)] * (kmax - kmin + 1)
+    top = math.inf  # the cost of best[-1]
 
     def consider(edges: tuple[Edge, ...], b: int, cost: int):
         nonlocal top
         count = lattice_points_under_path(edges, b, include_path=True)
-        i = min(count, kmax + 1) - kmin - 1
-        # the entries this path improves end at i and start wherever the
-        # (cost, edges) order first puts it ahead
-        while i >= 0 and (cost < costs[i] or (cost == costs[i] and edges < wits[i])):
-            costs[i], wits[i], counts[i] = cost, edges, count
-            i -= 1
-        top = costs[-1]
+        _score(best, min(count, kmax + 1) - kmin - 1, edges, cost, count)
+        top = best[-1][0]
 
     # canonical seeds of kmax; the axis segments hit every lattice count
     # exactly, so the search always starts with a feasible incumbent
@@ -324,29 +336,39 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
         while stack and nus[stack[-1]] > c:
             cheaper[stack.pop()] = j
         stack.append(j)
+    nus.append(-1)  # ends every jump chain at ndirs, as room never falls below 0
     chosen: list[Edge] = []
 
-    def dfs(start_idx: int, sumdx: int, sumdy: int, cost: int, xtop: int, dytop: int):
-        # xtop, dytop: the largest x and the largest rise above the start
-        # over the vertices so far, so the path's bounding box is
-        # (xtop + 1) x (dytop - sumdy + 1) lattice points
-        if chosen and sumdx >= 0 and sumdy <= 0:
-            # cheap necessary bound before the real count
-            box = (xtop + 1) * (dytop - sumdy + 1)
-            if box > kmin and box > kmin + bisect.bisect_left(costs, cost):
-                consider(tuple(chosen), -sumdy, cost)
+    # sufmin[j]: the least cost of a direction from j on, so a child whose cost
+    # leaves no room for it has no children and is only scored
+    sufmin = nus[:ndirs] + [math.inf]
+    for j in range(ndirs - 1, -1, -1):
+        sufmin[j] = min(sufmin[j], sufmin[j + 1])
+    need = 2 * kmin  # a path of count kmin+1 or more has pick >= need
+
+    # The DFS never builds a path that leaves the quadrant: x never drops
+    # below 0 (the down-left break), and y only falls after the up-right
+    # run, so a path ending at (ndx, 0) from (0, -ndy) stays in it.  It
+    # keeps Pick's theorem running in t, the shoelace sum of the edges
+    # relative to the start less the lattice points they add to the path
+    # (every direction is primitive, so the edge m*(p,q) adds m).
+    def dfs(start_idx: int, sumdx: int, sumdy: int, cost: int, t: int):
+        nonlocal top
+        room = top - cost
         j = start_idx
-        while j < ndirs:
-            nuj = nus[j]
-            if cost + nuj > top:
+        while True:
+            while nus[j] > room:
                 j = cheaper[j]
-                continue
+            if j == ndirs:
+                break
+            nuj = nus[j]
             p, q = dirs[j]
             if p < 0 and chosen and chosen[-1][0] * q >= chosen[-1][1] * p:
                 # an up-right last edge turns 180 degrees or more to reach
                 # this down-left direction and every later one: paths with
                 # such a corner are not convex
                 break
+            dt = sumdx * q - sumdy * p - 1  # t step of one (p, q) from the end
             m = 1
             while True:
                 c2 = cost + m * nuj
@@ -359,26 +381,51 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
                 pend = ndy * b_int if ndy > 0 else 0
                 if c2 + pend > top:
                     break  # c2+pend is nondecreasing in m (nu >= |q|*ymax)
+                t2 = t + m * dt
                 chosen.append((m * p, m * q))
-                dfs(j + 1, ndx, ndy, c2,
-                    ndx if ndx > xtop else xtop, ndy if ndy > dytop else dytop)
+                if ndy <= 0:
+                    # 2*area + boundary points, so the count is
+                    # pick // 2 + 1: with g the points the edges add to the
+                    # path, the region lies right of the path as it is
+                    # walked, so twice its area is -(t2 + g + ndy*ndx), and
+                    # its boundary has g + ndx - ndy points
+                    pick = ndx - ndy - t2 - ndy * ndx
+                    if pick >= need:
+                        count = pick // 2 + 1
+                        i = (count if count <= kmax else kmax + 1) - kmin - 1
+                        if c2 <= best[i][0]:
+                            _score(best, i, tuple(chosen), c2, count)
+                            top = best[-1][0]
+                if c2 + sufmin[j + 1] <= top:
+                    dfs(j + 1, ndx, ndy, c2, t2)
                 chosen.pop()
                 m += 1
+            room = top - cost  # top falls whenever a path scores
             j += 1
 
-    dfs(0, 0, 0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0)
 
     return [PathOptimum(Fraction(c, scale), _witness("convex", w), count)
-            for c, w, count in zip(costs, wits, counts)]
+            for c, w, count in best]
 
 
 def max_concave(ctx: NormContext, k: int) -> PathOptimum:
     """Longest concave path whose region holds exactly k lattice points off
     the path.
 
-    Enumerates stripped core paths (dx >= 1, dy <= -1): with a = end_x and
-    b = start_y, the a+b-1 axis points below the path are counted and never
-    on it, so a + b <= k + 1 bounds the search.
+    Enumerates stripped core paths (dx >= 1, dy <= -1) by appending edges
+    of increasing slope, counting by Pick's theorem as it goes.  With
+    a = end_x and b = start_y, the a+b-1 axis points below the path are
+    counted and never on it, so a + b <= k + 1 is the budget of a path.
+
+    Appending an edge (p, q) to a path that ends at (x, 0) lifts the path
+    by -q >= 1, so every point counted before and every point on it ends
+    strictly below the new path: the count strictly increases along a
+    branch.  The columns 0..x gain -q points each and the new edge covers
+    at least p - 1 more, so the count grows by at least x + p - q - 1, and
+    a branch or a multiplicity stops as soon as that passes k.  Edges of
+    the directions j.. add at most max nu/(p - q) over them per unit of
+    budget, which bounds the value a branch can still reach.
     """
     if ctx.kind != "concave":
         raise ValueError("max_concave needs a concave context")
@@ -390,62 +437,97 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
 
     budget = k + 1
     scale, ichain = _scaled_support(ctx.support_vertices)
-    xcap = max(ix for ix, _ in ichain)
-    ycap = max(iy for _, iy in ichain)
 
     def anu(p, q) -> int:
         ap, aq = abs(p), abs(q)
         return min(ap * ix + aq * iy for ix, iy in ichain)
 
-    # anti_norm((p,q)) <= (p+|q|) * xmax*ymax/(xmax+ymax); integer ceiling
-    # keeps the completion bound sound
-    rate = -(-(xcap * ycap) // (xcap + ycap))
-
-    best_val = -1
-    best_edges: tuple[Edge, ...] | None = None
+    # one entry, the least (-value, edges, count) among paths of count k
+    best: list = [(math.inf, None, 0)]
 
     def consider(edges: tuple[Edge, ...], b: int, val: int):
-        nonlocal best_val, best_edges
         count = lattice_points_under_path(edges, b, include_path=False)
-        if count != k:
-            return
-        if val > best_val or (val == best_val and edges < best_edges):
-            best_val, best_edges = val, edges
+        _score(best, 0 if count == k else -1, edges, -val, count)
 
     consider(((k, -1),), 1, anu(k, -1))  # always has count k
     consider(((1, -k),), k, anu(1, -k))
+    best_val = -best[0][0]
 
     dirs = [(p, q)
             for p in range(1, budget)
             for q in range(-1, p - budget - 1, -1)
             if p - q <= budget and math.gcd(p, -q) == 1]
-    dirs.sort(key=lambda d: Fraction(d[1], d[0]))
+    # slopes q/p as integers over the common denominator lcm(1..k)
+    lcm = math.lcm(*range(1, budget))
+    dirs.sort(key=lambda d: d[1] * (lcm // d[0]))
     nus = [anu(p, q) for p, q in dirs]
+    ws = [p - q for p, q in dirs]
     ndirs = len(dirs)
+    # over the directions j..: rn[j]/rw[j] is the largest nu/(p - q)
+    rn = [0] * (ndirs + 1)
+    rw = [1] * (ndirs + 1)
+    for j in range(ndirs - 1, -1, -1):
+        if nus[j] * rw[j + 1] > rn[j + 1] * ws[j]:
+            rn[j], rw[j] = nus[j], ws[j]
+        else:
+            rn[j], rw[j] = rn[j + 1], rw[j + 1]
+    # fits[n][j]: the first direction from j on with p - q <= n (ndirs if
+    # none), so the DFS steps only over directions whose edge can fit
+    fits = []
+    for n in range(budget + 1):
+        row = [ndirs] * (ndirs + 1)
+        for j in range(ndirs - 1, -1, -1):
+            row[j] = j if ws[j] <= n else row[j + 1]
+        fits.append(row)
     chosen: list[Edge] = []
 
-    # the directions are sorted by strictly increasing slope and all have
-    # dx >= 1, dy <= -1, so every path the DFS builds is a valid concave one
-    def dfs(start_idx: int, used: int, val: int, b: int):
-        if chosen:
-            consider(tuple(chosen), b, val)
-        for j in range(start_idx, ndirs):
+    # The directions are sorted by strictly increasing slope and all have
+    # dx >= 1, dy <= -1, so every path the DFS builds is a valid concave
+    # one inside the quadrant.  The path so far runs from (0, b) to (x, 0)
+    # and holds count points; s is the shoelace sum of its edges relative
+    # to the start and g the lattice points they add to it (every direction
+    # is primitive, so the edge m*(p,q) adds m).
+    def dfs(start_idx: int, val: int, b: int, x: int, s: int, g: int, count: int):
+        nonlocal best_val
+        left = budget - x - b
+        fit = fits[k + 1 - count - x]
+        j = fit[start_idx]
+        while j < ndirs:
+            if (val - best_val) * rw[j] + left * rn[j] < 0:
+                break  # even a perfect completion cannot tie
             p, q = dirs[j]
-            w = p - q
+            w = ws[j]
             nuj = nus[j]
+            ds = x * q + b * p  # shoelace step of one (p, q) from the end
             m = 1
             while True:
-                u2 = used + m * w
-                if u2 > budget:
-                    break
                 v2 = val + m * nuj
-                if v2 + (budget - u2) * rate < best_val:
-                    break  # even a perfect completion cannot tie
+                if (v2 - best_val) * rw[j] + (left - m * w) * rn[j] < 0:
+                    break  # nonincreasing in m, since nuj/w <= rn[j]/rw[j]
+                b2 = b - m * q
+                x2 = x + m * p
+                g2 = g + m
+                s2 = s + m * ds
+                # Pick's theorem without the g2 + 1 points on the path; the
+                # region lies right of the path, so twice its area is
+                # b2*x2 - s2
+                count2 = (b2 * x2 - s2 + b2 + x2 - g2) // 2
+                if count2 > k:
+                    break
                 chosen.append((m * p, m * q))
-                dfs(j + 1, u2, v2, b - m * q)
+                if count2 == k:
+                    if v2 >= best_val:
+                        _score(best, 0, tuple(chosen), -v2, count2)
+                        best_val = -best[0][0]
+                elif count2 + x2 < k:
+                    dfs(j + 1, v2, b2, x2, s2, g2, count2)
                 chosen.pop()
+                if count2 + x2 + w > k + 1:
+                    break  # one more (p, q) here counts over k
                 m += 1
+            j = fit[j + 1]
 
-    dfs(0, 0, 0, 0)
+    dfs(0, 0, 0, 0, 0, 0, 0)
 
-    return PathOptimum(Fraction(best_val, scale), _witness("concave", best_edges), k)
+    val, edges, count = best[0]
+    return PathOptimum(Fraction(-val, scale), _witness("concave", edges), count)

@@ -9,7 +9,7 @@ import pytest
 
 import symcap.domains as dom
 import symcap.paths as paths
-from symcap.geometry import path_vertices
+from symcap.geometry import lattice_points_under_path, path_vertices
 from symcap.norms import concave_context, convex_context
 from symcap.paths import (
     EMPTY_CONCAVE,
@@ -167,23 +167,32 @@ def test_both_optimizations_agree_on_ellipsoids(ab):
         assert _mc(d, k).value == _xc(d, k).value
 
 
+def _scoring(monkeypatch, check=None):
+    """Wrap paths._score, through which every path a search scores passes,
+    and return the list of (edges, count) it receives."""
+    scored = []
+    real = paths._score
+
+    def wrapped(best, i, edges, key, count):
+        if check:
+            check(edges, count)
+        scored.append((edges, count))
+        return real(best, i, edges, key, count)
+
+    monkeypatch.setattr(paths, "_score", wrapped)
+    return scored
+
+
 @pytest.mark.parametrize("domain,k,scored", [
-    pytest.param(T1, 17, 199, id="domain0-17-at_least-199"),
-    pytest.param(PENT, 20, 207, id="domain2-20-at_least-207"),
-    pytest.param(P12, 20, 42, id="domain3-20-at_least-42"),
+    pytest.param(T1, 17, 36, id="ball-k17"),
+    pytest.param(PENT, 20, 31, id="pent-k20"),
+    pytest.param(P12, 20, 24, id="p12-k20"),
 ])
 def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, scored):
-    # the direction loop jumps only over directions a plain scan would skip,
-    # so the searched tree, and with it the number of lattice counts, stays
-    # that of the scan; a sharper bound would lower these numbers
-    calls = []
-    real = paths.lattice_points_under_path
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(paths, "lattice_points_under_path", counting)
+    # the seeds and every DFS path that may improve an incumbent are scored;
+    # the number depends only on the searched tree and its order, so a
+    # change to the bounds or the direction order shows here
+    calls = _scoring(monkeypatch)
     min_convex(convex_context(domain), k)
     assert len(calls) == scored
 
@@ -217,42 +226,123 @@ def _random_convex(rng):
     return dom.convex_toric([(0, 0), (a, 0), (a, y1), *corner, (x1, b), (0, b)])
 
 
+CONCAVE_DROPS = sorted({F(s, r) for s in range(1, 7) for r in (1, 2, 3)})
+
+
 def _random_concave(rng):
     """A staircase whose boundary has 2 or 3 edges of increasing slope."""
-    slopes = sorted(rng.sample(range(1, 7), rng.randint(2, 3)), reverse=True)
+    drops = sorted(rng.sample(CONCAVE_DROPS, rng.randint(2, 3)), reverse=True)
     x, y, chain = F(0), F(0), [(F(0), F(0))]
-    for s in slopes:
+    for s in drops:
         dx = _rational(rng)
-        x, y = x + dx, y - s * dx / rng.randint(1, 3)
+        x, y = x + dx, y - s * dx
         chain.append((x, y))
     return dom.concave_toric([(0, 0), *reversed([(px, py - y) for px, py in chain])])
 
 
+def test_random_concave_always_builds_a_concave_domain():
+    # the drops per unit of x are distinct and taken steepest first, so the
+    # boundary's slopes strictly increase whatever the draw
+    rng = random.Random("concave draws")
+    assert all(_random_concave(rng).concave for _ in range(500))
+
+
 def test_search_candidates_are_valid_paths(monkeypatch):
-    # the searches count lattice points under the paths they build without
-    # validating them first; every such path must be a merged, valid path
-    # of its kind with the start height passed along.  Every convex optimum
-    # holds exactly k+1 points (see test_exact_equals_at_least)
+    # the searches count the lattice points of the paths they build by a
+    # running Pick sum and never validate them; every path they score must
+    # be a merged, valid path of its kind, and its count the one
+    # lattice_points_under_path gives.  Every convex optimum holds exactly
+    # k+1 points (see test_exact_equals_at_least)
     rng = random.Random("candidates")
+    kind = "convex"
     scored = {"convex": 0, "concave": 0}
-    real = paths.lattice_points_under_path
 
-    def checked(edges, start_y, include_path):
-        kind = "convex" if include_path else "concave"
-        p = convex_path(edges) if include_path else concave_path(edges)
-        assert (p.edges, p.start_y) == (edges, start_y)
+    def check(edges, count):
+        p = convex_path(edges) if kind == "convex" else concave_path(edges)
+        assert p.edges == edges
+        assert count == lattice_points_under_path(edges, p.start_y, include_path=kind == "convex")
         scored[kind] += 1
-        return real(edges, start_y, include_path=include_path)
 
-    monkeypatch.setattr(paths, "lattice_points_under_path", checked)
+    _scoring(monkeypatch, check)
     for _ in range(6):
+        kind = "convex"
         ctx = convex_context(_random_convex(rng))
         optima = min_convex_range(ctx, 0, 14)
         ks = [rng.randint(1, 12), rng.randint(1, 12)]
         optima += [min_convex(ctx, k) for k in ks]
         assert [opt.count_constraint for opt in optima] == [*range(1, 16), *(k + 1 for k in ks)]
-        max_concave(concave_context(_random_concave(rng)), rng.randint(6, 14))
-    assert scored["convex"] > 1000 and scored["concave"] > 1000
+        kind = "concave"
+        cctx = concave_context(_random_concave(rng))
+        for k in range(1, 15):
+            max_concave(cctx, k)
+    assert scored["convex"] > 400 and scored["concave"] > 400
+
+
+def _reference_max_concave(ctx, k):
+    """max_concave as a plain enumeration: every concave core path with
+    a + b <= k + 1 is counted by lattice_points_under_path, and the only
+    value bound is one rate over all directions (the bounds max_concave had
+    before it counted along the way)."""
+    if k == 0:
+        return (F(0), (), 0)
+    budget = k + 1
+    chain = ctx.support_vertices
+    scale = math.lcm(*(c.denominator for v in chain for c in v))
+    ichain = [(int(x * scale), int(y * scale)) for x, y in chain]
+    xcap, ycap = max(x for x, _ in ichain), max(y for _, y in ichain)
+    rate = -(-(xcap * ycap) // (xcap + ycap))  # nu(p, q) <= (p - q) * rate
+
+    def nu(p, q):
+        return min(p * x - q * y for x, y in ichain)
+
+    dirs = sorted(((p, q) for p in range(1, budget) for q in range(-1, p - budget - 1, -1)
+                   if math.gcd(p, -q) == 1), key=lambda d: F(d[1], d[0]))
+    best = [-1, None]
+    chosen = []
+
+    def dfs(start, used, val):
+        if chosen:
+            edges = tuple(chosen)
+            if lattice_points_under_path(edges, -sum(dy for _, dy in edges), include_path=False) == k:
+                if val > best[0] or (val == best[0] and edges < best[1]):
+                    best[:] = [val, edges]
+        for j in range(start, len(dirs)):
+            p, q = dirs[j]
+            m = 1
+            while used + m * (p - q) <= budget:
+                if val + m * nu(p, q) + (budget - used - m * (p - q)) * rate < best[0]:
+                    break
+                chosen.append((m * p, m * q))
+                dfs(j + 1, used + m * (p - q), val + m * nu(p, q))
+                chosen.pop()
+                m += 1
+
+    dfs(0, 0, 0)
+    return (F(best[0], scale), best[1], k)
+
+
+def test_max_concave_equals_plain_enumeration():
+    # the count and per-direction bounds only cut branches that cannot
+    # reach count k or tie the incumbent, so value, witness and count are
+    # those of the plain enumeration
+    rng = random.Random("concave equivalence")
+    # at k=5 the witness ((1,-1),(3,-1)) ties ((5,-1),) at value 15; the
+    # bounds must stay strict (< rather than <=) to reach it
+    tie = dom.concave_toric([(0, 0), (4, 0), (2, 5), (0, 15)])
+    domains = [_random_concave(rng) for _ in range(6)] + [PENT_CONCAVE, tie] + [
+        dom.ellipsoid(*ab) for ab in ((1, 1), (1, 2), (1, F(3, 2)), (F(5, 3), 1))]
+    for d in domains:
+        ctx = concave_context(d)
+        for k in range(17):
+            r = max_concave(ctx, k)
+            assert (r.value, r.witness.edges, r.count_constraint) == _reference_max_concave(ctx, k)
+
+
+def test_max_concave_pins_e_1_3_2_at_30():
+    r = _xc(dom.ellipsoid(1, F(3, 2)), 30)
+    assert r.value == F(17, 2)
+    assert r.witness.edges == ((1, -1), (6, -4), (2, -1))
+    assert r.count_constraint == 30
 
 
 def test_optimizers_deterministic():

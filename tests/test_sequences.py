@@ -301,7 +301,7 @@ PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
 
 def test_convex_sequence_runs_one_path_search(monkeypatch):
     ctx = convex_context(PENT)
-    counts = _count_calls(monkeypatch, "lattice_points_under_path", paths)
+    counts = _count_calls(monkeypatch, "_score", paths)
     for k in range(1, 19):
         paths.min_convex(ctx, k)
     lone = len(counts)
@@ -310,20 +310,20 @@ def test_convex_sequence_runs_one_path_search(monkeypatch):
     cap.clear_memo()
     capacity_sequence(PENT, 18)
     assert len(searches) == 1
-    # 1242 for the 18 lone searches; the bounding-box test against the
-    # lowest k a path can still improve keeps the one search at 566
+    # paths scored: 353 for the 18 lone searches; the one search scores a
+    # path only when it is no dearer than the entry of its count
     assert len(counts) < lone
-    assert len(counts) == 566
+    assert len(counts) == 191
 
 
 def test_convex_embedding_scan_grows_by_lone_searches(monkeypatch):
     # each step of the scan asks for one more index, which is the lone
-    # min_convex search: as many lattice counts as one search per k
-    counts = _count_calls(monkeypatch, "lattice_points_under_path", paths)
+    # min_convex search: as many scored paths as one search per k
+    counts = _count_calls(monkeypatch, "_score", paths)
     cap.clear_memo()
     rep = check_embedding(dom.ellipsoid(1, 3), PENT, 25)
     assert not rep.obstructed
-    assert len(counts) == 3879
+    assert len(counts) == 666
 
 
 def test_concave_verify_builds_its_norm_context_once(monkeypatch):
