@@ -5,11 +5,10 @@ path optima, weight decompositions, capacities, and obstruction reports
 are `fractions.Fraction` values with zero rounding anywhere.
 """
 
-from .capacities import (CapacityResult, SpectrumEntry, TruncationWarning,
-                         ball_multiplicity, capacity_sequence, ck, ck_ball,
-                         ck_concave_toric, ck_convex_toric,
-                         ck_convex_via_weights, clear_memo, ellipsoid_spectrum,
-                         load_disk_cache, save_disk_cache)
+from .capacities import (CapacityResult, SpectrumEntry, ball_multiplicity,
+                         capacity_sequence, ck, ck_ball, ck_concave_toric,
+                         ck_convex_toric, ck_convex_via_weights, clear_memo,
+                         ellipsoid_spectrum, load_disk_cache, save_disk_cache)
 from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
                       Domain, Ellipsoid, Polydisk, S2xS2, ball, concave_toric,
                       convex_toric, cp2, disjoint_union, domain_from_json,
@@ -26,8 +25,7 @@ from .obstructions import (AsymptoticReport, ObstructionReport,
 from .paths import (LatticePath, PathOptimum, concave_path, convex_path, ell,
                     lcheck, lhat, max_concave, min_convex, path_from_json,
                     path_to_json, validate_path)
-from .weights import (DepthCapError, NegativeWeightDecomposition,
-                      inscribed_triangle_size, negative_weight_sequence,
-                      weight_expansion)
+from .weights import (NegativeWeightDecomposition, inscribed_triangle_size,
+                      negative_weight_sequence, weight_expansion)
 
 __version__ = "0.1.0"

@@ -7,7 +7,10 @@ Formulas implemented here:
   ellipsoid   c_k(E(a,b)) = k-th smallest element of {m*a+n*b : m,n >= 0}
   polydisk    c_k(P(a,b)) = min{a*m+b*n : (m+1)(n+1) >= k+1}
   convex      minimum path length over convex paths enclosing >= k+1
-              lattice points (paths.min_convex)
+              lattice points (paths.min_convex); the cross-check is the
+              head ball minus the excised balls, min over l of
+              c_{k+l}(B(h)) - c_l(union of B(a_i)), stopped at a proven
+              bound (ck_convex_via_weights)
   concave     weight expansion plus the disjoint-union maximum over the k
               largest balls (the concave path optimum is the cross-check)
   union       max over compositions k_1+...+k_m = k of the part sums
@@ -55,15 +58,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import paths
-from .domains import Ball, Domain
+from .domains import Ball, DisjointUnion, Domain
 from .geometry import rational, rational_str
 from .norms import concave_context, convex_context
 from .paths import LatticePath, path_from_json, path_to_json
 from .weights import negative_weight_sequence, weight_expansion
-
-
-class TruncationWarning(RuntimeWarning):
-    """The inf over the shift l was truncated exactly at l_max."""
 
 
 @dataclass(frozen=True)
@@ -253,33 +252,49 @@ def _union_witness(picks, k: int, nparts: int):
     return tuple(comp)
 
 
-def ck_convex_via_weights(omega, k, l_max: int = 100,
-                          depth_cap: int = 64) -> CapacityResult:
+def ck_convex_via_weights(omega, k) -> CapacityResult:
+    """c_k of a convex toric domain from its negative weight sequence, head
+    h and excised balls B(a_i): the minimum over l >= 0 of the upper bounds
+
+        T(l) = c_{k+l}(B(h)) - c_l(union of the B(a_i)).
+
+    It runs through l in order and stops at the first l >= l_turn =
+    S(8k+9)/(8(h^2 - S)) with LB(l) > best, where S = sum a_i^2 and
+    LB(l) = h(sqrt(8(k+l)+9) - 3)/2 - sqrt(2lS) <= T(l):
+      - c_j(B(h)) = d*h with d^2 + 3d >= 2j, so d >= (sqrt(8j+9) - 3)/2;
+      - c_l of the union is sum d_i*a_i over a split l = sum l_i with
+        d_i^2 <= 2*l_i, so by Cauchy-Schwarz it is at most sqrt(2lS);
+      - LB'(l) >= 0 exactly when 8l(h^2 - S) >= S(8k+9), and h^2 - S is
+        twice the area (negative_weight_sequence asserts it), so LB is
+        nondecreasing from l_turn on.
+    Every later term then exceeds best, so the value is the exact minimum
+    and the witness {"l": ...} its first argmin.  The excised balls' DP
+    grows one column per l.
+    """
     k = _nonneg_k(k)
-    l_max = int(l_max)
-    if l_max < 0:
-        raise ValueError("l_max must be nonnegative")
-    decomp = negative_weight_sequence(omega, depth_cap)
-    if decomp.negatives:
-        table = _UnionParts([Ball(w) for w in decomp.negatives[:max(l_max, 1)]])
-        _union_table(table, l_max)
-        f_neg = [table.result(l, "union_dp").value for l in range(l_max + 1)]
-    else:
-        f_neg = [Fraction(0)]  # no excised balls: only l = 0 applies
-    best = None
-    l_star = 0
-    for l in range(len(f_neg)):
-        v = ck_ball(decomp.head, k + l).value - f_neg[l]
-        if best is None or v < best:
-            best, l_star = v, l
-    if decomp.negatives and l_star == l_max:
-        warnings.warn(
-            f"shift minimum attained at the truncation bound l_max={l_max}; "
-            "the reported value is an upper bound", TruncationWarning,
-            stacklevel=2)
+    decomp = negative_weight_sequence(omega)
+    h = decomp.head
+    best, l_star = ball_multiplicity(k) * h, 0  # T(0)
+    if decomp.negatives:  # else T(l) = c_{k+l}(B(h)) grows with l
+        excised = _UnionPrefix(DisjointUnion(tuple(Ball(w) for w in decomp.negatives)))
+        S = sum(w * w for w in decomp.negatives)
+        l_turn = S * (8 * k + 9) / (8 * (h * h - S))
+        l = 1
+        while l < l_turn or _term_lower_bound(h, S, k, l) <= best:
+            v = ball_multiplicity(k + l) * h - excised.result(l).value
+            if v < best:
+                best, l_star = v, l
+            l += 1
     return _checked(CapacityResult(k, best, "weights", {"l": l_star}))
 
 
+def _term_lower_bound(h: Fraction, S: Fraction, k: int, l: int) -> Fraction:
+    """A rational at most h(sqrt(8(k+l)+9) - 3)/2 - sqrt(2lS): both roots
+    bracketed by math.isqrt to 2^-20 of their denominators, no floats."""
+    x = 2 * l * S
+    root_lo = Fraction(math.isqrt((8 * (k + l) + 9) << 40), 1 << 20)
+    root_hi = Fraction(math.isqrt((x.numerator * x.denominator) << 40) + 1, x.denominator << 20)
+    return h * (root_lo - 3) / 2 - root_hi
 
 
 # --- capacity sources --------------------------------------------------------
@@ -422,7 +437,8 @@ class _ConvexPrefix(_Prefix):
     min_convex_range search over n..k, which gives each k what its own
     min_convex search gives, so growth by one is that lone search.  The
     norm context is built on the first growth and kept.  The oracle is the
-    weight formula."""
+    exact weight formula ck_convex_via_weights, whose minimum over the
+    shift stops at a proven bound."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
@@ -487,9 +503,10 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     c_0..c_k in one search, and a scan that asks k = n, n+1, ... runs one
     lone min_convex search per step.
 
-    verify=True recomputes convex-toric values through the weight formula
-    and concave-toric values through the path optimum and insists they
-    agree; other families have a single formula each.
+    verify=True recomputes convex-toric values through the exact weight
+    formula (ck_convex_via_weights) and concave-toric values through the
+    path optimum and insists they agree; other families have a single
+    formula each.
     """
     k = _nonneg_k(k)
     dkey = d.key

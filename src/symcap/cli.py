@@ -6,8 +6,7 @@ or as a path to a file.  Rationals in any JSON field are "p/q" strings,
 the decomposition and the default path kind from the domain's family.
 
 Exit codes: 0 success (an obstruction verdict is a successful run), 1
-validation or input error, 2 internal limit (weight recursion depth cap, or
-a truncation warning escalated by --strict).
+validation or input error, 2 a usage error reported by argparse.
 
 All output is deterministic: a fixed domain, subcommand, and format yields
 byte-identical bytes on every run.
@@ -23,14 +22,13 @@ import warnings
 from fractions import Fraction
 
 from . import capacities
-from .capacities import (TruncationWarning, capacity_sequence, ck,
-                         ck_convex_via_weights, witness_to_json)
+from .capacities import capacity_sequence, ck, witness_to_json
 from .domains import Domain, domain_from_json
 from .geometry import rational_str
 from .norms import concave_context, convex_context
 from .obstructions import asymptotic_ratio, check_embedding
 from .paths import max_concave, min_convex, path_to_json
-from .weights import DepthCapError, negative_weight_sequence, weight_expansion
+from .weights import negative_weight_sequence, weight_expansion
 
 
 def parse_domain_spec(text: str) -> Domain:
@@ -76,19 +74,9 @@ def _result_csv_row(res: capacities.CapacityResult) -> str:
     return f"{res.k},{rational_str(res.value)},{_decimal_str(res.value)},{res.method}"
 
 
-def _capacity_results(domain: Domain, ks, l_max):
-    if l_max is None:
-        if len(ks) > 1:
-            return capacity_sequence(domain, ks[-1])
-        return [ck(domain, k) for k in ks]
-    # the flag selects the head/negative-ball formula; the weight module
-    # rejects domains that are not convex toric
-    return [ck_convex_via_weights(domain, k, l_max=l_max) for k in ks]
-
-
 def _cmd_capacity(args) -> int:
     domain = _load_domain(args.domain)
-    res = _capacity_results(domain, [args.k], args.l_max)[0]
+    res = ck(domain, args.k)
     if args.format == "json":
         print(_dumps(_result_json(res)))
     elif args.format == "csv":
@@ -101,7 +89,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_sequence(args) -> int:
     domain = _load_domain(args.domain)
-    results = _capacity_results(domain, list(range(args.kmax + 1)), args.l_max)
+    results = capacity_sequence(domain, args.kmax)
     if args.format == "json":
         print(_dumps([_result_json(r) for r in results]))
     elif args.format == "csv":
@@ -150,9 +138,9 @@ def _cmd_obstruct(args) -> int:
 def _cmd_weights(args) -> int:
     domain = _load_domain(args.domain)
     if domain.WEIGHTS == "expansion":
-        head, ws = None, weight_expansion(domain, depth_cap=args.depth_cap)
+        head, ws = None, weight_expansion(domain)
     elif domain.WEIGHTS == "negative":
-        dec = negative_weight_sequence(domain, depth_cap=args.depth_cap)
+        dec = negative_weight_sequence(domain)
         head, ws = rational_str(dec.head), dec.negatives
     else:
         raise ValueError("weights apply to toric domains only")
@@ -219,19 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_domain(p)
     p.add_argument("-k", type=_nonneg, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--l-max", type=_nonneg, default=None,
-                   help="compute through the head/negative-ball formula with "
-                        "this shift truncation (convex toric domains)")
-    p.add_argument("--strict", action="store_true",
-                   help="escalate truncation warnings to exit code 2")
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("sequence", help="capacities c_0..c_kmax")
     add_domain(p)
     p.add_argument("--kmax", type=_nonneg, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--l-max", type=_nonneg, default=None)
-    p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("obstruct", help="embedding obstruction scan")
@@ -243,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="ball decomposition of a toric domain")
     add_domain(p)
-    p.add_argument("--depth-cap", type=_nonneg, default=64)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("asymptotics", help="compare c_k against 2*sqrt(vol*k)")
@@ -275,9 +255,6 @@ def main(argv=None) -> int:
             code = args.func(args)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        if getattr(args, "strict", False) and any(
-                isinstance(w.message, TruncationWarning) for w in caught):
-            return 2
         if cache_dir and code == 0:
             try:
                 capacities.save_disk_cache(cache_dir)
@@ -285,9 +262,6 @@ def main(argv=None) -> int:
                 print(f"warning: could not save capacity cache: {e}",
                       file=sys.stderr)
         return code
-    except DepthCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,11 +2,12 @@
 
 A concave polygon expands into a multiset of ball sizes (its weight
 expansion): peel off the largest inscribed triangle {x + y <= r}, shear the
-two leftover pieces back onto the axes, recurse.  The piece touching the
-y-axis maps by (x, y) -> (x, x + y - r) and the piece touching the x-axis
-by (x, y) -> (x + y - r, y); both are unimodular, so areas and lattice
-structure are preserved.  The multiset fills the polygon exactly: the sum
-of a_i^2 / 2 equals the area, asserted on every call.
+two leftover pieces back onto the axes, repeat on each.  The piece
+touching the y-axis maps by (x, y) -> (x, x + y - r) and the piece
+touching the x-axis by (x, y) -> (x + y - r, y); both are unimodular, so
+areas and lattice structure are preserved.  The multiset fills the
+polygon exactly: the sum of a_i^2 / 2 equals the area, asserted on every
+call.
 
 A convex polygon instead gets a negative weight sequence: the head is the
 smallest h with the polygon contained in the triangle {x + y <= h}, and the
@@ -18,6 +19,14 @@ polygon, which is then expanded.  Identity: h^2/2 - sum a_i^2/2 = area.
 Both shear conventions are validated at runtime: every intermediate piece
 must pass the concave-chain checks and the volume identity must close, so
 a wrong convention fails loudly instead of silently producing numbers.
+
+The expansion runs a work list of pieces and needs no depth limit: it
+ends on every rational polygon.  Let D be the common denominator of the
+vertex coordinates.  Every shear is unimodular and every r (and the head
+h) is the coordinate sum of a vertex, so all vertices of all pieces stay
+in (1/D)Z.  Each peeled ball therefore has size at least 1/D and area at
+least 1/(2D^2), and each step peels one ball off the area still to fill,
+so expanding a region of area A takes at most 2 D^2 A steps.
 """
 
 from __future__ import annotations
@@ -27,10 +36,6 @@ from fractions import Fraction
 
 from . import domains
 from .geometry import rational_str
-
-
-class DepthCapError(Exception):
-    """Recursion exceeded depth_cap; should not happen for rational input."""
 
 
 @dataclass(frozen=True)
@@ -48,30 +53,27 @@ def inscribed_triangle_size(omega) -> Fraction:
     return min(x + y for x, y in domains.upper_boundary(omega))
 
 
-def _expand(chain, depth_cap: int, out: list) -> None:
-    if depth_cap <= 0:
-        raise DepthCapError("weight expansion exceeded depth_cap; "
-                            "check the polygon or raise the cap")
-    domains.check_concave_chain(chain)
-    g = [x + y for x, y in chain]
-    r = min(g)
-    out.append(r)
-    i1 = g.index(r)
-    i2 = len(g) - 1 - g[::-1].index(r)
-    if i1 > 0:
-        piece = tuple((x, x + y - r) for x, y in chain[:i1 + 1])
-        _expand(piece, depth_cap - 1, out)
-    if i2 < len(chain) - 1:
-        piece = tuple((x + y - r, y) for x, y in chain[i2:])
-        _expand(piece, depth_cap - 1, out)
+def _expand(todo: list) -> list:
+    """Ball sizes of the concave pieces below the chains in todo."""
+    out = []
+    while todo:
+        chain = todo.pop()
+        domains.check_concave_chain(chain)
+        g = [x + y for x, y in chain]
+        r = min(g)
+        out.append(r)
+        i1 = g.index(r)
+        i2 = len(g) - 1 - g[::-1].index(r)
+        if i1 > 0:
+            todo.append(tuple((x, x + y - r) for x, y in chain[:i1 + 1]))
+        if i2 < len(chain) - 1:
+            todo.append(tuple((x + y - r, y) for x, y in chain[i2:]))
+    return out
 
 
-def weight_expansion(omega, depth_cap: int = 64) -> tuple[Fraction, ...]:
+def weight_expansion(omega) -> tuple[Fraction, ...]:
     """Ball sizes filling a concave region, sorted nonincreasing."""
-    chain = domains.upper_boundary(omega)
-    out: list[Fraction] = []
-    _expand(chain, depth_cap, out)
-    weights = tuple(sorted(out, reverse=True))
+    weights = tuple(sorted(_expand([domains.upper_boundary(omega)]), reverse=True))
     total = sum((w * w / 2 for w in weights), Fraction(0))
     want = domains.volume(omega)
     if total != want:
@@ -80,7 +82,7 @@ def weight_expansion(omega, depth_cap: int = 64) -> tuple[Fraction, ...]:
     return weights
 
 
-def negative_weight_sequence(omega, depth_cap: int = 64) -> NegativeWeightDecomposition:
+def negative_weight_sequence(omega) -> NegativeWeightDecomposition:
     """Head size plus the ball sizes of the two sheared corner pieces of the
     head triangle minus the polygon, sorted nonincreasing."""
     if not omega.convex:
@@ -93,14 +95,12 @@ def negative_weight_sequence(omega, depth_cap: int = 64) -> NegativeWeightDecomp
     # diagonal edge; the corner pieces sit strictly before and after it
     i1 = g.index(head)
     i2 = len(g) - 1 - g[::-1].index(head)
-    out: list[Fraction] = []
+    pieces = []
     if i1 > 0:
-        piece = tuple((x, head - x - y) for x, y in chain[:i1 + 1])
-        _expand(piece, depth_cap, out)
+        pieces.append(tuple((x, head - x - y) for x, y in chain[:i1 + 1]))
     if i2 < len(chain) - 1:
-        piece = tuple((head - x - y, y) for x, y in chain[i2:])
-        _expand(piece, depth_cap, out)
-    negatives = tuple(sorted(out, reverse=True))
+        pieces.append(tuple((head - x - y, y) for x, y in chain[i2:]))
+    negatives = tuple(sorted(_expand(pieces), reverse=True))
     deficit = head * head / 2 - sum((w * w / 2 for w in negatives), Fraction(0))
     if deficit != area:
         raise ValueError("volume identity failed for negative weight sequence "

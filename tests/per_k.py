@@ -40,12 +40,12 @@ def ck_union(parts, k) -> CapacityResult:
     return table.result(k, "union_dp")
 
 
-def ck_concave_via_weights(omega, k, depth_cap: int = 64) -> CapacityResult:
+def ck_concave_via_weights(omega, k) -> CapacityResult:
     """c_k of a concave domain from its weight expansion, for this k alone."""
     k = _nonneg_k(k)
     if k == 0:
         return CapacityResult(0, Fraction(0), "weights", ())
-    ws = weight_expansion(omega, depth_cap)
+    ws = weight_expansion(omega)
     # at most k parts can receive a positive share, and the ball formula
     # prefers larger sizes, so the k largest weights suffice
     table = _UnionParts([Ball(w) for w in ws[:k]])

@@ -112,7 +112,7 @@ def test_criterion_05_convex_cross_check():
     def body():
         for d in (dom.polydisk(1, 1), dom.polydisk(1, 2), PENT):
             for k in range(11):
-                assert ck_convex_via_weights(d, k, l_max=100).value == \
+                assert ck_convex_via_weights(d, k).value == \
                     ck_convex_toric(d, k).value
 
     _report(5, "convex domains: shifted-ball difference equals path optimum",

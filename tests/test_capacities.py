@@ -3,10 +3,12 @@
 import concurrent.futures
 import functools
 import json
+import math
 import os
+import random
 import sys
 import threading
-import warnings
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,9 +16,12 @@ import pytest
 import symcap.capacities as cap
 import symcap.domains as dom
 from per_k import ck_concave_via_weights, ck_polydisk, ck_union
+from test_paths import _random_convex
 from symcap.capacities import (
     CapacityResult,
-    TruncationWarning,
+    _term_lower_bound,
+    _union_table,
+    _UnionParts,
     ck,
     ck_ball,
     ck_concave_toric,
@@ -26,8 +31,10 @@ from symcap.capacities import (
     ellipsoid_spectrum,
     witness_to_json,
 )
+from symcap.weights import negative_weight_sequence
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+HEXAGON = dom.convex_toric([(0, 0), (3, 0), (3, 1), (F(5, 2), 2), (1, F(5, 2)), (0, F(5, 2))])
 STAIR = dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])
 
 CORPUS = [
@@ -153,20 +160,73 @@ def test_concave_via_weights_examples():
     assert ck_concave_via_weights(STAIR, 0).value == 0
 
 
+def test_concave_triangle_with_a_long_leg():
+    # E(1,100): its weight expansion is 100 balls of size 1
+    d = dom.concave_toric([(0, 0), (1, 0), (0, 100)])
+    assert [r.value for r in capacity_sequence(d, 40)] == \
+        [e.action for e in ellipsoid_spectrum(1, 100, 40)]
+
+
 def test_convex_via_weights_examples():
-    r = ck_convex_via_weights(dom.polydisk(1, 1), 1, l_max=10)
+    r = ck_convex_via_weights(dom.polydisk(1, 1), 1)
     assert r.value == 1 and r.witness == {"l": 1}
-    assert ck_convex_via_weights(dom.ball(1), 3, l_max=0).value == 2
-    assert ck_convex_via_weights(dom.polydisk(1, 2), 1, l_max=10).value == 1
+    assert ck_convex_via_weights(dom.ball(1), 3).value == 2
+    assert ck_convex_via_weights(dom.polydisk(1, 2), 1).value == 1
+    # a head without excised balls takes no shift
+    assert ck_convex_via_weights(dom.ball(1), 5).witness == {"l": 0}
 
 
-def test_convex_via_weights_truncation_warning():
-    with pytest.warns(TruncationWarning):
-        ck_convex_via_weights(dom.polydisk(1, 1), 1, l_max=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # heads without negatives never warn
-        ck_convex_via_weights(dom.ball(1), 5, l_max=0)
+@pytest.mark.parametrize("d, k, value", [
+    (PENT, 354, 67), (PENT, 1000, 115), (HEXAGON, 188, F(133, 2)), (HEXAGON, 1000, 159)],
+    ids=["pent-354", "pent-1000", "hexagon-188", "hexagon-1000"])
+def test_convex_via_weights_past_a_hundred_shifts(d, k, value):
+    # the minimum over the shift sits past l = 100 here, and is found
+    # within a second
+    cap.clear_memo()
+    start = time.perf_counter()
+    assert ck_convex_via_weights(d, k).value == value
+    assert time.perf_counter() - start < 1
+
+
+SHIFTS = 1200  # brute-force shifts; each minimum below sits far inside
+
+
+def _shift_terms(d, ks):
+    """T(l) = c_{k+l}(B(h)) - c_l(excised balls) for l <= SHIFTS, per k."""
+    dec = negative_weight_sequence(d)
+    table = _UnionParts([dom.ball(w) for w in dec.negatives])
+    _union_table(table, SHIFTS)
+    excised = [table.result(l, "union_dp").value for l in range(SHIFTS + 1)]
+    return {k: [ck_ball(dec.head, k + l).value - excised[l] for l in range(SHIFTS + 1)]
+            for k in ks}
+
+
+def _random_convex_polygons(seed, n):
+    rng = random.Random(seed)
+    return [_random_convex(rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("d", [PENT, HEXAGON] + _random_convex_polygons("convex weights", 4),
+                         ids=["pent", "hexagon", "random0", "random1", "random2", "random3"])
+def test_convex_via_weights_equals_brute_force_minimum(d):
+    for k, terms in _shift_terms(d, (50, 200, 354)).items():
+        r, best = ck_convex_via_weights(d, k), min(terms)
+        assert (r.value, r.witness) == (best, {"l": terms.index(best)})
+
+
+@pytest.mark.parametrize("d", [PENT, HEXAGON], ids=["pent", "hexagon"])
+def test_convex_via_weights_stopping_bound(d):
+    # LB(l) bounds every term from below and is nondecreasing from l_turn
+    # on, so the first l >= l_turn with LB(l) > min stops the search
+    dec = negative_weight_sequence(d)
+    h, S = dec.head, sum(w * w for w in dec.negatives)
+    for k, terms in _shift_terms(d, (0, 7, 354)).items():
+        lb = [_term_lower_bound(h, S, k, l) for l in range(SHIFTS + 1)]
+        assert all(b <= t for b, t in zip(lb, terms))
+        l_turn = math.ceil(S * (8 * k + 9) / (8 * (h * h - S)))
+        assert all(a <= b for a, b in zip(lb[l_turn:], lb[l_turn + 1:]))
+        stop = next(l for l in range(l_turn, SHIFTS + 1) if lb[l] > min(terms))
+        assert terms.index(min(terms)) < stop < SHIFTS
 
 
 def test_closed_examples():
@@ -234,11 +294,11 @@ def test_concave_formulas_agree(omega):
         assert ck_concave_via_weights(omega, k).value == ck_concave_toric(omega, k).value
 
 
-@pytest.mark.parametrize("omega", [dom.ball(1), dom.polydisk(1, 1), dom.polydisk(1, 2), PENT])
+@pytest.mark.parametrize("omega", [dom.ball(1), dom.polydisk(1, 1), dom.polydisk(1, 2), PENT]
+                         + _random_convex_polygons("convex formula", 12))
 def test_convex_formulas_agree(omega):
-    for k in range(11):
-        assert ck_convex_via_weights(omega, k, l_max=100).value == \
-            ck_convex_toric(omega, k).value
+    assert [ck_convex_via_weights(omega, k).value for k in range(17)] == \
+        [r.value for r in capacity_sequence(omega, 16)]
 
 
 @pytest.mark.parametrize("ab", [(1, 2), (1, F(3, 2)), (3, 2)])

@@ -1,13 +1,16 @@
 """Command-line front end: parsing, formats, exit codes, cache persistence."""
 
+import argparse
 import json
+import os
+import re
 from fractions import Fraction as F
 
 import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
-from symcap.cli import main, parse_domain_spec
+from symcap.cli import build_parser, main, parse_domain_spec
 
 BALL1 = '{"type":"ball","a":"1"}'
 E12 = '{"type":"ellipsoid","a":"1","b":"2"}'
@@ -15,6 +18,8 @@ SQUARE = '{"type":"polydisk","a":"1","b":"1"}'
 TWO_BALLS = '{"type":"disjoint_union","parts":[{"type":"ball","a":"1"},{"type":"ball","a":"1"}]}'
 PENT = '{"type":"convex_toric","vertices":[["0","0"],["2","0"],["2","1"],["1","2"],["0","2"]]}'
 STAIR = '{"type":"concave_toric","vertices":[["0","0"],["3","0"],["1","1"],["0","3"]]}'
+LONG_LEG = '{"type":"concave_toric","vertices":[[0,0],[1,0],[0,100]]}'
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run(capsys, *argv):
@@ -156,21 +161,38 @@ def test_exit_code_1_on_bad_input(capsys):
     assert rc == 1
 
 
-def test_truncation_warning_and_strict_escalation(capsys):
-    rc, out, err = _run(capsys, "capacity", "-d", SQUARE, "-k", "1", "--l-max", "0")
-    assert rc == 0 and out == "c_1 = 2\n" and "truncation bound" in err
-    rc, out, err = _run(capsys, "capacity", "-d", SQUARE, "-k", "1",
-                        "--l-max", "0", "--strict")
-    assert rc == 2 and "truncation bound" in err
-    # a generous bound finds the true value and does not warn
-    rc, out, err = _run(capsys, "capacity", "-d", SQUARE, "-k", "1", "--l-max", "10")
-    assert rc == 0 and out == "c_1 = 1\n" and err == ""
+def test_exit_code_2_only_on_usage_errors(capsys):
+    # no value rests on a cut-off, so symcap itself never exits 2
+    for argv in (["capacity", "-d", SQUARE],
+                 ["sequence", "-d", SQUARE, "--kmax", "-1"],
+                 ["weights", "-d", E12, "--cap", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
 
 
-def test_exit_code_2_on_depth_cap(capsys):
-    rc, _, err = _run(capsys, "weights", "-d", '{"type":"ellipsoid","a":"1","b":"8"}',
-                      "--depth-cap", "2")
-    assert rc == 2 and "depth_cap" in err
+def test_long_weight_expansion(capsys):
+    # E(1,100) expands into 100 unit balls, one peeling step each
+    rc, out, err = _run(capsys, "weights", "-d", LONG_LEG)
+    assert rc == 0 and err == ""
+    assert json.loads(out) == {"head": None, "weights": ["1"] * 100, "volume_check": True}
+    rc, out, _ = _run(capsys, "capacity", "-d", LONG_LEG, "-k", "3")
+    assert rc == 0 and out == "c_3 = 3\n"
+
+
+def test_readme_flag_table_matches_parser():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", fh.read(), re.M)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(name for name, _ in rows) == sorted(subparsers)
+    for name, cell in rows:
+        flags = {code.split()[0] for code in re.findall(r"`([^`]+)`", cell)}
+        options = [a.option_strings for a in subparsers[name]._actions
+                   if a.option_strings and "-h" not in a.option_strings]
+        known = {s for strings in options for s in strings}
+        assert flags <= known, (name, flags - known)
+        assert all(flags & set(strings) for strings in options), name
 
 
 def test_round_trip_all_domain_kinds():

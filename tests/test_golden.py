@@ -56,9 +56,13 @@ BAD_INPUT = [
     ["capacity", "-d", '{"type":"ellipsoid","a":"1","b":"-2"}', "-k", "1"],
     ["capacity", "-d", '{"type":"disjoint_union","parts":[{"type":"cp2","a":"1"}]}', "-k", "1"],
     ["capacity", "-d", _toric("convex_toric", (0, 0), (3, 0), (1, 1), (0, 3)), "-k", "1"],
-    ["capacity", "-d", DOMAINS["pent"], "-k", "3", "--l-max", "10"],
-    ["sequence", "-d", DOMAINS["polydisk"], "--kmax", "5", "--l-max", "0", "--strict"],
-    ["weights", "-d", DOMAINS["ellipsoid"], "--depth-cap", "1"],
+]
+
+# E(1,100) as a concave triangle: a weight expansion 100 steps long
+LONG_LEG = _toric("concave_toric", (0, 0), (1, 0), (0, 100))
+LONG_EXPANSION = [
+    ["weights", "-d", LONG_LEG],
+    ["capacity", "-d", LONG_LEG, "-k", "3"],
 ]
 
 
@@ -79,7 +83,7 @@ def invocations() -> list:
         for fmt in ("table", "json", "csv"):
             runs.append(["obstruct", "--source", DOMAINS[src], "--target", DOMAINS[tgt],
                          "--kmax", "16", "--format", fmt])
-    return runs + BAD_INPUT
+    return runs + BAD_INPUT + LONG_EXPANSION
 
 
 # one CLI run per process: each memo cleared, the cache file shared

@@ -6,7 +6,6 @@ import pytest
 
 import symcap.domains as dom
 from symcap.weights import (
-    DepthCapError,
     NegativeWeightDecomposition,
     inscribed_triangle_size,
     negative_weight_sequence,
@@ -119,11 +118,12 @@ def test_kind_mismatch_rejected():
         negative_weight_sequence(dom.concave_toric(STAIR))
 
 
-def test_depth_cap_raises():
-    with pytest.raises(DepthCapError):
-        weight_expansion(dom.ellipsoid(1, 8), depth_cap=3)
-    # the same input finishes with the default cap
+def test_expansion_has_no_depth_limit():
+    # each step peels one unit ball off the long leg, so the expansion
+    # runs as many steps as the leg is long
     assert weight_expansion(dom.ellipsoid(1, 8)) == (1,) * 8
+    long_leg = dom.concave_toric([(0, 0), (1, 0), (0, 2000)])
+    assert weight_expansion(long_leg) == (1,) * 2000
 
 
 def test_expansion_terms_are_exact_rationals():
