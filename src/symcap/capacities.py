@@ -54,8 +54,8 @@ import operator
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import paths
 from .domains import Ball, DisjointUnion, Domain
@@ -65,16 +65,14 @@ from .paths import LatticePath, path_from_json, path_to_json
 from .weights import negative_weight_sequence, weight_expansion
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     k: int
     value: Fraction
     method: str
     witness: object = None
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     action: Fraction
     m: int
     n: int
@@ -573,7 +571,7 @@ def witness_to_json(w):
     normalize to plain JSON for output and persistence."""
     if w is None or isinstance(w, (int, bool)):
         return w
-    if isinstance(w, LatticePath):
+    if isinstance(w, LatticePath):  # a tuple too: test it before tuples
         return path_to_json(w)
     if isinstance(w, Fraction):
         return rational_str(w)

@@ -1,9 +1,10 @@
 """Domain model: one definition per family.
 
 Balls, ellipsoids, polydisks, convex and concave toric domains, their
-disjoint unions, and the closed manifolds CP^2 and S^2 x S^2 are frozen
-dataclasses.  Each family defines, once, what every layer reads: the wire
-TYPE and fields, the moment polygon omega (canonical and stored for toric
+disjoint unions, and the closed manifolds CP^2 and S^2 x S^2 are
+immutable classes on Domain, which compare, hash and print by family and
+FIELDS.  Each family defines, once, what every layer reads: the wire
+TYPE and FIELDS, the moment polygon omega (canonical and stored for toric
 domains, derived for balls, ellipsoids and polydisks, else None), the
 convex and concave toric flags (the axis reflection of omega, or the
 complement of omega in the quadrant, is convex) and CLOSED, volume and
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .geometry import Point, Polygon, cross, is_convex, rational, rational_str
@@ -119,13 +119,40 @@ def _need(obj: dict, field: str):
 
 
 class Domain:
-    """The base of every family, with the common defaults."""
+    """The base of every family, with the common defaults.  A domain is
+    immutable; it equals a domain of the same family with equal FIELDS."""
 
+    FIELDS: tuple = ()
     CLOSED = False
     WEIGHTS = None
     PATHS = "convex"
     convex = False
     concave = False
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.FIELDS, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
     @functools.cached_property
     def key(self) -> str:
@@ -137,26 +164,25 @@ class _Sized(Domain):
 
     omega = None
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _positive(getattr(self, f.name), f.name))
+    def __init__(self, *sizes):
+        if len(sizes) != len(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes sizes {self.FIELDS}, got {sizes}")
+        self._set(*map(_positive, sizes, self.FIELDS))
 
     def scale(self, mu: Fraction):
-        return type(self)(*(getattr(self, f.name) * mu for f in fields(self)))
+        return type(self)(*(v * mu for v in self._values()))
 
     def to_json(self) -> dict:
         return {"type": self.TYPE,
-                **{f.name: rational_str(getattr(self, f.name)) for f in fields(self)}}
+                **{name: rational_str(getattr(self, name)) for name in self.FIELDS}}
 
     @classmethod
     def _from_json(cls, obj: dict):
-        return cls(*[_need(obj, f.name) for f in fields(cls)])
+        return cls(*[_need(obj, name) for name in cls.FIELDS])
 
 
-@dataclass(frozen=True)
 class Ball(_Sized):
-    a: Fraction
-
+    FIELDS = ("a",)
     TYPE = "ball"
     SOURCE = "ball"
     METHOD = "ball_formula"
@@ -171,11 +197,8 @@ class Ball(_Sized):
         return self.a * self.a / 2
 
 
-@dataclass(frozen=True)
 class Ellipsoid(_Sized):
-    a: Fraction
-    b: Fraction
-
+    FIELDS = ("a", "b")
     TYPE = "ellipsoid"
     SOURCE = "ellipsoid"
     METHOD = "ellipsoid_spectrum"
@@ -190,11 +213,8 @@ class Ellipsoid(_Sized):
         return self.a * self.b / 2
 
 
-@dataclass(frozen=True)
 class Polydisk(_Sized):
-    a: Fraction
-    b: Fraction
-
+    FIELDS = ("a", "b")
     TYPE = "polydisk"
     SOURCE = "polydisk"
     METHOD = "polydisk_formula"
@@ -209,11 +229,10 @@ class Polydisk(_Sized):
         return self.a * self.b
 
 
-@dataclass(frozen=True)
 class CP2(_Sized):
     """Complex projective plane with line class of size a."""
-    a: Fraction
 
+    FIELDS = ("a",)
     TYPE = "cp2"
     SOURCE = "ball"
     METHOD = "cp2"
@@ -221,12 +240,10 @@ class CP2(_Sized):
     volume = Ball.volume
 
 
-@dataclass(frozen=True)
 class S2xS2(_Sized):
     """Product of two spheres with factor sizes a and b."""
-    a: Fraction
-    b: Fraction
 
+    FIELDS = ("a", "b")
     TYPE = "s2xs2"
     SOURCE = "polydisk"
     METHOD = "s2xs2"
@@ -234,17 +251,16 @@ class S2xS2(_Sized):
     volume = Polydisk.volume
 
 
-@dataclass(frozen=True)
 class _Toric(Domain):
     """A family given by its moment polygon, stored canonical."""
 
-    omega: Polygon
+    FIELDS = ("omega",)
 
-    def __post_init__(self):
-        omega = canonical_omega(self.omega)
+    def __init__(self, omega):
+        omega = canonical_omega(omega)
         if not self._valid(omega):
             raise ValueError(self._INVALID)
-        object.__setattr__(self, "omega", omega)
+        self._set(omega)
 
     def volume(self) -> Fraction:
         return self.omega.area()
@@ -267,7 +283,6 @@ class _Toric(Domain):
         return cls(raw)
 
 
-@dataclass(frozen=True)
 class ConvexToric(_Toric):
     TYPE = "convex_toric"
     SOURCE = "convex"
@@ -283,7 +298,6 @@ class ConvexToric(_Toric):
         return _concave_toric_flag(self.omega)
 
 
-@dataclass(frozen=True)
 class ConcaveToric(_Toric):
     TYPE = "concave_toric"
     SOURCE = "concave"
@@ -300,19 +314,18 @@ class ConcaveToric(_Toric):
         return _convex_toric_flag(self.omega)
 
 
-@dataclass(frozen=True)
 class DisjointUnion(Domain):
     """Open domains side by side; nested unions are flattened."""
-    parts: tuple
 
+    FIELDS = ("parts",)
     TYPE = "disjoint_union"
     SOURCE = "union"
     METHOD = "union_dp"
     omega = None
 
-    def __post_init__(self):
+    def __init__(self, parts):
         flat: list = []
-        for p in self.parts:
+        for p in parts:
             if isinstance(p, DisjointUnion):
                 flat.extend(p.parts)
             elif p.CLOSED:
@@ -322,7 +335,7 @@ class DisjointUnion(Domain):
         if not flat:
             raise ValueError("disjoint union needs at least one part")
         flat.sort(key=domain_key)
-        object.__setattr__(self, "parts", tuple(flat))
+        self._set(tuple(flat))
 
     def volume(self) -> Fraction:
         return sum((p.volume() for p in self.parts), Fraction(0))

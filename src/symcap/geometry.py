@@ -17,9 +17,8 @@ column as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Point = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
@@ -70,8 +69,7 @@ def _sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(NamedTuple):
     """Vertex cycle; construction canonicalizes but never reorders.
 
     Canonical form: no two consecutive vertices equal, no straight-through

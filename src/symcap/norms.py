@@ -13,15 +13,14 @@ with a zero component is 0 whenever the chain meets the matching axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import domains
 from .geometry import Point
 
 
-@dataclass(frozen=True)
-class NormContext:
+class NormContext(NamedTuple):
     """Vertex data extracted once per domain; norms are the inner loop of
     the path optimizers, so keep this flat and immutable."""
 

@@ -12,16 +12,15 @@ intervals instead of floats, keeping every reported inequality exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import domains
 from .capacities import ck
 from .geometry import rational
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     obstructed: bool
     first_k: int | None
     c_source: Fraction | None  # values at first_k when obstructed
@@ -94,8 +93,7 @@ def sqrt_interval(value, eps=Fraction(1, 10 ** 9)) -> tuple[Fraction, Fraction]:
     return Fraction(n, q * scale), Fraction(n + 1, q * scale)
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     k: int
     value: Fraction
     model_low: Fraction  # bracket of 2*sqrt(vol*k), width <= 2e-9

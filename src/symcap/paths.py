@@ -36,22 +36,20 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import Edge, cross, dot, lattice_points_under_path
 from .norms import NormContext, anti_norm, dual_norm
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     kind: str  # "convex" | "concave"
     edges: tuple[Edge, ...]
     start_y: int
 
 
-@dataclass(frozen=True)
-class PathOptimum:
+class PathOptimum(NamedTuple):
     value: Fraction
     witness: LatticePath
     count_constraint: int

@@ -31,15 +31,14 @@ so expanding a region of area A takes at most 2 D^2 A steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import domains
 from .geometry import rational_str
 
 
-@dataclass(frozen=True)
-class NegativeWeightDecomposition:
+class NegativeWeightDecomposition(NamedTuple):
     head: Fraction
     negatives: tuple[Fraction, ...]
 

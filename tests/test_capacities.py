@@ -15,6 +15,7 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+import symcap.paths as paths
 from per_k import ck_concave_via_weights, ck_polydisk, ck_union
 from test_paths import _random_convex
 from symcap.capacities import (
@@ -390,6 +391,18 @@ def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
     # the path witnesses of both searches, including ones ck never memoizes
     for r in (ck_convex_toric(PENT, 5), ck_concave_toric(STAIR, 4), ck_concave_toric(STAIR, 0)):
         assert cap._witness_from_json(r.method, witness_to_json(r.witness)) == r.witness
+
+
+def test_cache_entries_keep_witness_types():
+    # LatticePath is a tuple: equality alone cannot tell a path from its fields
+    cap.clear_memo()
+    for r in (ck_convex_toric(PENT, 5), ck_concave_toric(STAIR, 4)):
+        back = cap._entry_result(r.k, cap._entry_json(r))
+        assert type(back.witness) is paths.LatticePath and back == r
+        assert isinstance(cap._entry_json(r)["witness"], dict)
+    r = ck(dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, 2)), 5)
+    back = cap._entry_result(r.k, cap._entry_json(r))
+    assert type(back.witness) is tuple and back == r
 
 
 def test_disk_cache_concurrent_writers(tmp_path):

@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -289,3 +291,13 @@ def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corr
     assert err.count("warning:") == 1 and key in err and err.count("\n") == 1
     assert dispatched == [4]  # every other entry came from the file
     assert cache.read_bytes() == blob
+
+
+def test_startup_does_not_import_dataclasses():
+    # each CLI call pays for every module symcap.cli loads; dataclasses
+    # alone brought inspect, ast, dis and tokenize along
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, symcap.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

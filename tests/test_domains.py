@@ -1,4 +1,5 @@
-"""Domain model: validation flags, canonicalization, volume, wire format."""
+"""Domain model: validation flags, canonicalization, volume, wire format,
+and the value semantics of the families and the records built on them."""
 
 import json
 from fractions import Fraction as F
@@ -7,8 +8,10 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+import symcap.paths as paths
+from symcap.geometry import Polygon
 from symcap.norms import concave_context, convex_context
-from symcap.obstructions import scaling_lower_bound
+from symcap.obstructions import asymptotic_ratio, check_embedding, scaling_lower_bound
 from symcap.weights import negative_weight_sequence, weight_expansion
 
 
@@ -75,6 +78,14 @@ def test_nonpositive_parameters_rejected():
             dom.polydisk(bad, 1)
 
 
+def test_sized_families_take_one_size_per_field():
+    for args in [(), (1, 2)]:
+        with pytest.raises(TypeError):
+            dom.ball(*args)
+    with pytest.raises(TypeError):
+        dom.s2xs2(1)
+
+
 def test_volume_examples():
     assert dom.volume(dom.ball(1)) == F(1, 2)
     assert dom.volume(dom.ellipsoid(1, 2)) == 1
@@ -136,8 +147,10 @@ def test_wire_format_round_trip():
         dom.cp2(1),
         dom.s2xs2(1, 1),
     ]
+    assert {type(d) for d in cases} == set(dom.FAMILIES)
     for d in cases:
-        assert dom.domain_from_json(dom.domain_to_json(d)) == d
+        back = dom.domain_from_json(dom.domain_to_json(d))
+        assert type(back) is type(d) and back == d and hash(back) == hash(d)
 
 
 def test_wire_format_diagnostics():
@@ -236,3 +249,82 @@ def test_domains_are_validated_once(monkeypatch):
     assert calls == []
     dom.convex_toric([(0, 0), (2, 0), (0, 2)])
     assert len(calls) == 1
+
+
+# Domains and records are immutable values: equal within one family when
+# their fields are equal, hashed by their fields, and printed as
+# Family(field=value, ...), the text their reprs have always had.
+TRIANGLE_VERTICES = "((Fraction(0, 1), Fraction(0, 1)), " \
+    "(Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)))"
+SMALL_TRIANGLE = f"Polygon(vertices={TRIANGLE_VERTICES})"
+DOMAIN_REPRS = [
+    (dom.ball(1), "Ball(a=Fraction(1, 1))"),
+    (dom.ellipsoid(1, F(3, 2)), "Ellipsoid(a=Fraction(1, 1), b=Fraction(3, 2))"),
+    (dom.polydisk(1, 2), "Polydisk(a=Fraction(1, 1), b=Fraction(2, 1))"),
+    (dom.convex_toric([(0, 0), (1, 0), (0, 1)]), f"ConvexToric(omega={SMALL_TRIANGLE})"),
+    (dom.concave_toric([(0, 1), (1, 0), (0, 0)]), f"ConcaveToric(omega={SMALL_TRIANGLE})"),
+    (dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, 2)),
+     "DisjointUnion(parts=(Ellipsoid(a=Fraction(1, 1), b=Fraction(2, 1)), "
+     "Ball(a=Fraction(1, 1))))"),
+    (dom.cp2(F(1, 2)), "CP2(a=Fraction(1, 2))"),
+    (dom.s2xs2(1, 1), "S2xS2(a=Fraction(1, 1), b=Fraction(1, 1))"),
+]
+
+
+def _record_reprs():
+    pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+    path = "LatticePath(kind='convex', edges=((1, -1),), start_y=1)"
+    cap.clear_memo()
+    return [
+        (dom.ball(1).omega, SMALL_TRIANGLE),
+        (convex_context(dom.ball(1)),
+         f"NormContext(kind='convex', support_vertices={TRIANGLE_VERTICES})"),
+        (paths.convex_path([(1, -1)]), path),
+        (paths.min_convex(convex_context(pent), 2),
+         f"PathOptimum(value=Fraction(3, 1), witness={path}, count_constraint=3)"),
+        (negative_weight_sequence(pent),
+         "NegativeWeightDecomposition(head=Fraction(3, 1), "
+         "negatives=(Fraction(1, 1), Fraction(1, 1)))"),
+        (cap.ck(pent, 2),
+         f"CapacityResult(k=2, value=Fraction(3, 1), method='convex_path', witness={path})"),
+        (cap.ellipsoid_spectrum(1, 2, 2)[2], "SpectrumEntry(action=Fraction(2, 1), m=0, n=1)"),
+        (check_embedding(dom.ball(1), dom.ball(2), 1),
+         "ObstructionReport(obstructed=False, first_k=None, c_source=None, c_target=None, "
+         "k_max=1, volume_ok=True, table=((0, Fraction(0, 1), Fraction(0, 1)), "
+         "(1, Fraction(1, 1), Fraction(2, 1))))"),
+        (asymptotic_ratio(dom.ball(1), 3),
+         "AsymptoticReport(k=3, value=Fraction(2, 1), "
+         "model_low=Fraction(1224744871, 500000000), "
+         "model_high=Fraction(2449489743, 1000000000), "
+         "residual_high=Fraction(224744871500000000, 658037006368182913))"),
+    ]
+
+
+def test_reprs_keep_their_text():
+    for value, text in DOMAIN_REPRS + _record_reprs():
+        assert repr(value) == text
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    for value, _ in DOMAIN_REPRS + _record_reprs():
+        names = value.FIELDS if isinstance(value, dom.Domain) else value._fields
+        assert names
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+
+def test_domains_equal_only_within_one_family():
+    assert dom.ball(1) == dom.Ball(F(1)) and dom.ball(1) != dom.cp2(1)
+    assert dom.ellipsoid(1, 2) != dom.polydisk(1, 2)
+    assert dom.polydisk(1, 2) != dom.s2xs2(1, 2)
+    assert dom.convex_toric([(0, 0), (1, 0), (0, 1)]) != dom.concave_toric([(0, 0), (1, 0), (0, 1)])
+    assert dom.ball(1) != (F(1),) and dom.ball(1) != "ball"
+    for d, _ in DOMAIN_REPRS:
+        twin = dom.domain_from_json(dom.domain_to_json(d))
+        assert twin is not d and twin == d and hash(twin) == hash(d)
+        assert len({d, twin, dom.scale_domain(d, 2)}) == 2

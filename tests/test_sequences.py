@@ -4,7 +4,6 @@ footprint, thread safety, and how much work a sequence does (counted in
 calls, never timed)."""
 
 import concurrent.futures
-import dataclasses
 import math
 import random
 import sys
@@ -99,8 +98,8 @@ def _per_k(d, k):
     if isinstance(d, dom.ConvexToric):
         return ck_convex_toric(d, k)
     if isinstance(d, dom.CP2):
-        return dataclasses.replace(ck_ball(d.a, k), method="cp2")
-    return dataclasses.replace(ck_polydisk(d.a, d.b, k), method="s2xs2")
+        return ck_ball(d.a, k)._replace(method="cp2")
+    return ck_polydisk(d.a, d.b, k)._replace(method="s2xs2")
 
 
 def _triple(r):
