@@ -18,42 +18,43 @@ Formulas implemented here:
               product shares the polydisk values
 
 Each domain's family names its capacity source (SOURCE) and the method
-string its results carry (METHOD).  Balls and the projective plane compute
-each c_k alone; every other source keeps a prefix c_0..c_{n-1} per domain
-that grows on demand, keeping the work done so far.  An ellipsoid's prefix
-is a slice of its spectrum and at least doubles when it grows; a polydisk
-or sphere product appends one k at a time; a union, and a concave domain
+string its results carry (METHOD).  A source is the one store of its
+domain's values: a prefix c_0..c_{n-1} that grows on demand and keeps the
+work done so far.  A ball or projective plane, a polydisk or a sphere
+product appends one k at a time from its closed form; an ellipsoid pops
+one action per k from its own spectrum heap; a union, and a concave domain
 read as the union of its weight balls, adds max-plus DP columns; a convex
 domain runs one path search over the missing range n..k.  The polydisk
-formula and the DP run in integers over a common denominator.  Each prefix
-grows under its own lock; the two toric sources also hold the second
-method verify=True compares against.
+formula and the DP run in integers over a common denominator.
+Each prefix grows under its own lock; the two toric sources also hold the
+second method verify=True compares against.  Sources are made on first use
+and kept per canonical domain key, so ck, capacity_sequence and the union
+DP all read the same prefixes.  Values are deterministic, so racing
+threads agree.
 
-The dispatcher memoizes by (canonical domain key, k) behind a lock, holding
-exactly the entries that were asked for, union parts included: a prefix
-that ran ahead leaves no memo entry behind.  Values are deterministic, so
-racing writers are harmless.
-
-The memo can be spilled to and reloaded from a JSON file for cross-process
-reuse.  Loading parses the file once and keeps its entries raw; a memo
-miss looks there before computing and builds only the entry asked for,
-equal to the one that was saved, witness types included.  A malformed
-entry is reported with a warning and computed afresh.  Saving reuses the
-parsed entries while the file is unchanged on disk, encodes only the memo
-entries the file does not hold yet, and leaves the file alone when none
-would change it.
+Prefixes persist across processes as one small JSON file per domain in a
+cache directory, named by a hash of the domain key and holding the key and
+the entries c_0..c_{n-1}; balls and the projective plane, cheaper to
+compute than to read, get none.  Once a directory is loaded, a source
+reads its own file when it is made and starts from the results it holds,
+equal to the ones saved, witness types included; a malformed entry is
+reported with a warning and ends the prefix there, so it and what follows
+are computed afresh.  Saving writes a domain's file only when the file does
+not already hold its prefix.
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
+import itertools
 import json
 import math
 import operator
 import os
 import threading
 import warnings
+import zlib
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -100,56 +101,40 @@ def ball_multiplicity(k: int) -> int:
     return d
 
 
+def _ball_capacity(a: Fraction, k: int, method: str) -> CapacityResult:
+    d = ball_multiplicity(k)
+    return _checked(CapacityResult(k, d * a, method, d))
+
+
 def ck_ball(a, k) -> CapacityResult:
-    return _BallFormula(Ball(a)).result(k)
+    ball = Ball(a)
+    return _ball_capacity(ball.a, _nonneg_k(k), ball.METHOD)
 
 
-_SPECTRUM_LOCK = threading.Lock()
-_SPECTRUM_CACHE: dict = {}  # (a, b) -> _Spectrum
-
-
-class _Spectrum:
-    """The actions of one ellipsoid found so far, in order, and the heap
-    that yields the next ones: integers m*A+n*B over the common
-    denominator `scale`, as (action, m, n) triples."""
-
-    def __init__(self, a: Fraction, b: Fraction):
-        self.scale = math.lcm(a.denominator, b.denominator)
-        self.A, self.B = int(a * self.scale), int(b * self.scale)
-        self.entries: list = []
-        self.heap = [(0, 0, 0)]
-
-    def extend(self, need: int) -> None:
-        # (m, n) enters the heap when (m, n-1), or (m-1, 0) for n = 0, leaves
-        # it; that predecessor is smaller, so every pair is pushed once and
-        # the pops come out sorted by (action, m, n)
-        entries, heap, A, B = self.entries, self.heap, self.A, self.B
-        while len(entries) < need:
-            v, m, n = heapq.heappop(heap)
-            entries.append(SpectrumEntry(Fraction(v, self.scale), m, n))
-            heapq.heappush(heap, (v + B, m, n + 1))
-            if n == 0:
-                heapq.heappush(heap, (v + A, m + 1, 0))
+def _spectrum(a: Fraction, b: Fraction):
+    """The actions m*a+n*b of one ellipsoid as SpectrumEntries, sorted,
+    ties ordered by (m, n): integers m*A+n*B over the common denominator,
+    popped from a heap."""
+    scale = math.lcm(a.denominator, b.denominator)
+    A, B = int(a * scale), int(b * scale)
+    heap = [(0, 0, 0)]
+    # (m, n) enters the heap when (m, n-1), or (m-1, 0) for n = 0, leaves
+    # it; that predecessor is smaller, so every pair is pushed once and
+    # the pops come out sorted by (action, m, n)
+    while True:
+        v, m, n = heapq.heappop(heap)
+        yield SpectrumEntry(Fraction(v, scale), m, n)
+        heapq.heappush(heap, (v + B, m, n + 1))
+        if n == 0:
+            heapq.heappush(heap, (v + A, m + 1, 0))
 
 
 def ellipsoid_spectrum(a, b, k_max) -> list:
-    """The k_max+1 smallest actions m*a+n*b, sorted, ties ordered by (m,n).
-
-    The actions of each pair of axes are cached as far as any caller asked,
-    and a longer request continues the enumeration where it stopped instead
-    of starting again.  Ellipsoid prefixes ask for at least double their
-    length, so a scan over k = 0..K calls this O(log K) times.
-    """
+    """The k_max+1 smallest actions m*a+n*b, sorted, ties ordered by (m,n)."""
     a, b = rational(a), rational(b)
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid axes must be positive")
-    need = _nonneg_k(k_max) + 1
-    with _SPECTRUM_LOCK:
-        spectrum = _SPECTRUM_CACHE.get((a, b))
-        if spectrum is None:
-            spectrum = _SPECTRUM_CACHE[(a, b)] = _Spectrum(a, b)
-        spectrum.extend(need)
-        return spectrum.entries[:need]
+    return list(itertools.islice(_spectrum(a, b), _nonneg_k(k_max) + 1))
 
 
 def _path_capacity(ctx, k: int) -> CapacityResult:
@@ -210,16 +195,14 @@ def _union_table(parts, kmax: int) -> None:
     """Extend the DP of `parts` (a _UnionParts) through column kmax, which
     must be at least the number of columns it has.
 
-    New part values are read through ck, c_kmax first so that a part's own
-    prefix grows in one step.  Column j of every part after the first
+    New part values are read from each part's source, whose prefix grows
+    to kmax in one step.  Column j of every part after the first
     costs j+1 steps, so growing from nothing to kmax costs
     (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the growth is split.
     Ties keep the smallest share for the later part.
     """
-    fresh = []
-    for p, row in zip(parts.parts, parts.values):
-        top = ck(p, kmax).value
-        fresh.append([ck(p, t).value for t in range(len(row), kmax)] + [top])
+    fresh = [[r.value for r in _source(p).sequence(len(row), kmax)]
+             for p, row in zip(parts.parts, parts.values)]
     scale = math.lcm(parts.scale, *(v.denominator for row in fresh for v in row))
     if scale != parts.scale:
         factor = scale // parts.scale
@@ -266,15 +249,16 @@ def ck_convex_via_weights(omega, k) -> CapacityResult:
         twice the area (negative_weight_sequence asserts it), so LB is
         nondecreasing from l_turn on.
     Every later term then exceeds best, so the value is the exact minimum
-    and the witness {"l": ...} its first argmin.  The excised balls' DP
-    grows one column per l.
+    and the witness {"l": ...} its first argmin.  The excised balls' union
+    is read through its capacity source, so its DP grows one column per l
+    and a scan over k reuses the columns.
     """
     k = _nonneg_k(k)
     decomp = negative_weight_sequence(omega)
     h = decomp.head
     best, l_star = ball_multiplicity(k) * h, 0  # T(0)
     if decomp.negatives:  # else T(l) = c_{k+l}(B(h)) grows with l
-        excised = _UnionPrefix(DisjointUnion(tuple(Ball(w) for w in decomp.negatives)))
+        excised = _source(DisjointUnion(tuple(Ball(w) for w in decomp.negatives)))
         S = sum(w * w for w in decomp.negatives)
         l_turn = S * (8 * k + 9) / (8 * (h * h - S))
         l = 1
@@ -298,55 +282,64 @@ def _term_lower_bound(h: Fraction, S: Fraction, k: int, l: int) -> Fraction:
 # --- capacity sources --------------------------------------------------------
 
 class _Prefix:
-    """c_0..c_{n-1} of one domain, grown on demand under a lock and kept.
+    """results holds c_0..c_{n-1} of one domain, grown on demand under a
+    lock and kept; a CACHED source starts from the domain's cache file when
+    a cache directory is loaded.
 
-    Subclasses define _grow(k), which extends the prefix so that n > k, and
-    _result(k) for k < n.  A family with a second method overrides oracle.
+    Subclasses define _grow(k), which appends results until n > k.  A
+    family with a second method overrides oracle.
     """
+
+    CACHED = True
 
     def __init__(self, d: Domain):
         self.lock = threading.Lock()
-        self.n = 0
         self.domain = d
         self.method = d.METHOD
+        cached = self.CACHED and _CACHE_DIR is not None
+        self.results = _read_prefix(_CACHE_DIR, d.key) if cached else []
+
+    def sequence(self, lo: int, hi: int) -> list:
+        """c_lo..c_hi."""
+        with self.lock:
+            if hi >= len(self.results):
+                self._grow(hi)
+            return self.results[lo:hi + 1]
 
     def result(self, k: int) -> CapacityResult:
-        with self.lock:
-            if k >= self.n:
-                self._grow(k)
-            return self._result(k)
+        return self.sequence(k, k)[0]
 
     def oracle(self, k: int) -> CapacityResult | None:
         """c_k by a second method for verify=True, None if there is none."""
         return None
 
 
-class _BallFormula(_Prefix):
-    """No prefix: c_k = d*a from the closed form, computed alone per k."""
+class _BallPrefix(_Prefix):
+    """c_k = d*a from the closed form, appended one k at a time.  Cheaper
+    to compute than to read, so it has no cache file."""
 
-    def __init__(self, d: Domain):
-        self.a, self.method = d.a, d.METHOD
+    CACHED = False
 
-    def result(self, k: int) -> CapacityResult:
-        d = ball_multiplicity(k)
-        return _checked(CapacityResult(_nonneg_k(k), d * self.a, self.method, d))
+    def _grow(self, k: int) -> None:
+        for j in range(len(self.results), k + 1):
+            self.results.append(_ball_capacity(self.domain.a, j, self.method))
 
 
 class _EllipsoidPrefix(_Prefix):
-    """A slice of the ellipsoid spectrum, at least doubled on each growth so
-    a scan over k = 0..K asks for the spectrum O(log K) times."""
+    """The ellipsoid's spectrum, popped from a heap of its own one action
+    per k.  After a cache file the heap is behind the prefix and catches up
+    on the next growth."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.entries: list = []
+        self.spectrum = enumerate(_spectrum(d.a, d.b))
 
     def _grow(self, k: int) -> None:
-        self.entries = ellipsoid_spectrum(self.domain.a, self.domain.b, max(k, 2 * self.n - 1))
-        self.n = len(self.entries)
-
-    def _result(self, k: int) -> CapacityResult:
-        e = self.entries[k]
-        return _checked(CapacityResult(k, e.action, self.method, (e.m, e.n)))
+        for j, e in self.spectrum:
+            if j >= len(self.results):
+                self.results.append(_checked(CapacityResult(j, e.action, self.method, (e.m, e.n))))
+            if j == k:
+                break
 
 
 class _PolydiskPrefix(_Prefix):
@@ -359,11 +352,10 @@ class _PolydiskPrefix(_Prefix):
         super().__init__(d)
         self.scale = math.lcm(d.a.denominator, d.b.denominator)
         self.A, self.B = int(d.a * self.scale), int(d.b * self.scale)
-        self.results: list = []
 
     def _grow(self, k: int) -> None:
         A, B = self.A, self.B
-        for j in range(self.n, k + 1):
+        for j in range(len(self.results), k + 1):
             best = witness = None
             m = 0
             while True:
@@ -376,10 +368,6 @@ class _PolydiskPrefix(_Prefix):
                 m = -(-(j + 1) // n) - 1  # smallest m whose n is below this one
             self.results.append(_checked(CapacityResult(
                 j, Fraction(best, self.scale), self.method, witness)))
-        self.n = k + 1
-
-    def _result(self, k: int) -> CapacityResult:
-        return self.results[k]
 
 
 class _UnionPrefix(_Prefix):
@@ -391,10 +379,8 @@ class _UnionPrefix(_Prefix):
 
     def _grow(self, k: int) -> None:
         _union_table(self.table, k)
-        self.n = k + 1
-
-    def _result(self, k: int) -> CapacityResult:
-        return self.table.result(k, self.method)
+        for j in range(len(self.results), k + 1):
+            self.results.append(self.table.result(j, self.method))
 
 
 class _ConcavePrefix(_Prefix):
@@ -417,12 +403,11 @@ class _ConcavePrefix(_Prefix):
             for w in self.weights[len(self.table):k]:
                 self.table.add(Ball(w))
             _union_table(self.table, k)
-        self.n = k + 1
-
-    def _result(self, k: int) -> CapacityResult:
-        if k == 0:
-            return CapacityResult(0, Fraction(0), self.method, ())
-        return self.table.result(k, self.method, min(k, len(self.table)))
+        for j in range(len(self.results), k + 1):
+            if j == 0:
+                self.results.append(CapacityResult(0, Fraction(0), self.method, ()))
+            else:
+                self.results.append(self.table.result(j, self.method, min(j, len(self.table))))
 
     def oracle(self, k: int) -> CapacityResult:
         if self.ctx is None:
@@ -441,24 +426,20 @@ class _ConvexPrefix(_Prefix):
     def __init__(self, d: Domain):
         super().__init__(d)
         self.ctx = None
-        self.results: list = []
 
     def _grow(self, k: int) -> None:
         if self.ctx is None:
             self.ctx = convex_context(self.domain)
-        for j, opt in enumerate(paths.min_convex_range(self.ctx, self.n, k), self.n):
+        n = len(self.results)
+        for j, opt in enumerate(paths.min_convex_range(self.ctx, n, k), n):
             self.results.append(_checked(CapacityResult(j, opt.value, self.method, opt.witness)))
-        self.n = k + 1
-
-    def _result(self, k: int) -> CapacityResult:
-        return self.results[k]
 
     def oracle(self, k: int) -> CapacityResult:
         return ck_convex_via_weights(self.domain, k)
 
 
 _SOURCE_KINDS = {  # by the family's SOURCE
-    "ball": _BallFormula,
+    "ball": _BallPrefix,
     "ellipsoid": _EllipsoidPrefix,
     "polydisk": _PolydiskPrefix,
     "union": _UnionPrefix,
@@ -466,102 +447,66 @@ _SOURCE_KINDS = {  # by the family's SOURCE
     "convex": _ConvexPrefix,
 }
 
-_MEMO_LOCK = threading.Lock()
-_MEMO: dict = {}  # (domain key, k) -> CapacityResult
+_LOCK = threading.Lock()
+_SAVE_LOCK = threading.Lock()
 _SOURCES: dict = {}  # domain key -> capacity source
-_DISK: dict = {}  # "domain key#k" -> raw entry of a loaded cache file
-_SAVED: set = set()  # memo keys whose entry a cache file held when it was built or saved
-_FILE = None  # (path, signature, entries) of the cache file last read or written
+_CACHE_DIR = None  # the directory whose files sources made from now on read
 
 
-def _source(d: Domain, key: str):
+def _source(d: Domain):
     """The capacity source of d, made on first use and kept; the lookups
-    hold the memo lock, making a source runs outside it."""
-    with _MEMO_LOCK:
+    hold the lock, making a source (and reading its file) runs outside it."""
+    key = d.key
+    with _LOCK:
         found = _SOURCES.get(key)
     if found is None:
         made = _SOURCE_KINDS[d.SOURCE](d)
-        with _MEMO_LOCK:
+        with _LOCK:
             found = _SOURCES.setdefault(key, made)
     return found
 
 
-def _dispatch(d: Domain, k: int, key: str) -> CapacityResult:
-    return _source(d, key).result(k)
-
-
 def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
-    """Capacity from the domain's source, memoized per (domain, k).
+    """c_k from the domain's capacity source.
 
-    A memo miss extends the domain's prefix up to k, keeping it for later
-    calls, so asking k = 0, 1, 2, ... in turn costs about what one
-    capacity_sequence costs.  Balls and the projective plane compute c_k
-    alone.  A convex domain's prefix keeps its norm context and grows by
-    one path search over the missing indices: a cold ck(d, k) finds
-    c_0..c_k in one search, and a scan that asks k = n, n+1, ... runs one
-    lone min_convex search per step.
+    The source's prefix grows up to k and keeps the work, so asking
+    k = 0, 1, 2, ... in turn costs about what one capacity_sequence costs.
+    A convex domain's
+    prefix keeps its norm context and grows by one path search over the
+    missing indices: a cold ck(d, k) finds c_0..c_k in one search, and a
+    scan that asks k = n, n+1, ... runs one lone min_convex search per step.
 
     verify=True recomputes convex-toric values through the exact weight
     formula (ck_convex_via_weights) and concave-toric values through the
-    path optimum and insists they agree; other families have a single
-    formula each.
+    path optimum and insists they agree, values read from a cache file
+    included; other families have a single formula each.
     """
     k = _nonneg_k(k)
-    dkey = d.key
-    key = (dkey, k)
-    if not verify:
-        with _MEMO_LOCK:
-            hit = _MEMO.get(key)
-        if hit is None and _DISK:
-            hit = _from_disk(key)
-        if hit is not None:
-            return hit
-    result = _dispatch(d, k, dkey)
-    other = _source(d, dkey).oracle(k) if verify else None
+    source = _source(d)
+    result = source.result(k)
+    other = source.oracle(k) if verify else None
     if other is not None and other.value != result.value:
         raise RuntimeError(
-            f"cross-check failed for {dkey} at k={k}: "
+            f"cross-check failed for {d.key} at k={k}: "
             f"{result.method} gives {rational_str(result.value)}, "
             f"{other.method} gives {rational_str(other.value)}")
-    with _MEMO_LOCK:
-        _MEMO.setdefault(key, result)
     return result
 
 
 def capacity_sequence(d: Domain, kmax) -> list:
-    """CapacityResults for k = 0..kmax.
-
-    One ck(d, kmax) grows the domain's prefix to kmax in one step (for a
-    convex domain, one path search); the lower entries are then read from
-    the memo where it has them, from the loaded cache file next and from
-    the source otherwise, and memoized as ck would.
-    """
-    kmax = _nonneg_k(kmax)
-    key = d.key
-    source = _source(d, key)
-    ck(d, kmax)
-    with _MEMO_LOCK:
-        found = [_MEMO.get((key, k)) for k in range(kmax + 1)]
-    for k, result in enumerate(found):
-        if result is None and _DISK:
-            result = found[k] = _from_disk((key, k))
-        if result is None:
-            result = source.result(k)
-            with _MEMO_LOCK:
-                found[k] = _MEMO.setdefault((key, k), result)
-    return found
+    """CapacityResults for k = 0..kmax, read from the domain's source,
+    which grows to kmax in one step (for a convex domain, one path
+    search)."""
+    return _source(d).sequence(0, _nonneg_k(kmax))
 
 
 def clear_memo() -> None:
-    """Forget every memoized capacity, capacity source and loaded cache
-    entry (the ellipsoid spectrum cache is kept)."""
-    global _FILE
-    with _MEMO_LOCK:
-        _MEMO.clear()
+    """Forget everything: every capacity source with the values it holds,
+    and the cache directory load_disk_cache named."""
+    global _CACHE_DIR
+    with _LOCK:
         _SOURCES.clear()
-        _DISK.clear()
-        _SAVED.clear()
-        _FILE = None
+        _CACHE_DIR = None
 
 
 # --- cross-process persistence --------------------------------------------
@@ -594,29 +539,27 @@ def _witness_from_json(method: str, w):
     return w
 
 
-def _cache_file(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "capacities.json")
+_FORMAT = 2  # the version field of a domain file
 
 
-def _signature(st) -> tuple:
-    # writers replace the file by renaming a new one over it, so a file
-    # whose inode, size and mtime are unchanged holds the same entries
-    return (st.st_ino, st.st_size, st.st_mtime_ns)
+def _cache_path(cache_dir: str, key: str) -> str:
+    # zlib, not hashlib: importing hashlib loads OpenSSL on every CLI call.
+    # Two keys with one name only share a file, which holds its key
+    return os.path.join(cache_dir, f"{zlib.crc32(key.encode()):08x}.json")
 
 
-def _read_cache(path: str):
-    """(signature, entries) of the cache file at path.  Raises
-    FileNotFoundError when there is none and ValueError when it is not a
-    version-1 cache."""
-    with open(path, "r", encoding="utf-8") as fh:
-        signature = _signature(os.fstat(fh.fileno()))
-        payload = json.load(fh)
-    entries = None
-    if isinstance(payload, dict) and payload.get("version") == 1:
-        entries = payload.get("entries", {})
-    if not isinstance(entries, dict):
-        raise ValueError("unrecognized capacity cache format")
-    return signature, entries
+def _stored_entries(cache_dir: str, key: str) -> list:
+    """The raw entries of key's file in cache_dir; empty when there is no
+    file, or one that is not a readable version-2 file of key."""
+    try:
+        with open(_cache_path(cache_dir, key), encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    if (isinstance(payload, dict) and payload.get("version") == _FORMAT
+            and payload.get("key") == key and isinstance(payload.get("entries"), list)):
+        return payload["entries"]
+    return []
 
 
 def _entry_json(result: CapacityResult) -> dict:
@@ -634,125 +577,69 @@ def _entry_result(k: int, entry) -> CapacityResult:
                           _witness_from_json(method, entry.get("witness")))
 
 
-_ABSENT = object()
+def _read_prefix(cache_dir: str, key: str) -> list:
+    """The results stored for key in cache_dir, up to the first malformed
+    entry, which warns so that it is computed afresh."""
+    results = []
+    for k, entry in enumerate(_stored_entries(cache_dir, key)):
+        try:
+            results.append(_checked(_entry_result(k, entry)))
+        except (LookupError, TypeError, ValueError, RuntimeError) as e:
+            warnings.warn(f"ignoring malformed capacity cache entry {key}#{k}: "
+                          f"{type(e).__name__}: {e}", RuntimeWarning, stacklevel=2)
+            break
+    return results
 
 
-def _from_disk(key):
-    """The loaded cache entry under key, built and memoized; None when the
-    file held no such entry, or a malformed one, which warns so that the
-    caller computes and memoizes the value afresh (the memo then answers
-    every later lookup of key, so one entry warns once)."""
-    dk, k = key
-    skey = f"{dk}#{k}"
-    entry = _DISK.get(skey, _ABSENT)
-    if entry is _ABSENT:
-        return None
-    try:
-        result = _entry_result(k, entry)
-    except (LookupError, TypeError, ValueError) as e:
-        warnings.warn(f"ignoring malformed capacity cache entry {skey}: "
-                      f"{type(e).__name__}: {e}", RuntimeWarning, stacklevel=3)
-        return None
-    with _MEMO_LOCK:
-        _SAVED.add(key)
-        return _MEMO.setdefault(key, result)
-
-
-def load_disk_cache(cache_dir: str) -> int:
-    """Read a previously saved memo file for ck and capacity_sequence to
-    draw on; returns the number of entries in it.
-
-    The file is parsed once and its entries kept raw under the file's own
-    keys: a memo miss builds and memoizes only the entry asked for, and a
-    malformed entry becomes a miss with a warning.  The parsed entries and
-    the file's signature are kept for save_disk_cache.  A missing file is
-    not an error; a file that is not a version-1 cache raises ValueError.
-    """
-    global _FILE
-    path = _cache_file(cache_dir)
-    try:
-        signature, entries = _read_cache(path)
-    except FileNotFoundError:
-        return 0
-    with _MEMO_LOCK:
-        for skey, entry in entries.items():
-            _DISK.setdefault(skey, entry)
-        _FILE = (path, signature, entries)
-    return len(entries)
+def load_disk_cache(cache_dir: str) -> None:
+    """Draw on the domain files in cache_dir: each prefix source made from
+    now on starts from the results its file holds.  Opens no file; sources
+    made before keep what they hold, and a missing directory or file is a
+    miss."""
+    global _CACHE_DIR
+    _CACHE_DIR = cache_dir
 
 
 def save_disk_cache(cache_dir: str) -> int:
-    """Write the memo into the cache file next to the entries it holds;
-    returns the number of entries in the file.
+    """Write each capacity source's prefix to its file in cache_dir unless
+    the file already holds it; returns the number of entries written.
 
-    The entries parsed by the last load or save of this file are reused
-    while its signature (inode, size, mtime) is unchanged; otherwise the
-    file is read again, so entries other writers saved in between are
-    kept.  Only memo entries that did not come from the file are encoded,
-    and when none of them would change an entry of a readable cache file,
-    nothing is written.
+    A file holding a longer prefix that agrees with this one is kept, so
+    writers of one domain keep the longer prefix; a missing, shorter,
+    unreadable or disagreeing file, or one of another version or key, is
+    replaced.  Writers of different domains write different files.
     """
-    global _FILE
-    path = _cache_file(cache_dir)
     os.makedirs(cache_dir, exist_ok=True)
-    with _MEMO_LOCK:
-        kept = _FILE
-        memo = [(key, result, key in _SAVED) for key, result in _MEMO.items()]
-    readable = True
-    try:
-        if kept is not None and kept[0] == path and _signature(os.stat(path)) == kept[1]:
-            signature, entries = kept[1:]
-        else:
-            signature, entries = _read_cache(path)
-    except (FileNotFoundError, ValueError):
-        signature, entries, readable = None, {}, False
-    updates = {}
-    for (dk, k), result, saved in memo:
-        skey = f"{dk}#{k}"
-        if saved and skey in entries:
-            continue
-        entry = _entry_json(result)
-        if entries.get(skey) != entry:
-            updates[skey] = entry
-    if updates or not readable:
-        merged = entries | updates
-        # sort entry keys by hand; sort_keys would also reorder nested
-        # witness objects and break byte-stable reloads
-        entries = {key: merged[key] for key in sorted(merged)}
-        signature = _write_cache(path, entries)
-    with _MEMO_LOCK:
-        _SAVED.update(key for key, _, _ in memo)
-        _FILE = (path, signature, entries)
-    return len(entries)
+    with _LOCK:
+        sources = list(_SOURCES.values())
+    written = 0
+    # one save at a time: a thread that read a file before another thread
+    # wrote a longer prefix to it must not write its shorter one after
+    with _SAVE_LOCK:
+        for source in sources:
+            results = source.results[:]
+            if not (source.CACHED and results):
+                continue
+            key = source.domain.key
+            entries = [_entry_json(r) for r in results]
+            if _stored_entries(cache_dir, key)[:len(entries)] != entries:
+                _write_file(_cache_path(cache_dir, key),
+                            {"version": _FORMAT, "key": key, "entries": entries})
+                written += len(entries)
+    return written
 
 
-_WRITE_BATCH = 256  # cache entries encoded per json.dumps call
-
-
-def _write_cache(path: str, entries: dict) -> tuple:
-    """Replace the cache file at path with entries; returns its signature."""
-    # each writer (process and thread) gets a temp file of its own, so
-    # concurrent writers never share a half-written file; the
-    # read-merge-write of save_disk_cache can still drop entries another
-    # writer saved in between.  Not mkstemp: its files are private (0600),
-    # and the cache keeps the permissions the umask gives
+def _write_file(path: str, payload: dict) -> None:
+    # each writer (process and thread) gets a temp file of its own and
+    # renames it over the domain's file, so no reader sees a half-written
+    # file.  Not mkstemp: its files are private (0600), and the cache keeps
+    # the permissions the umask gives
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    items = list(entries.items())
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            # the bytes json.dump({"version": 1, "entries": entries}) writes,
-            # a batch of entries per json.dumps: json.dump encodes in pure
-            # Python, and one json.dumps of everything holds it all in memory
-            fh.write('{"version": 1, "entries": {')
-            for i in range(0, len(items), _WRITE_BATCH):
-                batch = json.dumps(dict(items[i:i + _WRITE_BATCH]))[1:-1]
-                fh.write(f", {batch}" if i else batch)
-            fh.write("}}")
-            fh.flush()
-            signature = _signature(os.fstat(fh.fileno()))
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    return signature

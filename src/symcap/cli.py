@@ -246,10 +246,7 @@ def main(argv=None) -> int:
     cache_dir = os.environ.get("CAPACITY_CACHE_DIR")
     try:
         if cache_dir:
-            try:
-                capacities.load_disk_cache(cache_dir)
-            except ValueError as e:
-                print(f"warning: ignoring capacity cache: {e}", file=sys.stderr)
+            capacities.load_disk_cache(cache_dir)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = args.func(args)

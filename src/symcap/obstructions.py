@@ -39,8 +39,7 @@ def check_embedding(src, tgt, k_max) -> ObstructionReport:
 
     Each step asks ck for the next index, which only extends the source's
     and the target's capacity prefixes (see capacities).  Stopping at the
-    first violation memoizes nothing past it; only an ellipsoid's spectrum,
-    which grows by doubling, is computed beyond it.
+    first violation grows neither prefix past it.
     """
     k_max = int(k_max)
     if k_max < 1:

@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -358,19 +359,59 @@ def test_memo_is_deterministic_under_threads():
     assert worker(0) == results[0]
 
 
+def _domain_files(path) -> dict:
+    """{key: payload} of the domain files in path, each named by its key."""
+    files = {}
+    for p in path.iterdir():
+        payload = json.loads(p.read_text())
+        assert payload["version"] == 2
+        assert p.name == os.path.basename(cap._cache_path("", payload["key"]))
+        files[payload["key"]] = payload
+    return files
+
+
+def _file_of(path, d):
+    return path / os.path.basename(cap._cache_path("", d.key))
+
+
+def _no_growth(monkeypatch):
+    """Make every source with a cache file fail if it grows."""
+    def no_grow(self, k):
+        raise AssertionError(f"{self.domain.key} grew to k={k}")
+
+    for kind in cap._SOURCE_KINDS.values():
+        if kind.CACHED:
+            monkeypatch.setattr(kind, "_grow", no_grow)
+
+
+def _opened(monkeypatch) -> list:
+    """Paths opened through capacities' own binding of open."""
+    opened = []
+
+    def recording(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cap, "open", recording, raising=False)
+    return opened
+
+
 def test_disk_cache_round_trip(tmp_path):
     cap.clear_memo()
-    want = [ck(dom.ellipsoid(1, 2), k).value for k in range(9)]
+    e12 = dom.ellipsoid(1, 2)
+    want = [ck(e12, k).value for k in range(9)]
     ck(PENT, 3)
-    n = cap.save_disk_cache(str(tmp_path))
-    assert n >= 10
+    ck(dom.ball(1), 5)  # a closed form: no file
+    assert cap.save_disk_cache(str(tmp_path)) == 9 + 4
+    files = _domain_files(tmp_path)
+    assert {key: len(p["entries"]) for key, p in files.items()} == {e12.key: 9, PENT.key: 4}
     cap.clear_memo()
-    assert cap.load_disk_cache(str(tmp_path)) == n
-    assert [ck(dom.ellipsoid(1, 2), k).value for k in range(9)] == want
-    # byte-for-byte stable across a second save
-    blob = (tmp_path / "capacities.json").read_bytes()
-    cap.save_disk_cache(str(tmp_path))
-    assert (tmp_path / "capacities.json").read_bytes() == blob
+    cap.load_disk_cache(str(tmp_path))
+    assert [ck(e12, k).value for k in range(9)] == want
+    # byte-for-byte stable across a second save, which writes nothing
+    blobs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cap.save_disk_cache(str(tmp_path)) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == blobs
 
 
 def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
@@ -380,15 +421,11 @@ def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
     cap.save_disk_cache(str(tmp_path))
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
-
-    def no_compute(*args):
-        raise AssertionError("a warm ck must come from the loaded cache")
-
-    monkeypatch.setattr(cap, "_dispatch", no_compute)
+    _no_growth(monkeypatch)
     warm = [ck(d, k) for d in family for k in range(6)]
     assert warm == cold
     assert [type(r.witness) for r in warm] == [type(r.witness) for r in cold]
-    # the path witnesses of both searches, including ones ck never memoizes
+    # the path witnesses of both searches, including ones no prefix holds
     for r in (ck_convex_toric(PENT, 5), ck_concave_toric(STAIR, 4), ck_concave_toric(STAIR, 0)):
         assert cap._witness_from_json(r.method, witness_to_json(r.witness)) == r.witness
 
@@ -406,8 +443,11 @@ def test_cache_entries_keep_witness_types():
 
 
 def test_disk_cache_concurrent_writers(tmp_path):
+    # writers of the same domains race for the same files
     cap.clear_memo()
-    capacity_sequence(dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, F(5, 2))), 12)
+    union = dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, F(5, 2)))
+    capacity_sequence(union, 12)
+    want = {union.key: 13, dom.ellipsoid(1, F(5, 2)).key: 13}
     barrier = threading.Barrier(2)
 
     def writer(_):
@@ -417,21 +457,55 @@ def test_disk_cache_concurrent_writers(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(30):
+        for rounds in range(30):
             with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
                 futures = [ex.submit(writer, i) for i in range(2)]
                 counts = [f.result(timeout=60) for f in futures]
-            assert counts[0] == counts[1] == len(cap._MEMO)
-            payload = json.loads((tmp_path / "capacities.json").read_text())
-            assert len(payload["entries"]) == len(cap._MEMO)
+            # one writes, the other finds it done
+            assert sum(counts) == (26 if rounds == 0 else 0)
+            assert {key: len(p["entries"]) for key, p in _domain_files(tmp_path).items()} == want
     finally:
         sys.setswitchinterval(interval)
-    assert [p.name for p in tmp_path.iterdir()] == ["capacities.json"]
+
+
+def test_disk_cache_writers_of_different_domains_lose_no_entry(tmp_path, monkeypatch):
+    # one thread saves domain a, and with it b as far as b has grown;
+    # another grows b further and saves b.  The first is held between
+    # reading b's file and replacing it until the second has saved, or for
+    # 0.5 s: the longer prefix of b must survive
+    a, b = dom.ellipsoid(1, F(7, 3)), dom.disjoint_union(dom.ball(1), dom.ball(F(2, 3)))
+    cap.clear_memo()
+    capacity_sequence(a, 20)
+    capacity_sequence(b, 10)
+    holding, b_saved = threading.Event(), threading.Event()
+    write = cap._write_file
+
+    def held(path, payload):
+        if payload["key"] == b.key and len(payload["entries"]) == 11:
+            holding.set()
+            b_saved.wait(timeout=0.5)
+        write(path, payload)
+
+    monkeypatch.setattr(cap, "_write_file", held)
+
+    def grow_and_save_b():
+        capacity_sequence(b, 20)
+        cap.save_disk_cache(str(tmp_path))
+        b_saved.set()
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
+        first = ex.submit(cap.save_disk_cache, str(tmp_path))
+        assert holding.wait(timeout=30)
+        second = ex.submit(grow_and_save_b)
+        first.result(timeout=60)
+        second.result(timeout=60)
+    want = {d.key: [cap._entry_json(r) for r in capacity_sequence(d, 20)] for d in (a, b)}
+    assert {key: p["entries"] for key, p in _domain_files(tmp_path).items()} == want
 
 
 def _fail_after_temp_file(tmp_path, monkeypatch, module, name):
     cap.clear_memo()
-    ck(dom.ball(1), 3)
+    ck(dom.ellipsoid(1, 2), 3)
 
     def broken(*args, **kwargs):
         assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
@@ -444,7 +518,7 @@ def _fail_after_temp_file(tmp_path, monkeypatch, module, name):
 
 
 def test_disk_cache_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
-    # the entries are encoded into the temp file by json.dumps
+    # the file is encoded into the temp file by json.dumps
     _fail_after_temp_file(tmp_path, monkeypatch, cap.json, "dumps")
 
 
@@ -454,17 +528,17 @@ def test_disk_cache_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
 
 def test_disk_cache_file_mode_follows_umask(tmp_path):
     cap.clear_memo()
-    ck(dom.ball(1), 2)
+    ck(dom.ellipsoid(1, 2), 2)
     old = os.umask(0o022)
     try:
         cap.save_disk_cache(str(tmp_path))
     finally:
         os.umask(old)
-    assert (tmp_path / "capacities.json").stat().st_mode & 0o777 == 0o644
+    assert [p.stat().st_mode & 0o777 for p in tmp_path.iterdir()] == [0o644]
 
 
 def _count_builds(monkeypatch):
-    """Counts of the calls that turn a loaded entry into a CapacityResult,
+    """Counts of the calls that turn a stored entry into a CapacityResult,
     through capacities' own bindings."""
     counts = {"rational": 0, "_witness_from_json": 0}
     for name in counts:
@@ -479,8 +553,9 @@ def _count_builds(monkeypatch):
 
 
 def _saved_family(tmp_path):
-    """A cache file of several families, saved from a cleared memo; the
-    memo is cleared again.  Returns the number of entries."""
+    """Domain files of several families, c_0..c_6 each, saved from a
+    cleared store; the store is cleared again.  Returns the number of
+    entries written."""
     cap.clear_memo()
     for d in CORPUS + [STAIR]:
         capacity_sequence(d, 6)
@@ -490,91 +565,98 @@ def _saved_family(tmp_path):
 
 
 def test_disk_cache_load_builds_no_results(tmp_path, monkeypatch):
-    n = _saved_family(tmp_path)
+    _saved_family(tmp_path)
     counts = _count_builds(monkeypatch)
-    assert cap.load_disk_cache(str(tmp_path)) == n
+    opened = _opened(monkeypatch)
+    cap.load_disk_cache(str(tmp_path))
     assert counts == {"rational": 0, "_witness_from_json": 0}
-    assert cap._MEMO == {}
+    assert opened == [] and cap._SOURCES == {}
 
 
 def test_disk_cache_builds_only_the_entries_asked_for(tmp_path, monkeypatch):
+    # a source reads the file of its own domain, and no other
     _saved_family(tmp_path)
     union = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1))
-    key = dom.domain_key(union)
     cap.load_disk_cache(str(tmp_path))
     counts = _count_builds(monkeypatch)
-
-    def no_compute(*args):
-        raise AssertionError("every entry asked for is in the loaded file")
-
-    monkeypatch.setattr(cap, "_dispatch", no_compute)
+    opened = _opened(monkeypatch)
+    _no_growth(monkeypatch)
     ck(union, 4)
-    assert counts["rational"] == 1
-    assert set(cap._MEMO) == {(key, 4)}
-    capacity_sequence(union, 6)  # reads k < 6 from the file, not the parts
-    assert counts["rational"] == 7
-    assert set(cap._MEMO) == {(key, k) for k in range(7)}
+    assert counts["rational"] == 7  # the union's c_0..c_6, not its parts'
+    assert opened == [str(_file_of(tmp_path, union))]
+    capacity_sequence(union, 6)
+    assert counts["rational"] == 7 and len(opened) == 1
+    assert list(cap._SOURCES) == [union.key]
 
 
-def test_disk_cache_save_with_nothing_new_leaves_the_file(tmp_path, monkeypatch):
+def test_disk_cache_save_with_nothing_new_leaves_the_file(tmp_path):
     _saved_family(tmp_path)
-    path = tmp_path / "capacities.json"
-    before = path.stat()
+
+    def stamps():
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+
+    before = stamps()
     cap.load_disk_cache(str(tmp_path))
     for d in CORPUS:
         ck(d, 3)
-    encoded = []
-    entry_json = cap._entry_json
-    monkeypatch.setattr(cap, "_entry_json", lambda r: encoded.append(r) or entry_json(r))
-    cap.save_disk_cache(str(tmp_path))
-    cap.save_disk_cache(str(tmp_path))
-    assert encoded == []  # entries that came from the file are not encoded again
-    after = path.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    # one new entry rewrites it
-    ck(dom.ball(3), 2)
-    cap.save_disk_cache(str(tmp_path))
-    assert path.stat().st_ino != before.st_ino
+    assert cap.save_disk_cache(str(tmp_path)) == 0
+    assert cap.save_disk_cache(str(tmp_path)) == 0
+    assert stamps() == before
+    # one new entry rewrites the file of its domain alone
+    e12 = dom.ellipsoid(1, 2)
+    ck(e12, 7)
+    assert cap.save_disk_cache(str(tmp_path)) == 8
+    after = stamps()
+    changed = {name for name in before if after[name] != before[name]}
+    assert changed == {_file_of(tmp_path, e12).name}
 
 
 def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
     ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    e = dom.ellipsoid(1, 3)
     cap.clear_memo()
-    ck(dom.ball(1), 3)
+    ck(e, 3)
     cap.save_disk_cache(str(ours))
     cap.clear_memo()
-    ck(dom.ellipsoid(1, 3), 3)
-    ck(dom.ball(1), 2)
+    ck(e, 6)
     cap.save_disk_cache(str(theirs))
-    their_keys = set(json.loads((theirs / "capacities.json").read_text())["entries"])
     cap.clear_memo()
     cap.load_disk_cache(str(ours))
-    ck(dom.ball(1), 3)
-    ck(dom.polydisk(1, 2), 2)
-    # another writer, which never saw ball(1) at k=3, replaces the file
-    os.replace(theirs / "capacities.json", ours / "capacities.json")
-    n = cap.save_disk_cache(str(ours))
-    keys = set(json.loads((ours / "capacities.json").read_text())["entries"])
-    assert keys == their_keys | {f"{dom.domain_key(dom.ball(1))}#3",
-                                 f"{dom.domain_key(dom.polydisk(1, 2))}#2"}
-    assert n == len(keys)
+    ck(e, 4)
+    path = _file_of(ours, e)
+
+    def stored():
+        return json.loads(path.read_text())["entries"]
+
+    # another writer, which got further, replaced the file: it is kept
+    os.replace(_file_of(theirs, e), path)
+    assert cap.save_disk_cache(str(ours)) == 0
+    assert len(stored()) == 7
+    # a file with a shorter prefix, or one that disagrees, is replaced
+    mine = [cap._entry_json(r) for r in capacity_sequence(e, 4)]
+    path.write_text(json.dumps({"version": 2, "key": e.key, "entries": mine[:2]}))
+    assert cap.save_disk_cache(str(ours)) == 5
+    assert stored() == mine
+    wrong = stored()[:2] + [dict(mine[2], c="7")]
+    path.write_text(json.dumps({"version": 2, "key": e.key, "entries": wrong + stored()[3:] * 2}))
+    assert cap.save_disk_cache(str(ours)) == 5
+    assert stored() == mine
 
 
 def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
-    # written in batches of entries, byte for byte what one json.dumps gives
     cap.clear_memo()
     for d in CORPUS:
         capacity_sequence(d, 80 if d != PENT else 4)
     n = cap.save_disk_cache(str(tmp_path))
-    assert n > 2 * cap._WRITE_BATCH
-    text = (tmp_path / "capacities.json").read_text()
-    payload = json.loads(text)
-    assert list(payload["entries"]) == sorted(payload["entries"])
-    assert text == json.dumps(payload)
+    files = _domain_files(tmp_path)
+    assert n == sum(len(p["entries"]) for p in files.values())
+    for key, payload in files.items():
+        entries = [cap._entry_json(r) for r in cap._SOURCES[key].results]
+        assert payload == {"version": 2, "key": key, "entries": entries}
+        assert _file_of(tmp_path, cap._SOURCES[key].domain).read_text() == json.dumps(payload)
     cap.clear_memo()
-    cap.save_disk_cache(str(tmp_path / "empty"))
-    assert (tmp_path / "empty" / "capacities.json").read_text() == \
-        json.dumps({"version": 1, "entries": {}})
+    assert cap.save_disk_cache(str(tmp_path / "empty")) == 0
+    assert list((tmp_path / "empty").iterdir()) == []
 
 
 def test_ck_computes_each_domain_key_once(monkeypatch):
@@ -592,11 +674,54 @@ def test_ck_computes_each_domain_key_once(monkeypatch):
         dom.domain_key(d) for d in (union, *union.parts))
 
 
-def test_disk_cache_rejects_unknown_format(tmp_path):
-    (tmp_path / "capacities.json").write_text(json.dumps({"version": 99}))
-    with pytest.raises(ValueError):
+def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
+    # an unknown version, another key's file or no JSON at all is a miss:
+    # the prefix is computed, with no warning, and the save restores the file
+    e = dom.ellipsoid(1, 3)
+    path = _file_of(tmp_path, e)
+    cap.clear_memo()
+    cold = capacity_sequence(e, 5)
+    cap.save_disk_cache(str(tmp_path))
+    blob = path.read_bytes()
+    payload = json.loads(blob)
+    grown = []
+    grow = cap._EllipsoidPrefix._grow
+    monkeypatch.setattr(cap._EllipsoidPrefix, "_grow",
+                        lambda self, k: grown.append(len(self.results)) or grow(self, k))
+    for text in (json.dumps(dict(payload, version=99)),
+                 json.dumps(dict(payload, key=dom.ellipsoid(1, 4).key)), "{"):
+        path.write_text(text)
+        cap.clear_memo()
         cap.load_disk_cache(str(tmp_path))
-    assert cap.load_disk_cache(str(tmp_path / "missing")) == 0
+        grown.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert capacity_sequence(e, 5) == cold
+        assert grown == [0]
+        assert cap.save_disk_cache(str(tmp_path)) == 6
+        assert path.read_bytes() == blob
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path / "missing"))
+    assert capacity_sequence(e, 5) == cold
+
+
+def test_verify_cross_checks_values_read_from_a_cache_file(tmp_path):
+    # a well-formed but wrong entry is served as stored, and verify=True
+    # finds it out
+    cap.clear_memo()
+    capacity_sequence(PENT, 6)
+    cap.save_disk_cache(str(tmp_path))
+    path = _file_of(tmp_path, PENT)
+    payload = json.loads(path.read_text())
+    wrong = F(payload["entries"][5]["c"]) + 1
+    payload["entries"][5]["c"] = str(wrong)
+    path.write_text(json.dumps(payload))
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+    assert ck(PENT, 5).value == wrong
+    assert ck(PENT, 4, verify=True).value == capacity_sequence(PENT, 4)[4].value
+    with pytest.raises(RuntimeError, match="cross-check failed"):
+        ck(PENT, 5, verify=True)
 
 
 def test_witness_json_forms():

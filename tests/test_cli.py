@@ -12,7 +12,9 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+from symcap.capacities import capacity_sequence
 from symcap.cli import build_parser, main, parse_domain_spec
+from test_capacities import _file_of, _no_growth, _opened
 
 BALL1 = '{"type":"ball","a":"1"}'
 E12 = '{"type":"ellipsoid","a":"1","b":"2"}'
@@ -205,19 +207,24 @@ def test_round_trip_all_domain_kinds():
         assert parse_domain_spec(json.dumps(dom.domain_to_json(d))) == d
 
 
+def _files(cache_dir) -> dict:
+    return {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+
+
 def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
     cap.clear_memo()
     first = _run(capsys, "sequence", "-d", E12, "--kmax", "6", "--format", "json")
-    cache = tmp_path / "capacities.json"
-    assert cache.exists()
+    cache = _file_of(tmp_path, parse_domain_spec(E12))
+    assert [p.name for p in tmp_path.iterdir()] == [cache.name]
     blob = cache.read_bytes()
     cap.clear_memo()
     second = _run(capsys, "sequence", "-d", E12, "--kmax", "6", "--format", "json")
     assert first == second
     assert cache.read_bytes() == blob
     payload = json.loads(blob)
-    assert payload["version"] == 1 and len(payload["entries"]) >= 7
+    assert payload["version"] == 2 and payload["key"] == parse_domain_spec(E12).key
+    assert len(payload["entries"]) == 7
 
 
 def test_cache_disabled_without_env(tmp_path, monkeypatch, capsys):
@@ -225,10 +232,6 @@ def test_cache_disabled_without_env(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _run(capsys, "capacity", "-d", BALL1, "-k", "2")
     assert list(tmp_path.iterdir()) == []
-
-
-def _no_compute(*args):
-    raise AssertionError("a warm run must read every value from the cache")
 
 
 def test_warm_runs_compute_nothing(tmp_path, monkeypatch, capsys):
@@ -240,12 +243,31 @@ def test_warm_runs_compute_nothing(tmp_path, monkeypatch, capsys):
     for argv in runs:
         cap.clear_memo()
         cold.append(_run(capsys, *argv))
-    monkeypatch.setattr(cap, "_dispatch", _no_compute)
-    monkeypatch.setattr(cap._Prefix, "result", _no_compute)  # capacity_sequence's lower k
+    # no prefix grows but the balls', whose closed form gets no cache file
+    _no_growth(monkeypatch)
     for argv, want in zip(runs, cold):
         cap.clear_memo()
         assert _run(capsys, *argv) == want
     assert all(rc == 0 for rc, _, _ in cold)
+
+
+def test_warm_obstruct_opens_only_the_files_of_its_domains(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
+    cap.clear_memo()
+    for i in range(200):
+        capacity_sequence(dom.ellipsoid(1, F(2 * i + 3, 2)), 3)
+    cap.save_disk_cache(str(tmp_path))
+    argv = ("obstruct", "--source", TWO_BALLS, "--target", E12, "--kmax", "12",
+            "--format", "json")
+    cap.clear_memo()
+    cold = _run(capsys, *argv)
+    assert len(list(tmp_path.iterdir())) == 202
+    opened = _opened(monkeypatch)
+    cap.clear_memo()
+    assert _run(capsys, *argv) == cold
+    # read when its source is made, and again by the save
+    assert sorted(opened) == sorted(2 * [str(_file_of(tmp_path, parse_domain_spec(spec)))
+                                         for spec in (TWO_BALLS, E12)])
 
 
 def test_cache_session_matches_one_process(tmp_path, monkeypatch, capsys):
@@ -263,8 +285,7 @@ def test_cache_session_matches_one_process(tmp_path, monkeypatch, capsys):
     for argv in runs:
         _run(capsys, *argv)
     cap.save_disk_cache(str(tmp_path / "once"))
-    assert (session / "capacities.json").read_bytes() == \
-        (tmp_path / "once" / "capacities.json").read_bytes()
+    assert _files(session) == _files(tmp_path / "once")
 
 
 @pytest.mark.parametrize("corrupt", ["bad_value", "missing_method"])
@@ -273,31 +294,34 @@ def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corr
     argv = ("obstruct", "--source", BALL1, "--target", E12, "--kmax", "8", "--format", "json")
     cap.clear_memo()
     cold = _run(capsys, *argv)
-    cache = tmp_path / "capacities.json"
+    cache = _file_of(tmp_path, parse_domain_spec(E12))
     blob = cache.read_bytes()
     payload = json.loads(blob)
     key = f"{dom.domain_key(dom.ellipsoid(1, 2))}#4"
     if corrupt == "bad_value":
-        payload["entries"][key]["c"] = "three"
+        payload["entries"][4]["c"] = "three"
     else:
-        del payload["entries"][key]["method"]
+        del payload["entries"][4]["method"]
     cache.write_text(json.dumps(payload))
-    dispatched = []
-    dispatch = cap._dispatch
-    monkeypatch.setattr(cap, "_dispatch", lambda *a: dispatched.append(a[1]) or dispatch(*a))
+    grown = []
+    grow = cap._EllipsoidPrefix._grow
+    monkeypatch.setattr(cap._EllipsoidPrefix, "_grow",
+                        lambda self, k: grown.append(len(self.results)) or grow(self, k))
     cap.clear_memo()
     rc, out, err = _run(capsys, *argv)
     assert (rc, out) == cold[:2]
     assert err.count("warning:") == 1 and key in err and err.count("\n") == 1
-    assert dispatched == [4]  # every other entry came from the file
+    assert grown == [4, 5, 6, 7, 8]  # c_0..c_3 came from the file
     assert cache.read_bytes() == blob
 
 
 def test_startup_does_not_import_dataclasses():
     # each CLI call pays for every module symcap.cli loads; dataclasses
-    # alone brought inspect, ast, dis and tokenize along
+    # alone brought inspect, ast, dis and tokenize along, and hashlib loads
+    # OpenSSL
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, symcap.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-S", "-c",
+         "import sys, symcap.cli; print([m in sys.modules for m in ('dataclasses', 'hashlib')])"],
         env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"

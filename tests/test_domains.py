@@ -126,8 +126,8 @@ def test_scale_domain_scales_moment_data():
 
 
 def test_scaled_union_is_the_union_of_the_scaled_parts():
-    # parts stay in key order, so a scaled union has one key, one memo entry
-    # and one witness order
+    # parts stay in key order, so a scaled union has one key, one capacity
+    # source and one witness order
     scaled = dom.scale_domain(dom.disjoint_union(dom.ball(1), dom.ball(F(2, 3))), 3)
     union = dom.disjoint_union(dom.ball(3), dom.ball(2))
     assert scaled == union
@@ -175,7 +175,7 @@ def test_domain_key_is_stable_and_canonical():
     u1 = dom.disjoint_union(dom.ball(2), dom.ball(1))
     u2 = dom.disjoint_union(dom.ball(1), dom.ball(2))
     assert dom.domain_key(u1) == dom.domain_key(u2)
-    assert "#" not in dom.domain_key(u1)  # reserved for memo keys
+    assert "#" not in dom.domain_key(u1)  # reserved for naming cache entries, key#k
 
 
 def test_upper_boundary_runs_down_from_y_axis():
@@ -186,7 +186,8 @@ def test_upper_boundary_runs_down_from_y_axis():
 
 
 # one domain per family, plus a staircase, with its key: the key bytes name
-# entries of capacities.json files already written, so they never change
+# the per-domain cache files already written and are stored inside them, so
+# they never change
 FAMILY_CASES = [
     (dom.ball(F(3, 2)), '{"a":"3/2","type":"ball"}', False),
     (dom.ellipsoid(1, F(5, 3)), '{"a":"1","b":"5/3","type":"ellipsoid"}', False),

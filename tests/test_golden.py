@@ -1,8 +1,8 @@
 """The CLI contract, locked: sha256 digests of stdout and the exit code of
 fixed invocations on every domain family, of all demos, and of the cache
-file a session of runs leaves behind, replayed against tests/data.
+files a session of runs leaves behind, replayed against tests/data.
 
-Each invocation runs in-process on an empty memo, as a fresh `symcap`
+Each invocation runs in-process on an empty store, as a fresh `symcap`
 process would.  After an intended output change, record the digests again
 with `PYTHONPATH=src python tests/test_golden.py --record`.
 """
@@ -86,7 +86,7 @@ def invocations() -> list:
     return runs + BAD_INPUT + LONG_EXPANSION
 
 
-# one CLI run per process: each memo cleared, the cache file shared
+# one CLI run per process: each store cleared, the cache directory shared
 SESSION = [
     ["sequence", "-d", DOMAINS["disjoint_union"], "--kmax", "20"],
     ["obstruct", "--source", DOMAINS["ellipsoid"], "--target", DOMAINS["ball"], "--kmax", "20"],
@@ -124,8 +124,11 @@ def run_session(cache_dir) -> dict:
         else:
             os.environ["CAPACITY_CACHE_DIR"] = old
         cap.clear_memo()
-    with open(os.path.join(cache_dir, "capacities.json"), "rb") as fh:
-        return {"runs": runs, "cache_sha256": _digest(fh.read())}
+    cache = hashlib.sha256()
+    for name in sorted(os.listdir(cache_dir)):
+        with open(os.path.join(cache_dir, name), "rb") as fh:
+            cache.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return {"runs": runs, "cache_sha256": cache.hexdigest()}
 
 
 def run_demo(name) -> dict:

@@ -1,10 +1,10 @@
 """Capacity sequences grown as per-domain prefixes, checked against the
-per-k formulas they replace: values, methods, witnesses, the memo's
-footprint, thread safety, and how much work a sequence does (counted in
+per-k formulas they replace: values, methods, witnesses, how far each
+prefix grows, thread safety, and how much work a sequence does (counted in
 calls, never timed)."""
 
 import concurrent.futures
-import math
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -16,10 +16,9 @@ import symcap.domains as dom
 import symcap.paths as paths
 from per_k import ck_concave_via_weights, ck_polydisk, ck_union
 from symcap.capacities import capacity_sequence, ck, ck_ball, ck_convex_toric, ellipsoid_spectrum
-from symcap.domains import domain_key
 from symcap.norms import convex_context
 from symcap.obstructions import check_embedding
-from symcap.weights import weight_expansion
+from symcap.weights import negative_weight_sequence, weight_expansion
 
 
 def _frac(rng, lo, hi):
@@ -167,21 +166,27 @@ def test_spectrum_extended_in_steps_matches_sorted_enumeration():
     rng = random.Random("spectrum")
     for _ in range(5):
         a, b = _frac(rng, 1, 4), _frac(rng, 1, 4)
+        spectrum, got = cap._spectrum(a, b), []
         for need in (1, 4, 9, 30, 60):
-            got = ellipsoid_spectrum(a, b, need - 1)
+            got += itertools.islice(spectrum, need - len(got))
         want = sorted((m * a + n * b, m, n) for m in range(61) for n in range(61))[:60]
         assert [(e.action, e.m, e.n) for e in got] == want
+        assert ellipsoid_spectrum(a, b, 59) == got
 
 
-def _footprint(d, k):
-    """The memo keys ck(d, k) leaves behind when it computes c_k alone."""
-    keys = {(domain_key(d), k)}
+def _prefix_lengths() -> dict:
+    """{domain key: n} of every capacity source, c_0..c_{n-1} held."""
+    return {key: len(s.results) for key, s in cap._SOURCES.items()}
+
+
+def _read_by(d, k) -> tuple:
+    """The domains whose capacities c_0..c_k a scan to k reads: d, and the
+    union parts or the k largest weight balls behind it."""
     if isinstance(d, dom.DisjointUnion):
-        keys |= {(domain_key(p), t) for p in d.parts for t in range(k + 1)}
-    elif isinstance(d, dom.ConcaveToric) and k >= 1:
-        balls = [dom.Ball(w) for w in weight_expansion(d)[:k]]
-        keys |= {(domain_key(b), t) for b in balls for t in range(k + 1)}
-    return keys
+        return (d, *d.parts)
+    if isinstance(d, dom.ConcaveToric):
+        return (d, *map(dom.Ball, weight_expansion(d)[:k]))
+    return (d,)
 
 
 def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
@@ -194,7 +199,7 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
         kmax = rng.randint(1, 30)
         cap.clear_memo()
         rep = check_embedding(src, tgt, kmax)
-        memo_keys = set(cap._MEMO)
+        grown = _prefix_lengths()
 
         rows, first = [], None
         for k in range(kmax + 1):
@@ -205,9 +210,9 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
                 break
         assert rep.table == tuple(rows)
         assert rep.first_k == first and rep.obstructed == (first is not None)
+        # every prefix read grew to the last k scanned and no further
         last = kmax if first is None else first
-        assert memo_keys == set().union(*(_footprint(src, k) | _footprint(tgt, k)
-                                          for k in range(last + 1)))
+        assert grown == {d.key: last + 1 for d in _read_by(src, last) + _read_by(tgt, last)}
         early_exit.add(first is not None and first < kmax)
     assert early_exit == {True, False}
 
@@ -217,7 +222,7 @@ def test_concurrent_ck_on_one_union():
                            dom.ball(F(5, 4)), dom.ellipsoid(F(2, 3), 1))
     cap.clear_memo()
     want = [_triple(r) for r in capacity_sequence(d, 40)]
-    want_keys = set(cap._MEMO)
+    want_lengths = _prefix_lengths()
     cap.clear_memo()
 
     def worker(seed):
@@ -237,24 +242,25 @@ def test_concurrent_ck_on_one_union():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == want for r in results)
-    assert set(cap._MEMO) == want_keys
+    assert _prefix_lengths() == want_lengths
 
 
 # --- work counted in calls ---------------------------------------------------
 
-def test_embedding_scan_builds_the_spectrum_logarithmically_often(monkeypatch):
-    calls = []
-    real = cap.ellipsoid_spectrum
+def test_embedding_scan_pops_each_spectrum_entry_once(monkeypatch):
+    pops = []
+    real = cap._spectrum
 
-    def counting(a, b, k_max):
-        calls.append(k_max)
-        return real(a, b, k_max)
+    def counting(a, b):
+        for e in real(a, b):
+            pops.append(e)
+            yield e
 
-    monkeypatch.setattr(cap, "ellipsoid_spectrum", counting)
+    monkeypatch.setattr(cap, "_spectrum", counting)
     cap.clear_memo()
     rep = check_embedding(dom.ellipsoid(F(13, 7), F(5, 3)), dom.ball(F(19, 10)), 300)
     assert not rep.obstructed and len(rep.table) == 301
-    assert 1 <= len(calls) <= math.log2(300) + 2
+    assert len(pops) == 301
 
 
 def test_staircase_sequence_expands_weights_once(monkeypatch):
@@ -337,8 +343,9 @@ def test_concave_verify_builds_its_norm_context_once(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("scan", ["sequence", "per_k"])
-def test_union_dp_steps_stay_within_one_table(monkeypatch, scan):
+def _union_steps(monkeypatch) -> list:
+    """The DP steps of each _union_table call: column j of a part after
+    the first costs j+1."""
     steps = []
     real = cap._union_table
 
@@ -349,6 +356,12 @@ def test_union_dp_steps_stay_within_one_table(monkeypatch, scan):
                          for j in range(lo, len(row))))
 
     monkeypatch.setattr(cap, "_union_table", counting)
+    return steps
+
+
+@pytest.mark.parametrize("scan", ["sequence", "per_k"])
+def test_union_dp_steps_stay_within_one_table(monkeypatch, scan):
+    steps = _union_steps(monkeypatch)
     cap.clear_memo()
     d = dom.disjoint_union(dom.ball(1), dom.ellipsoid(F(2, 3), F(5, 2)),
                            dom.polydisk(F(4, 3), 1), dom.ball(F(7, 5)))
@@ -359,3 +372,19 @@ def test_union_dp_steps_stay_within_one_table(monkeypatch, scan):
         for k in range(K + 1):
             ck(d, k)
     assert 0 < sum(steps) <= (m - 1) * (K + 1) * (K + 2) // 2
+
+
+def test_convex_verify_scan_reuses_the_excised_balls_table(monkeypatch):
+    # the weight formula reads c_l of the excised balls' union from that
+    # union's source, so a scan over k builds one table up to the largest l
+    hexagon = dom.convex_toric([(0, 0), (3, 0), (3, 1), (F(5, 2), 2), (1, F(5, 2)),
+                                (0, F(5, 2))])
+    steps = _union_steps(monkeypatch)
+    cap.clear_memo()
+    for k in range(41):
+        ck(hexagon, k, verify=True)
+    balls = negative_weight_sequence(hexagon).negatives
+    excised = cap._SOURCES[dom.disjoint_union(*map(dom.ball, balls)).key]
+    L, m = len(excised.results) - 1, len(balls)
+    assert m >= 2 and L > 40
+    assert 0 < sum(steps) <= (m - 1) * (L + 1) * (L + 2) // 2
