@@ -7,8 +7,8 @@ are `fractions.Fraction` values with zero rounding anywhere.
 
 from .capacities import (CapacityResult, SpectrumEntry, ball_multiplicity,
                          capacity_sequence, ck, ck_ball, ck_concave_toric,
-                         ck_convex_toric, ck_convex_via_weights, clear_memo,
-                         ellipsoid_spectrum, load_disk_cache, save_disk_cache)
+                         ck_convex_toric, clear_memo, ellipsoid_spectrum,
+                         load_disk_cache, save_disk_cache)
 from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
                       Domain, Ellipsoid, Polydisk, S2xS2, ball, concave_toric,
                       convex_toric, cp2, disjoint_union, domain_from_json,

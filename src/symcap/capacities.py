@@ -6,11 +6,10 @@ Formulas implemented here:
               d^2+d <= 2k <= d^2+3d
   ellipsoid   c_k(E(a,b)) = k-th smallest element of {m*a+n*b : m,n >= 0}
   polydisk    c_k(P(a,b)) = min{a*m+b*n : (m+1)(n+1) >= k+1}
-  convex      minimum path length over convex paths enclosing >= k+1
-              lattice points (paths.min_convex); the cross-check is the
-              head ball minus the excised balls, min over l of
+  convex      head ball minus the excised balls, min over l of
               c_{k+l}(B(h)) - c_l(union of B(a_i)), stopped at a proven
-              bound (ck_convex_via_weights)
+              bound (the convex path optimum, paths.min_convex, is the
+              cross-check)
   concave     weight expansion plus the disjoint-union maximum over the k
               largest balls (the concave path optimum is the cross-check)
   union       max over compositions k_1+...+k_m = k of the part sums
@@ -24,8 +23,9 @@ work done so far.  A ball or projective plane, a polydisk or a sphere
 product appends one k at a time from its closed form; an ellipsoid pops
 one action per k from its own spectrum heap; a union, and a concave domain
 read as the union of its weight balls, adds max-plus DP columns; a convex
-domain runs one path search over the missing range n..k.  The polydisk
-formula and the DP run in integers over a common denominator.
+domain takes its minimum over the shift l against the columns of its
+excised balls' DP.  The polydisk formula, the DP and the convex minimum
+run in integers over a common denominator.
 Each prefix grows under its own lock; the two toric sources also hold the
 second method verify=True compares against.  Sources are made on first use
 and kept per canonical domain key, so ck, capacity_sequence and the union
@@ -62,7 +62,6 @@ from . import paths
 from .domains import Ball, DisjointUnion, Domain
 from .geometry import rational, rational_str
 from .norms import concave_context, convex_context
-from .paths import LatticePath, path_from_json, path_to_json
 from .weights import negative_weight_sequence, weight_expansion
 
 
@@ -192,34 +191,54 @@ class _UnionParts:
 
 
 def _union_table(parts, kmax: int) -> None:
-    """Extend the DP of `parts` (a _UnionParts) through column kmax, which
-    must be at least the number of columns it has.
+    """Extend the DP of `parts` (a _UnionParts) through column kmax.
 
-    New part values are read from each part's source, whose prefix grows
-    to kmax in one step.  Column j of every part after the first
-    costs j+1 steps, so growing from nothing to kmax costs
-    (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the growth is split.
-    Ties keep the smallest share for the later part.
+    A Ball part's values d*a come from the closed form, in integers; any
+    other part's are read from its source, whose prefix grows to kmax in
+    one step.  Column j of part i is the largest f[j-t] + v[t] over the
+    shares t that part is offered, f the best totals of the parts before
+    it and v its own values; ties keep the smallest share.  f never falls,
+    so on a run of equal v the first t of the run wins: a Ball part, whose
+    values rise only at t = d(d+1)/2, is offered those O(sqrt j) shares
+    alone and any other part all j+1.  So growing from nothing to kmax
+    costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the
+    growth is split.
     """
-    fresh = [[r.value for r in _source(p).sequence(len(row), kmax)]
-             for p, row in zip(parts.parts, parts.values)]
-    scale = math.lcm(parts.scale, *(v.denominator for row in fresh for v in row))
+    balls = [isinstance(p, Ball) for p in parts.parts]
+    fresh = [[] if ball else [r.value for r in _source(p).sequence(len(row), kmax)]
+             for p, row, ball in zip(parts.parts, parts.values, balls)]
+    scale = math.lcm(parts.scale, *(p.a.denominator for p, ball in zip(parts.parts, balls) if ball),
+                     *(v.denominator for row in fresh for v in row))
     if scale != parts.scale:
         factor = scale // parts.scale
         for row in parts.values + parts.best:
             row[:] = [x * factor for x in row]
         parts.scale = scale
-    for row, new in zip(parts.values, fresh):
-        row.extend(v.numerator * (scale // v.denominator) for v in new)
+    for p, row, new, ball in zip(parts.parts, parts.values, fresh, balls):
+        if ball:  # d*a on each block d(d+1)/2 <= t <= d(d+3)/2
+            a, d = p.a.numerator * (scale // p.a.denominator), ball_multiplicity(len(row))
+            while len(row) <= kmax:
+                row.extend([d * a] * (min(d * (d + 3) // 2, kmax) + 1 - len(row)))
+                d += 1
+        else:
+            row.extend(v.numerator * (scale // v.denominator) for v in new)
     first, best0 = parts.values[0], parts.best[0]
     best0.extend(first[len(best0):kmax + 1])
+    shares = [d * (d + 1) // 2 for d in range(ball_multiplicity(kmax) + 2)]
     for i in range(1, len(parts)):
         f, vi, row, picks = parts.best[i - 1], parts.values[i], parts.best[i], parts.picks[i - 1]
+        n = ball_multiplicity(len(row)) + 1  # shares[:n] are the shares up to j
         for j in range(len(row), kmax + 1):
-            sums = list(map(operator.add, f[j::-1], vi))  # f[j-t] + vi[t]
+            if balls[i]:
+                n += shares[n] <= j
+                ts = shares[:n]
+                sums = [f[j - t] + vi[t] for t in ts]
+            else:
+                ts = range(j + 1)
+                sums = list(map(operator.add, f[j::-1], vi))  # f[j-t] + vi[t]
             top = max(sums)
             row.append(top)
-            picks.append(sums.index(top))
+            picks.append(ts[sums.index(top)])
 
 
 def _union_witness(picks, k: int, nparts: int):
@@ -231,52 +250,6 @@ def _union_witness(picks, k: int, nparts: int):
         j -= t
     comp[0] = j
     return tuple(comp)
-
-
-def ck_convex_via_weights(omega, k) -> CapacityResult:
-    """c_k of a convex toric domain from its negative weight sequence, head
-    h and excised balls B(a_i): the minimum over l >= 0 of the upper bounds
-
-        T(l) = c_{k+l}(B(h)) - c_l(union of the B(a_i)).
-
-    It runs through l in order and stops at the first l >= l_turn =
-    S(8k+9)/(8(h^2 - S)) with LB(l) > best, where S = sum a_i^2 and
-    LB(l) = h(sqrt(8(k+l)+9) - 3)/2 - sqrt(2lS) <= T(l):
-      - c_j(B(h)) = d*h with d^2 + 3d >= 2j, so d >= (sqrt(8j+9) - 3)/2;
-      - c_l of the union is sum d_i*a_i over a split l = sum l_i with
-        d_i^2 <= 2*l_i, so by Cauchy-Schwarz it is at most sqrt(2lS);
-      - LB'(l) >= 0 exactly when 8l(h^2 - S) >= S(8k+9), and h^2 - S is
-        twice the area (negative_weight_sequence asserts it), so LB is
-        nondecreasing from l_turn on.
-    Every later term then exceeds best, so the value is the exact minimum
-    and the witness {"l": ...} its first argmin.  The excised balls' union
-    is read through its capacity source, so its DP grows one column per l
-    and a scan over k reuses the columns.
-    """
-    k = _nonneg_k(k)
-    decomp = negative_weight_sequence(omega)
-    h = decomp.head
-    best, l_star = ball_multiplicity(k) * h, 0  # T(0)
-    if decomp.negatives:  # else T(l) = c_{k+l}(B(h)) grows with l
-        excised = _source(DisjointUnion(tuple(Ball(w) for w in decomp.negatives)))
-        S = sum(w * w for w in decomp.negatives)
-        l_turn = S * (8 * k + 9) / (8 * (h * h - S))
-        l = 1
-        while l < l_turn or _term_lower_bound(h, S, k, l) <= best:
-            v = ball_multiplicity(k + l) * h - excised.result(l).value
-            if v < best:
-                best, l_star = v, l
-            l += 1
-    return _checked(CapacityResult(k, best, "weights", {"l": l_star}))
-
-
-def _term_lower_bound(h: Fraction, S: Fraction, k: int, l: int) -> Fraction:
-    """A rational at most h(sqrt(8(k+l)+9) - 3)/2 - sqrt(2lS): both roots
-    bracketed by math.isqrt to 2^-20 of their denominators, no floats."""
-    x = 2 * l * S
-    root_lo = Fraction(math.isqrt((8 * (k + l) + 9) << 40), 1 << 20)
-    root_hi = Fraction(math.isqrt((x.numerator * x.denominator) << 40) + 1, x.denominator << 20)
-    return h * (root_lo - 3) / 2 - root_hi
 
 
 # --- capacity sources --------------------------------------------------------
@@ -382,6 +355,13 @@ class _UnionPrefix(_Prefix):
         for j in range(len(self.results), k + 1):
             self.results.append(self.table.result(j, self.method))
 
+    def totals(self, lo: int, hi: int) -> tuple:
+        """(c_lo..c_hi as integers over the DP's common denominator, that
+        denominator): the DP grows to hi, and no result is made."""
+        with self.lock:
+            _union_table(self.table, hi)
+            return self.table.best[-1][lo:hi + 1], self.table.scale
+
 
 class _ConcavePrefix(_Prefix):
     """The union of the domain's weight balls, largest first.  c_k uses
@@ -416,26 +396,79 @@ class _ConcavePrefix(_Prefix):
 
 
 class _ConvexPrefix(_Prefix):
-    """Path optima of a convex domain.  Growing from n to k runs one
-    min_convex_range search over n..k, which gives each k what its own
-    min_convex search gives, so growth by one is that lone search.  The
-    norm context is built on the first growth and kept.  The oracle is the
-    exact weight formula ck_convex_via_weights, whose minimum over the
-    shift stops at a proven bound."""
+    """c_k of a convex domain from its negative weight sequence, head h and
+    m excised balls B(a_i): the minimum over l >= 0 of
+
+        T(l) = c_{k+l}(B(h)) - c_l(E),  E the union of the B(a_i),
+
+    in integers over the common denominator of h and the a_i.  On block d,
+    d(d+1)/2 <= k+l <= d(d+3)/2, the first term is d*h and c_l(E) never
+    falls, so the block's least term is at its last l.  The blocks are
+    taken in turn, and the first holding the minimum is scanned back to
+    its first l with that term, the witness {"l": l}.  They stop at the
+    first block d with B(d) > best and B nondecreasing from d on, where
+    B(d) = d*h - U(d(d+3)/2 - k) <= every term of block d:
+      - c_l(E) is the largest sum d_i*a_i over integers d_i >= 0 with
+        sum d_i(d_i+1)/2 <= l, that is sum (d_i + 1/2)^2 <= 2l + m/4, so
+        by Cauchy-Schwarz it is at most U(l) = sqrt(S(2l + m/4)) - A/2,
+        with S = sum a_i^2 and A = sum a_i;
+      - B'(d) >= 0 exactly when 4(h^2 - S)(d^2 + 3d) >= 8h^2 k - h^2 m + 9S,
+        and h^2 - S is twice the area (negative_weight_sequence asserts
+        it), so once that holds it holds for every later d.
+    Every later term then exceeds best, so the value is the exact minimum.
+    E is one capacity source, whose DP grows to the last block end a k
+    reads, so a scan over k reuses its columns.  The weight sequence is
+    found on the first growth.  The oracle is the convex path optimum."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.ctx = None
+        self.excised = None  # c_l(E) for l = 0, 1, ..., once grown
 
     def _grow(self, k: int) -> None:
-        if self.ctx is None:
-            self.ctx = convex_context(self.domain)
-        n = len(self.results)
-        for j, opt in enumerate(paths.min_convex_range(self.ctx, n, k), n):
-            self.results.append(_checked(CapacityResult(j, opt.value, self.method, opt.witness)))
+        if self.excised is None:
+            dec = negative_weight_sequence(self.domain)
+            self.scale = math.lcm(dec.head.denominator, *(w.denominator for w in dec.negatives))
+            self.head = int(dec.head * self.scale)
+            sizes = [int(w * self.scale) for w in dec.negatives]
+            self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
+            self.balls = (_source(DisjointUnion(tuple(map(Ball, dec.negatives))))
+                          if sizes else None)
+            self.excised = [0]
+        for j in range(len(self.results), k + 1):
+            value, l = self._minimum(j)
+            self.results.append(_checked(CapacityResult(
+                j, Fraction(value, self.scale), self.method, {"l": l})))
+
+    def _minimum(self, k: int) -> tuple:
+        """(the least T(l), its first argmin l), T over the common
+        denominator."""
+        exc = self.excised
+        d = ball_multiplicity(k)
+        if not self.balls:  # T(l) = c_{k+l}(B(h)) grows with l
+            return d * self.head, 0
+        best = math.inf
+        while best == math.inf or not self.past(k, d, best):
+            hi = d * (d + 3) // 2 - k
+            if hi >= len(exc):
+                new, scale = self.balls.totals(len(exc), hi)
+                exc.extend(x * (self.scale // scale) for x in new)
+            if d * self.head - exc[hi] < best:
+                best, first, last = d * self.head - exc[hi], max(d * (d + 1) // 2 - k, 0), hi
+            d += 1
+        while last > first and exc[last - 1] == exc[last]:
+            last -= 1
+        return best, last
+
+    def past(self, k: int, d: int, best: int) -> bool:
+        """Whether B is nondecreasing from d on and B(d) > best, so that no
+        term of block d or later is below best."""
+        H, S, m = self.head, self.S, self.m
+        x = 2 * d * H + self.A - 2 * best  # B(d) > best iff x > sqrt(S(8*hi + m))
+        return (4 * (H * H - S) * (d * d + 3 * d) >= 8 * H * H * k - H * H * m + 9 * S
+                and x > 0 and x * x > S * (8 * (d * (d + 3) // 2 - k) + m))
 
     def oracle(self, k: int) -> CapacityResult:
-        return ck_convex_via_weights(self.domain, k)
+        return ck_convex_toric(self.domain, k)
 
 
 _SOURCE_KINDS = {  # by the family's SOURCE
@@ -470,16 +503,14 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     """c_k from the domain's capacity source.
 
     The source's prefix grows up to k and keeps the work, so asking
-    k = 0, 1, 2, ... in turn costs about what one capacity_sequence costs.
-    A convex domain's
-    prefix keeps its norm context and grows by one path search over the
-    missing indices: a cold ck(d, k) finds c_0..c_k in one search, and a
-    scan that asks k = n, n+1, ... runs one lone min_convex search per step.
+    k = 0, 1, 2, ... in turn costs about what one capacity_sequence costs:
+    a convex domain's scan grows its excised balls' DP to the same columns
+    as one capacity_sequence does.
 
-    verify=True recomputes convex-toric values through the exact weight
-    formula (ck_convex_via_weights) and concave-toric values through the
-    path optimum and insists they agree, values read from a cache file
-    included; other families have a single formula each.
+    verify=True recomputes convex-toric values through the convex path
+    optimum (paths.min_convex) and concave-toric values through the
+    concave one (paths.max_concave) and insists they agree, values read
+    from a cache file included; other families have a single formula each.
     """
     k = _nonneg_k(k)
     source = _source(d)
@@ -495,8 +526,7 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
 
 def capacity_sequence(d: Domain, kmax) -> list:
     """CapacityResults for k = 0..kmax, read from the domain's source,
-    which grows to kmax in one step (for a convex domain, one path
-    search)."""
+    which grows to kmax in one step."""
     return _source(d).sequence(0, _nonneg_k(kmax))
 
 
@@ -512,12 +542,10 @@ def clear_memo() -> None:
 # --- cross-process persistence --------------------------------------------
 
 def witness_to_json(w):
-    """Witnesses are heterogeneous (path, pair, composition, shift, degree);
-    normalize to plain JSON for output and persistence."""
+    """Witnesses of capacity sources are heterogeneous (pair, composition,
+    shift, degree); normalize to plain JSON for output and persistence."""
     if w is None or isinstance(w, (int, bool)):
         return w
-    if isinstance(w, LatticePath):  # a tuple too: test it before tuples
-        return path_to_json(w)
     if isinstance(w, Fraction):
         return rational_str(w)
     if isinstance(w, (tuple, list)):
@@ -527,19 +555,13 @@ def witness_to_json(w):
     raise ValueError(f"unserializable witness: {w!r}")
 
 
-def _witness_from_json(method: str, w):
-    """Invert witness_to_json for the witnesses ck produces: lattice paths
-    for the path searches, tuples for pairs and compositions."""
-    if method in ("convex_path", "concave_path"):
-        return path_from_json(w, method.partition("_")[0])
-    if isinstance(w, list):
-        return tuple(_witness_from_json(method, x) for x in w)
-    if isinstance(w, dict):
-        return {key: _witness_from_json(method, v) for key, v in w.items()}
-    return w
+def _witness_from_json(w):
+    """Invert witness_to_json for the flat witnesses a capacity source
+    holds: lists are pairs or compositions, dicts shifts."""
+    return tuple(w) if isinstance(w, list) else w
 
 
-_FORMAT = 2  # the version field of a domain file
+_FORMAT = 3  # the version field of a domain file
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
@@ -550,7 +572,7 @@ def _cache_path(cache_dir: str, key: str) -> str:
 
 def _stored_entries(cache_dir: str, key: str) -> list:
     """The raw entries of key's file in cache_dir; empty when there is no
-    file, or one that is not a readable version-2 file of key."""
+    file, or one that is not a readable file of key in this version."""
     try:
         with open(_cache_path(cache_dir, key), encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -574,7 +596,7 @@ def _entry_result(k: int, entry) -> CapacityResult:
     if not isinstance(method, str):
         raise TypeError(f"method {method!r} is not a string")
     return CapacityResult(k, rational(entry["c"]), method,
-                          _witness_from_json(method, entry.get("witness")))
+                          _witness_from_json(entry.get("witness")))
 
 
 def _read_prefix(cache_dir: str, key: str) -> list:

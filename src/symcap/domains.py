@@ -286,7 +286,7 @@ class _Toric(Domain):
 class ConvexToric(_Toric):
     TYPE = "convex_toric"
     SOURCE = "convex"
-    METHOD = "convex_path"
+    METHOD = "weights"
     WEIGHTS = "negative"
     convex = True
 

@@ -22,15 +22,17 @@ axis segments, rectangle corners, and straight diagonals.  Every candidate
 edge m*(p,q) of an improving path satisfies m*||(p,q)|| <= incumbent, and
 the norm of a direction is at least max(|p|*xmax, |q|*ymax), which bounds
 the direction set and all multiplicities; the search space is finite and
-complete without any a-priori coordinate box.  The convex search runs over
-a range of k at once (min_convex_range), pruning against the optimum of
-the largest; min_convex is its one-k case.  max_concave also prunes on the
-lattice count, which only grows along a branch, and bounds the value per
-direction.  Candidates are built valid and never validated: each DFS
+complete without any a-priori coordinate box.  max_concave also prunes on
+the lattice count, which only grows along a branch, and bounds the value
+per direction.  Candidates are built valid and never validated: each DFS
 carries the shoelace sum and the boundary points of its path, so Pick's
 theorem counts a path in O(1), and a path is built as a tuple and scored
 only when it may improve an incumbent.  Each returned witness is validated
 once.
+
+Both searches grow exponentially in k: capacities come from the weight
+formulas, and the optima are their verify=True cross-check and the
+witnesses of the CLI's paths subcommand.
 """
 
 from __future__ import annotations
@@ -202,65 +204,39 @@ def _witness(kind: str, edges: tuple[Edge, ...]) -> LatticePath:
     return p
 
 
-def _score(best: list, i: int, edges: tuple[Edge, ...], key: int, count: int) -> None:
-    """Enter a candidate path into a search's incumbents.
-
-    best[j] is the least (key, edges, count) found so far among the paths
-    that qualify for entry j, and this path qualifies for entries 0..i (for
-    none if i < 0), so it replaces them from i down while it is ahead.  The
-    searches pass the running lattice count of a path they built valid, and
-    only when the path may win; the tests wrap this function to recount and
-    validate every such path.
+def _score(best: list, edges: tuple[Edge, ...], key: int, count: int) -> None:
+    """Make a candidate path a search's incumbent best[0], the least
+    (key, edges, count) found so far, if it is ahead.  The searches pass
+    the running lattice count of a path they built valid, and only when
+    the path qualifies and may win; the tests wrap this function to
+    recount and validate every such path.
     """
     entry = (key, edges, count)
-    while i >= 0 and entry < best[i]:
-        best[i] = entry
-        i -= 1
+    if entry < best[0]:
+        best[0] = entry
 
 
 def min_convex(ctx: NormContext, k: int) -> PathOptimum:
-    """Cheapest convex path whose region holds at least k+1 lattice points,
-    from min_convex_range.  The tests check that every optimum holds exactly
-    k+1, the count of the capacity formula (Hutchings, Beyond ECH
-    capacities, Geom. Topol. 2016), so the two minima agree."""
+    """Cheapest convex path whose region holds at least k+1 lattice points.
+    The tests check that every optimum holds exactly k+1, the count of the
+    capacity formula (Hutchings, Beyond ECH capacities, Geom. Topol. 2016),
+    so the two minima agree."""
+    if ctx.kind != "convex":
+        raise ValueError("min_convex needs a convex context")
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return min_convex_range(ctx, k, k)[0]
+    if k == 0:
+        return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
+    return _convex_search(ctx, k)
 
 
-def min_convex_range(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
-    """The cheapest convex paths holding at least k+1 lattice points, for
-    k = kmin..kmax, from one search.
+def _convex_search(ctx: NormContext, k: int) -> PathOptimum:
+    """The branch and bound behind min_convex, for k >= 1.
 
-    Each k gets the least (cost, edges) over every convex path with at
-    least k+1 lattice points, whatever the range: the search prunes
-    against the optimum for kmax, which costs no less than those of the
-    lower k.
-    """
-    if ctx.kind != "convex":
-        raise ValueError("min_convex_range needs a convex context")
-    kmin, kmax = int(kmin), int(kmax)
-    if not 0 <= kmin <= kmax:
-        raise ValueError("need 0 <= kmin <= kmax")
-    out = []
-    if kmin == 0:
-        out.append(PathOptimum(Fraction(0), EMPTY_CONVEX, 1))
-        if kmax == 0:
-            return out
-        kmin = 1
-    return out + _convex_search(ctx, kmin, kmax)
-
-
-def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
-    """The branch and bound behind min_convex_range, for 1 <= kmin <= kmax.
-
-    best[i] holds the least (cost, edges, count) found so far among scored
-    paths with count >= kmin+i+1.  The candidate sets shrink as i grows, so
-    best[i] never decreases in i.  The tree is pruned against the cost of
-    best[-1]; a path of count c can enter only the entries up to
-    i = min(c, kmax+1) - kmin - 1, so it is scored only when it is no
-    dearer than best[i].
+    best[0] holds the least (cost, edges, count) found so far among scored
+    paths with count >= k+1, and the tree is pruned against its cost; a
+    path is scored only when it is no dearer.
     """
     scale, iverts = _scaled_support(ctx.support_vertices)
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
@@ -270,18 +246,16 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
         ap, aq = abs(p), abs(q)
         return max(ap * ix + aq * iy for ix, iy in iverts)
 
-    best: list = [(math.inf, None, 0)] * (kmax - kmin + 1)
-    top = math.inf  # the cost of best[-1]
+    best: list = [(math.inf, None, 0)]
+    top = math.inf  # the cost of best[0]
 
     def consider(edges: tuple[Edge, ...], b: int, cost: int):
         nonlocal top
-        count = lattice_points_under_path(edges, b, include_path=True)
-        _score(best, min(count, kmax + 1) - kmin - 1, edges, cost, count)
-        top = best[-1][0]
+        _score(best, edges, cost, lattice_points_under_path(edges, b, include_path=True))
+        top = best[0][0]
 
-    # canonical seeds of kmax; the axis segments hit every lattice count
-    # exactly, so the search always starts with a feasible incumbent
-    k = kmax
+    # canonical seeds, each holding at least k+1 lattice points, so the
+    # search always starts with a feasible incumbent
     target = k + 1
     consider(((0, -k),), k, nu(0, -k))
     consider(((k, 0),), 0, nu(k, 0))
@@ -342,7 +316,7 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
     sufmin = nus[:ndirs] + [math.inf]
     for j in range(ndirs - 1, -1, -1):
         sufmin[j] = min(sufmin[j], sufmin[j + 1])
-    need = 2 * kmin  # a path of count kmin+1 or more has pick >= need
+    need = 2 * k  # a path of count k+1 or more has pick >= need
 
     # The DFS never builds a path that leaves the quadrant: x never drops
     # below 0 (the down-left break), and y only falls after the up-right
@@ -389,11 +363,8 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
                     # its boundary has g + ndx - ndy points
                     pick = ndx - ndy - t2 - ndy * ndx
                     if pick >= need:
-                        count = pick // 2 + 1
-                        i = (count if count <= kmax else kmax + 1) - kmin - 1
-                        if c2 <= best[i][0]:
-                            _score(best, i, tuple(chosen), c2, count)
-                            top = best[-1][0]
+                        _score(best, tuple(chosen), c2, pick // 2 + 1)
+                        top = best[0][0]
                 if c2 + sufmin[j + 1] <= top:
                     dfs(j + 1, ndx, ndy, c2, t2)
                 chosen.pop()
@@ -403,8 +374,8 @@ def _convex_search(ctx: NormContext, kmin: int, kmax: int) -> list[PathOptimum]:
 
     dfs(0, 0, 0, 0, 0)
 
-    return [PathOptimum(Fraction(c, scale), _witness("convex", w), count)
-            for c, w, count in best]
+    c, w, count = best[0]
+    return PathOptimum(Fraction(c, scale), _witness("convex", w), count)
 
 
 def max_concave(ctx: NormContext, k: int) -> PathOptimum:
@@ -445,7 +416,8 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
 
     def consider(edges: tuple[Edge, ...], b: int, val: int):
         count = lattice_points_under_path(edges, b, include_path=False)
-        _score(best, 0 if count == k else -1, edges, -val, count)
+        if count == k:
+            _score(best, edges, -val, count)
 
     consider(((k, -1),), 1, anu(k, -1))  # always has count k
     consider(((1, -k),), k, anu(1, -k))
@@ -515,7 +487,7 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
                 chosen.append((m * p, m * q))
                 if count2 == k:
                     if v2 >= best_val:
-                        _score(best, 0, tuple(chosen), -v2, count2)
+                        _score(best, tuple(chosen), -v2, count2)
                         best_val = -best[0][0]
                 elif count2 + x2 < k:
                     dfs(j + 1, v2, b2, x2, s2, g2, count2)

@@ -24,13 +24,15 @@ The expansion runs a work list of pieces and needs no depth limit: it
 ends on every rational polygon.  Let D be the common denominator of the
 vertex coordinates.  Every shear is unimodular and every r (and the head
 h) is the coordinate sum of a vertex, so all vertices of all pieces stay
-in (1/D)Z.  Each peeled ball therefore has size at least 1/D and area at
-least 1/(2D^2), and each step peels one ball off the area still to fill,
-so expanding a region of area A takes at most 2 D^2 A steps.
+in (1/D)Z, and the expansion runs in integers over D.  Each peeled ball
+therefore has size at least 1/D and area at least 1/(2D^2), and each step
+peels one ball off the area still to fill, so expanding a region of area
+A takes at most 2 D^2 A steps.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,8 +54,11 @@ def inscribed_triangle_size(omega) -> Fraction:
     return min(x + y for x, y in domains.upper_boundary(omega))
 
 
-def _expand(todo: list) -> list:
-    """Ball sizes of the concave pieces below the chains in todo."""
+def _expand(chains: list) -> list:
+    """Ball sizes of the concave pieces below the chains, sorted
+    nonincreasing, found in integers over the vertices' common denominator."""
+    scale = math.lcm(*(c.denominator for chain in chains for point in chain for c in point))
+    todo = [tuple((int(x * scale), int(y * scale)) for x, y in chain) for chain in chains]
     out = []
     while todo:
         chain = todo.pop()
@@ -67,12 +72,12 @@ def _expand(todo: list) -> list:
             todo.append(tuple((x, x + y - r) for x, y in chain[:i1 + 1]))
         if i2 < len(chain) - 1:
             todo.append(tuple((x + y - r, y) for x, y in chain[i2:]))
-    return out
+    return sorted((Fraction(r, scale) for r in out), reverse=True)
 
 
 def weight_expansion(omega) -> tuple[Fraction, ...]:
     """Ball sizes filling a concave region, sorted nonincreasing."""
-    weights = tuple(sorted(_expand([domains.upper_boundary(omega)]), reverse=True))
+    weights = tuple(_expand([domains.upper_boundary(omega)]))
     total = sum((w * w / 2 for w in weights), Fraction(0))
     want = domains.volume(omega)
     if total != want:
@@ -99,7 +104,7 @@ def negative_weight_sequence(omega) -> NegativeWeightDecomposition:
         pieces.append(tuple((x, head - x - y) for x, y in chain[:i1 + 1]))
     if i2 < len(chain) - 1:
         pieces.append(tuple((head - x - y, y) for x, y in chain[i2:]))
-    negatives = tuple(sorted(_expand(pieces), reverse=True))
+    negatives = tuple(_expand(pieces))
     deficit = head * head / 2 - sum((w * w / 2 for w in negatives), Fraction(0))
     if deficit != area:
         raise ValueError("volume identity failed for negative weight sequence "

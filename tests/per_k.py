@@ -2,15 +2,17 @@
 
 The capacity prefixes in symcap.capacities grow whole sequences; these
 are the independent per-k computations the tests compare them against.
+The union maximum here shares no code with the production DP: it offers
+every part every share, in Fractions.
 """
 
 from fractions import Fraction
 
-from symcap.capacities import (CapacityResult, _checked, _nonneg_k, _union_table,
-                               _UnionParts)
+from symcap.capacities import (CapacityResult, _checked, _nonneg_k, ball_multiplicity,
+                               capacity_sequence, ck_convex_toric)
 from symcap.domains import Ball, DisjointUnion
 from symcap.geometry import rational
-from symcap.weights import weight_expansion
+from symcap.weights import negative_weight_sequence, weight_expansion
 
 
 def ck_polydisk(a, b, k) -> CapacityResult:
@@ -28,16 +30,37 @@ def ck_polydisk(a, b, k) -> CapacityResult:
     return _checked(CapacityResult(k, best, "polydisk_formula", witness))
 
 
+def _fold(seqs) -> list:
+    """(max of sum seqs[i][k_i] over k_1+...+k_m = j, its composition) for
+    each j below the sequences' common length.
+
+    Parts are folded in left to right: the best total of the first i+1
+    parts at j is the largest (best of the first i at j-t) + seqs[i][t],
+    and a tie keeps the smallest share t for the later part i."""
+    best = [(v, (j,)) for j, v in enumerate(seqs[0])]
+    for seq in seqs[1:]:
+        folded = []
+        for j in range(len(seq)):
+            top = None
+            for t in range(j + 1):
+                v = best[j - t][0] + seq[t]
+                if top is None or v > top[0]:
+                    top = (v, best[j - t][1] + (t,))
+            folded.append(top)
+        best = folded
+    return best
+
+
 def ck_union(parts, k) -> CapacityResult:
-    """c_k of a union from a DP built for this k alone."""
+    """c_k of a union: the maximum over compositions of k, each part's
+    c_0..c_k read from its sequence."""
     if isinstance(parts, DisjointUnion):
         parts = parts.parts
-    table = _UnionParts(parts)
-    if not table.parts:
+    if not parts:
         raise ValueError("disjoint union needs at least one part")
     k = _nonneg_k(k)
-    _union_table(table, k)
-    return table.result(k, "union_dp")
+    value, comp = _fold([[r.value for r in capacity_sequence(p, k)] for p in parts])[k]
+    return _checked(CapacityResult(k, value, "union_dp", comp))
 
 
 def ck_concave_via_weights(omega, k) -> CapacityResult:
@@ -45,9 +68,25 @@ def ck_concave_via_weights(omega, k) -> CapacityResult:
     k = _nonneg_k(k)
     if k == 0:
         return CapacityResult(0, Fraction(0), "weights", ())
-    ws = weight_expansion(omega)
     # at most k parts can receive a positive share, and the ball formula
     # prefers larger sizes, so the k largest weights suffice
-    table = _UnionParts([Ball(w) for w in ws[:k]])
-    _union_table(table, k)
-    return table.result(k, "weights")
+    balls = [Ball(w) for w in weight_expansion(omega)[:k]]
+    return ck_union(balls, k)._replace(method="weights")
+
+
+def ck_convex_from_paths(omega, k) -> CapacityResult:
+    """c_k of a convex domain: the convex path optimum, with the witness
+    the weight formula gives it, the first shift l at which
+    c_{k+l}(B(h)) - c_l(union of the excised balls) reaches that value."""
+    k = _nonneg_k(k)
+    value = ck_convex_toric(omega, k).value
+    dec = negative_weight_sequence(omega)
+    for n in (16, 64, 256, 1024):
+        excised = [0] * (n + 1)
+        if dec.negatives:
+            seqs = [[r.value for r in capacity_sequence(Ball(w), n)] for w in dec.negatives]
+            excised = [v for v, _ in _fold(seqs)]
+        for l, c in enumerate(excised):
+            if ball_multiplicity(k + l) * dec.head - c == value:
+                return CapacityResult(k, value, "weights", {"l": l})
+    raise AssertionError(f"no shift up to {n} reaches c_{k} = {value}")

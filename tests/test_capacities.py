@@ -3,7 +3,6 @@
 import concurrent.futures
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -21,18 +20,15 @@ from per_k import ck_concave_via_weights, ck_polydisk, ck_union
 from test_paths import _random_convex
 from symcap.capacities import (
     CapacityResult,
-    _term_lower_bound,
-    _union_table,
-    _UnionParts,
     ck,
     ck_ball,
     ck_concave_toric,
     ck_convex_toric,
-    ck_convex_via_weights,
     capacity_sequence,
     ellipsoid_spectrum,
     witness_to_json,
 )
+from symcap.norms import convex_context
 from symcap.weights import negative_weight_sequence
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
@@ -169,13 +165,19 @@ def test_concave_triangle_with_a_long_leg():
         [e.action for e in ellipsoid_spectrum(1, 100, 40)]
 
 
+def _convex(d):
+    """d's moment polygon as a convex toric domain, whose capacities come
+    from the weight formula."""
+    return dom.convex_toric(d.omega.vertices)
+
+
 def test_convex_via_weights_examples():
-    r = ck_convex_via_weights(dom.polydisk(1, 1), 1)
-    assert r.value == 1 and r.witness == {"l": 1}
-    assert ck_convex_via_weights(dom.ball(1), 3).value == 2
-    assert ck_convex_via_weights(dom.polydisk(1, 2), 1).value == 1
+    r = ck(_convex(dom.polydisk(1, 1)), 1)
+    assert r.value == 1 and r.witness == {"l": 1} and r.method == "weights"
+    assert ck(_convex(dom.ball(1)), 3).value == 2
+    assert ck(_convex(dom.polydisk(1, 2)), 1).value == 1
     # a head without excised balls takes no shift
-    assert ck_convex_via_weights(dom.ball(1), 5).witness == {"l": 0}
+    assert ck(_convex(dom.ball(1)), 5).witness == {"l": 0}
 
 
 @pytest.mark.parametrize("d, k, value", [
@@ -186,7 +188,7 @@ def test_convex_via_weights_past_a_hundred_shifts(d, k, value):
     # within a second
     cap.clear_memo()
     start = time.perf_counter()
-    assert ck_convex_via_weights(d, k).value == value
+    assert ck(d, k).value == value
     assert time.perf_counter() - start < 1
 
 
@@ -196,10 +198,8 @@ SHIFTS = 1200  # brute-force shifts; each minimum below sits far inside
 def _shift_terms(d, ks):
     """T(l) = c_{k+l}(B(h)) - c_l(excised balls) for l <= SHIFTS, per k."""
     dec = negative_weight_sequence(d)
-    table = _UnionParts([dom.ball(w) for w in dec.negatives])
-    _union_table(table, SHIFTS)
-    excised = [table.result(l, "union_dp").value for l in range(SHIFTS + 1)]
-    return {k: [ck_ball(dec.head, k + l).value - excised[l] for l in range(SHIFTS + 1)]
+    excised = capacity_sequence(dom.disjoint_union(*map(dom.ball, dec.negatives)), SHIFTS)
+    return {k: [ck_ball(dec.head, k + l).value - excised[l].value for l in range(SHIFTS + 1)]
             for k in ks}
 
 
@@ -211,24 +211,35 @@ def _random_convex_polygons(seed, n):
 @pytest.mark.parametrize("d", [PENT, HEXAGON] + _random_convex_polygons("convex weights", 4),
                          ids=["pent", "hexagon", "random0", "random1", "random2", "random3"])
 def test_convex_via_weights_equals_brute_force_minimum(d):
+    cap.clear_memo()
     for k, terms in _shift_terms(d, (50, 200, 354)).items():
-        r, best = ck_convex_via_weights(d, k), min(terms)
+        r, best = ck(d, k), min(terms)
         assert (r.value, r.witness) == (best, {"l": terms.index(best)})
 
 
 @pytest.mark.parametrize("d", [PENT, HEXAGON], ids=["pent", "hexagon"])
 def test_convex_via_weights_stopping_bound(d):
-    # LB(l) bounds every term from below and is nondecreasing from l_turn
-    # on, so the first l >= l_turn with LB(l) > min stops the search
+    # B(d) = d*h - sqrt(S(2hi + m/4)) + A/2 bounds every term of block d
+    # from below; wherever the stop test passes for the least term before
+    # a block, no term from that block on is smaller, and it first passes
+    # after the argmin
     dec = negative_weight_sequence(d)
-    h, S = dec.head, sum(w * w for w in dec.negatives)
+    S, A, m = sum(w * w for w in dec.negatives), sum(dec.negatives), len(dec.negatives)
+    ck(d, 0)
+    prefix = cap._source(d)
     for k, terms in _shift_terms(d, (0, 7, 354)).items():
-        lb = [_term_lower_bound(h, S, k, l) for l in range(SHIFTS + 1)]
-        assert all(b <= t for b, t in zip(lb, terms))
-        l_turn = math.ceil(S * (8 * k + 9) / (8 * (h * h - S)))
-        assert all(a <= b for a, b in zip(lb[l_turn:], lb[l_turn + 1:]))
-        stop = next(l for l in range(l_turn, SHIFTS + 1) if lb[l] > min(terms))
-        assert terms.index(min(terms)) < stop < SHIFTS
+        stops = []
+        b = cap.ball_multiplicity(k)
+        while b * (b + 3) // 2 - k <= SHIFTS:
+            lo, hi = max(b * (b + 1) // 2 - k, 0), b * (b + 3) // 2 - k
+            x = b * dec.head + A / 2 - min(terms[lo:hi + 1])
+            assert x <= 0 or x * x <= S * (2 * hi + F(m, 4))
+            best = min(terms[:lo], default=None)
+            if best is not None and prefix.past(k, b, int(best * prefix.scale)):
+                assert min(terms[lo:]) > best
+                stops.append(lo)
+            b += 1
+        assert stops and terms.index(min(terms)) < stops[0]
 
 
 def test_closed_examples():
@@ -245,7 +256,7 @@ def test_dispatcher_examples_and_methods():
     r = ck(dom.ellipsoid(1, 2), 2)
     assert r.value == 2 and r.method == "ellipsoid_spectrum"
     assert ck(dom.polydisk(1, 2), 1).method == "polydisk_formula"
-    assert ck(PENT, 1).method == "convex_path"
+    assert ck(PENT, 1).method == "weights"
     assert ck(STAIR, 1).method == "weights"
     assert ck(dom.cp2(1), 1).method == "cp2"
     assert ck(dom.s2xs2(1, 1), 1).method == "s2xs2"
@@ -296,11 +307,14 @@ def test_concave_formulas_agree(omega):
         assert ck_concave_via_weights(omega, k).value == ck_concave_toric(omega, k).value
 
 
-@pytest.mark.parametrize("omega", [dom.ball(1), dom.polydisk(1, 1), dom.polydisk(1, 2), PENT]
-                         + _random_convex_polygons("convex formula", 12))
+@pytest.mark.parametrize("omega", [_convex(dom.ball(1)), _convex(dom.polydisk(1, 1)),
+                                   _convex(dom.polydisk(1, 2)), PENT]
+                         + _random_convex_polygons("convex formula", 12) + [HEXAGON])
 def test_convex_formulas_agree(omega):
-    assert [ck_convex_via_weights(omega, k).value for k in range(17)] == \
-        [r.value for r in capacity_sequence(omega, 16)]
+    # the weight formula against the path optimum, its independent oracle
+    ctx = convex_context(omega)
+    assert [r.value for r in capacity_sequence(omega, 30)] == \
+        [paths.min_convex(ctx, k).value for k in range(31)]
 
 
 @pytest.mark.parametrize("ab", [(1, 2), (1, F(3, 2)), (3, 2)])
@@ -364,7 +378,7 @@ def _domain_files(path) -> dict:
     files = {}
     for p in path.iterdir():
         payload = json.loads(p.read_text())
-        assert payload["version"] == 2
+        assert payload["version"] == cap._FORMAT
         assert p.name == os.path.basename(cap._cache_path("", payload["key"]))
         files[payload["key"]] = payload
     return files
@@ -425,21 +439,16 @@ def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
     warm = [ck(d, k) for d in family for k in range(6)]
     assert warm == cold
     assert [type(r.witness) for r in warm] == [type(r.witness) for r in cold]
-    # the path witnesses of both searches, including ones no prefix holds
-    for r in (ck_convex_toric(PENT, 5), ck_concave_toric(STAIR, 4), ck_concave_toric(STAIR, 0)):
-        assert cap._witness_from_json(r.method, witness_to_json(r.witness)) == r.witness
 
 
 def test_cache_entries_keep_witness_types():
-    # LatticePath is a tuple: equality alone cannot tell a path from its fields
+    # JSON turns tuples into lists: equality alone cannot tell them apart
     cap.clear_memo()
-    for r in (ck_convex_toric(PENT, 5), ck_concave_toric(STAIR, 4)):
+    for d, k, kind in ((PENT, 5, dict), (STAIR, 4, tuple), (dom.ellipsoid(1, 2), 3, tuple),
+                       (dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, 2)), 5, tuple)):
+        r = ck(d, k)
         back = cap._entry_result(r.k, cap._entry_json(r))
-        assert type(back.witness) is paths.LatticePath and back == r
-        assert isinstance(cap._entry_json(r)["witness"], dict)
-    r = ck(dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, 2)), 5)
-    back = cap._entry_result(r.k, cap._entry_json(r))
-    assert type(back.witness) is tuple and back == r
+        assert type(back.witness) is kind and back == r
 
 
 def test_disk_cache_concurrent_writers(tmp_path):
@@ -634,11 +643,12 @@ def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
     assert len(stored()) == 7
     # a file with a shorter prefix, or one that disagrees, is replaced
     mine = [cap._entry_json(r) for r in capacity_sequence(e, 4)]
-    path.write_text(json.dumps({"version": 2, "key": e.key, "entries": mine[:2]}))
+    path.write_text(json.dumps({"version": cap._FORMAT, "key": e.key, "entries": mine[:2]}))
     assert cap.save_disk_cache(str(ours)) == 5
     assert stored() == mine
     wrong = stored()[:2] + [dict(mine[2], c="7")]
-    path.write_text(json.dumps({"version": 2, "key": e.key, "entries": wrong + stored()[3:] * 2}))
+    path.write_text(json.dumps({"version": cap._FORMAT, "key": e.key,
+                                "entries": wrong + stored()[3:] * 2}))
     assert cap.save_disk_cache(str(ours)) == 5
     assert stored() == mine
 
@@ -652,7 +662,7 @@ def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
     assert n == sum(len(p["entries"]) for p in files.values())
     for key, payload in files.items():
         entries = [cap._entry_json(r) for r in cap._SOURCES[key].results]
-        assert payload == {"version": 2, "key": key, "entries": entries}
+        assert payload == {"version": cap._FORMAT, "key": key, "entries": entries}
         assert _file_of(tmp_path, cap._SOURCES[key].domain).read_text() == json.dumps(payload)
     cap.clear_memo()
     assert cap.save_disk_cache(str(tmp_path / "empty")) == 0
@@ -670,8 +680,10 @@ def test_ck_computes_each_domain_key_once(monkeypatch):
     capacity_sequence(union, 5)
     for k in range(8):
         ck(union, k)
-    assert sorted(map(dom.domain_key, calls)) == sorted(
-        dom.domain_key(d) for d in (union, *union.parts))
+    got = sorted(map(dom.domain_key, calls))
+    # the pentagon's capacities read the union of its excised balls
+    excised = dom.disjoint_union(*map(dom.ball, negative_weight_sequence(pent).negatives))
+    assert got == sorted(dom.domain_key(d) for d in (union, *union.parts, excised, *excised.parts))
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
@@ -703,6 +715,30 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path / "missing"))
     assert capacity_sequence(e, 5) == cold
+    # a version-2 file of a convex domain holds path-search entries: a
+    # miss, rewritten in this version with the weight formula's entries
+    ctx = convex_context(PENT)
+    entries = [{"c": str(opt.value), "method": "convex_path",
+                "witness": paths.path_to_json(opt.witness)}
+               for opt in (paths.min_convex(ctx, k) for k in range(6))]
+    _file_of(tmp_path, PENT).write_text(
+        json.dumps({"version": 2, "key": PENT.key, "entries": entries}))
+    cap.clear_memo()
+    cold = capacity_sequence(PENT, 5)
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert capacity_sequence(PENT, 5) == cold
+    assert cap.save_disk_cache(str(tmp_path)) == 6
+    payload = json.loads(_file_of(tmp_path, PENT).read_text())
+    assert payload["version"] == cap._FORMAT == 3
+    assert {entry["method"] for entry in payload["entries"]} == {"weights"}
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+    _no_growth(monkeypatch)
+    warm = capacity_sequence(PENT, 5)
+    assert warm == cold and all(isinstance(r.witness, dict) for r in warm)
 
 
 def test_verify_cross_checks_values_read_from_a_cache_file(tmp_path):
@@ -729,10 +765,8 @@ def test_witness_json_forms():
     assert witness_to_json(3) == 3
     assert witness_to_json((1, 2)) == [1, 2]
     assert witness_to_json(F(3, 2)) == "3/2"
-    p = ck(PENT, 2).witness
-    js = witness_to_json(p)
-    assert set(js) == {"start", "edges"}
     assert witness_to_json({"l": 4}) == {"l": 4}
+    assert witness_to_json(ck(PENT, 2).witness) == {"l": 0}
 
 
 def test_values_are_fractions():

@@ -223,7 +223,7 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     assert first == second
     assert cache.read_bytes() == blob
     payload = json.loads(blob)
-    assert payload["version"] == 2 and payload["key"] == parse_domain_spec(E12).key
+    assert payload["version"] == cap._FORMAT and payload["key"] == parse_domain_spec(E12).key
     assert len(payload["entries"]) == 7
 
 

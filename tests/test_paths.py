@@ -21,7 +21,6 @@ from symcap.paths import (
     lhat,
     max_concave,
     min_convex,
-    min_convex_range,
     path_from_json,
     path_to_json,
     validate_path,
@@ -77,6 +76,10 @@ def test_min_convex_examples():
     assert _mc(T1, 3).value == 2
     r = _mc(SQ, 0)
     assert r.value == 0 and r.witness.edges == ()
+    with pytest.raises(ValueError):
+        min_convex(concave_context(T1), 0)
+    with pytest.raises(ValueError):
+        min_convex(convex_context(T1), -1)
 
 
 def test_max_concave_examples():
@@ -173,11 +176,11 @@ def _scoring(monkeypatch, check=None):
     scored = []
     real = paths._score
 
-    def wrapped(best, i, edges, key, count):
+    def wrapped(best, edges, key, count):
         if check:
             check(edges, count)
         scored.append((edges, count))
-        return real(best, i, edges, key, count)
+        return real(best, edges, key, count)
 
     monkeypatch.setattr(paths, "_score", wrapped)
     return scored
@@ -195,18 +198,6 @@ def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, sco
     calls = _scoring(monkeypatch)
     min_convex(convex_context(domain), k)
     assert len(calls) == scored
-
-
-@pytest.mark.parametrize("domain", [T1, P12, PENT])
-def test_min_convex_range_matches_lone_searches(domain):
-    ctx = convex_context(domain)
-    lone = [_mc(domain, k) for k in range(15)]
-    for kmin in (0, 1, 6, 14):
-        assert min_convex_range(ctx, kmin, 14) == lone[kmin:]
-    with pytest.raises(ValueError):
-        min_convex_range(ctx, 5, 4)
-    with pytest.raises(ValueError):
-        min_convex_range(concave_context(T1), 0, 4)
 
 
 def _rational(rng):
@@ -267,10 +258,8 @@ def test_search_candidates_are_valid_paths(monkeypatch):
     for _ in range(6):
         kind = "convex"
         ctx = convex_context(_random_convex(rng))
-        optima = min_convex_range(ctx, 0, 14)
-        ks = [rng.randint(1, 12), rng.randint(1, 12)]
-        optima += [min_convex(ctx, k) for k in ks]
-        assert [opt.count_constraint for opt in optima] == [*range(1, 16), *(k + 1 for k in ks)]
+        optima = [min_convex(ctx, k) for k in range(15)]
+        assert [opt.count_constraint for opt in optima] == list(range(1, 16))
         kind = "concave"
         cctx = concave_context(_random_concave(rng))
         for k in range(1, 15):

@@ -13,12 +13,11 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
-import symcap.paths as paths
-from per_k import ck_concave_via_weights, ck_polydisk, ck_union
-from symcap.capacities import capacity_sequence, ck, ck_ball, ck_convex_toric, ellipsoid_spectrum
-from symcap.norms import convex_context
+from per_k import ck_concave_via_weights, ck_convex_from_paths, ck_polydisk, ck_union
+from symcap.capacities import capacity_sequence, ck, ck_ball, ellipsoid_spectrum
 from symcap.obstructions import check_embedding
-from symcap.weights import negative_weight_sequence, weight_expansion
+from test_paths import _random_convex
+from symcap.weights import negative_weight_sequence
 
 
 def _frac(rng, lo, hi):
@@ -42,19 +41,6 @@ def _staircase(rng):
     return dom.concave_toric([(0, 0), *reversed(chain)])
 
 
-def _cut_rectangle(rng):
-    """Convex toric domain: a rectangle with its outer corner cut by one
-    edge or two."""
-    a, b = _frac(rng, 1, 3), _frac(rng, 1, 3)
-    if rng.random() < 0.5:
-        corner = [(a * F(rng.randint(7, 8), 10), b * F(rng.randint(7, 8), 10))]
-        x1, y1 = a * F(rng.randint(2, 4), 10), b * F(rng.randint(2, 4), 10)
-    else:
-        corner = []
-        x1, y1 = a * F(rng.randint(2, 8), 10), b * F(rng.randint(2, 8), 10)
-    return dom.convex_toric([(0, 0), (a, 0), (a, y1), *corner, (x1, b), (0, b)])
-
-
 def _part(rng):
     kind = rng.choice(["ball", "ellipsoid", "polydisk"])
     if kind == "ball":
@@ -76,8 +62,10 @@ def _domain(rng, family):
         return dom.s2xs2(_frac(rng, 1, 3), _frac(rng, 1, 3))
     if family == "union":
         return dom.disjoint_union(*[_part(rng) for _ in range(rng.randint(2, 4))])
+    if family == "ball_union":
+        return dom.disjoint_union(*[dom.ball(_frac(rng, 1, 3)) for _ in range(rng.randint(2, 5))])
     if family == "convex":
-        return _cut_rectangle(rng)
+        return _random_convex(rng)
     return _staircase(rng)
 
 
@@ -95,7 +83,7 @@ def _per_k(d, k):
     if isinstance(d, dom.ConcaveToric):
         return ck_concave_via_weights(d, k)
     if isinstance(d, dom.ConvexToric):
-        return ck_convex_toric(d, k)
+        return ck_convex_from_paths(d, k)
     if isinstance(d, dom.CP2):
         return ck_ball(d.a, k)._replace(method="cp2")
     return ck_polydisk(d.a, d.b, k)._replace(method="s2xs2")
@@ -106,8 +94,8 @@ def _triple(r):
 
 
 FAMILIES = ["ball", "ellipsoid", "polydisk", "cp2", "s2xs2", "union", "staircase",
-            "convex"]
-# the largest K drawn per family: a convex c_k is a path search
+            "convex", "ball_union"]
+# the largest K drawn per family: a per-k convex c_k is a path search
 KMAX = {"convex": 16}
 
 
@@ -179,13 +167,13 @@ def _prefix_lengths() -> dict:
     return {key: len(s.results) for key, s in cap._SOURCES.items()}
 
 
-def _read_by(d, k) -> tuple:
-    """The domains whose capacities c_0..c_k a scan to k reads: d, and the
-    union parts or the k largest weight balls behind it."""
+def _read_by(d) -> tuple:
+    """The domains whose capacities c_0..c_k a scan to k reads from their
+    sources: d, and the union parts behind it that are not balls.  The DP
+    takes the values of a ball part, or of a concave domain's weight
+    balls, from the closed form."""
     if isinstance(d, dom.DisjointUnion):
-        return (d, *d.parts)
-    if isinstance(d, dom.ConcaveToric):
-        return (d, *map(dom.Ball, weight_expansion(d)[:k]))
+        return (d, *(p for p in d.parts if not isinstance(p, dom.Ball)))
     return (d,)
 
 
@@ -212,7 +200,7 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
         assert rep.first_k == first and rep.obstructed == (first is not None)
         # every prefix read grew to the last k scanned and no further
         last = kmax if first is None else first
-        assert grown == {d.key: last + 1 for d in _read_by(src, last) + _read_by(tgt, last)}
+        assert grown == {d.key: last + 1 for d in _read_by(src) + _read_by(tgt)}
         early_exit.add(first is not None and first < kmax)
     assert early_exit == {True, False}
 
@@ -278,57 +266,16 @@ def test_staircase_sequence_expands_weights_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_calls(monkeypatch, name, module=cap):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = getattr(module, name)
+    real = getattr(cap, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(cap, name, counting)
     return calls
-
-
-def test_convex_sequence_builds_its_norm_context_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "convex_context")
-    cap.clear_memo()
-    d = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
-    capacity_sequence(d, 10)
-    assert len(calls) <= 1
-    cap.clear_memo()
-    ck(d, 3)
-    assert len(calls) == 2
-
-
-PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
-
-
-def test_convex_sequence_runs_one_path_search(monkeypatch):
-    ctx = convex_context(PENT)
-    counts = _count_calls(monkeypatch, "_score", paths)
-    for k in range(1, 19):
-        paths.min_convex(ctx, k)
-    lone = len(counts)
-    counts.clear()
-    searches = _count_calls(monkeypatch, "_convex_search", paths)
-    cap.clear_memo()
-    capacity_sequence(PENT, 18)
-    assert len(searches) == 1
-    # paths scored: 353 for the 18 lone searches; the one search scores a
-    # path only when it is no dearer than the entry of its count
-    assert len(counts) < lone
-    assert len(counts) == 191
-
-
-def test_convex_embedding_scan_grows_by_lone_searches(monkeypatch):
-    # each step of the scan asks for one more index, which is the lone
-    # min_convex search: as many scored paths as one search per k
-    counts = _count_calls(monkeypatch, "_score", paths)
-    cap.clear_memo()
-    rep = check_embedding(dom.ellipsoid(1, 3), PENT, 25)
-    assert not rep.obstructed
-    assert len(counts) == 666
 
 
 def test_concave_verify_builds_its_norm_context_once(monkeypatch):
@@ -344,8 +291,8 @@ def test_concave_verify_builds_its_norm_context_once(monkeypatch):
 
 
 def _union_steps(monkeypatch) -> list:
-    """The DP steps of each _union_table call: column j of a part after
-    the first costs j+1."""
+    """The DP steps of each _union_table call, column j of a part after
+    the first counted as j+1 (a Ball part takes fewer)."""
     steps = []
     real = cap._union_table
 
@@ -374,17 +321,41 @@ def test_union_dp_steps_stay_within_one_table(monkeypatch, scan):
     assert 0 < sum(steps) <= (m - 1) * (K + 1) * (K + 2) // 2
 
 
+HEXAGON = dom.convex_toric([(0, 0), (3, 0), (3, 1), (F(5, 2), 2), (1, F(5, 2)), (0, F(5, 2))])
+
+
+def _excised_columns(d) -> int:
+    """The columns of the DP of d's excised balls."""
+    balls = negative_weight_sequence(d).negatives
+    return len(cap._SOURCES[dom.disjoint_union(*map(dom.ball, balls)).key].table.best[-1])
+
+
 def test_convex_verify_scan_reuses_the_excised_balls_table(monkeypatch):
     # the weight formula reads c_l of the excised balls' union from that
     # union's source, so a scan over k builds one table up to the largest l
-    hexagon = dom.convex_toric([(0, 0), (3, 0), (3, 1), (F(5, 2), 2), (1, F(5, 2)),
-                                (0, F(5, 2))])
     steps = _union_steps(monkeypatch)
     cap.clear_memo()
     for k in range(41):
-        ck(hexagon, k, verify=True)
-    balls = negative_weight_sequence(hexagon).negatives
-    excised = cap._SOURCES[dom.disjoint_union(*map(dom.ball, balls)).key]
-    L, m = len(excised.results) - 1, len(balls)
-    assert m >= 2 and L > 40
+        ck(HEXAGON, k, verify=True)
+    L, m = _excised_columns(HEXAGON) - 1, len(negative_weight_sequence(HEXAGON).negatives)
+    assert m >= 2 and L >= max(ck(HEXAGON, k).witness["l"] for k in range(41)) > 0
     assert 0 < sum(steps) <= (m - 1) * (L + 1) * (L + 2) // 2
+
+
+def test_convex_scan_grows_the_excised_dp_as_one_sequence(monkeypatch):
+    # ck over k = 0..K in turn, as check_embedding asks, grows the excised
+    # balls' DP through the same columns in the same steps as one
+    # capacity_sequence to K
+    steps = _union_steps(monkeypatch)
+    grown = {}
+    for scan in ("sequence", "per_k"):
+        steps.clear()
+        cap.clear_memo()
+        if scan == "sequence":
+            capacity_sequence(HEXAGON, 120)
+        else:
+            for k in range(121):
+                ck(HEXAGON, k)
+        grown[scan] = (_excised_columns(HEXAGON), sum(steps))
+    assert grown["per_k"] == grown["sequence"]
+    assert grown["sequence"][0] > max(r.witness["l"] for r in capacity_sequence(HEXAGON, 120))
