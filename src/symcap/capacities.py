@@ -156,11 +156,12 @@ def ck_concave_toric(d, k) -> CapacityResult:
 class _UnionParts:
     """State of the max-plus DP over the parts of a union.
 
-    values[i] holds c_0, c_1, ... of part i and best[i] the best total of
-    parts 0..i at each column, both as integers over the common
-    denominator `scale`; picks[i-1][j] is part i's share of column j in
-    best[i].  A part added later starts with empty rows, which the next
-    _union_table call fills.
+    best[i] holds the best total of parts 0..i at each column and values[i]
+    the values of part i, both as integers over the common denominator
+    `scale`: c_0, c_1, ..., but only the share values d*a of a Ball part
+    past part 0, and part 0's are best[0] itself.  picks[i-1][j] is part
+    i's share of column j in best[i].  A part added later starts with
+    empty rows, which the next _union_table call fills.
     """
 
     def __init__(self, parts=()):
@@ -175,9 +176,9 @@ class _UnionParts:
     def add(self, part) -> None:
         if self.parts:
             self.picks.append([])
-        self.parts.append(part)
-        self.values.append([])
         self.best.append([])
+        self.values.append(self.best[0] if not self.parts else [])
+        self.parts.append(part)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -200,9 +201,9 @@ def _union_table(parts, kmax: int) -> None:
     it and v its own values; ties keep the smallest share.  f never falls,
     so on a run of equal v the first t of the run wins: a Ball part, whose
     values rise only at t = d(d+1)/2, is offered those O(sqrt j) shares
-    alone and any other part all j+1.  So growing from nothing to kmax
-    costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the
-    growth is split.
+    alone, and keeps only their values, any other part all j+1.  So
+    growing from nothing to kmax costs at most (m-1)(kmax+1)(kmax+2)/2
+    steps over m parts however the growth is split.
     """
     balls = [isinstance(p, Ball) for p in parts.parts]
     fresh = [[] if ball else [r.value for r in _source(p).sequence(len(row), kmax)]
@@ -211,20 +212,23 @@ def _union_table(parts, kmax: int) -> None:
                      *(v.denominator for row in fresh for v in row))
     if scale != parts.scale:
         factor = scale // parts.scale
-        for row in parts.values + parts.best:
+        for row in parts.values[1:] + parts.best:
             row[:] = [x * factor for x in row]
         parts.scale = scale
-    for p, row, new, ball in zip(parts.parts, parts.values, fresh, balls):
-        if ball:  # d*a on each block d(d+1)/2 <= t <= d(d+3)/2
-            a, d = p.a.numerator * (scale // p.a.denominator), ball_multiplicity(len(row))
-            while len(row) <= kmax:
-                row.extend([d * a] * (min(d * (d + 3) // 2, kmax) + 1 - len(row)))
-                d += 1
-        else:
+    nshares = ball_multiplicity(kmax) + 1  # the shares d(d+1)/2 <= kmax
+    for i, (p, row, new, ball) in enumerate(zip(parts.parts, parts.values, fresh, balls)):
+        if not ball:
             row.extend(v.numerator * (scale // v.denominator) for v in new)
-    first, best0 = parts.values[0], parts.best[0]
-    best0.extend(first[len(best0):kmax + 1])
-    shares = [d * (d + 1) // 2 for d in range(ball_multiplicity(kmax) + 2)]
+            continue
+        a = p.a.numerator * (scale // p.a.denominator)
+        if i:
+            row.extend(range(len(row) * a, nshares * a, a))  # d*a, d = len(row), ...
+            continue
+        d = ball_multiplicity(len(row))  # d*a on each block d(d+1)/2 <= t <= d(d+3)/2
+        while len(row) <= kmax:
+            row.extend([d * a] * (min(d * (d + 3) // 2, kmax) + 1 - len(row)))
+            d += 1
+    shares = [d * (d + 1) // 2 for d in range(nshares + 1)]
     for i in range(1, len(parts)):
         f, vi, row, picks = parts.best[i - 1], parts.values[i], parts.best[i], parts.picks[i - 1]
         n = ball_multiplicity(len(row)) + 1  # shares[:n] are the shares up to j
@@ -232,7 +236,7 @@ def _union_table(parts, kmax: int) -> None:
             if balls[i]:
                 n += shares[n] <= j
                 ts = shares[:n]
-                sums = [f[j - t] + vi[t] for t in ts]
+                sums = [f[j - t] + v for t, v in zip(ts, vi)]
             else:
                 ts = range(j + 1)
                 sums = list(map(operator.add, f[j::-1], vi))  # f[j-t] + vi[t]

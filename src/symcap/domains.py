@@ -9,9 +9,11 @@ domains, derived for balls, ellipsoids and polydisks, else None), the
 convex and concave toric flags (the axis reflection of omega, or the
 complement of omega in the quadrant, is convex) and CLOSED, volume and
 scale, the capacity SOURCE and METHOD, the CLI's WEIGHTS and PATHS, and a
-key computed once.  A domain is validated once, when it is built.
-Canonical polygons run counterclockwise from the origin, collinear runs
-merged; union parts are flat and sorted by key.
+key computed once.  A domain is validated once, when it is built, in
+integers over its polygon's common denominator (int_omega, kept for the
+volume and the weights); omega's points stay Fractions.  Canonical
+polygons run counterclockwise from the origin, collinear runs merged;
+union parts are flat and sorted by key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import functools
 import json
 from fractions import Fraction
 
-from .geometry import Point, Polygon, cross, is_convex, rational, rational_str
+from .geometry import (IntPolygon, Point, Polygon, cross, cycle, int_polygon, rational,
+                       rational_str, turns_left)
 
 
 def _positive(value, name: str) -> Fraction:
@@ -30,55 +33,32 @@ def _positive(value, name: str) -> Fraction:
     return v
 
 
-def canonical_omega(poly) -> Polygon:
-    """Counterclockwise cycle starting at the origin vertex.
-
-    Accepts a Polygon or any iterable of point-likes, in either rotational
-    direction.
-    """
-    if not isinstance(poly, Polygon):
-        poly = Polygon.from_points(poly)
-    if poly.signed_area() == 0:
+def canonical_omega(poly) -> IntPolygon:
+    """The canonical moment polygon, checked once, in integers over its
+    common denominator: counterclockwise, starting at the origin vertex.
+    Accepts a Polygon or any iterable of point-likes, either way round."""
+    c = cycle(poly.vertices if isinstance(poly, Polygon) else poly)
+    if c.area2 == 0:
         raise ValueError("moment polygon has zero area")
-    if poly.signed_area() < 0:
-        poly = poly.reversed()
-    zero = (Fraction(0), Fraction(0))
-    for x, y in poly.vertices:
+    vs, ints = (c.vertices, c.ints) if c.area2 > 0 else (c.vertices[::-1], c.ints[::-1])
+    for (x, y), (px, py) in zip(ints, vs):
         if x < 0 or y < 0:
-            raise ValueError(f"moment polygon vertex ({rational_str(x)},{rational_str(y)}) "
+            raise ValueError(f"moment polygon vertex ({rational_str(px)},{rational_str(py)}) "
                              "leaves the nonnegative quadrant")
-    if zero not in poly.vertices:
+    if (0, 0) not in ints:
         raise ValueError("moment polygon must have the origin as a vertex")
-    i = poly.vertices.index(zero)
-    return Polygon(poly.vertices[i:] + poly.vertices[:i])
+    i = ints.index((0, 0))
+    return IntPolygon(vs[i:] + vs[:i], ints[i:] + ints[:i], c.scale, abs(c.area2))
 
 
-def _reflected(canonical: Polygon) -> Polygon:
-    # four-fold axis reflection of Omega, built from the boundary arc that
-    # avoids the origin
-    arc = canonical.vertices[1:]
-    quads = [
-        [(x, y) for x, y in arc],
-        [(-x, y) for x, y in reversed(arc)],
-        [(-x, -y) for x, y in arc],
-        [(x, -y) for x, y in reversed(arc)],
-    ]
-    return Polygon.from_points([p for quad in quads for p in quad])
-
-
-def _convex_toric_flag(canonical: Polygon) -> bool:
-    vs = canonical.vertices
-    v1, vlast = vs[1], vs[-1]
-    if not (v1[1] == 0 and v1[0] > 0):
-        return False
-    if not (vlast[0] == 0 and vlast[1] > 0):
-        return False
-    if not is_convex(canonical):
-        return False
-    try:
-        return is_convex(_reflected(canonical))
-    except ValueError:
-        return False
+def _convex_toric_flag(c: IntPolygon) -> bool:
+    """Omega runs from the origin along the x-axis to (a, 0) and back down
+    the y-axis from (0, b), turns left everywhere, and its four-fold axis
+    reflection adds no reflex corner: the edge leaving (a, 0) has dx <= 0
+    and the edge reaching (0, b) has dy >= 0.  Every other corner of the
+    reflection turns as the corner of Omega it reflects."""
+    (a, y1), (x2, _), (xm, ym), (xl, b) = c.ints[1], c.ints[2], c.ints[-2], c.ints[-1]
+    return y1 == 0 < a and xl == 0 < b and x2 <= a and ym <= b and turns_left(c.ints)
 
 
 def check_concave_chain(chain) -> None:
@@ -88,21 +68,16 @@ def check_concave_chain(chain) -> None:
         raise ValueError(f"bad boundary chain (too short): {chain}")
     if not (chain[0][0] == 0 and chain[0][1] > 0 and chain[-1][1] == 0 and chain[-1][0] > 0):
         raise ValueError(f"bad boundary chain (endpoints off the axes): {chain}")
-    dirs = []
-    for i in range(len(chain) - 1):
-        dx = chain[i + 1][0] - chain[i][0]
-        dy = chain[i + 1][1] - chain[i][1]
-        if not (dx > 0 and dy < 0):
-            raise ValueError(f"bad boundary chain (not monotone): {chain}")
-        dirs.append((dx, dy))
-    for i in range(len(dirs) - 1):
-        if cross(dirs[i], dirs[i + 1]) <= 0:
-            raise ValueError(f"bad boundary chain (slopes not increasing): {chain}")
+    dirs = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(chain, chain[1:])]
+    if not all(dx > 0 and dy < 0 for dx, dy in dirs):
+        raise ValueError(f"bad boundary chain (not monotone): {chain}")
+    if any(cross(u, v) <= 0 for u, v in zip(dirs, dirs[1:])):
+        raise ValueError(f"bad boundary chain (slopes not increasing): {chain}")
 
 
-def _concave_toric_flag(canonical: Polygon) -> bool:
+def _concave_toric_flag(c: IntPolygon) -> bool:
     try:
-        check_concave_chain(tuple(reversed(canonical.vertices[1:])))
+        check_concave_chain(c.ints[:0:-1])
     except ValueError:
         return False
     return True
@@ -153,6 +128,12 @@ class Domain:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
         return f"{type(self).__qualname__}({fields})"
+
+    @functools.cached_property
+    def int_omega(self) -> IntPolygon:
+        """omega in integers over its common denominator; a toric domain
+        keeps the one it was validated in."""
+        return int_polygon(self.omega.vertices)
 
     @functools.cached_property
     def key(self) -> str:
@@ -252,18 +233,23 @@ class S2xS2(_Sized):
 
 
 class _Toric(Domain):
-    """A family given by its moment polygon, stored canonical."""
+    """A family given by its moment polygon, stored canonical, with the
+    integer polygon it was validated in; the flag the family does not fix
+    is read off that."""
 
     FIELDS = ("omega",)
+    convex = property(lambda self: _convex_toric_flag(self.int_omega))
+    concave = property(lambda self: _concave_toric_flag(self.int_omega))
 
     def __init__(self, omega):
-        omega = canonical_omega(omega)
-        if not self._valid(omega):
+        c = canonical_omega(omega)
+        if not self._valid(c):
             raise ValueError(self._INVALID)
-        self._set(omega)
+        self._set(Polygon(c.vertices))
+        object.__setattr__(self, "int_omega", c)
 
     def volume(self) -> Fraction:
-        return self.omega.area()
+        return Fraction(self.int_omega.area2, 2 * self.int_omega.scale ** 2)
 
     def scale(self, mu: Fraction):
         return type(self)([(x * mu, y * mu) for x, y in self.omega.vertices])
@@ -293,10 +279,6 @@ class ConvexToric(_Toric):
     _valid = staticmethod(_convex_toric_flag)
     _INVALID = "polygon is not convex toric (axis reflection is not convex)"
 
-    @property
-    def concave(self) -> bool:
-        return _concave_toric_flag(self.omega)
-
 
 class ConcaveToric(_Toric):
     TYPE = "concave_toric"
@@ -308,10 +290,6 @@ class ConcaveToric(_Toric):
 
     _valid = staticmethod(_concave_toric_flag)
     _INVALID = "polygon is not concave toric (quadrant complement is not convex)"
-
-    @property
-    def convex(self) -> bool:
-        return _convex_toric_flag(self.omega)
 
 
 class DisjointUnion(Domain):

@@ -5,7 +5,9 @@ Conventions used throughout the package:
   * scalars are fractions.Fraction, never floats;
   * points are (x, y) pairs of Fractions;
   * polygons are vertex cycles with consecutive duplicates dropped and
-    collinear runs merged, orientation as supplied by the caller;
+    collinear runs merged, orientation as supplied by the caller.  The
+    points stay Fractions; canonicalizing, areas and turns run once, in
+    integers over the vertices' common denominator (IntPolygon);
   * lattice paths live on integer coordinates and are encoded by their
     integer edge vectors, walked from (0, start_y).
 
@@ -65,8 +67,55 @@ def dot(u: Sequence, v: Sequence):
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
+class IntPolygon(NamedTuple):
+    """A vertex cycle twice over: its exact points, and the same points as
+    integers over their common denominator, (x, y) standing for
+    (x/scale, y/scale).  area2 is twice the signed area times scale^2."""
+
+    vertices: tuple[Point, ...]
+    ints: tuple[tuple[int, int], ...]
+    scale: int
+    area2: int
+
+
+def int_polygon(vertices: Sequence[Point]) -> IntPolygon:
+    """The Fraction points in integers over their common denominator."""
+    scale = math.lcm(*(c.denominator for p in vertices for c in p))
+    ints = tuple((x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+                 for x, y in vertices)
+    area2 = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(ints, ints[1:] + ints[:1]))
+    return IntPolygon(tuple(vertices), ints, scale, area2)
+
+
+def cycle(pts: Iterable) -> IntPolygon:
+    """The canonical cycle of pts, in integers over their common denominator:
+    consecutive duplicates and closing repeats dropped, straight-through
+    vertices merged, a reversal rejected.  Merging a vertex keeps the
+    directions of its neighbours' edges, so one scan with each vertex's
+    first neighbours merges and rejects as a rescan after each merge would."""
+    pts = [point(p[0], p[1]) for p in pts]
+    ints = int_polygon(pts).ints
+    out: list[int] = []  # indices of the distinct points, each vertex's first neighbours
+    for i, p in enumerate(ints):
+        if not out or p != ints[out[-1]]:
+            out.append(i)
+    while len(out) > 1 and ints[out[0]] == ints[out[-1]]:
+        out.pop()
+    if len(out) < 3:
+        raise ValueError("degenerate polygon: fewer than 3 distinct vertices")
+    kept: list[int] = []
+    for j, i in enumerate(out):
+        if len(kept) + len(out) - j < 3:  # where a rescan would stop
+            break
+        (ax, ay), (bx, by), (cx, cy) = ints[out[j - 1]], ints[i], ints[out[j + 1 - len(out)]]
+        ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
+        if ux * vy != uy * vx:
+            kept.append(i)
+        elif ux * vx + uy * vy < 0:
+            raise ValueError(f"degenerate polygon: reversal at vertex {pts[i]}")
+    if len(kept) < 3:
+        raise ValueError("degenerate polygon: collapses to a segment")
+    return int_polygon([pts[i] for i in kept])
 
 
 class Polygon(NamedTuple):
@@ -81,63 +130,25 @@ class Polygon(NamedTuple):
 
     @staticmethod
     def from_points(pts: Iterable) -> "Polygon":
-        cycle = [point(p[0], p[1]) for p in pts]
-        out: list[Point] = []
-        for p in cycle:
-            if not out or p != out[-1]:
-                out.append(p)
-        while len(out) > 1 and out[0] == out[-1]:
-            out.pop()
-        if len(out) < 3:
-            raise ValueError("degenerate polygon: fewer than 3 distinct vertices")
-        # merge straight-through vertices, cyclically, until stable
-        changed = True
-        while changed and len(out) >= 3:
-            changed = False
-            n = len(out)
-            for i in range(n):
-                a, b, c = out[i - 1], out[i], out[(i + 1) % n]
-                u, v = _sub(b, a), _sub(c, b)
-                if cross(u, v) == 0:
-                    if dot(u, v) < 0:
-                        raise ValueError(f"degenerate polygon: reversal at vertex {b}")
-                    del out[i]
-                    changed = True
-                    break
-        if len(out) < 3:
-            raise ValueError("degenerate polygon: collapses to a segment")
-        return Polygon(tuple(out))
+        return Polygon(cycle(pts).vertices)
 
     def signed_area(self) -> Fraction:
-        s = Fraction(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            s += cross(vs[i], vs[(i + 1) % len(vs)])
-        return s / 2
+        s = int_polygon(self.vertices)
+        return Fraction(s.area2, 2 * s.scale * s.scale)
 
-    def area(self) -> Fraction:
-        return abs(self.signed_area())
 
-    def reversed(self) -> "Polygon":
-        return Polygon(tuple(self.vertices[::-1]))
+def turns_left(ints: Sequence[tuple[int, int]]) -> bool:
+    """True iff every consecutive edge pair of the cycle turns left or goes straight."""
+    return all((bx - ax) * (cy - by) >= (by - ay) * (cx - bx) for (ax, ay), (bx, by), (cx, cy)
+               in zip(ints[-2:] + ints[:-2], ints[-1:] + ints[:-1], ints))
 
 
 def is_convex(p: Polygon) -> bool:
-    """True iff every consecutive edge pair turns left or goes straight.
-
-    Checks cross products >= 0 around the cycle, so the answer is True only
-    for counterclockwise vertex order.
-    """
-    vs = p.vertices
-    if len(vs) < 3:
+    """True iff every consecutive edge pair turns left or goes straight, so
+    True only for counterclockwise vertex order."""
+    if len(p.vertices) < 3:
         raise ValueError("degenerate polygon: fewer than 3 vertices")
-    n = len(vs)
-    for i in range(n):
-        u = _sub(vs[(i + 1) % n], vs[i])
-        v = _sub(vs[(i + 2) % n], vs[(i + 1) % n])
-        if cross(u, v) < 0:
-            return False
-    return True
+    return turns_left(int_polygon(p.vertices).ints)
 
 
 def path_vertices(edges: Sequence[Edge], start_y: int) -> list[tuple[int, int]]:

@@ -24,7 +24,8 @@ The expansion runs a work list of pieces and needs no depth limit: it
 ends on every rational polygon.  Let D be the common denominator of the
 vertex coordinates.  Every shear is unimodular and every r (and the head
 h) is the coordinate sum of a vertex, so all vertices of all pieces stay
-in (1/D)Z, and the expansion runs in integers over D.  Each peeled ball
+in (1/D)Z, and the expansion runs in integers over D, on the integer
+polygon the domain was validated in (int_omega).  Each peeled ball
 therefore has size at least 1/D and area at least 1/(2D^2), and each step
 peels one ball off the area still to fill, so expanding a region of area
 A takes at most 2 D^2 A steps.
@@ -32,7 +33,6 @@ A takes at most 2 D^2 A steps.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,10 +55,9 @@ def inscribed_triangle_size(omega) -> Fraction:
 
 
 def _expand(chains: list) -> list:
-    """Ball sizes of the concave pieces below the chains, sorted
-    nonincreasing, found in integers over the vertices' common denominator."""
-    scale = math.lcm(*(c.denominator for chain in chains for point in chain for c in point))
-    todo = [tuple((int(x * scale), int(y * scale)) for x, y in chain) for chain in chains]
+    """Ball sizes of the concave pieces below the integer chains, sorted
+    nonincreasing, in the chains' units."""
+    todo = list(chains)
     out = []
     while todo:
         chain = todo.pop()
@@ -72,18 +71,29 @@ def _expand(chains: list) -> list:
             todo.append(tuple((x, x + y - r) for x, y in chain[:i1 + 1]))
         if i2 < len(chain) - 1:
             todo.append(tuple((x + y - r, y) for x, y in chain[i2:]))
-    return sorted((Fraction(r, scale) for r in out), reverse=True)
+    return sorted(out, reverse=True)
+
+
+def _balls(what: str, head: int, chains: list, c) -> tuple[Fraction, ...]:
+    """The ball sizes below the integer chains of the polygon c, once the
+    volume identity holds in integers: the balls fill c (head 0), or fill
+    the head triangle minus c, so sum a_i^2, or head^2 minus it, is
+    2 area scale^2."""
+    weights = _expand(chains)
+    squares = sum(w * w for w in weights)
+    got = head * head - squares if head else squares
+    if got != c.area2:
+        unit = 2 * c.scale ** 2
+        raise ValueError(f"volume identity failed for {what} (got "
+                         f"{rational_str(Fraction(got, unit))}, want "
+                         f"{rational_str(Fraction(c.area2, unit))})")
+    return tuple(Fraction(w, c.scale) for w in weights)
 
 
 def weight_expansion(omega) -> tuple[Fraction, ...]:
     """Ball sizes filling a concave region, sorted nonincreasing."""
-    weights = tuple(_expand([domains.upper_boundary(omega)]))
-    total = sum((w * w / 2 for w in weights), Fraction(0))
-    want = domains.volume(omega)
-    if total != want:
-        raise ValueError("volume identity failed for weight expansion "
-                         f"(got {rational_str(total)}, want {rational_str(want)})")
-    return weights
+    c = omega.int_omega
+    return _balls("weight expansion", 0, [c.ints[:0:-1]], c)
 
 
 def negative_weight_sequence(omega) -> NegativeWeightDecomposition:
@@ -91,8 +101,8 @@ def negative_weight_sequence(omega) -> NegativeWeightDecomposition:
     head triangle minus the polygon, sorted nonincreasing."""
     if not omega.convex:
         raise ValueError("negative weight sequence needs a convex toric polygon")
-    chain = domains.upper_boundary(omega)
-    area = domains.volume(omega)
+    c = omega.int_omega
+    chain = c.ints[:0:-1]
     g = [x + y for x, y in chain]
     head = max(g)
     # x + y is unimodal along the chain, so the peak is a vertex or one
@@ -104,9 +114,5 @@ def negative_weight_sequence(omega) -> NegativeWeightDecomposition:
         pieces.append(tuple((x, head - x - y) for x, y in chain[:i1 + 1]))
     if i2 < len(chain) - 1:
         pieces.append(tuple((head - x - y, y) for x, y in chain[i2:]))
-    negatives = tuple(_expand(pieces))
-    deficit = head * head / 2 - sum((w * w / 2 for w in negatives), Fraction(0))
-    if deficit != area:
-        raise ValueError("volume identity failed for negative weight sequence "
-                         f"(got {rational_str(deficit)}, want {rational_str(area)})")
-    return NegativeWeightDecomposition(head, negatives)
+    return NegativeWeightDecomposition(Fraction(head, c.scale),
+                                       _balls("negative weight sequence", head, pieces, c))

@@ -165,6 +165,34 @@ def test_exit_code_1_on_bad_input(capsys):
     assert rc == 1
 
 
+def _toric(family, *vertices):
+    return json.dumps({"type": family, "vertices": [[str(x), str(y)] for x, y in vertices]})
+
+
+# each polygon the constructors reject, with the one stderr line it gets
+VALIDATION_ERRORS = {
+    "reversal": (_toric("convex_toric", (0, 0), (2, 0), (1, 0), (1, 2)),
+                 "error: degenerate polygon: reversal at vertex (Fraction(2, 1), Fraction(0, 1))"),
+    "zero_area": (_toric("convex_toric", (0, 0), (1, 1), (1, 0), (0, 1)),
+                  "error: moment polygon has zero area"),
+    "off_quadrant": (_toric("convex_toric", (0, 0), (2, 0), ("-1/2", 2)),
+                     "error: moment polygon vertex (-1/2,2) leaves the nonnegative quadrant"),
+    "no_origin": (_toric("concave_toric", (1, 0), (2, 0), (0, 2)),
+                  "error: moment polygon must have the origin as a vertex"),
+    "not_convex_toric": (_toric("convex_toric", (0, 0), (3, 0), (1, 1), (0, 3)),
+                         "error: polygon is not convex toric (axis reflection is not convex)"),
+    "not_concave_toric": (_toric("concave_toric", (0, 0), (2, 0), (2, 1), (1, 2), (0, 2)),
+                          "error: polygon is not concave toric "
+                          "(quadrant complement is not convex)"),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION_ERRORS)
+def test_validation_errors_exit_1_with_one_line(capsys, case):
+    spec, line = VALIDATION_ERRORS[case]
+    assert _run(capsys, "capacity", "-d", spec, "-k", "1") == (1, "", line + "\n")
+
+
 def test_exit_code_2_only_on_usage_errors(capsys):
     # no value rests on a cut-off, so symcap itself never exits 2
     for argv in (["capacity", "-d", SQUARE],

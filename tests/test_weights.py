@@ -129,3 +129,16 @@ def test_expansion_has_no_depth_limit():
 def test_expansion_terms_are_exact_rationals():
     for w in weight_expansion(dom.ellipsoid(1, F(7, 5))):
         assert isinstance(w, F)
+
+
+def test_volume_identity_failure_names_both_volumes(monkeypatch):
+    # an expansion that loses its smallest ball no longer fills the polygon
+    import symcap.weights as weights
+    real = weights._expand
+    monkeypatch.setattr(weights, "_expand", lambda chains: real(chains)[:-1])
+    with pytest.raises(ValueError) as exc:
+        weight_expansion(dom.ellipsoid(1, F(3, 2)))
+    assert str(exc.value) == "volume identity failed for weight expansion (got 5/8, want 3/4)"
+    with pytest.raises(ValueError) as exc:
+        negative_weight_sequence(PENT)
+    assert str(exc.value) == "volume identity failed for negative weight sequence (got 4, want 7/2)"
