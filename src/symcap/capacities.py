@@ -1,5 +1,5 @@
 """Capacity computation: closed forms, spectra, path optima, weight
-decompositions, and the dispatcher tying them together.
+decompositions, and the per-domain capacity sources that apply them.
 
 Formulas implemented here:
   ball        c_k(B(a)) = d*a with d the unique integer satisfying
@@ -23,9 +23,9 @@ work done so far.  A ball or projective plane, a polydisk or a sphere
 product appends one k at a time from its closed form; an ellipsoid pops
 one action per k from its own spectrum heap; a union, and a concave domain
 read as the union of its weight balls, adds max-plus DP columns; a convex
-domain takes its minimum over the shift l against the columns of its
-excised balls' DP.  The polydisk formula, the DP and the convex minimum
-run in integers over a common denominator.
+domain takes its minimum over the shift l against the columns of its own
+DP of its excised balls.  The polydisk formula, the DP and the convex
+minimum run in integers over a common denominator.
 Each prefix grows under its own lock; the two toric sources also hold the
 second method verify=True compares against.  Sources are made on first use
 and kept per canonical domain key, so ck, capacity_sequence and the union
@@ -59,7 +59,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import paths
-from .domains import Ball, DisjointUnion, Domain
+from .domains import Ball, Domain
 from .geometry import rational, rational_str
 from .norms import concave_context, convex_context
 from .weights import negative_weight_sequence, weight_expansion
@@ -359,13 +359,6 @@ class _UnionPrefix(_Prefix):
         for j in range(len(self.results), k + 1):
             self.results.append(self.table.result(j, self.method))
 
-    def totals(self, lo: int, hi: int) -> tuple:
-        """(c_lo..c_hi as integers over the DP's common denominator, that
-        denominator): the DP grows to hi, and no result is made."""
-        with self.lock:
-            _union_table(self.table, hi)
-            return self.table.best[-1][lo:hi + 1], self.table.scale
-
 
 class _ConcavePrefix(_Prefix):
     """The union of the domain's weight balls, largest first.  c_k uses
@@ -420,24 +413,24 @@ class _ConvexPrefix(_Prefix):
         and h^2 - S is twice the area (negative_weight_sequence asserts
         it), so once that holds it holds for every later d.
     Every later term then exceeds best, so the value is the exact minimum.
-    E is one capacity source, whose DP grows to the last block end a k
-    reads, so a scan over k reuses its columns.  The weight sequence is
-    found on the first growth.  The oracle is the convex path optimum."""
+    E's max-plus DP belongs to this prefix, over the same denominator, and
+    grows to the last block end a k reads, so a scan over k reuses its
+    columns.  The weight sequence is found on the first growth.  The
+    oracle is the convex path optimum."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.excised = None  # c_l(E) for l = 0, 1, ..., once grown
+        self.table = None  # the DP of E, once grown
 
     def _grow(self, k: int) -> None:
-        if self.excised is None:
+        if self.table is None:
             dec = negative_weight_sequence(self.domain)
             self.scale = math.lcm(dec.head.denominator, *(w.denominator for w in dec.negatives))
             self.head = int(dec.head * self.scale)
             sizes = [int(w * self.scale) for w in dec.negatives]
             self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
-            self.balls = (_source(DisjointUnion(tuple(map(Ball, dec.negatives))))
-                          if sizes else None)
-            self.excised = [0]
+            self.table = _UnionParts(map(Ball, dec.negatives))
+            self.table.scale = self.scale  # a multiple of each a_i's denominator, so kept
         for j in range(len(self.results), k + 1):
             value, l = self._minimum(j)
             self.results.append(_checked(CapacityResult(
@@ -446,16 +439,15 @@ class _ConvexPrefix(_Prefix):
     def _minimum(self, k: int) -> tuple:
         """(the least T(l), its first argmin l), T over the common
         denominator."""
-        exc = self.excised
         d = ball_multiplicity(k)
-        if not self.balls:  # T(l) = c_{k+l}(B(h)) grows with l
+        if not self.m:  # T(l) = c_{k+l}(B(h)) grows with l
             return d * self.head, 0
+        exc = self.table.best[-1]  # c_l(E), l = 0, 1, ..., as far as grown
         best = math.inf
         while best == math.inf or not self.past(k, d, best):
             hi = d * (d + 3) // 2 - k
             if hi >= len(exc):
-                new, scale = self.balls.totals(len(exc), hi)
-                exc.extend(x * (self.scale // scale) for x in new)
+                _union_table(self.table, hi)
             if d * self.head - exc[hi] < best:
                 best, first, last = d * self.head - exc[hi], max(d * (d + 1) // 2 - k, 0), hi
             d += 1

@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Edge, cross, dot, lattice_points_under_path
+from .geometry import Edge, cross, dot, int_polygon, lattice_points_under_path
 from .norms import NormContext, anti_norm, dual_norm
 
 
@@ -177,15 +177,6 @@ def path_from_json(obj, kind: str) -> LatticePath:
     return p
 
 
-def _scaled_support(vertices):
-    scale = 1
-    for x, y in vertices:
-        scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        scale = scale * y.denominator // math.gcd(scale, y.denominator)
-    ivs = [(int(x * scale), int(y * scale)) for x, y in vertices]
-    return scale, ivs
-
-
 EMPTY_CONVEX = LatticePath("convex", (), 0)
 EMPTY_CONCAVE = LatticePath("concave", (), 0)
 
@@ -238,7 +229,7 @@ def _convex_search(ctx: NormContext, k: int) -> PathOptimum:
     paths with count >= k+1, and the tree is pruned against its cost; a
     path is scored only when it is no dearer.
     """
-    scale, iverts = _scaled_support(ctx.support_vertices)
+    _, iverts, scale, _ = int_polygon(ctx.support_vertices)
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
     b_int = max(iy for _, iy in iverts)
 
@@ -405,7 +396,7 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
         return PathOptimum(Fraction(0), EMPTY_CONCAVE, 0)
 
     budget = k + 1
-    scale, ichain = _scaled_support(ctx.support_vertices)
+    _, ichain, scale, _ = int_polygon(ctx.support_vertices)
 
     def anu(p, q) -> int:
         ap, aq = abs(p), abs(q)

@@ -1,4 +1,5 @@
-"""One seeded generator of rational moment-polygon inputs, valid and not.
+"""The test suite's one seeded random generator: raw moment-polygon inputs,
+valid and not; domains of every family; and lattice paths.
 
 polygons(seed, count) returns (kind, points) pairs.  The points are what a
 caller hands to a constructor: ints, "p/q" strings and Fractions mixed, in
@@ -18,11 +19,19 @@ any rotation and orientation.  The kinds:
   zero_area      points on one line, or a figure eight of zero signed area
 
 Any of them may be drawn reversed, rotated or both.
+
+domain(rng, family) draws a domain of one of FAMILIES, its sizes in (1, 3]:
+a convex toric domain is a cut rectangle or an up-left walk, redrawn until
+it is convex toric, and a concave one is a staircase.  convex_path(rng) and
+concave_path(rng) draw valid lattice paths of either kind.
 """
 
 import math
 import random
 from fractions import Fraction as F
+
+import symcap.domains as dom
+import symcap.paths as paths
 
 KINDS = ("cut_rectangle", "up_left_walk", "staircase", "star", "scramble",
          "spike", "collinear", "repeated", "shifted", "zero_area")
@@ -32,8 +41,8 @@ def _size(rng):
     return F(rng.randint(1, 40), rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 12)))
 
 
-def _cut_rectangle(rng):
-    a, b = _size(rng), _size(rng)
+def _cut_rectangle(rng, size=_size):
+    a, b = size(rng), size(rng)
     cut = sorted({F(rng.randint(1, 9), 10) for _ in range(4)})
     if len(cut) >= 2 and rng.random() < 0.5:
         return [(0, 0), (a, 0), (a, b * cut[0]), (a * cut[-1], b * cut[-1]),
@@ -47,12 +56,12 @@ def _angle(d):
     return math.atan2(d[1], d[0]) % (2 * math.pi)
 
 
-def _up_left_walk(rng):
-    dirs = [(-_size(rng) * rng.randint(0, 3), _size(rng) * rng.randint(0, 3))
+def _up_left_walk(rng, size=_size):
+    dirs = [(-size(rng) * rng.randint(0, 3), size(rng) * rng.randint(0, 3))
             for _ in range(rng.randint(1, 5))]
     dirs = [d for d in dirs if d != (0, 0)] or [(F(-1), F(1))]
     if rng.random() < 0.3:  # a first edge leaning right or a last one leaning down
-        dirs.append((_size(rng), _size(rng)) if rng.random() < 0.5 else (-_size(rng), -_size(rng)))
+        dirs.append((size(rng), size(rng)) if rng.random() < 0.5 else (-size(rng), -size(rng)))
     x = y = F(0)
     walk = []
     for dx, dy in sorted(dirs, key=_angle):
@@ -61,11 +70,11 @@ def _up_left_walk(rng):
     return [(0, 0), (-x, 0), *((px - x, py) for px, py in walk)]
 
 
-def _staircase(rng):
+def _staircase(rng, size=_size):
     slopes = sorted({F(-rng.randint(1, 12), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))})
     chain = [(F(0), F(0))]
     for s in slopes:
-        dx = _size(rng)
+        dx = size(rng)
         chain.append((chain[-1][0] + dx, chain[-1][1] + s * dx))
     a, low = chain[-1]
     return [(0, 0), (a, 0), *((x, y - low) for x, y in reversed(chain[1:-1])), (0, -low)]
@@ -158,3 +167,90 @@ def polygons(seed, count) -> list:
             pts = pts[r:] + pts[:r]
         out.append((kind, [(_spell(rng, x), _spell(rng, y)) for x, y in pts]))
     return out
+
+
+# --- domains ----------------------------------------------------------------
+
+FAMILIES = ("ball", "ellipsoid", "polydisk", "cp2", "s2xs2", "union", "ball_union",
+            "convex", "concave")
+
+
+def _small(rng):
+    """A size in (1, 3]."""
+    q = rng.choice((1, 2, 3, 5, 7, 11))
+    return F(rng.randint(q + 1, 3 * q), q)
+
+
+_SIZED = {"ball": dom.Ball, "ellipsoid": dom.Ellipsoid, "polydisk": dom.Polydisk,
+          "cp2": dom.CP2, "s2xs2": dom.S2xS2}
+_CONVEX = {"cut_rectangle": _cut_rectangle, "up_left_walk": _up_left_walk}
+
+
+def domain(rng, family):
+    """A domain of the family, or of the convex kind "cut_rectangle" or
+    "up_left_walk"; "convex" draws either kind."""
+    if family in _SIZED:
+        return _SIZED[family](*(_small(rng) for _ in _SIZED[family].FIELDS))
+    if family == "union":
+        kinds = [rng.choice(("ball", "ellipsoid", "polydisk")) for _ in range(rng.randint(2, 4))]
+        return dom.disjoint_union(*(domain(rng, kind) for kind in kinds))
+    if family == "ball_union":
+        return dom.disjoint_union(*(domain(rng, "ball") for _ in range(rng.randint(2, 5))))
+    if family == "concave":
+        return dom.concave_toric(_staircase(rng, _small))
+    make = _CONVEX[rng.choice(list(_CONVEX)) if family == "convex" else family]
+    while True:
+        try:
+            return dom.convex_toric(make(rng, _small))
+        except ValueError:
+            pass  # an edge leans the wrong way at an axis vertex, or no area
+
+
+# --- lattice paths ------------------------------------------------------------
+
+def _convex_direction_key(d):
+    # clockwise order along a convex path: up-right, right, down-right,
+    # down, down-left; by slope, steepest first, inside each group
+    p, q = d
+    group = 0 if p > 0 and q > 0 else 1 if p > 0 and q == 0 else 2 if p > 0 else 3 if p == 0 else 4
+    return (group, -F(q, p) if p else 0)
+
+
+def convex_path(rng):
+    """A valid convex path: empty, an axis segment, or distinct primitive
+    directions from the admissible arc in clockwise order with small
+    multiplicities, often with up-right first and down-left last edges so
+    the path is not monotone."""
+    shape = rng.random()
+    if shape < 0.02:
+        return paths.convex_path([])
+    if shape < 0.07:
+        return paths.convex_path([(rng.randint(1, 6), 0)])
+    if shape < 0.12:
+        return paths.convex_path([(0, -rng.randint(1, 6))])
+    while True:
+        dirs = set()
+        for _ in range(rng.randint(1, 5)):
+            p, q = rng.randint(-3, 4), rng.randint(-4, 3)
+            admissible = p > 0 or (p <= 0 and q < 0)
+            if (p, q) != (0, 0) and math.gcd(p, q) == 1 and admissible:
+                dirs.add((p, q))
+        edges = [(m * p, m * q) for p, q in sorted(dirs, key=_convex_direction_key)
+                 for m in [rng.randint(1, 3)]]
+        try:
+            if edges:
+                return paths.convex_path(edges)
+        except ValueError:
+            pass  # ends left of the y-axis or below the x-axis
+
+
+def concave_path(rng):
+    """A valid concave path: edges with dx >= 1, dy <= -1 and strictly
+    increasing slopes, often followed by a horizontal run along the x-axis
+    (alone, when no sloped edge was drawn)."""
+    slopes = {F(rng.randint(-5, -1), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))}
+    edges = [(m * s.denominator, m * s.numerator) for s in sorted(slopes)
+             for m in [rng.randint(1, 3)]]
+    if not edges or rng.random() < 0.4:
+        edges.append((rng.randint(1, 4), 0))
+    return paths.concave_path(edges)

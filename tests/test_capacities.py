@@ -1,4 +1,5 @@
-"""Capacity formulas, the dispatcher, axioms, and cross-formula agreement."""
+"""Capacity formulas, ck, axioms, and cross-formula agreement, on hand-picked
+domains and on seeded random draws of every family (tests/random_polygons.py)."""
 
 import concurrent.futures
 import functools
@@ -16,8 +17,9 @@ import pytest
 import symcap.capacities as cap
 import symcap.domains as dom
 import symcap.paths as paths
+from cache_files import domain_files, file_of, no_growth, opened_paths
 from per_k import ck_concave_via_weights, ck_polydisk, ck_union
-from test_paths import _random_convex
+from random_polygons import FAMILIES, domain
 from symcap.capacities import (
     CapacityResult,
     ck,
@@ -28,7 +30,7 @@ from symcap.capacities import (
     ellipsoid_spectrum,
     witness_to_json,
 )
-from symcap.norms import convex_context
+from symcap.norms import concave_context, convex_context
 from symcap.weights import negative_weight_sequence
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
@@ -203,18 +205,18 @@ def _shift_terms(d, ks):
             for k in ks}
 
 
-def _random_convex_polygons(seed, n):
+def _draws(seed, family, n) -> list:
     rng = random.Random(seed)
-    return [_random_convex(rng) for _ in range(n)]
+    return [domain(rng, family) for _ in range(n)]
 
 
-@pytest.mark.parametrize("d", [PENT, HEXAGON] + _random_convex_polygons("convex weights", 4),
+@pytest.mark.parametrize("d", [PENT, HEXAGON] + _draws("convex weights", "convex", 4),
                          ids=["pent", "hexagon", "random0", "random1", "random2", "random3"])
 def test_convex_via_weights_equals_brute_force_minimum(d):
     cap.clear_memo()
     for k, terms in _shift_terms(d, (50, 200, 354)).items():
         r, best = ck(d, k), min(terms)
-        assert (r.value, r.witness) == (best, {"l": terms.index(best)})
+        assert (r.value, r.witness) == (best, {"l": terms.index(best)}), (d.key, k)
 
 
 @pytest.mark.parametrize("d", [PENT, HEXAGON], ids=["pent", "hexagon"])
@@ -267,30 +269,36 @@ def test_dispatcher_rejects_negative_k():
         ck(dom.ball(1), -1)
 
 
-@pytest.mark.parametrize("d", CORPUS)
+# the fixed corpus, then two draws of every family
+AXIOM_DOMAINS = [pytest.param(d, id=f"d{i}") for i, d in enumerate(CORPUS)] + [
+    pytest.param(d, id=f"{family}-{i}") for family in FAMILIES
+    for i, d in enumerate(_draws(f"axioms-{family}", family, 2))]
+
+
+@pytest.mark.parametrize("d", AXIOM_DOMAINS)
 def test_axiom_increasing(d):
     vals = _seq(d, 11)
-    assert vals[0] == 0 and vals[1] > 0
+    assert vals[0] == 0 and vals[1] > 0, d.key
     for k in range(11):
-        assert vals[k] <= vals[k + 1]
-        assert vals[k] >= 0
+        assert vals[k] <= vals[k + 1], (d.key, k)
+        assert vals[k] >= 0, (d.key, k)
 
 
-@pytest.mark.parametrize("d", CORPUS)
+@pytest.mark.parametrize("d", AXIOM_DOMAINS)
 def test_axiom_conformality(d):
     base = _seq(d, 10)
     for mu in (2, 3, F(5, 2)):
         scaled = dom.scale_domain(d, mu)
         for k in range(11):
-            assert ck(scaled, k).value == mu * base[k]
+            assert ck(scaled, k).value == mu * base[k], (d.key, mu, k)
 
 
-@pytest.mark.parametrize("d", CORPUS)
+@pytest.mark.parametrize("d", AXIOM_DOMAINS)
 def test_axiom_sublinear(d):
     vals = _seq(d, 20)
     for k in range(11):
         for l in range(11):
-            assert vals[k + l] <= vals[k] + vals[l]
+            assert vals[k + l] <= vals[k] + vals[l], (d.key, k, l)
 
 
 def test_axiom_union_versus_brute_force():
@@ -301,20 +309,26 @@ def test_axiom_union_versus_brute_force():
         assert ck(u, k).value == brute
 
 
-@pytest.mark.parametrize("omega", [dom.ellipsoid(1, 2), dom.ellipsoid(1, F(3, 2)), STAIR])
+@pytest.mark.parametrize("omega", [dom.ellipsoid(1, 2), dom.ellipsoid(1, F(3, 2)), STAIR]
+                         + _draws("concave formula", "concave", 12))
 def test_concave_formulas_agree(omega):
-    for k in range(13):
-        assert ck_concave_via_weights(omega, k).value == ck_concave_toric(omega, k).value
+    # the weight balls' union, as a sequence and per k, against the path
+    # optimum, its independent oracle
+    ctx = concave_context(omega)
+    want = [paths.max_concave(ctx, k).value for k in range(17)]
+    assert [r.value for r in capacity_sequence(omega, 16)] == want, omega.key
+    assert [ck_concave_via_weights(omega, k).value for k in range(13)] == want[:13], omega.key
 
 
 @pytest.mark.parametrize("omega", [_convex(dom.ball(1)), _convex(dom.polydisk(1, 1)),
                                    _convex(dom.polydisk(1, 2)), PENT]
-                         + _random_convex_polygons("convex formula", 12) + [HEXAGON])
+                         + _draws("convex formula", "cut_rectangle", 12) + [HEXAGON]
+                         + _draws("convex formula", "up_left_walk", 12))
 def test_convex_formulas_agree(omega):
     # the weight formula against the path optimum, its independent oracle
     ctx = convex_context(omega)
     assert [r.value for r in capacity_sequence(omega, 30)] == \
-        [paths.min_convex(ctx, k).value for k in range(31)]
+        [paths.min_convex(ctx, k).value for k in range(31)], omega.key
 
 
 @pytest.mark.parametrize("ab", [(1, 2), (1, F(3, 2)), (3, 2)])
@@ -373,43 +387,6 @@ def test_memo_is_deterministic_under_threads():
     assert worker(0) == results[0]
 
 
-def _domain_files(path) -> dict:
-    """{key: payload} of the domain files in path, each named by its key."""
-    files = {}
-    for p in path.iterdir():
-        payload = json.loads(p.read_text())
-        assert payload["version"] == cap._FORMAT
-        assert p.name == os.path.basename(cap._cache_path("", payload["key"]))
-        files[payload["key"]] = payload
-    return files
-
-
-def _file_of(path, d):
-    return path / os.path.basename(cap._cache_path("", d.key))
-
-
-def _no_growth(monkeypatch):
-    """Make every source with a cache file fail if it grows."""
-    def no_grow(self, k):
-        raise AssertionError(f"{self.domain.key} grew to k={k}")
-
-    for kind in cap._SOURCE_KINDS.values():
-        if kind.CACHED:
-            monkeypatch.setattr(kind, "_grow", no_grow)
-
-
-def _opened(monkeypatch) -> list:
-    """Paths opened through capacities' own binding of open."""
-    opened = []
-
-    def recording(path, *args, **kwargs):
-        opened.append(str(path))
-        return open(path, *args, **kwargs)
-
-    monkeypatch.setattr(cap, "open", recording, raising=False)
-    return opened
-
-
 def test_disk_cache_round_trip(tmp_path):
     cap.clear_memo()
     e12 = dom.ellipsoid(1, 2)
@@ -417,7 +394,7 @@ def test_disk_cache_round_trip(tmp_path):
     ck(PENT, 3)
     ck(dom.ball(1), 5)  # a closed form: no file
     assert cap.save_disk_cache(str(tmp_path)) == 9 + 4
-    files = _domain_files(tmp_path)
+    files = domain_files(tmp_path)
     assert {key: len(p["entries"]) for key, p in files.items()} == {e12.key: 9, PENT.key: 4}
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
@@ -435,7 +412,7 @@ def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
     cap.save_disk_cache(str(tmp_path))
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
-    _no_growth(monkeypatch)
+    no_growth(monkeypatch)
     warm = [ck(d, k) for d in family for k in range(6)]
     assert warm == cold
     assert [type(r.witness) for r in warm] == [type(r.witness) for r in cold]
@@ -472,7 +449,7 @@ def test_disk_cache_concurrent_writers(tmp_path):
                 counts = [f.result(timeout=60) for f in futures]
             # one writes, the other finds it done
             assert sum(counts) == (26 if rounds == 0 else 0)
-            assert {key: len(p["entries"]) for key, p in _domain_files(tmp_path).items()} == want
+            assert {key: len(p["entries"]) for key, p in domain_files(tmp_path).items()} == want
     finally:
         sys.setswitchinterval(interval)
 
@@ -509,7 +486,7 @@ def test_disk_cache_writers_of_different_domains_lose_no_entry(tmp_path, monkeyp
         first.result(timeout=60)
         second.result(timeout=60)
     want = {d.key: [cap._entry_json(r) for r in capacity_sequence(d, 20)] for d in (a, b)}
-    assert {key: p["entries"] for key, p in _domain_files(tmp_path).items()} == want
+    assert {key: p["entries"] for key, p in domain_files(tmp_path).items()} == want
 
 
 def _fail_after_temp_file(tmp_path, monkeypatch, module, name):
@@ -576,7 +553,7 @@ def _saved_family(tmp_path):
 def test_disk_cache_load_builds_no_results(tmp_path, monkeypatch):
     _saved_family(tmp_path)
     counts = _count_builds(monkeypatch)
-    opened = _opened(monkeypatch)
+    opened = opened_paths(monkeypatch)
     cap.load_disk_cache(str(tmp_path))
     assert counts == {"rational": 0, "_witness_from_json": 0}
     assert opened == [] and cap._SOURCES == {}
@@ -588,11 +565,11 @@ def test_disk_cache_builds_only_the_entries_asked_for(tmp_path, monkeypatch):
     union = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1))
     cap.load_disk_cache(str(tmp_path))
     counts = _count_builds(monkeypatch)
-    opened = _opened(monkeypatch)
-    _no_growth(monkeypatch)
+    opened = opened_paths(monkeypatch)
+    no_growth(monkeypatch)
     ck(union, 4)
     assert counts["rational"] == 7  # the union's c_0..c_6, not its parts'
-    assert opened == [str(_file_of(tmp_path, union))]
+    assert opened == [str(file_of(tmp_path, union))]
     capacity_sequence(union, 6)
     assert counts["rational"] == 7 and len(opened) == 1
     assert list(cap._SOURCES) == [union.key]
@@ -617,7 +594,7 @@ def test_disk_cache_save_with_nothing_new_leaves_the_file(tmp_path):
     assert cap.save_disk_cache(str(tmp_path)) == 8
     after = stamps()
     changed = {name for name in before if after[name] != before[name]}
-    assert changed == {_file_of(tmp_path, e12).name}
+    assert changed == {file_of(tmp_path, e12).name}
 
 
 def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
@@ -632,13 +609,13 @@ def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
     cap.clear_memo()
     cap.load_disk_cache(str(ours))
     ck(e, 4)
-    path = _file_of(ours, e)
+    path = file_of(ours, e)
 
     def stored():
         return json.loads(path.read_text())["entries"]
 
     # another writer, which got further, replaced the file: it is kept
-    os.replace(_file_of(theirs, e), path)
+    os.replace(file_of(theirs, e), path)
     assert cap.save_disk_cache(str(ours)) == 0
     assert len(stored()) == 7
     # a file with a shorter prefix, or one that disagrees, is replaced
@@ -658,12 +635,12 @@ def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
     for d in CORPUS:
         capacity_sequence(d, 80 if d != PENT else 4)
     n = cap.save_disk_cache(str(tmp_path))
-    files = _domain_files(tmp_path)
+    files = domain_files(tmp_path)
     assert n == sum(len(p["entries"]) for p in files.values())
     for key, payload in files.items():
         entries = [cap._entry_json(r) for r in cap._SOURCES[key].results]
         assert payload == {"version": cap._FORMAT, "key": key, "entries": entries}
-        assert _file_of(tmp_path, cap._SOURCES[key].domain).read_text() == json.dumps(payload)
+        assert file_of(tmp_path, cap._SOURCES[key].domain).read_text() == json.dumps(payload)
     cap.clear_memo()
     assert cap.save_disk_cache(str(tmp_path / "empty")) == 0
     assert list((tmp_path / "empty").iterdir()) == []
@@ -680,17 +657,16 @@ def test_ck_computes_each_domain_key_once(monkeypatch):
     capacity_sequence(union, 5)
     for k in range(8):
         ck(union, k)
-    got = sorted(map(dom.domain_key, calls))
-    # the pentagon's capacities read the union of its excised balls
-    excised = dom.disjoint_union(*map(dom.ball, negative_weight_sequence(pent).negatives))
-    assert got == sorted(dom.domain_key(d) for d in (union, *union.parts, excised, *excised.parts))
+    # the pentagon's excised balls are a DP of its own source, with no key
+    assert sorted(map(dom.domain_key, calls)) == sorted(dom.domain_key(d)
+                                                       for d in (union, *union.parts))
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
     # an unknown version, another key's file or no JSON at all is a miss:
     # the prefix is computed, with no warning, and the save restores the file
     e = dom.ellipsoid(1, 3)
-    path = _file_of(tmp_path, e)
+    path = file_of(tmp_path, e)
     cap.clear_memo()
     cold = capacity_sequence(e, 5)
     cap.save_disk_cache(str(tmp_path))
@@ -721,7 +697,7 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
     entries = [{"c": str(opt.value), "method": "convex_path",
                 "witness": paths.path_to_json(opt.witness)}
                for opt in (paths.min_convex(ctx, k) for k in range(6))]
-    _file_of(tmp_path, PENT).write_text(
+    file_of(tmp_path, PENT).write_text(
         json.dumps({"version": 2, "key": PENT.key, "entries": entries}))
     cap.clear_memo()
     cold = capacity_sequence(PENT, 5)
@@ -731,12 +707,12 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
         warnings.simplefilter("error")
         assert capacity_sequence(PENT, 5) == cold
     assert cap.save_disk_cache(str(tmp_path)) == 6
-    payload = json.loads(_file_of(tmp_path, PENT).read_text())
+    payload = json.loads(file_of(tmp_path, PENT).read_text())
     assert payload["version"] == cap._FORMAT == 3
     assert {entry["method"] for entry in payload["entries"]} == {"weights"}
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
-    _no_growth(monkeypatch)
+    no_growth(monkeypatch)
     warm = capacity_sequence(PENT, 5)
     assert warm == cold and all(isinstance(r.witness, dict) for r in warm)
 
@@ -747,7 +723,7 @@ def test_verify_cross_checks_values_read_from_a_cache_file(tmp_path):
     cap.clear_memo()
     capacity_sequence(PENT, 6)
     cap.save_disk_cache(str(tmp_path))
-    path = _file_of(tmp_path, PENT)
+    path = file_of(tmp_path, PENT)
     payload = json.loads(path.read_text())
     wrong = F(payload["entries"][5]["c"]) + 1
     payload["entries"][5]["c"] = str(wrong)

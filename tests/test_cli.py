@@ -12,9 +12,9 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+from cache_files import file_of, no_growth, opened_paths
 from symcap.capacities import capacity_sequence
 from symcap.cli import build_parser, main, parse_domain_spec
-from test_capacities import _file_of, _no_growth, _opened
 
 BALL1 = '{"type":"ball","a":"1"}'
 E12 = '{"type":"ellipsoid","a":"1","b":"2"}'
@@ -243,7 +243,7 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
     cap.clear_memo()
     first = _run(capsys, "sequence", "-d", E12, "--kmax", "6", "--format", "json")
-    cache = _file_of(tmp_path, parse_domain_spec(E12))
+    cache = file_of(tmp_path, parse_domain_spec(E12))
     assert [p.name for p in tmp_path.iterdir()] == [cache.name]
     blob = cache.read_bytes()
     cap.clear_memo()
@@ -272,7 +272,7 @@ def test_warm_runs_compute_nothing(tmp_path, monkeypatch, capsys):
         cap.clear_memo()
         cold.append(_run(capsys, *argv))
     # no prefix grows but the balls', whose closed form gets no cache file
-    _no_growth(monkeypatch)
+    no_growth(monkeypatch)
     for argv, want in zip(runs, cold):
         cap.clear_memo()
         assert _run(capsys, *argv) == want
@@ -290,11 +290,11 @@ def test_warm_obstruct_opens_only_the_files_of_its_domains(tmp_path, monkeypatch
     cap.clear_memo()
     cold = _run(capsys, *argv)
     assert len(list(tmp_path.iterdir())) == 202
-    opened = _opened(monkeypatch)
+    opened = opened_paths(monkeypatch)
     cap.clear_memo()
     assert _run(capsys, *argv) == cold
     # read when its source is made, and again by the save
-    assert sorted(opened) == sorted(2 * [str(_file_of(tmp_path, parse_domain_spec(spec)))
+    assert sorted(opened) == sorted(2 * [str(file_of(tmp_path, parse_domain_spec(spec)))
                                          for spec in (TWO_BALLS, E12)])
 
 
@@ -322,7 +322,7 @@ def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corr
     argv = ("obstruct", "--source", BALL1, "--target", E12, "--kmax", "8", "--format", "json")
     cap.clear_memo()
     cold = _run(capsys, *argv)
-    cache = _file_of(tmp_path, parse_domain_spec(E12))
+    cache = file_of(tmp_path, parse_domain_spec(E12))
     blob = cache.read_bytes()
     payload = json.loads(blob)
     key = f"{dom.domain_key(dom.ellipsoid(1, 2))}#4"

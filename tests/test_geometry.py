@@ -3,7 +3,7 @@
 The library counts lattice points with Pick's theorem; the tests recount
 column by column, interpolating each edge with Fractions, as an
 independent oracle, on hand-picked and on seeded random convex and
-concave paths.
+concave paths (tests/random_polygons.py).
 """
 
 import math
@@ -12,11 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from random_polygons import concave_path, convex_path
 from symcap.geometry import (Polygon, cross, is_convex,
                              lattice_points_on_path,
                              lattice_points_under_path, path_vertices,
                              rational, rational_str)
-from symcap.paths import concave_path, convex_path
 
 
 def _column_count(edges, start_y, include_path=True):
@@ -176,55 +176,7 @@ def test_region_must_stay_in_quadrant():
             count((), -1)
 
 
-def _convex_direction_key(d):
-    # clockwise order along a convex path: up-right, right, down-right,
-    # down, down-left; by slope, steepest first, inside each group
-    p, q = d
-    group = 0 if p > 0 and q > 0 else 1 if p > 0 and q == 0 else 2 if p > 0 else 3 if p == 0 else 4
-    return (group, -F(q, p) if p else 0)
-
-
-def _random_convex_path(rng):
-    """A valid convex path: empty, an axis segment, or distinct primitive
-    directions from the admissible arc in clockwise order with small
-    multiplicities, often with up-right first and down-left last edges so
-    the path is not monotone."""
-    shape = rng.random()
-    if shape < 0.02:
-        return convex_path([])
-    if shape < 0.07:
-        return convex_path([(rng.randint(1, 6), 0)])
-    if shape < 0.12:
-        return convex_path([(0, -rng.randint(1, 6))])
-    while True:
-        dirs = set()
-        for _ in range(rng.randint(1, 5)):
-            p, q = rng.randint(-3, 4), rng.randint(-4, 3)
-            admissible = p > 0 or (p <= 0 and q < 0)
-            if (p, q) != (0, 0) and math.gcd(p, q) == 1 and admissible:
-                dirs.add((p, q))
-        edges = [(m * p, m * q) for p, q in sorted(dirs, key=_convex_direction_key)
-                 for m in [rng.randint(1, 3)]]
-        try:
-            if edges:
-                return convex_path(edges)
-        except ValueError:
-            pass  # ends left of the y-axis or below the x-axis
-
-
-def _random_concave_path(rng):
-    """A valid concave path: edges with dx >= 1, dy <= -1 and strictly
-    increasing slopes, often followed by a horizontal run along the x-axis
-    (alone, when no sloped edge was drawn)."""
-    slopes = {F(rng.randint(-5, -1), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))}
-    edges = [(m * s.denominator, m * s.numerator) for s in sorted(slopes)
-             for m in [rng.randint(1, 3)]]
-    if not edges or rng.random() < 0.4:
-        edges.append((rng.randint(1, 4), 0))
-    return concave_path(edges)
-
-
-@pytest.mark.parametrize("make", [_random_convex_path, _random_concave_path])
+@pytest.mark.parametrize("make", [convex_path, concave_path])
 def test_pick_matches_column_scan_on_random_paths(make):
     rng = random.Random(20221)
     for _ in range(300):
@@ -237,14 +189,14 @@ def test_pick_matches_column_scan_on_random_paths(make):
 
 def test_random_convex_paths_cover_the_degenerate_and_non_monotone_cases():
     rng = random.Random(20221)
-    drawn = [_random_convex_path(rng) for _ in range(300)]
+    drawn = [convex_path(rng) for _ in range(300)]
     assert any(len(p.edges) == 1 and p.edges[0][1] == 0 for p in drawn)
     assert any(len(p.edges) == 1 and p.edges[0][0] == 0 for p in drawn)
     drawn = [p for p in drawn if len(p.edges) > 1]
     assert any(p.edges[0][1] > 0 for p in drawn)
     assert any(p.edges[-1][0] < 0 for p in drawn)
     rng = random.Random(20221)
-    drawn = [_random_concave_path(rng) for _ in range(300)]
+    drawn = [concave_path(rng) for _ in range(300)]
     assert any(len(p.edges) > 1 and p.edges[-1][1] == 0 for p in drawn)
     assert any(p.edges[-1][1] < 0 for p in drawn)
 

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import random_polygons
 import symcap.domains as dom
 import symcap.paths as paths
 from symcap.geometry import lattice_points_under_path, path_vertices
@@ -200,42 +201,25 @@ def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, sco
     assert len(calls) == scored
 
 
-def _rational(rng):
-    q = rng.choice([1, 2, 3, 5])
-    return F(rng.randint(q + 1, 3 * q), q)
-
-
-def _random_convex(rng):
-    """A rectangle with its outer corner cut by one edge or two."""
-    a, b = _rational(rng), _rational(rng)
-    if rng.random() < 0.5:
-        corner = [(a * F(rng.randint(7, 8), 10), b * F(rng.randint(7, 8), 10))]
-        x1, y1 = a * F(rng.randint(2, 4), 10), b * F(rng.randint(2, 4), 10)
-    else:
-        corner = []
-        x1, y1 = a * F(rng.randint(2, 8), 10), b * F(rng.randint(2, 8), 10)
-    return dom.convex_toric([(0, 0), (a, 0), (a, y1), *corner, (x1, b), (0, b)])
-
-
-CONCAVE_DROPS = sorted({F(s, r) for s in range(1, 7) for r in (1, 2, 3)})
-
-
-def _random_concave(rng):
-    """A staircase whose boundary has 2 or 3 edges of increasing slope."""
-    drops = sorted(rng.sample(CONCAVE_DROPS, rng.randint(2, 3)), reverse=True)
-    x, y, chain = F(0), F(0), [(F(0), F(0))]
-    for s in drops:
-        dx = _rational(rng)
-        x, y = x + dx, y - s * dx
-        chain.append((x, y))
-    return dom.concave_toric([(0, 0), *reversed([(px, py - y) for px, py in chain])])
-
-
 def test_random_concave_always_builds_a_concave_domain():
-    # the drops per unit of x are distinct and taken steepest first, so the
-    # boundary's slopes strictly increase whatever the draw
+    # the slopes are distinct and taken steepest first, so the boundary's
+    # slopes strictly increase whatever the draw, and no draw is refused
     rng = random.Random("concave draws")
-    assert all(_random_concave(rng).concave for _ in range(500))
+    assert all(random_polygons.domain(rng, "concave").concave for _ in range(500))
+
+
+def test_random_convex_draws_lean_at_the_axis_vertices():
+    # a cut rectangle meets the axes at right angles; an up-left walk may
+    # leave (a, 0) up and to the left, reach (0, b) from the lower right,
+    # both or neither
+    rng = random.Random("convex draws")
+    all_four = {(True, True), (True, False), (False, True), (False, False)}
+    for kind, want in (("cut_rectangle", {(False, False)}), ("up_left_walk", all_four)):
+        leans = set()
+        for _ in range(100):
+            v = random_polygons.domain(rng, kind).omega.vertices
+            leans.add((v[2][0] < v[1][0], v[-2][1] < v[-1][1]))
+        assert leans == want, kind
 
 
 def test_search_candidates_are_valid_paths(monkeypatch):
@@ -257,11 +241,11 @@ def test_search_candidates_are_valid_paths(monkeypatch):
     _scoring(monkeypatch, check)
     for _ in range(6):
         kind = "convex"
-        ctx = convex_context(_random_convex(rng))
-        optima = [min_convex(ctx, k) for k in range(15)]
-        assert [opt.count_constraint for opt in optima] == list(range(1, 16))
+        d = random_polygons.domain(rng, "convex")
+        optima = [min_convex(convex_context(d), k) for k in range(15)]
+        assert [opt.count_constraint for opt in optima] == list(range(1, 16)), d.key
         kind = "concave"
-        cctx = concave_context(_random_concave(rng))
+        cctx = concave_context(random_polygons.domain(rng, "concave"))
         for k in range(1, 15):
             max_concave(cctx, k)
     assert scored["convex"] > 400 and scored["concave"] > 400
@@ -318,13 +302,14 @@ def test_max_concave_equals_plain_enumeration():
     # at k=5 the witness ((1,-1),(3,-1)) ties ((5,-1),) at value 15; the
     # bounds must stay strict (< rather than <=) to reach it
     tie = dom.concave_toric([(0, 0), (4, 0), (2, 5), (0, 15)])
-    domains = [_random_concave(rng) for _ in range(6)] + [PENT_CONCAVE, tie] + [
+    domains = [random_polygons.domain(rng, "concave") for _ in range(6)] + [PENT_CONCAVE, tie] + [
         dom.ellipsoid(*ab) for ab in ((1, 1), (1, 2), (1, F(3, 2)), (F(5, 3), 1))]
     for d in domains:
         ctx = concave_context(d)
         for k in range(17):
             r = max_concave(ctx, k)
-            assert (r.value, r.witness.edges, r.count_constraint) == _reference_max_concave(ctx, k)
+            assert (r.value, r.witness.edges, r.count_constraint) == \
+                _reference_max_concave(ctx, k), d.key
 
 
 def test_max_concave_pins_e_1_3_2_at_30():

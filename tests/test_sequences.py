@@ -14,59 +14,10 @@ import pytest
 import symcap.capacities as cap
 import symcap.domains as dom
 from per_k import ck_concave_via_weights, ck_convex_from_paths, ck_polydisk, ck_union
+from random_polygons import FAMILIES, domain
 from symcap.capacities import capacity_sequence, ck, ck_ball, ellipsoid_spectrum
 from symcap.obstructions import check_embedding
-from test_paths import _random_convex
 from symcap.weights import negative_weight_sequence
-
-
-def _frac(rng, lo, hi):
-    q = rng.choice([1, 2, 3, 5, 7, 11])
-    return F(rng.randint(lo * q + 1, hi * q), q)
-
-
-def _staircase(rng):
-    """Concave toric domain whose boundary has 2 or 3 edges."""
-    while True:
-        edges = rng.randint(2, 3)
-        slopes = sorted({F(-rng.randint(1, 6), rng.randint(1, 3)) for _ in range(edges)})
-        if len(slopes) == edges:
-            break
-    x, y, pts = F(0), F(0), [(F(0), F(0))]
-    for s in slopes:
-        dx = F(rng.randint(1, 3), rng.choice([1, 2]))
-        x, y = x + dx, y + s * dx
-        pts.append((x, y))
-    chain = [(px, py - y) for px, py in pts]
-    return dom.concave_toric([(0, 0), *reversed(chain)])
-
-
-def _part(rng):
-    kind = rng.choice(["ball", "ellipsoid", "polydisk"])
-    if kind == "ball":
-        return dom.ball(_frac(rng, 1, 3))
-    make = dom.ellipsoid if kind == "ellipsoid" else dom.polydisk
-    return make(_frac(rng, 1, 3), _frac(rng, 1, 3))
-
-
-def _domain(rng, family):
-    if family == "ball":
-        return dom.ball(_frac(rng, 1, 3))
-    if family == "ellipsoid":
-        return dom.ellipsoid(_frac(rng, 1, 3), _frac(rng, 1, 3))
-    if family == "polydisk":
-        return dom.polydisk(_frac(rng, 1, 3), _frac(rng, 1, 3))
-    if family == "cp2":
-        return dom.cp2(_frac(rng, 1, 3))
-    if family == "s2xs2":
-        return dom.s2xs2(_frac(rng, 1, 3), _frac(rng, 1, 3))
-    if family == "union":
-        return dom.disjoint_union(*[_part(rng) for _ in range(rng.randint(2, 4))])
-    if family == "ball_union":
-        return dom.disjoint_union(*[dom.ball(_frac(rng, 1, 3)) for _ in range(rng.randint(2, 5))])
-    if family == "convex":
-        return _random_convex(rng)
-    return _staircase(rng)
 
 
 def _per_k(d, k):
@@ -93,52 +44,55 @@ def _triple(r):
     return (r.k, r.value, r.method, r.witness)
 
 
-FAMILIES = ["ball", "ellipsoid", "polydisk", "cp2", "s2xs2", "union", "staircase",
-            "convex", "ball_union"]
+def _family_id(family):
+    # a concave draw is a staircase, and its tests are named so
+    return "staircase" if family == "concave" else family
+
+
 # the largest K drawn per family: a per-k convex c_k is a path search
 KMAX = {"convex": 16}
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
 def test_sequence_matches_per_k_formulas(family):
     rng = random.Random(f"sequence-{family}")
     for _ in range(6):
-        d = _domain(rng, family)
+        d = domain(rng, family)
         kmax = rng.randint(0, KMAX.get(family, 40))
         cap.clear_memo()
         seq = capacity_sequence(d, kmax)
         cap.clear_memo()
-        assert [_triple(r) for r in seq] == [_triple(_per_k(d, k)) for k in range(kmax + 1)]
+        assert [_triple(r) for r in seq] == \
+            [_triple(_per_k(d, k)) for k in range(kmax + 1)], d.key
 
 
-@pytest.mark.parametrize("family", ["ellipsoid", "polydisk", "union", "staircase",
-                                    "convex"])
+@pytest.mark.parametrize("family", ["ellipsoid", "polydisk", "union", "concave", "convex"],
+                         ids=_family_id)
 def test_prefix_grown_in_steps_matches_one_step(family):
     rng = random.Random(f"steps-{family}")
     K = KMAX.get(family, 40)
     for _ in range(4):
-        d = _domain(rng, family)
+        d = domain(rng, family)
         cap.clear_memo()
         want = [_triple(r) for r in capacity_sequence(d, K)]
         cap.clear_memo()
         order = list(range(K + 1))
         rng.shuffle(order)
         got = {k: _triple(ck(d, k)) for k in order}
-        assert [got[k] for k in range(K + 1)] == want
+        assert [got[k] for k in range(K + 1)] == want, d.key
 
 
 def test_union_sequence_matches_brute_force_compositions():
     rng = random.Random("brute")
     for _ in range(5):
-        parts = [_part(rng) for _ in range(rng.randint(2, 3))]
-        d = dom.disjoint_union(*parts)
+        d = domain(rng, "union")
         cap.clear_memo()
         got = [r.value for r in capacity_sequence(d, 10)]
         rows = [[ck(p, t).value for t in range(11)] for p in d.parts]
         for k in range(11):
             best = max(sum(row[t] for row, t in zip(rows, split))
                        for split in _compositions(k, len(rows)))
-            assert got[k] == best
+            assert got[k] == best, d.key
 
 
 def _compositions(k, m):
@@ -153,7 +107,8 @@ def _compositions(k, m):
 def test_spectrum_extended_in_steps_matches_sorted_enumeration():
     rng = random.Random("spectrum")
     for _ in range(5):
-        a, b = _frac(rng, 1, 4), _frac(rng, 1, 4)
+        e = domain(rng, "ellipsoid")
+        a, b = e.a, e.b
         spectrum, got = cap._spectrum(a, b), []
         for need in (1, 4, 9, 30, 60):
             got += itertools.islice(spectrum, need - len(got))
@@ -181,9 +136,8 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
     rng = random.Random("embedding")
     early_exit = set()
     for _ in range(12):
-        src = _domain(rng, rng.choice(["ellipsoid", "union", "staircase"]))
-        tgt = rng.choice([dom.ball(_frac(rng, 2, 4)),
-                          dom.polydisk(_frac(rng, 1, 3), _frac(rng, 1, 3))])
+        src = domain(rng, rng.choice(["ellipsoid", "union", "concave"]))
+        tgt = domain(rng, "ball").scale(F(3, 2)) if rng.random() < 0.5 else domain(rng, "polydisk")
         kmax = rng.randint(1, 30)
         cap.clear_memo()
         rep = check_embedding(src, tgt, kmax)
@@ -196,7 +150,7 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
             if cs > ct:
                 first = k
                 break
-        assert rep.table == tuple(rows)
+        assert rep.table == tuple(rows), (src.key, tgt.key)
         assert rep.first_k == first and rep.obstructed == (first is not None)
         # every prefix read grew to the last k scanned and no further
         last = kmax if first is None else first
@@ -325,14 +279,14 @@ HEXAGON = dom.convex_toric([(0, 0), (3, 0), (3, 1), (F(5, 2), 2), (1, F(5, 2)), 
 
 
 def _excised_columns(d) -> int:
-    """The columns of the DP of d's excised balls."""
-    balls = negative_weight_sequence(d).negatives
-    return len(cap._SOURCES[dom.disjoint_union(*map(dom.ball, balls)).key].table.best[-1])
+    """The columns of the DP of d's excised balls, which d's source owns."""
+    return len(cap._SOURCES[d.key].table.best[-1])
 
 
 def test_convex_verify_scan_reuses_the_excised_balls_table(monkeypatch):
-    # the weight formula reads c_l of the excised balls' union from that
-    # union's source, so a scan over k builds one table up to the largest l
+    # the weight formula reads c_l of the excised balls' union from the DP
+    # the convex source owns, so a scan over k builds one table up to the
+    # largest l
     steps = _union_steps(monkeypatch)
     cap.clear_memo()
     for k in range(41):
