@@ -7,7 +7,6 @@ ASCII sketch marks path vertices with '*' on the integer grid.
 
 from symcap import (
     ball,
-    convex_context,
     convex_toric,
     min_convex,
     path_vertices,
@@ -31,9 +30,8 @@ def sketch(path):
 
 
 def show(label, domain, ks):
-    ctx = convex_context(domain)
     for k in ks:
-        opt = min_convex(ctx, k)
+        opt = min_convex(domain, k)
         print(f"{label}, k={k}: c_k = {opt.value}, "
               f"lattice points = {opt.count_constraint}, "
               f"edges = {list(opt.witness.edges)}")

@@ -1,8 +1,8 @@
 """Exact capacity sequences of four-dimensional toric domains.
 
-Everything is big-rational arithmetic end to end: domain data, norms,
-path optima, weight decompositions, capacities, and obstruction reports
-are `fractions.Fraction` values with zero rounding anywhere.
+Everything is big-rational arithmetic end to end: domain data, edge
+lengths, path optima, weight decompositions, capacities, and obstruction
+reports are `fractions.Fraction` values with zero rounding anywhere.
 """
 
 from .capacities import (CapacityResult, SpectrumEntry, ball_multiplicity,
@@ -17,14 +17,12 @@ from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
 from .geometry import (Polygon, cross, is_convex, lattice_points_on_path,
                        lattice_points_under_path, path_vertices, rational,
                        rational_str)
-from .norms import (NormContext, anti_norm, concave_context, convex_context,
-                    dual_norm)
 from .obstructions import (AsymptoticReport, ObstructionReport,
                            asymptotic_ratio, check_embedding,
                            scaling_lower_bound, sqrt_interval)
-from .paths import (LatticePath, PathOptimum, concave_path, convex_path, ell,
-                    lcheck, lhat, max_concave, min_convex, path_from_json,
-                    path_to_json, validate_path)
+from .paths import (LatticePath, PathOptimum, anti_norm, concave_path,
+                    convex_path, dual_norm, ell, lcheck, lhat, max_concave,
+                    min_convex, path_from_json, path_to_json, validate_path)
 from .weights import (NegativeWeightDecomposition, inscribed_triangle_size,
                       negative_weight_sequence, weight_expansion)
 

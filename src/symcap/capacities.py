@@ -61,7 +61,6 @@ from typing import NamedTuple
 from . import paths
 from .domains import Ball, Domain
 from .geometry import rational, rational_str
-from .norms import concave_context, convex_context
 from .weights import negative_weight_sequence, weight_expansion
 
 
@@ -136,21 +135,16 @@ def ellipsoid_spectrum(a, b, k_max) -> list:
     return list(itertools.islice(_spectrum(a, b), _nonneg_k(k_max) + 1))
 
 
-def _path_capacity(ctx, k: int) -> CapacityResult:
-    """c_k as the optimum of the path search matching the context's kind."""
-    if ctx.kind == "convex":
-        opt = paths.min_convex(ctx, k)
-    else:
-        opt = paths.max_concave(ctx, k)
-    return _checked(CapacityResult(k, opt.value, f"{ctx.kind}_path", opt.witness))
-
-
 def ck_convex_toric(d, k) -> CapacityResult:
-    return _path_capacity(convex_context(d), _nonneg_k(k))
+    """c_k as the convex path optimum."""
+    opt = paths.min_convex(d, k)
+    return _checked(CapacityResult(int(k), opt.value, "convex_path", opt.witness))
 
 
 def ck_concave_toric(d, k) -> CapacityResult:
-    return _path_capacity(concave_context(d), _nonneg_k(k))
+    """c_k as the concave path optimum."""
+    opt = paths.max_concave(d, k)
+    return _checked(CapacityResult(int(k), opt.value, "concave_path", opt.witness))
 
 
 class _UnionParts:
@@ -364,14 +358,12 @@ class _ConcavePrefix(_Prefix):
     """The union of the domain's weight balls, largest first.  c_k uses
     only the k largest balls, so ball i joins the DP at column i+1; the
     expansion itself waits for the first k >= 1, as c_0 = 0 needs none.
-    The oracle is the concave path optimum, whose norm context is built
-    on first use and kept."""
+    The oracle is the concave path optimum."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.weights = None
         self.table = _UnionParts()
-        self.ctx = None
 
     def _grow(self, k: int) -> None:
         if k >= 1:
@@ -387,9 +379,7 @@ class _ConcavePrefix(_Prefix):
                 self.results.append(self.table.result(j, self.method, min(j, len(self.table))))
 
     def oracle(self, k: int) -> CapacityResult:
-        if self.ctx is None:
-            self.ctx = concave_context(self.domain)
-        return _path_capacity(self.ctx, k)
+        return ck_concave_toric(self.domain, k)
 
 
 class _ConvexPrefix(_Prefix):
@@ -415,15 +405,18 @@ class _ConvexPrefix(_Prefix):
     Every later term then exceeds best, so the value is the exact minimum.
     E's max-plus DP belongs to this prefix, over the same denominator, and
     grows to the last block end a k reads, so a scan over k reuses its
-    columns.  The weight sequence is found on the first growth.  The
-    oracle is the convex path optimum."""
+    columns.  c_0 = 0, with witness {"l": 0}, needs neither; the weight
+    sequence is found on the first growth to a k >= 1.  The oracle is the
+    convex path optimum."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.table = None  # the DP of E, once grown
 
     def _grow(self, k: int) -> None:
-        if self.table is None:
+        if not self.results:
+            self.results.append(CapacityResult(0, Fraction(0), self.method, {"l": 0}))
+        if k >= 1 and self.table is None:
             dec = negative_weight_sequence(self.domain)
             self.scale = math.lcm(dec.head.denominator, *(w.denominator for w in dec.negatives))
             self.head = int(dec.head * self.scale)

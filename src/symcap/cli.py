@@ -25,7 +25,6 @@ from . import capacities
 from .capacities import capacity_sequence, ck, witness_to_json
 from .domains import Domain, domain_from_json
 from .geometry import rational_str
-from .norms import concave_context, convex_context
 from .obstructions import asymptotic_ratio, check_embedding
 from .paths import max_concave, min_convex, path_to_json
 from .weights import negative_weight_sequence, weight_expansion
@@ -170,10 +169,7 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_paths(args) -> int:
     domain = _load_domain(args.domain)
     kind = args.kind or domain.PATHS
-    if kind == "convex":
-        opt = min_convex(convex_context(domain), args.k)
-    else:
-        opt = max_concave(concave_context(domain), args.k)
+    opt = (min_convex if kind == "convex" else max_concave)(domain, args.k)
     print(_dumps({
         "kind": kind,
         "k": args.k,

@@ -5,15 +5,15 @@ disjoint unions, and the closed manifolds CP^2 and S^2 x S^2 are
 immutable classes on Domain, which compare, hash and print by family and
 FIELDS.  Each family defines, once, what every layer reads: the wire
 TYPE and FIELDS, the moment polygon omega (canonical and stored for toric
-domains, derived for balls, ellipsoids and polydisks, else None), the
-convex and concave toric flags (the axis reflection of omega, or the
+domains, derived once for balls, ellipsoids and polydisks, else None),
+the convex and concave toric flags (the axis reflection of omega, or the
 complement of omega in the quadrant, is convex) and CLOSED, volume and
 scale, the capacity SOURCE and METHOD, the CLI's WEIGHTS and PATHS, and a
 key computed once.  A domain is validated once, when it is built, in
 integers over its polygon's common denominator (int_omega, kept for the
-volume and the weights); omega's points stay Fractions.  Canonical
-polygons run counterclockwise from the origin, collinear runs merged;
-union parts are flat and sorted by key.
+volume, the weights and the path searches); omega's points stay
+Fractions.  Canonical polygons run counterclockwise from the origin,
+collinear runs merged; union parts are flat and sorted by key.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .geometry import (IntPolygon, Point, Polygon, cross, cycle, int_polygon, rational,
+from .geometry import (IntPolygon, Polygon, cross, cycle, int_polygon, rational,
                        rational_str, turns_left)
 
 
@@ -133,6 +133,8 @@ class Domain:
     def int_omega(self) -> IntPolygon:
         """omega in integers over its common denominator; a toric domain
         keeps the one it was validated in."""
+        if self.omega is None:
+            raise ValueError("domain has no moment polygon")
         return int_polygon(self.omega.vertices)
 
     @functools.cached_property
@@ -170,7 +172,7 @@ class Ball(_Sized):
     WEIGHTS = "expansion"
     convex = concave = True
 
-    @property
+    @functools.cached_property
     def omega(self) -> Polygon:
         return _triangle(self.a, self.a)
 
@@ -186,7 +188,7 @@ class Ellipsoid(_Sized):
     WEIGHTS = "expansion"
     convex = concave = True
 
-    @property
+    @functools.cached_property
     def omega(self) -> Polygon:
         return _triangle(self.a, self.b)
 
@@ -202,7 +204,7 @@ class Polydisk(_Sized):
     WEIGHTS = "negative"
     convex = True
 
-    @property
+    @functools.cached_property
     def omega(self) -> Polygon:
         return Polygon.from_points([(0, 0), (self.a, 0), (self.a, self.b), (0, self.b)])
 
@@ -356,14 +358,6 @@ def volume(d: Domain) -> Fraction:
 def scale_domain(d: Domain, mu) -> Domain:
     """Scale all moment data by the positive rational mu."""
     return d.scale(_positive(mu, "mu"))
-
-
-def upper_boundary(d: Domain) -> tuple[Point, ...]:
-    """The outer boundary chain of the moment polygon, from (0, ymax) down
-    to (xmax, 0): the boundary away from the axes."""
-    if d.omega is None:
-        raise ValueError("domain has no moment polygon")
-    return tuple(reversed(d.omega.vertices[1:]))
 
 
 # --- wire format -----------------------------------------------------------

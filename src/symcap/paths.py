@@ -15,6 +15,14 @@ after stripping terminal height-zero runs every edge has dx >= 1, dy <= -1
 and slopes strictly increase along the path.  Interior vertical edges are
 never allowed (not a function graph).
 
+A path's length ell sums a norm of each edge v read off the domain's
+moment polygon: for a convex domain the dual norm max <(|v1|,|v2|), w> over
+the vertices w (by symmetry, over the whole axis reflection), for a concave
+one the anti-norm min <(|v1|,|v2|), w> over the outer chain, the vertices
+after the origin.  dual_norm and anti_norm take them in Fractions over the
+polygon's points, the searches in integers over int_omega, the integer
+polygon the domain was validated in, so ell checks the searches' values.
+
 The optimizers enumerate paths as direction-sorted multisets of edge
 vectors (a convex chain is determined by its edge multiset), with
 branch-and-bound pruning against an incumbent seeded from canonical paths:
@@ -41,8 +49,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Edge, cross, dot, int_polygon, lattice_points_under_path
-from .norms import NormContext, anti_norm, dual_norm
+from .geometry import Edge, IntPolygon, cross, dot, lattice_points_under_path
 
 
 class LatticePath(NamedTuple):
@@ -156,12 +163,31 @@ def lcheck(p: LatticePath) -> int:
     return lattice_points_under_path(q.edges, q.start_y, include_path=False)
 
 
-def ell(ctx: NormContext, p: LatticePath) -> Fraction:
-    """Path length: sum of edge norms in the matching context."""
-    if ctx.kind != p.kind:
-        raise ValueError(f"context kind {ctx.kind!r} does not match path kind {p.kind!r}")
+def _int_omega(d, kind: str) -> IntPolygon:
+    """The integer polygon of d, a "convex" or "concave" toric domain."""
+    if not getattr(d, kind):
+        raise ValueError(f"domain is not {kind} toric: {d!r}")
+    return d.int_omega
+
+
+def dual_norm(d, v) -> Fraction:
+    """The dual norm of v for the convex domain d."""
+    p, q = abs(v[0]), abs(v[1])
+    return max(p * x + q * y for x, y in _int_omega(d, "convex").vertices)
+
+
+def anti_norm(d, v) -> Fraction:
+    """The anti-norm of v for the concave domain d."""
+    p, q = abs(v[0]), abs(v[1])
+    return min(p * x + q * y for x, y in _int_omega(d, "concave").vertices[1:])
+
+
+def ell(d, p: LatticePath) -> Fraction:
+    """Path length on the domain d: the sum over the edges of the norm of
+    the path's kind."""
+    _int_omega(d, p.kind)  # rejects a domain of the other kind, empty path too
     norm = dual_norm if p.kind == "convex" else anti_norm
-    return sum((norm(ctx, e) for e in p.edges), Fraction(0))
+    return sum((norm(d, e) for e in p.edges), Fraction(0))
 
 
 def path_to_json(p: LatticePath) -> dict:
@@ -207,29 +233,28 @@ def _score(best: list, edges: tuple[Edge, ...], key: int, count: int) -> None:
         best[0] = entry
 
 
-def min_convex(ctx: NormContext, k: int) -> PathOptimum:
-    """Cheapest convex path whose region holds at least k+1 lattice points.
-    The tests check that every optimum holds exactly k+1, the count of the
-    capacity formula (Hutchings, Beyond ECH capacities, Geom. Topol. 2016),
-    so the two minima agree."""
-    if ctx.kind != "convex":
-        raise ValueError("min_convex needs a convex context")
+def min_convex(d, k: int) -> PathOptimum:
+    """Cheapest convex path whose region holds at least k+1 lattice points,
+    for the convex domain d.  The tests check that every optimum holds
+    exactly k+1, the count of the capacity formula (Hutchings, Beyond ECH
+    capacities, Geom. Topol. 2016), so the two minima agree."""
+    poly = _int_omega(d, "convex")
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
-    return _convex_search(ctx, k)
+    return _convex_search(poly, k)
 
 
-def _convex_search(ctx: NormContext, k: int) -> PathOptimum:
+def _convex_search(poly: IntPolygon, k: int) -> PathOptimum:
     """The branch and bound behind min_convex, for k >= 1.
 
     best[0] holds the least (cost, edges, count) found so far among scored
     paths with count >= k+1, and the tree is pruned against its cost; a
     path is scored only when it is no dearer.
     """
-    _, iverts, scale, _ = int_polygon(ctx.support_vertices)
+    iverts, scale = poly.ints, poly.scale
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
     b_int = max(iy for _, iy in iverts)
 
@@ -369,9 +394,9 @@ def _convex_search(ctx: NormContext, k: int) -> PathOptimum:
     return PathOptimum(Fraction(c, scale), _witness("convex", w), count)
 
 
-def max_concave(ctx: NormContext, k: int) -> PathOptimum:
+def max_concave(d, k: int) -> PathOptimum:
     """Longest concave path whose region holds exactly k lattice points off
-    the path.
+    the path, for the concave domain d.
 
     Enumerates stripped core paths (dx >= 1, dy <= -1) by appending edges
     of increasing slope, counting by Pick's theorem as it goes.  With
@@ -387,8 +412,7 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
     the directions j.. add at most max nu/(p - q) over them per unit of
     budget, which bounds the value a branch can still reach.
     """
-    if ctx.kind != "concave":
-        raise ValueError("max_concave needs a concave context")
+    poly = _int_omega(d, "concave")
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -396,7 +420,7 @@ def max_concave(ctx: NormContext, k: int) -> PathOptimum:
         return PathOptimum(Fraction(0), EMPTY_CONCAVE, 0)
 
     budget = k + 1
-    _, ichain, scale, _ = int_polygon(ctx.support_vertices)
+    ichain, scale = poly.ints[1:], poly.scale  # the origin would zero the minimum
 
     def anu(p, q) -> int:
         ap, aq = abs(p), abs(q)

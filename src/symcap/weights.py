@@ -51,7 +51,8 @@ def inscribed_triangle_size(omega) -> Fraction:
     Equals the minimum of x + y over the outer boundary chain, attained at
     a vertex.
     """
-    return min(x + y for x, y in domains.upper_boundary(omega))
+    c = omega.int_omega
+    return Fraction(min(x + y for x, y in c.ints[1:]), c.scale)
 
 
 def _expand(chains: list) -> list:

@@ -30,7 +30,6 @@ from symcap.capacities import (
     ellipsoid_spectrum,
     witness_to_json,
 )
-from symcap.norms import concave_context, convex_context
 from symcap.weights import negative_weight_sequence
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
@@ -227,7 +226,7 @@ def test_convex_via_weights_stopping_bound(d):
     # after the argmin
     dec = negative_weight_sequence(d)
     S, A, m = sum(w * w for w in dec.negatives), sum(dec.negatives), len(dec.negatives)
-    ck(d, 0)
+    ck(d, 1)  # c_0 alone does not set up the weight sequence
     prefix = cap._source(d)
     for k, terms in _shift_terms(d, (0, 7, 354)).items():
         stops = []
@@ -314,8 +313,7 @@ def test_axiom_union_versus_brute_force():
 def test_concave_formulas_agree(omega):
     # the weight balls' union, as a sequence and per k, against the path
     # optimum, its independent oracle
-    ctx = concave_context(omega)
-    want = [paths.max_concave(ctx, k).value for k in range(17)]
+    want = [paths.max_concave(omega, k).value for k in range(17)]
     assert [r.value for r in capacity_sequence(omega, 16)] == want, omega.key
     assert [ck_concave_via_weights(omega, k).value for k in range(13)] == want[:13], omega.key
 
@@ -326,9 +324,8 @@ def test_concave_formulas_agree(omega):
                          + _draws("convex formula", "up_left_walk", 12))
 def test_convex_formulas_agree(omega):
     # the weight formula against the path optimum, its independent oracle
-    ctx = convex_context(omega)
     assert [r.value for r in capacity_sequence(omega, 30)] == \
-        [paths.min_convex(ctx, k).value for k in range(31)], omega.key
+        [paths.min_convex(omega, k).value for k in range(31)], omega.key
 
 
 @pytest.mark.parametrize("ab", [(1, 2), (1, F(3, 2)), (3, 2)])
@@ -693,10 +690,9 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
     assert capacity_sequence(e, 5) == cold
     # a version-2 file of a convex domain holds path-search entries: a
     # miss, rewritten in this version with the weight formula's entries
-    ctx = convex_context(PENT)
     entries = [{"c": str(opt.value), "method": "convex_path",
                 "witness": paths.path_to_json(opt.witness)}
-               for opt in (paths.min_convex(ctx, k) for k in range(6))]
+               for opt in (paths.min_convex(PENT, k) for k in range(6))]
     file_of(tmp_path, PENT).write_text(
         json.dumps({"version": 2, "key": PENT.key, "entries": entries}))
     cap.clear_memo()

@@ -169,28 +169,42 @@ def _toric(family, *vertices):
     return json.dumps({"type": family, "vertices": [[str(x), str(y)] for x, y in vertices]})
 
 
-# each polygon the constructors reject, with the one stderr line it gets
+def _capacity(spec):
+    return ("capacity", "-d", spec, "-k", "1")
+
+
+# each polygon the constructors reject, and each path search asked of a
+# domain of the wrong kind, with the one stderr line it gets
 VALIDATION_ERRORS = {
-    "reversal": (_toric("convex_toric", (0, 0), (2, 0), (1, 0), (1, 2)),
+    "reversal": (_capacity(_toric("convex_toric", (0, 0), (2, 0), (1, 0), (1, 2))),
                  "error: degenerate polygon: reversal at vertex (Fraction(2, 1), Fraction(0, 1))"),
-    "zero_area": (_toric("convex_toric", (0, 0), (1, 1), (1, 0), (0, 1)),
+    "zero_area": (_capacity(_toric("convex_toric", (0, 0), (1, 1), (1, 0), (0, 1))),
                   "error: moment polygon has zero area"),
-    "off_quadrant": (_toric("convex_toric", (0, 0), (2, 0), ("-1/2", 2)),
+    "off_quadrant": (_capacity(_toric("convex_toric", (0, 0), (2, 0), ("-1/2", 2))),
                      "error: moment polygon vertex (-1/2,2) leaves the nonnegative quadrant"),
-    "no_origin": (_toric("concave_toric", (1, 0), (2, 0), (0, 2)),
+    "no_origin": (_capacity(_toric("concave_toric", (1, 0), (2, 0), (0, 2))),
                   "error: moment polygon must have the origin as a vertex"),
-    "not_convex_toric": (_toric("convex_toric", (0, 0), (3, 0), (1, 1), (0, 3)),
+    "not_convex_toric": (_capacity(_toric("convex_toric", (0, 0), (3, 0), (1, 1), (0, 3))),
                          "error: polygon is not convex toric (axis reflection is not convex)"),
-    "not_concave_toric": (_toric("concave_toric", (0, 0), (2, 0), (2, 1), (1, 2), (0, 2)),
+    "not_concave_toric": (_capacity(_toric("concave_toric",
+                                           (0, 0), (2, 0), (2, 1), (1, 2), (0, 2))),
                           "error: polygon is not concave toric "
                           "(quadrant complement is not convex)"),
+    "convex_paths_of_staircase": (
+        ("paths", "--kind", "convex", "-d", STAIR, "-k", "2"),
+        "error: domain is not convex toric: ConcaveToric(omega=Polygon(vertices=("
+        "(Fraction(0, 1), Fraction(0, 1)), (Fraction(3, 1), Fraction(0, 1)), "
+        "(Fraction(1, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(3, 1)))))"),
+    "concave_paths_of_polydisk": (
+        ("paths", "--kind", "concave", "-d", SQUARE, "-k", "2"),
+        "error: domain is not concave toric: Polydisk(a=Fraction(1, 1), b=Fraction(1, 1))"),
 }
 
 
 @pytest.mark.parametrize("case", VALIDATION_ERRORS)
 def test_validation_errors_exit_1_with_one_line(capsys, case):
-    spec, line = VALIDATION_ERRORS[case]
-    assert _run(capsys, "capacity", "-d", spec, "-k", "1") == (1, "", line + "\n")
+    argv, line = VALIDATION_ERRORS[case]
+    assert _run(capsys, *argv) == (1, "", line + "\n")
 
 
 def test_exit_code_2_only_on_usage_errors(capsys):

@@ -8,9 +8,9 @@ import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
+import symcap.geometry as geometry
 import symcap.paths as paths
 from symcap.geometry import Polygon
-from symcap.norms import concave_context, convex_context
 from symcap.obstructions import asymptotic_ratio, check_embedding, scaling_lower_bound
 from symcap.weights import negative_weight_sequence, weight_expansion
 
@@ -178,13 +178,6 @@ def test_domain_key_is_stable_and_canonical():
     assert "#" not in dom.domain_key(u1)  # reserved for naming cache entries, key#k
 
 
-def test_upper_boundary_runs_down_from_y_axis():
-    pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
-    chain = dom.upper_boundary(pent)
-    assert chain[0] == (F(0), F(2)) and chain[-1] == (F(2), F(0))
-    assert [tuple(map(int, p)) for p in chain] == [(0, 2), (1, 2), (2, 1), (2, 0)]
-
-
 # one domain per family, plus a staircase, with its key: the key bytes name
 # the per-domain cache files already written and are stored inside them, so
 # they never change
@@ -231,23 +224,43 @@ def test_family_definition(d, key, closed):
 
 
 def test_domains_are_validated_once(monkeypatch):
-    # construction canonicalizes and checks the polygon; nothing after it does
+    # construction canonicalizes and checks the polygon; nothing after it
+    # does, and a sized family canonicalizes its polygon on first use only
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
     stair = dom.concave_toric([(0, 0), (5, 0), (3, F(1, 2)), (1, 2), (0, 4)])
     calls = []
     real = dom.canonical_omega
     monkeypatch.setattr(dom, "canonical_omega", lambda poly: calls.append(poly) or real(poly))
+    cycles = []
+    real_cycle = geometry.cycle
+
+    def counted_cycle(pts):
+        cycles.append(pts)
+        return real_cycle(pts)
+
+    monkeypatch.setattr(geometry, "cycle", counted_cycle)
+    monkeypatch.setattr(dom, "cycle", counted_cycle)
     cap.clear_memo()
     for d in (pent, stair):
         cap.capacity_sequence(d, 10)
         cap.ck(d, 6, verify=True)
         dom.volume(d)
         dom.domain_key(d)
-    convex_context(pent)
-    concave_context(stair)
+    paths.min_convex(pent, 6)
+    paths.max_concave(stair, 6)
     negative_weight_sequence(pent)
     weight_expansion(stair)
-    assert calls == []
+    assert calls == [] and cycles == []
+    ball, square = dom.ball(F(3, 2)), dom.polydisk(1, F(3, 2))
+    for d in (ball, square):
+        assert d.omega is d.omega
+        paths.min_convex(d, 6)
+        paths.dual_norm(d, (1, -2))
+        negative_weight_sequence(d)
+    paths.max_concave(ball, 6)
+    paths.anti_norm(ball, (1, -2))
+    weight_expansion(ball)
+    assert len(cycles) == 2  # once for each of ball and square
     dom.convex_toric([(0, 0), (2, 0), (0, 2)])
     assert len(calls) == 1
 
@@ -278,10 +291,8 @@ def _record_reprs():
     cap.clear_memo()
     return [
         (dom.ball(1).omega, SMALL_TRIANGLE),
-        (convex_context(dom.ball(1)),
-         f"NormContext(kind='convex', support_vertices={TRIANGLE_VERTICES})"),
         (paths.convex_path([(1, -1)]), path),
-        (paths.min_convex(convex_context(pent), 2),
+        (paths.min_convex(pent, 2),
          f"PathOptimum(value=Fraction(3, 1), witness={path}, count_constraint=3)"),
         (negative_weight_sequence(pent),
          "NegativeWeightDecomposition(head=Fraction(3, 1), "

@@ -11,7 +11,6 @@ import random_polygons
 import symcap.domains as dom
 import symcap.paths as paths
 from symcap.geometry import lattice_points_under_path, path_vertices
-from symcap.norms import concave_context, convex_context
 from symcap.paths import (
     EMPTY_CONCAVE,
     EMPTY_CONVEX,
@@ -36,12 +35,12 @@ PENT_CONCAVE = dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])
 
 @functools.lru_cache(maxsize=None)
 def _mc(domain, k):
-    return min_convex(convex_context(domain), k)
+    return min_convex(domain, k)
 
 
 @functools.lru_cache(maxsize=None)
 def _xc(domain, k):
-    return max_concave(concave_context(domain), k)
+    return max_concave(domain, k)
 
 
 def test_lhat_examples():
@@ -58,18 +57,19 @@ def test_lcheck_examples():
 
 
 def test_ell_examples():
-    t1 = convex_context(T1)
-    assert ell(t1, convex_path([(2, -2)])) == 2
-    assert ell(t1, EMPTY_CONVEX) == 0
-    e12 = concave_context(dom.ellipsoid(1, 2))
-    assert ell(e12, concave_path([(1, -1)])) == 1
+    assert ell(T1, convex_path([(2, -2)])) == 2
+    assert ell(T1, EMPTY_CONVEX) == 0
+    assert ell(dom.ellipsoid(1, 2), concave_path([(1, -1)])) == 1
 
 
 def test_ell_kind_mismatch():
-    with pytest.raises(ValueError):
-        ell(convex_context(T1), concave_path([(1, -1)]))
-    with pytest.raises(ValueError):
-        ell(concave_context(T1), convex_path([(1, -1)]))
+    # a ball is both convex and concave; these domains are one kind only
+    for path in (concave_path([(1, -1)]), EMPTY_CONCAVE):
+        with pytest.raises(ValueError, match="not concave toric"):
+            ell(PENT, path)
+    for path in (convex_path([(1, -1)]), EMPTY_CONVEX):
+        with pytest.raises(ValueError, match="not convex toric"):
+            ell(PENT_CONCAVE, path)
 
 
 def test_min_convex_examples():
@@ -77,10 +77,10 @@ def test_min_convex_examples():
     assert _mc(T1, 3).value == 2
     r = _mc(SQ, 0)
     assert r.value == 0 and r.witness.edges == ()
-    with pytest.raises(ValueError):
-        min_convex(concave_context(T1), 0)
-    with pytest.raises(ValueError):
-        min_convex(convex_context(T1), -1)
+    with pytest.raises(ValueError, match="not convex toric"):
+        min_convex(PENT_CONCAVE, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        min_convex(T1, -1)
 
 
 def test_max_concave_examples():
@@ -88,6 +88,10 @@ def test_max_concave_examples():
     assert _xc(T1, 3).value == 2
     r = _xc(PENT_CONCAVE, 0)
     assert r.value == 0 and r.witness.edges == ()
+    with pytest.raises(ValueError, match="not concave toric"):
+        max_concave(PENT, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        max_concave(T1, -1)
 
 
 def _assert_pick(p):
@@ -118,11 +122,10 @@ def _assert_pick(p):
 
 @pytest.mark.parametrize("domain", [T1, SQ, P12, PENT])
 def test_convex_witness_invariants(domain):
-    ctx = convex_context(domain)
     for k in range(13):
         r = _mc(domain, k)
         p = validate_path(r.witness)
-        assert ell(ctx, p) == r.value
+        assert ell(domain, p) == r.value
         assert lhat(p) == r.count_constraint
         assert r.count_constraint >= k + 1
         _assert_pick(p)
@@ -131,11 +134,10 @@ def test_convex_witness_invariants(domain):
 @pytest.mark.parametrize("ab", [(1, 1), (2, 1), (3, 2)])
 def test_concave_witness_invariants(ab):
     d = dom.ellipsoid(*ab)
-    ctx = concave_context(d)
     for k in range(13):
         r = _xc(d, k)
         p = validate_path(r.witness)
-        assert ell(ctx, p) == r.value
+        assert ell(d, p) == r.value
         assert lcheck(p) == r.count_constraint == k
 
 
@@ -197,7 +199,7 @@ def test_min_convex_scores_a_fixed_set_of_candidates(monkeypatch, domain, k, sco
     # the number depends only on the searched tree and its order, so a
     # change to the bounds or the direction order shows here
     calls = _scoring(monkeypatch)
-    min_convex(convex_context(domain), k)
+    min_convex(domain, k)
     assert len(calls) == scored
 
 
@@ -242,16 +244,16 @@ def test_search_candidates_are_valid_paths(monkeypatch):
     for _ in range(6):
         kind = "convex"
         d = random_polygons.domain(rng, "convex")
-        optima = [min_convex(convex_context(d), k) for k in range(15)]
+        optima = [min_convex(d, k) for k in range(15)]
         assert [opt.count_constraint for opt in optima] == list(range(1, 16)), d.key
         kind = "concave"
-        cctx = concave_context(random_polygons.domain(rng, "concave"))
+        d = random_polygons.domain(rng, "concave")
         for k in range(1, 15):
-            max_concave(cctx, k)
+            max_concave(d, k)
     assert scored["convex"] > 400 and scored["concave"] > 400
 
 
-def _reference_max_concave(ctx, k):
+def _reference_max_concave(d, k):
     """max_concave as a plain enumeration: every concave core path with
     a + b <= k + 1 is counted by lattice_points_under_path, and the only
     value bound is one rate over all directions (the bounds max_concave had
@@ -259,7 +261,7 @@ def _reference_max_concave(ctx, k):
     if k == 0:
         return (F(0), (), 0)
     budget = k + 1
-    chain = ctx.support_vertices
+    chain = d.omega.vertices[1:]  # the outer chain, in Fractions
     scale = math.lcm(*(c.denominator for v in chain for c in v))
     ichain = [(int(x * scale), int(y * scale)) for x, y in chain]
     xcap, ycap = max(x for x, _ in ichain), max(y for _, y in ichain)
@@ -305,11 +307,10 @@ def test_max_concave_equals_plain_enumeration():
     domains = [random_polygons.domain(rng, "concave") for _ in range(6)] + [PENT_CONCAVE, tie] + [
         dom.ellipsoid(*ab) for ab in ((1, 1), (1, 2), (1, F(3, 2)), (F(5, 3), 1))]
     for d in domains:
-        ctx = concave_context(d)
         for k in range(17):
-            r = max_concave(ctx, k)
+            r = max_concave(d, k)
             assert (r.value, r.witness.edges, r.count_constraint) == \
-                _reference_max_concave(ctx, k), d.key
+                _reference_max_concave(d, k), d.key
 
 
 def test_max_concave_pins_e_1_3_2_at_30():
@@ -320,10 +321,9 @@ def test_max_concave_pins_e_1_3_2_at_30():
 
 
 def test_optimizers_deterministic():
-    ctx = convex_context(PENT)
-    assert min_convex(ctx, 7) == min_convex(ctx, 7)
-    cctx = concave_context(dom.ellipsoid(3, 2))
-    assert max_concave(cctx, 9) == max_concave(cctx, 9)
+    assert min_convex(PENT, 7) == min_convex(PENT, 7)
+    e32 = dom.ellipsoid(3, 2)
+    assert max_concave(e32, 9) == max_concave(e32, 9)
 
 
 def test_collinear_edges_merge():

@@ -116,6 +116,10 @@ def test_kind_mismatch_rejected():
         weight_expansion(PENT)  # convex but not concave
     with pytest.raises(ValueError):
         negative_weight_sequence(dom.concave_toric(STAIR))
+    union = dom.disjoint_union(dom.ball(1), dom.ball(2))
+    for f in (inscribed_triangle_size, weight_expansion):
+        with pytest.raises(ValueError, match="no moment polygon"):
+            f(union)
 
 
 def test_expansion_has_no_depth_limit():
