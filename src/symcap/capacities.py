@@ -19,18 +19,25 @@ Formulas implemented here:
 Each domain's family names its capacity source (SOURCE) and the method
 string its results carry (METHOD).  A source is the one store of its
 domain's values: a prefix c_0..c_{n-1} that grows on demand and keeps the
-work done so far.  A ball or projective plane, a polydisk or a sphere
-product appends one k at a time from its closed form; an ellipsoid pops
-one action per k from its own spectrum heap; a union, and a concave domain
-read as the union of its weight balls, adds max-plus DP columns; a convex
-domain takes its minimum over the shift l against the columns of its own
-DP of its excised balls.  The polydisk formula, the DP and the convex
-minimum run in integers over a common denominator.
-Each prefix grows under its own lock; the two toric sources also hold the
-second method verify=True compares against.  Sources are made on first use
-and kept per canonical domain key, so ck, capacity_sequence and the union
-DP all read the same prefixes.  Values are deterministic, so racing
-threads agree.
+work done so far.  A ball or projective plane keeps the block
+d(d+1)/2 <= k <= d(d+3)/2 it ends in, with its value d*a, and appends one
+k at a time, stepping to the next block when k passes the block's end, so
+a block's results share one value and no k takes a square root.  A
+polydisk or a sphere product appends one k at a time from its closed form;
+an ellipsoid pops one action per k from its own spectrum heap; a union,
+and a concave domain read as the union of its weight balls, adds max-plus
+DP columns; a convex domain takes its minimum over the shift l against the
+columns of its own DP of its excised balls.  The spectrum heap, the
+polydisk formula, the DP and the convex minimum run in integers over a
+common denominator, and a value is built once from its integer.  Every
+result passes one invariant check, c_0 = 0 and c_k > 0 for k >= 1, made on
+the value's numerator in integers.
+Each prefix grows under its own lock; a value already held is read
+without it, as results are only appended.  The two toric sources also
+hold the second method verify=True compares against.  Sources are made on
+first use and kept per canonical domain key, so ck, capacity_sequence,
+capacity_values and the union DP all read the same prefixes.  Values are
+deterministic, so racing threads agree.
 
 Prefixes persist across processes as one small JSON file per domain in a
 cache directory, named by a hash of the domain key and holding the key and
@@ -60,7 +67,7 @@ from typing import NamedTuple
 
 from . import paths
 from .domains import Ball, Domain
-from .geometry import rational, rational_str
+from .geometry import index, rational, rational_str
 from .weights import negative_weight_sequence, weight_expansion
 
 
@@ -78,50 +85,46 @@ class SpectrumEntry(NamedTuple):
 
 
 def _checked(result: CapacityResult) -> CapacityResult:
-    if result.value < 0 or (result.value == 0) != (result.k == 0):
+    """result, if its value is >= 0 and 0 exactly at k = 0.  A Fraction's
+    denominator is positive, so its numerator, an int, carries the sign."""
+    n = result.value.numerator
+    if n < 0 or (n == 0) != (result.k == 0):
         raise RuntimeError(f"capacity invariant violated: {result}")
     return result
 
 
-def _nonneg_k(k) -> int:
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return k
-
-
 def ball_multiplicity(k: int) -> int:
     """The unique d >= 0 with d^2+d <= 2k <= d^2+3d."""
-    k = _nonneg_k(k)
+    k = index(k)
     d = (math.isqrt(8 * k + 1) - 1) // 2
     # d*(d+3) is always even, so maximality of d gives the upper bound too
     assert d * d + d <= 2 * k <= d * d + 3 * d
     return d
 
 
-def _ball_capacity(a: Fraction, k: int, method: str) -> CapacityResult:
-    d = ball_multiplicity(k)
-    return _checked(CapacityResult(k, d * a, method, d))
-
-
 def ck_ball(a, k) -> CapacityResult:
     ball = Ball(a)
-    return _ball_capacity(ball.a, _nonneg_k(k), ball.METHOD)
+    d = ball_multiplicity(k)
+    return _checked(CapacityResult(k, d * ball.a, ball.METHOD, d))
 
 
-def _spectrum(a: Fraction, b: Fraction):
-    """The actions m*a+n*b of one ellipsoid as SpectrumEntries, sorted,
-    ties ordered by (m, n): integers m*A+n*B over the common denominator,
-    popped from a heap."""
+def _scaled(a: Fraction, b: Fraction) -> tuple:
+    """(scale, a*scale, b*scale), scale the common denominator of a and b."""
     scale = math.lcm(a.denominator, b.denominator)
-    A, B = int(a * scale), int(b * scale)
+    return scale, a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+
+
+def _spectrum(A: int, B: int):
+    """The actions m*A+n*B of one ellipsoid, the axes as integers over
+    their common denominator, as (action, m, n), sorted, ties ordered by
+    (m, n): popped from a heap."""
     heap = [(0, 0, 0)]
     # (m, n) enters the heap when (m, n-1), or (m-1, 0) for n = 0, leaves
     # it; that predecessor is smaller, so every pair is pushed once and
     # the pops come out sorted by (action, m, n)
     while True:
-        v, m, n = heapq.heappop(heap)
-        yield SpectrumEntry(Fraction(v, scale), m, n)
+        v, m, n = entry = heapq.heappop(heap)
+        yield entry
         heapq.heappush(heap, (v + B, m, n + 1))
         if n == 0:
             heapq.heappush(heap, (v + A, m + 1, 0))
@@ -132,19 +135,21 @@ def ellipsoid_spectrum(a, b, k_max) -> list:
     a, b = rational(a), rational(b)
     if a <= 0 or b <= 0:
         raise ValueError("ellipsoid axes must be positive")
-    return list(itertools.islice(_spectrum(a, b), _nonneg_k(k_max) + 1))
+    scale, A, B = _scaled(a, b)
+    return [SpectrumEntry(Fraction(v, scale), m, n)
+            for v, m, n in itertools.islice(_spectrum(A, B), index(k_max) + 1)]
 
 
 def ck_convex_toric(d, k) -> CapacityResult:
-    """c_k as the convex path optimum."""
+    """c_k as the convex path optimum; the search checks k."""
     opt = paths.min_convex(d, k)
-    return _checked(CapacityResult(int(k), opt.value, "convex_path", opt.witness))
+    return _checked(CapacityResult(k, opt.value, "convex_path", opt.witness))
 
 
 def ck_concave_toric(d, k) -> CapacityResult:
-    """c_k as the concave path optimum."""
+    """c_k as the concave path optimum; the search checks k."""
     opt = paths.max_concave(d, k)
-    return _checked(CapacityResult(int(k), opt.value, "concave_path", opt.witness))
+    return _checked(CapacityResult(k, opt.value, "concave_path", opt.witness))
 
 
 class _UnionParts:
@@ -278,7 +283,14 @@ class _Prefix:
             return self.results[lo:hi + 1]
 
     def result(self, k: int) -> CapacityResult:
-        return self.sequence(k, k)[0]
+        """c_k.  Results are only ever appended, so one already held is
+        read without the lock."""
+        results = self.results
+        if k >= len(results):
+            with self.lock:
+                if k >= len(results):
+                    self._grow(k)
+        return results[k]
 
     def oracle(self, k: int) -> CapacityResult | None:
         """c_k by a second method for verify=True, None if there is none."""
@@ -286,29 +298,48 @@ class _Prefix:
 
 
 class _BallPrefix(_Prefix):
-    """c_k = d*a from the closed form, appended one k at a time.  Cheaper
-    to compute than to read, so it has no cache file."""
+    """c_k = d*a from the closed form, appended one k at a time.  d is
+    constant on the block d(d+1)/2 <= k <= d(d+3)/2, so the prefix keeps
+    the block it ends in, (d, d*a), steps d when k passes the block's end
+    and shares one value among the block's results.  Cheaper to compute
+    than to read, so it has no cache file."""
 
     CACHED = False
 
+    def __init__(self, d: Domain):
+        super().__init__(d)
+        self.block = (0, Fraction(0))
+
     def _grow(self, k: int) -> None:
-        for j in range(len(self.results), k + 1):
-            self.results.append(_ball_capacity(self.domain.a, j, self.method))
+        results, method = self.results, self.method
+        d, value = self.block
+        for j in range(len(results), k + 1):
+            if 2 * j > d * (d + 3):  # past block d, so on block d+1
+                d += 1
+                value = d * self.domain.a
+                self.block = (d, value)
+            results.append(_checked(CapacityResult(j, value, method, d)))
 
 
 class _EllipsoidPrefix(_Prefix):
     """The ellipsoid's spectrum, popped from a heap of its own one action
-    per k.  After a cache file the heap is behind the prefix and catches up
-    on the next growth."""
+    per k, in integers over the axes' common denominator; a run of equal
+    actions shares one value.  After a cache file the heap is behind the
+    prefix and catches up on the next growth."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.spectrum = enumerate(_spectrum(d.a, d.b))
+        self.scale, A, B = _scaled(d.a, d.b)
+        self.spectrum = enumerate(_spectrum(A, B))
+        self.last = (None, None)  # the last action popped, and its value
 
     def _grow(self, k: int) -> None:
-        for j, e in self.spectrum:
-            if j >= len(self.results):
-                self.results.append(_checked(CapacityResult(j, e.action, self.method, (e.m, e.n))))
+        results, method = self.results, self.method
+        for j, (v, m, n) in self.spectrum:
+            if j >= len(results):
+                if v != self.last[0]:
+                    self.last = (v, Fraction(v, self.scale))
+                results.append(_checked(CapacityResult(j, self.last[1], method, (m, n))))
             if j == k:
                 break
 
@@ -321,8 +352,8 @@ class _PolydiskPrefix(_Prefix):
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.scale = math.lcm(d.a.denominator, d.b.denominator)
-        self.A, self.B = int(d.a * self.scale), int(d.b * self.scale)
+        self.scale, self.A, self.B = _scaled(d.a, d.b)
+        self.last = (None, None)  # the last minimum, and its value
 
     def _grow(self, k: int) -> None:
         A, B = self.A, self.B
@@ -337,8 +368,9 @@ class _PolydiskPrefix(_Prefix):
                 if n == 0:
                     break
                 m = -(-(j + 1) // n) - 1  # smallest m whose n is below this one
-            self.results.append(_checked(CapacityResult(
-                j, Fraction(best, self.scale), self.method, witness)))
+            if best != self.last[0]:
+                self.last = (best, Fraction(best, self.scale))
+            self.results.append(_checked(CapacityResult(j, self.last[1], self.method, witness)))
 
 
 class _UnionPrefix(_Prefix):
@@ -501,7 +533,7 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     concave one (paths.max_concave) and insists they agree, values read
     from a cache file included; other families have a single formula each.
     """
-    k = _nonneg_k(k)
+    k = index(k)
     source = _source(d)
     result = source.result(k)
     other = source.oracle(k) if verify else None
@@ -516,7 +548,17 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
 def capacity_sequence(d: Domain, kmax) -> list:
     """CapacityResults for k = 0..kmax, read from the domain's source,
     which grows to kmax in one step."""
-    return _source(d).sequence(0, _nonneg_k(kmax))
+    return _source(d).sequence(0, index(kmax))
+
+
+def capacity_values(d: Domain, start: int = 0):
+    """c_start, c_start+1, ... of d, without end, from d's source, which is
+    looked up once.  Each step reads the value held for its k or grows the
+    prefix to that k, so a scan that stops after k leaves the prefix grown
+    to k and no further."""
+    result = _source(d).result
+    for k in itertools.count(index(start)):
+        yield result(k).value
 
 
 def clear_memo() -> None:

@@ -29,21 +29,35 @@ Edge = tuple[int, int]
 def rational(x) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction.
 
-    Strings accept "p/q" and plain "p". Floats are rejected: every quantity
-    in this library is exact and rounding must never slip in silently.
+    Strings accept "p/q" and plain "p". Floats and bools are rejected: every
+    quantity in this library is exact and rounding must never slip in
+    silently.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {x!r}") from exc
-    # floats included: a binary float is not the number the user wrote down
+    # floats included: a binary float is not the number the user wrote down,
+    # and a bool (JSON true) is not a number at all
     raise ValueError(f"expected an exact rational (int, 'p/q' string, or "
                      f"Fraction), got {type(x).__name__}")
+
+
+def index(k, least: int = 0, name: str = "k") -> int:
+    """k as an index of at least `least`.  Only an int that is not a bool
+    is one: a float, Fraction or string would otherwise be truncated in
+    silence."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"{name} must be an int, got {type(k).__name__}")
+    if k < least:
+        raise ValueError(f"{name} must be nonnegative" if least == 0
+                         else f"{name} must be at least {least}")
+    return k
 
 
 def rational_str(q) -> str:

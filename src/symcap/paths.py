@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Edge, IntPolygon, cross, dot, lattice_points_under_path
+from .geometry import Edge, IntPolygon, cross, dot, index, lattice_points_under_path
 
 
 class LatticePath(NamedTuple):
@@ -239,9 +239,7 @@ def min_convex(d, k: int) -> PathOptimum:
     exactly k+1, the count of the capacity formula (Hutchings, Beyond ECH
     capacities, Geom. Topol. 2016), so the two minima agree."""
     poly = _int_omega(d, "convex")
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = index(k)
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
     return _convex_search(poly, k)
@@ -413,9 +411,7 @@ def max_concave(d, k: int) -> PathOptimum:
     budget, which bounds the value a branch can still reach.
     """
     poly = _int_omega(d, "concave")
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = index(k)
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONCAVE, 0)
 

@@ -8,10 +8,10 @@ every part every share, in Fractions.
 
 from fractions import Fraction
 
-from symcap.capacities import (CapacityResult, _checked, _nonneg_k, ball_multiplicity,
-                               capacity_sequence, ck_convex_toric)
+from symcap.capacities import (CapacityResult, _checked, ball_multiplicity, capacity_sequence,
+                               ck_convex_toric)
 from symcap.domains import Ball, DisjointUnion
-from symcap.geometry import rational
+from symcap.geometry import index, rational
 from symcap.weights import negative_weight_sequence, weight_expansion
 
 
@@ -19,7 +19,7 @@ def ck_polydisk(a, b, k) -> CapacityResult:
     a, b = rational(a), rational(b)
     if a <= 0 or b <= 0:
         raise ValueError("polydisk factors must be positive")
-    k = _nonneg_k(k)
+    k = index(k)
     best = None
     witness = None
     for m in range(k + 1):
@@ -58,14 +58,14 @@ def ck_union(parts, k) -> CapacityResult:
         parts = parts.parts
     if not parts:
         raise ValueError("disjoint union needs at least one part")
-    k = _nonneg_k(k)
+    k = index(k)
     value, comp = _fold([[r.value for r in capacity_sequence(p, k)] for p in parts])[k]
     return _checked(CapacityResult(k, value, "union_dp", comp))
 
 
 def ck_concave_via_weights(omega, k) -> CapacityResult:
     """c_k of a concave domain from its weight expansion, for this k alone."""
-    k = _nonneg_k(k)
+    k = index(k)
     if k == 0:
         return CapacityResult(0, Fraction(0), "weights", ())
     # at most k parts can receive a positive share, and the ball formula
@@ -78,7 +78,7 @@ def ck_convex_from_paths(omega, k) -> CapacityResult:
     """c_k of a convex domain: the convex path optimum, with the witness
     the weight formula gives it, the first shift l at which
     c_{k+l}(B(h)) - c_l(union of the excised balls) reaches that value."""
-    k = _nonneg_k(k)
+    k = index(k)
     value = ck_convex_toric(omega, k).value
     dec = negative_weight_sequence(omega)
     for n in (16, 64, 256, 1024):

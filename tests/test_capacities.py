@@ -268,6 +268,27 @@ def test_dispatcher_rejects_negative_k():
         ck(dom.ball(1), -1)
 
 
+@pytest.mark.parametrize("k", [2.9, F(5, 2), 2.0, True], ids=["float", "Fraction", "whole_float", "bool"])
+def test_indices_must_be_ints(k):
+    # no index is truncated: ck(ball(1), 2.9) used to answer c_2, and a
+    # sequence to Fraction(5, 2) stopped at c_2
+    calls = {
+        "ck": lambda: ck(dom.ball(1), k),
+        "capacity_sequence": lambda: capacity_sequence(dom.ellipsoid(1, 2), k),
+        "ck_ball": lambda: ck_ball(1, k),
+        "ball_multiplicity": lambda: cap.ball_multiplicity(k),
+        "ellipsoid_spectrum": lambda: ellipsoid_spectrum(1, 2, k),
+        "ck_convex_toric": lambda: ck_convex_toric(PENT, k),
+        "ck_concave_toric": lambda: ck_concave_toric(STAIR, k),
+        "min_convex": lambda: paths.min_convex(PENT, k),
+        "max_concave": lambda: paths.max_concave(STAIR, k),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^k must be an int, got {type(k).__name__}$"):
+            call()
+            pytest.fail(f"{name} took k = {k!r}")
+
+
 # the fixed corpus, then two draws of every family
 AXIOM_DOMAINS = [pytest.param(d, id=f"d{i}") for i, d in enumerate(CORPUS)] + [
     pytest.param(d, id=f"{family}-{i}") for family in FAMILIES
@@ -745,3 +766,46 @@ def test_values_are_fractions():
     for d in CORPUS:
         v = ck(d, 7).value
         assert isinstance(v, F)
+
+
+# --- the invariant check -------------------------------------------------------
+
+@pytest.mark.parametrize("result", [
+    CapacityResult(3, F(-1, 2), "m", None),
+    CapacityResult(0, F(-2), "m", None),
+    CapacityResult(2, F(0), "m", (2, 0)),
+    CapacityResult(0, F(1, 3), "m", 0),
+], ids=["negative", "negative_at_k0", "zero_at_k2", "nonzero_at_k0"])
+def test_invariant_check_rejects(result):
+    with pytest.raises(RuntimeError) as exc:
+        cap._checked(result)
+    assert str(exc.value) == f"capacity invariant violated: {result}"
+
+
+def test_invariant_check_passes_valid_results():
+    for r in (CapacityResult(0, F(0), "m"), CapacityResult(1, F(1, 10 ** 30), "m"),
+              CapacityResult(4, F(7, 3), "m", (1, 2))):
+        assert cap._checked(r) is r
+
+
+def test_cache_entry_of_zero_past_k0_is_recomputed(tmp_path):
+    # a well-formed entry c_k = 0 at k >= 1 breaks the invariant: the read
+    # warns and stops there, and the prefix recomputes it and what follows
+    e = dom.ellipsoid(F(2, 3), 1)
+    cap.clear_memo()
+    cold = capacity_sequence(e, 6)
+    cap.save_disk_cache(str(tmp_path))
+    path = file_of(tmp_path, e)
+    payload = json.loads(path.read_text())
+    payload["entries"][3]["c"] = "0"
+    path.write_text(json.dumps(payload))
+    with pytest.warns(RuntimeWarning) as record:
+        held = cap._read_prefix(str(tmp_path), e.key)
+    assert held == cold[:3]
+    assert [str(w.message) for w in record] == [
+        f"ignoring malformed capacity cache entry {e.key}#3: RuntimeError: capacity "
+        f"invariant violated: {cold[3]._replace(value=F(0))}"]
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="#3: RuntimeError"):
+        assert capacity_sequence(e, 6) == cold

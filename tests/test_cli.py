@@ -173,8 +173,9 @@ def _capacity(spec):
     return ("capacity", "-d", spec, "-k", "1")
 
 
-# each polygon the constructors reject, and each path search asked of a
-# domain of the wrong kind, with the one stderr line it gets
+# each polygon the constructors reject, each path search asked of a domain
+# of the wrong kind, and a size given as JSON true, with the one stderr
+# line it gets
 VALIDATION_ERRORS = {
     "reversal": (_capacity(_toric("convex_toric", (0, 0), (2, 0), (1, 0), (1, 2))),
                  "error: degenerate polygon: reversal at vertex (Fraction(2, 1), Fraction(0, 1))"),
@@ -198,6 +199,9 @@ VALIDATION_ERRORS = {
     "concave_paths_of_polydisk": (
         ("paths", "--kind", "concave", "-d", SQUARE, "-k", "2"),
         "error: domain is not concave toric: Polydisk(a=Fraction(1, 1), b=Fraction(1, 1))"),
+    "json_true_size": (
+        ("sequence", "-d", '{"type":"ball","a":true}', "--kmax", "3"),
+        "error: expected an exact rational (int, 'p/q' string, or Fraction), got bool"),
 }
 
 
@@ -330,7 +334,7 @@ def test_cache_session_matches_one_process(tmp_path, monkeypatch, capsys):
     assert _files(session) == _files(tmp_path / "once")
 
 
-@pytest.mark.parametrize("corrupt", ["bad_value", "missing_method"])
+@pytest.mark.parametrize("corrupt", ["bad_value", "missing_method", "zero_value"])
 def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corrupt):
     monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
     argv = ("obstruct", "--source", BALL1, "--target", E12, "--kmax", "8", "--format", "json")
@@ -342,6 +346,8 @@ def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corr
     key = f"{dom.domain_key(dom.ellipsoid(1, 2))}#4"
     if corrupt == "bad_value":
         payload["entries"][4]["c"] = "three"
+    elif corrupt == "zero_value":  # well formed, but c_4 = 0 breaks the invariant
+        payload["entries"][4]["c"] = "0"
     else:
         del payload["entries"][4]["method"]
     cache.write_text(json.dumps(payload))

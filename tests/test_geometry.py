@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from random_polygons import concave_path, convex_path
-from symcap.geometry import (Polygon, cross, is_convex,
+from symcap.geometry import (Polygon, cross, index, is_convex,
                              lattice_points_on_path,
                              lattice_points_under_path, path_vertices,
                              rational, rational_str)
@@ -70,6 +70,25 @@ def test_rational_rejects_floats():
         rational(None)
     with pytest.raises(ValueError):
         rational("7/0")
+
+
+def test_rational_rejects_bools():
+    # JSON true is a bool, and a bool is an int: not a size of 1
+    for b in (True, False):
+        with pytest.raises(ValueError, match=r"\), got bool$"):
+            rational(b)
+
+
+def test_index_accepts_only_ints():
+    assert index(0) == 0 and index(7, 1, "k_max") == 7 and index(10 ** 30) == 10 ** 30
+    for k, kind in ((2.9, "float"), (2.0, "float"), (F(5, 2), "Fraction"), (F(2), "Fraction"),
+                    ("3", "str"), (True, "bool"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"^k must be an int, got {kind}$"):
+            index(k)
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        index(-1)
+    with pytest.raises(ValueError, match="^k_max must be at least 1$"):
+        index(0, 1, "k_max")
 
 
 def test_is_convex_examples():

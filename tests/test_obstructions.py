@@ -74,6 +74,18 @@ def test_kmax_must_be_positive():
         check_embedding(dom.ball(1), dom.ball(1), 0)
 
 
+@pytest.mark.parametrize("k", [3.7, F(7, 2), 3.0, True], ids=["float", "Fraction", "whole_float", "bool"])
+def test_indices_must_be_ints(k):
+    # int() used to truncate each of these
+    kind = type(k).__name__
+    with pytest.raises(ValueError, match=f"^k_max must be an int, got {kind}$"):
+        check_embedding(TWO_BALLS, dom.ball(1), k)
+    with pytest.raises(ValueError, match=f"^k_max must be an int, got {kind}$"):
+        scaling_lower_bound(TWO_BALLS, dom.ball(1), k)
+    with pytest.raises(ValueError, match=f"^k must be an int, got {kind}$"):
+        asymptotic_ratio(dom.ball(1), k)
+
+
 def test_scaling_lower_bound_examples():
     assert scaling_lower_bound(dom.ellipsoid(1, 2), dom.ball(1), 50) == 2
     assert scaling_lower_bound(dom.ball(1), dom.ball(1), 50) == 1

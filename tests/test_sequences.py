@@ -16,7 +16,7 @@ import symcap.domains as dom
 from per_k import ck_concave_via_weights, ck_convex_from_paths, ck_polydisk, ck_union
 from random_polygons import FAMILIES, domain
 from symcap.capacities import capacity_sequence, ck, ck_ball, ellipsoid_spectrum
-from symcap.obstructions import check_embedding
+from symcap.obstructions import check_embedding, scaling_lower_bound
 from symcap.weights import negative_weight_sequence
 
 
@@ -109,12 +109,15 @@ def test_spectrum_extended_in_steps_matches_sorted_enumeration():
     for _ in range(5):
         e = domain(rng, "ellipsoid")
         a, b = e.a, e.b
-        spectrum, got = cap._spectrum(a, b), []
+        scale, A, B = cap._scaled(a, b)
+        assert (A, B) == (a * scale, b * scale)
+        spectrum, got = cap._spectrum(A, B), []
         for need in (1, 4, 9, 30, 60):
             got += itertools.islice(spectrum, need - len(got))
+        got = [(F(v, scale), m, n) for v, m, n in got]
         want = sorted((m * a + n * b, m, n) for m in range(61) for n in range(61))[:60]
-        assert [(e.action, e.m, e.n) for e in got] == want
-        assert ellipsoid_spectrum(a, b, 59) == got
+        assert got == want
+        assert [tuple(e) for e in ellipsoid_spectrum(a, b, 59)] == got
 
 
 def _prefix_lengths() -> dict:
@@ -159,6 +162,20 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
     assert early_exit == {True, False}
 
 
+def test_scaling_lower_bound_matches_a_per_k_scan_and_grows_to_k_max():
+    rng = random.Random("scaling")
+    for _ in range(10):
+        src = domain(rng, rng.choice(["ellipsoid", "union", "concave"]))
+        tgt = domain(rng, rng.choice(["ball", "polydisk"]))
+        kmax = rng.randint(1, 25)
+        cap.clear_memo()
+        got = scaling_lower_bound(src, tgt, kmax)
+        grown = _prefix_lengths()
+        want = max(_per_k(src, k).value / _per_k(tgt, k).value for k in range(1, kmax + 1))
+        assert got == want, (src.key, tgt.key, kmax)
+        assert grown == {d.key: kmax + 1 for d in _read_by(src) + _read_by(tgt)}
+
+
 def test_concurrent_ck_on_one_union():
     d = dom.disjoint_union(dom.ellipsoid(1, F(7, 3)), dom.polydisk(F(3, 2), 2),
                            dom.ball(F(5, 4)), dom.ellipsoid(F(2, 3), 1))
@@ -172,6 +189,9 @@ def test_concurrent_ck_on_one_union():
         random.Random(seed).shuffle(order)
         if seed % 4 == 0:
             return [_triple(r) for r in capacity_sequence(d, 40)]
+        if seed % 4 == 1:  # a scan's walk, k by k, yields the values alone
+            values = itertools.islice(cap.capacity_values(d), 41)
+            return [(k, v, method, witness) for (k, _, method, witness), v in zip(want, values)]
         got = {k: _triple(ck(d, k)) for k in order}
         return [got[k] for k in range(41)]
 
@@ -203,6 +223,18 @@ def test_embedding_scan_pops_each_spectrum_entry_once(monkeypatch):
     rep = check_embedding(dom.ellipsoid(F(13, 7), F(5, 3)), dom.ball(F(19, 10)), 300)
     assert not rep.obstructed and len(rep.table) == 301
     assert len(pops) == 301
+
+
+def test_ball_prefix_shares_one_value_per_block():
+    # d is constant on each block d(d+1)/2 <= k <= d(d+3)/2, and so is the
+    # value object the ball's results hold
+    cap.clear_memo()
+    target = dom.ball(F(7, 2))
+    rep = check_embedding(dom.ellipsoid(3, F(10, 3)), target, 300)
+    assert not rep.obstructed
+    results = cap._source(target).results
+    assert len(results) == 301
+    assert len({id(r.value) for r in results}) <= cap.ball_multiplicity(300) + 1
 
 
 def test_staircase_sequence_expands_weights_once(monkeypatch):
