@@ -323,23 +323,19 @@ class _BallPrefix(_Prefix):
 
 class _EllipsoidPrefix(_Prefix):
     """The ellipsoid's spectrum, popped from a heap of its own one action
-    per k, in integers over the axes' common denominator; a run of equal
-    actions shares one value.  After a cache file the heap is behind the
-    prefix and catches up on the next growth."""
+    per k, in integers over the axes' common denominator.  After a cache
+    file the heap is behind the prefix and catches up on the next growth."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.scale, A, B = _scaled(d.a, d.b)
         self.spectrum = enumerate(_spectrum(A, B))
-        self.last = (None, None)  # the last action popped, and its value
 
     def _grow(self, k: int) -> None:
-        results, method = self.results, self.method
+        results, method, scale = self.results, self.method, self.scale
         for j, (v, m, n) in self.spectrum:
             if j >= len(results):
-                if v != self.last[0]:
-                    self.last = (v, Fraction(v, self.scale))
-                results.append(_checked(CapacityResult(j, self.last[1], method, (m, n))))
+                results.append(_checked(CapacityResult(j, Fraction(v, scale), method, (m, n))))
             if j == k:
                 break
 
@@ -551,13 +547,13 @@ def capacity_sequence(d: Domain, kmax) -> list:
     return _source(d).sequence(0, index(kmax))
 
 
-def capacity_values(d: Domain, start: int = 0):
-    """c_start, c_start+1, ... of d, without end, from d's source, which is
-    looked up once.  Each step reads the value held for its k or grows the
-    prefix to that k, so a scan that stops after k leaves the prefix grown
-    to k and no further."""
+def capacity_values(d: Domain):
+    """c_0, c_1, ... of d, without end, from d's source, which is looked up
+    once.  Each step reads the value held for its k or grows the prefix to
+    that k, so a scan that stops after k leaves the prefix grown to k and
+    no further."""
     result = _source(d).result
-    for k in itertools.count(index(start)):
+    for k in itertools.count():
         yield result(k).value
 
 

@@ -5,10 +5,11 @@ below the matching capacity of the target, so the first index where the
 source exceeds the target certifies non-embeddability.  The converse is
 not claimed: a clean scan is merely "no obstruction up to k_max".
 
-The scans walk each domain's capacity source k by k
-(capacities.capacity_values): a step reads a value the source holds or
-grows its prefix by that one index, so a scan that stops early grows no
-prefix past where it stopped.
+The scans read one k per step: check_embedding asks ck for the next
+index, scaling_lower_bound walks each domain's capacity source
+(capacities.capacity_values).  Either way a step reads a value the source
+holds or grows its prefix by that one index, so a scan that stops early
+grows no prefix past where it stopped.
 
 Square roots (for the 2*sqrt(vol*k) growth model) are bracketed by rational
 intervals instead of floats, keeping every reported inequality exact.
@@ -16,6 +17,7 @@ intervals instead of floats, keeping every reported inequality exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -42,19 +44,17 @@ class ObstructionReport(NamedTuple):
 def check_embedding(src, tgt, k_max) -> ObstructionReport:
     """Scan k = 0..k_max for a capacity violation of src -> tgt.
 
-    The source's and the target's capacities are read side by side, one k
-    per step, from their capacity sources; stopping at the first violation
-    grows neither prefix past it.
+    Each step asks ck for the next index of the source and of the target,
+    which only extends their capacity prefixes (see capacities); stopping
+    at the first violation grows neither prefix past it.
     """
     k_max = index(k_max, 1, "k_max")
     volume_ok = domains.volume(src) <= domains.volume(tgt)
-    # row 0, where both values are 0, is read through ck: perfbench's tracer
-    # test expects the formulas workload, whose only per-k reads are these
-    # scans, to call ck
-    rows = [(0, ck(src, 0).value, ck(tgt, 0).value)]
-    for row in zip(range(1, k_max + 1), capacity_values(src, 1), capacity_values(tgt, 1)):
-        rows.append(row)
-        k, cs, ct = row
+    rows = []
+    for k in range(k_max + 1):
+        cs = ck(src, k).value
+        ct = ck(tgt, k).value
+        rows.append((k, cs, ct))
         if cs > ct:
             return ObstructionReport(True, k, cs, ct, k_max, volume_ok, tuple(rows))
     return ObstructionReport(False, None, None, None, k_max, volume_ok, tuple(rows))
@@ -67,20 +67,17 @@ def scaling_lower_bound(src, tgt, k_max) -> Fraction:
     The target must scale quadratically, which rules out the closed
     manifolds; capacities are positive for k >= 1, so no division by zero.
     Both domains' capacities are read one k per step from their capacity
-    sources, which grow to k_max and no further.  Ratios are compared by
-    cross-multiplying in integers; the one division builds the result.
+    sources, which grow to k_max and no further.
     """
     k_max = index(k_max, 1, "k_max")
     if tgt.CLOSED:
         raise ValueError("scaling bound needs a target that scales "
                          "quadratically; closed manifolds do not")
-    num, den = 0, 1  # the best ratio so far, num/den
-    for _, cs, ct in zip(range(k_max), capacity_values(src, 1), capacity_values(tgt, 1)):
-        # cs/ct = p/q with p = cs.num * ct.den and q = cs.den * ct.num > 0
-        p, q = cs.numerator * ct.denominator, cs.denominator * ct.numerator
-        if p * den > num * q:
-            num, den = p, q
-    return Fraction(num, den)
+    best = Fraction(0)
+    pairs = zip(capacity_values(src), capacity_values(tgt))
+    for cs, ct in itertools.islice(pairs, 1, k_max + 1):
+        best = max(best, cs / ct)
+    return best
 
 
 def sqrt_interval(value, eps=Fraction(1, 10 ** 9)) -> tuple[Fraction, Fraction]:
