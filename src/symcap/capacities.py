@@ -29,9 +29,9 @@ and a concave domain read as the union of its weight balls, adds max-plus
 DP columns; a convex domain takes its minimum over the shift l against the
 columns of its own DP of its excised balls.  The spectrum heap, the
 polydisk formula, the DP and the convex minimum run in integers over a
-common denominator, and a value is built once from its integer.  Every
-result passes one invariant check, c_0 = 0 and c_k > 0 for k >= 1, made on
-the value's numerator in integers.
+common denominator fixed before the first value, and a value is built
+once from its integer.  Every result passes one invariant check, c_0 = 0
+and c_k > 0 for k >= 1, made on the value's numerator in integers.
 Each prefix grows under its own lock; a value already held is read
 without it, as results are only appended.  The two toric sources also
 hold the second method verify=True compares against.  Sources are made on
@@ -39,15 +39,17 @@ first use and kept per canonical domain key, so ck, capacity_sequence,
 capacity_values and the union DP all read the same prefixes.  Values are
 deterministic, so racing threads agree.
 
-Prefixes persist across processes as one small JSON file per domain in a
-cache directory, named by a hash of the domain key and holding the key and
-the entries c_0..c_{n-1}; balls and the projective plane, cheaper to
-compute than to read, get none.  Once a directory is loaded, a source
-reads its own file when it is made and starts from the results it holds,
-equal to the ones saved, witness types included; a malformed entry is
-reported with a warning and ends the prefix there, so it and what follows
-are computed afresh.  Saving writes a domain's file only when the file does
-not already hold its prefix.
+Unions, concave and convex domains, the three sources that run the
+max-plus DP, persist across processes: one small JSON file per domain in a
+cache directory, named by a hash of the domain key, holds the key and each
+entry's value and witness; the method is the family's METHOD.  The other
+sources compute a prefix about as fast as a file is read, and get none.
+Once a directory is loaded, a DP source reads its own file when it is made
+and starts from the results it holds, equal to the ones saved, witness
+types included.  A file is used whole or not at all: one malformed entry,
+like another version or key, makes it a silent miss, computed afresh and
+rewritten by the save, which writes a domain's file only when the file
+does not already hold its prefix.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ import math
 import operator
 import os
 import threading
-import warnings
 import zlib
 from fractions import Fraction
 from typing import NamedTuple
@@ -156,16 +157,17 @@ class _UnionParts:
     """State of the max-plus DP over the parts of a union.
 
     best[i] holds the best total of parts 0..i at each column and values[i]
-    the values of part i, both as integers over the common denominator
-    `scale`: c_0, c_1, ..., but only the share values d*a of a Ball part
-    past part 0, and part 0's are best[0] itself.  picks[i-1][j] is part
-    i's share of column j in best[i].  A part added later starts with
-    empty rows, which the next _union_table call fills.
+    the values of part i, both as integers over `scale`, fixed when the
+    table is made: a multiple of every part value's denominator.  Rows
+    hold c_0, c_1, ..., but only the share values d*a of a Ball part past
+    part 0, and part 0's are best[0] itself.  picks[i-1][j] is part i's
+    share of column j in best[i].  A part added later starts with empty
+    rows, which the next _union_table call fills.
     """
 
-    def __init__(self, parts=()):
+    def __init__(self, parts, scale: int):
         self.parts: list = []
-        self.scale = 1
+        self.scale = scale
         self.values: list = []
         self.best: list = []
         self.picks: list = []
@@ -205,19 +207,12 @@ def _union_table(parts, kmax: int) -> None:
     steps over m parts however the growth is split.
     """
     balls = [isinstance(p, Ball) for p in parts.parts]
-    fresh = [[] if ball else [r.value for r in _source(p).sequence(len(row), kmax)]
-             for p, row, ball in zip(parts.parts, parts.values, balls)]
-    scale = math.lcm(parts.scale, *(p.a.denominator for p, ball in zip(parts.parts, balls) if ball),
-                     *(v.denominator for row in fresh for v in row))
-    if scale != parts.scale:
-        factor = scale // parts.scale
-        for row in parts.values[1:] + parts.best:
-            row[:] = [x * factor for x in row]
-        parts.scale = scale
+    scale = parts.scale
     nshares = ball_multiplicity(kmax) + 1  # the shares d(d+1)/2 <= kmax
-    for i, (p, row, new, ball) in enumerate(zip(parts.parts, parts.values, fresh, balls)):
+    for i, (p, row, ball) in enumerate(zip(parts.parts, parts.values, balls)):
         if not ball:
-            row.extend(v.numerator * (scale // v.denominator) for v in new)
+            row.extend(r.value.numerator * (scale // r.value.denominator)
+                       for r in _source(p).sequence(len(row), kmax))
             continue
         a = p.a.numerator * (scale // p.a.denominator)
         if i:
@@ -259,21 +254,23 @@ def _union_witness(picks, k: int, nparts: int):
 
 class _Prefix:
     """results holds c_0..c_{n-1} of one domain, grown on demand under a
-    lock and kept; a CACHED source starts from the domain's cache file when
-    a cache directory is loaded.
+    lock and kept.  A CACHED source, one of the three that run the max-plus
+    DP, starts from the domain's cache file, read whole, when a cache
+    directory is loaded; the others always compute.
 
     Subclasses define _grow(k), which appends results until n > k.  A
-    family with a second method overrides oracle.
+    family with a second method overrides oracle.  A source that can be a
+    union part keeps `scale`, a multiple of every value's denominator.
     """
 
-    CACHED = True
+    CACHED = False
 
     def __init__(self, d: Domain):
         self.lock = threading.Lock()
         self.domain = d
         self.method = d.METHOD
         cached = self.CACHED and _CACHE_DIR is not None
-        self.results = _read_prefix(_CACHE_DIR, d.key) if cached else []
+        self.results = _read_prefix(_CACHE_DIR, d) if cached else []
 
     def sequence(self, lo: int, hi: int) -> list:
         """c_lo..c_hi."""
@@ -301,10 +298,7 @@ class _BallPrefix(_Prefix):
     """c_k = d*a from the closed form, appended one k at a time.  d is
     constant on the block d(d+1)/2 <= k <= d(d+3)/2, so the prefix keeps
     the block it ends in, (d, d*a), steps d when k passes the block's end
-    and shares one value among the block's results.  Cheaper to compute
-    than to read, so it has no cache file."""
-
-    CACHED = False
+    and shares one value among the block's results."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
@@ -323,21 +317,17 @@ class _BallPrefix(_Prefix):
 
 class _EllipsoidPrefix(_Prefix):
     """The ellipsoid's spectrum, popped from a heap of its own one action
-    per k, in integers over the axes' common denominator.  After a cache
-    file the heap is behind the prefix and catches up on the next growth."""
+    per k, in integers over the axes' common denominator."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.scale, A, B = _scaled(d.a, d.b)
-        self.spectrum = enumerate(_spectrum(A, B))
+        self.spectrum = _spectrum(A, B)
 
     def _grow(self, k: int) -> None:
         results, method, scale = self.results, self.method, self.scale
-        for j, (v, m, n) in self.spectrum:
-            if j >= len(results):
-                results.append(_checked(CapacityResult(j, Fraction(v, scale), method, (m, n))))
-            if j == k:
-                break
+        for v, m, n in itertools.islice(self.spectrum, k + 1 - len(results)):
+            results.append(_checked(CapacityResult(len(results), Fraction(v, scale), method, (m, n))))
 
 
 class _PolydiskPrefix(_Prefix):
@@ -370,13 +360,22 @@ class _PolydiskPrefix(_Prefix):
 
 
 class _UnionPrefix(_Prefix):
-    """A union's max-plus DP, extended by one column per new k."""
+    """A union's max-plus DP, extended by one column per new k, over the
+    lcm of its parts' scales: a Ball part's denominator, any other part's
+    source scale.  The table, and with it the parts' sources, is made on
+    the first growth, so a union read from its file makes neither."""
+
+    CACHED = True
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.table = _UnionParts(d.parts)
+        self.table = None
 
     def _grow(self, k: int) -> None:
+        if self.table is None:
+            parts = self.domain.parts
+            self.table = _UnionParts(parts, math.lcm(*(
+                p.a.denominator if isinstance(p, Ball) else _source(p).scale for p in parts)))
         _union_table(self.table, k)
         for j in range(len(self.results), k + 1):
             self.results.append(self.table.result(j, self.method))
@@ -386,12 +385,16 @@ class _ConcavePrefix(_Prefix):
     """The union of the domain's weight balls, largest first.  c_k uses
     only the k largest balls, so ball i joins the DP at column i+1; the
     expansion itself waits for the first k >= 1, as c_0 = 0 needs none.
-    The oracle is the concave path optimum."""
+    The DP runs over the polygon's scale, a multiple of every weight's
+    denominator (see weights).  The oracle is the concave path optimum."""
+
+    CACHED = True
 
     def __init__(self, d: Domain):
         super().__init__(d)
+        self.scale = d.int_omega.scale
         self.weights = None
-        self.table = _UnionParts()
+        self.table = _UnionParts((), self.scale)
 
     def _grow(self, k: int) -> None:
         if k >= 1:
@@ -416,7 +419,8 @@ class _ConvexPrefix(_Prefix):
 
         T(l) = c_{k+l}(B(h)) - c_l(E),  E the union of the B(a_i),
 
-    in integers over the common denominator of h and the a_i.  On block d,
+    in integers over the polygon's scale, a multiple of the denominators of
+    h and the a_i (see weights).  On block d,
     d(d+1)/2 <= k+l <= d(d+3)/2, the first term is d*h and c_l(E) never
     falls, so the block's least term is at its last l.  The blocks are
     taken in turn, and the first holding the minimum is scanned back to
@@ -437,8 +441,11 @@ class _ConvexPrefix(_Prefix):
     sequence is found on the first growth to a k >= 1.  The oracle is the
     convex path optimum."""
 
+    CACHED = True
+
     def __init__(self, d: Domain):
         super().__init__(d)
+        self.scale = d.int_omega.scale
         self.table = None  # the DP of E, once grown
 
     def _grow(self, k: int) -> None:
@@ -446,12 +453,10 @@ class _ConvexPrefix(_Prefix):
             self.results.append(CapacityResult(0, Fraction(0), self.method, {"l": 0}))
         if k >= 1 and self.table is None:
             dec = negative_weight_sequence(self.domain)
-            self.scale = math.lcm(dec.head.denominator, *(w.denominator for w in dec.negatives))
             self.head = int(dec.head * self.scale)
             sizes = [int(w * self.scale) for w in dec.negatives]
             self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
-            self.table = _UnionParts(map(Ball, dec.negatives))
-            self.table.scale = self.scale  # a multiple of each a_i's denominator, so kept
+            self.table = _UnionParts(map(Ball, dec.negatives), self.scale)
         for j in range(len(self.results), k + 1):
             value, l = self._minimum(j)
             self.results.append(_checked(CapacityResult(
@@ -588,7 +593,7 @@ def _witness_from_json(w):
     return tuple(w) if isinstance(w, list) else w
 
 
-_FORMAT = 3  # the version field of a domain file
+_FORMAT = 4  # the version field of a domain file
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
@@ -597,52 +602,34 @@ def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"{zlib.crc32(key.encode()):08x}.json")
 
 
-def _stored_entries(cache_dir: str, key: str) -> list:
-    """The raw entries of key's file in cache_dir; empty when there is no
-    file, or one that is not a readable file of key in this version."""
-    try:
-        with open(_cache_path(cache_dir, key), encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return []
-    if (isinstance(payload, dict) and payload.get("version") == _FORMAT
-            and payload.get("key") == key and isinstance(payload.get("entries"), list)):
-        return payload["entries"]
-    return []
-
-
 def _entry_json(result: CapacityResult) -> dict:
-    return {"c": rational_str(result.value), "method": result.method,
-            "witness": witness_to_json(result.witness)}
+    return {"c": rational_str(result.value), "witness": witness_to_json(result.witness)}
 
 
-def _entry_result(k: int, entry) -> CapacityResult:
-    """Invert _entry_json; a malformed entry raises LookupError, TypeError
-    or ValueError."""
-    method = entry["method"]
-    if not isinstance(method, str):
-        raise TypeError(f"method {method!r} is not a string")
-    return CapacityResult(k, rational(entry["c"]), method,
-                          _witness_from_json(entry.get("witness")))
+def _entry_result(k: int, entry, method: str) -> CapacityResult:
+    """Invert _entry_json, the method being the family's; a malformed entry
+    raises LookupError, TypeError or ValueError."""
+    return CapacityResult(k, rational(entry["c"]), method, _witness_from_json(entry.get("witness")))
 
 
-def _read_prefix(cache_dir: str, key: str) -> list:
-    """The results stored for key in cache_dir, up to the first malformed
-    entry, which warns so that it is computed afresh."""
-    results = []
-    for k, entry in enumerate(_stored_entries(cache_dir, key)):
-        try:
-            results.append(_checked(_entry_result(k, entry)))
-        except (LookupError, TypeError, ValueError, RuntimeError) as e:
-            warnings.warn(f"ignoring malformed capacity cache entry {key}#{k}: "
-                          f"{type(e).__name__}: {e}", RuntimeWarning, stacklevel=2)
-            break
-    return results
+def _read_prefix(cache_dir: str, d: Domain) -> list:
+    """The results d's file in cache_dir holds: all of them, or none when
+    there is no readable file of d in this version, or one of its entries
+    is malformed or breaks the invariant."""
+    try:
+        with open(_cache_path(cache_dir, d.key), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload["version"] != _FORMAT or payload["key"] != d.key:
+            return []
+        return [_checked(_entry_result(k, entry, d.METHOD))
+                for k, entry in enumerate(payload["entries"])]
+    except (OSError, LookupError, TypeError, ValueError, RuntimeError):
+        return []
 
 
 def load_disk_cache(cache_dir: str) -> None:
-    """Draw on the domain files in cache_dir: each prefix source made from
-    now on starts from the results its file holds.  Opens no file; sources
+    """Draw on the domain files in cache_dir: each DP source made from now
+    on starts from the results its file holds.  Opens no file; sources
     made before keep what they hold, and a missing directory or file is a
     miss."""
     global _CACHE_DIR
@@ -650,13 +637,14 @@ def load_disk_cache(cache_dir: str) -> None:
 
 
 def save_disk_cache(cache_dir: str) -> int:
-    """Write each capacity source's prefix to its file in cache_dir unless
+    """Write each DP source's prefix to its file in cache_dir unless
     the file already holds it; returns the number of entries written.
 
-    A file holding a longer prefix that agrees with this one is kept, so
-    writers of one domain keep the longer prefix; a missing, shorter,
-    unreadable or disagreeing file, or one of another version or key, is
-    replaced.  Writers of different domains write different files.
+    A file that reads whole and holds a longer prefix agreeing with this
+    one is kept, so writers of one domain keep the longer prefix; a
+    missing, shorter, unreadable or disagreeing file, one with a malformed
+    entry, or one of another version or key, is replaced.  Writers of
+    different domains write different files.
     """
     os.makedirs(cache_dir, exist_ok=True)
     with _LOCK:
@@ -669,12 +657,11 @@ def save_disk_cache(cache_dir: str) -> int:
             results = source.results[:]
             if not (source.CACHED and results):
                 continue
-            key = source.domain.key
-            entries = [_entry_json(r) for r in results]
-            if _stored_entries(cache_dir, key)[:len(entries)] != entries:
-                _write_file(_cache_path(cache_dir, key),
-                            {"version": _FORMAT, "key": key, "entries": entries})
-                written += len(entries)
+            d = source.domain
+            if _read_prefix(cache_dir, d)[:len(results)] != results:
+                _write_file(_cache_path(cache_dir, d.key), {
+                    "version": _FORMAT, "key": d.key, "entries": list(map(_entry_json, results))})
+                written += len(results)
     return written
 
 

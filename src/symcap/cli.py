@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 
 from . import capacities
@@ -243,16 +242,12 @@ def main(argv=None) -> int:
     try:
         if cache_dir:
             capacities.load_disk_cache(cache_dir)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = args.func(args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
+        code = args.func(args)
         if cache_dir and code == 0:
             try:
                 capacities.save_disk_cache(cache_dir)
             except OSError as e:
-                print(f"warning: could not save capacity cache: {e}",
+                print(f"note: could not save capacity cache: {e}",
                       file=sys.stderr)
         return code
     except ValueError as e:

@@ -48,12 +48,17 @@ def rational(x) -> Fraction:
                      f"Fraction), got {type(x).__name__}")
 
 
+def integer(v, name: str):
+    """v, if it is an int that is not a bool: a float, Fraction or string
+    would otherwise be truncated in silence."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an int, got {type(v).__name__}")
+    return v
+
+
 def index(k, least: int = 0, name: str = "k") -> int:
-    """k as an index of at least `least`.  Only an int that is not a bool
-    is one: a float, Fraction or string would otherwise be truncated in
-    silence."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"{name} must be an int, got {type(k).__name__}")
+    """k, an integer, as an index of at least `least`."""
+    k = integer(k, name)
     if k < least:
         raise ValueError(f"{name} must be nonnegative" if least == 0
                          else f"{name} must be at least {least}")
@@ -167,11 +172,11 @@ def is_convex(p: Polygon) -> bool:
 
 def path_vertices(edges: Sequence[Edge], start_y: int) -> list[tuple[int, int]]:
     """Integer vertices visited by the path, start point included."""
-    x, y = 0, int(start_y)
+    x, y = 0, integer(start_y, "start_y")
     verts = [(x, y)]
     for dx, dy in edges:
-        x += dx
-        y += dy
+        x += integer(dx, "edge entry")
+        y += integer(dy, "edge entry")
         verts.append((x, y))
     return verts
 
@@ -200,13 +205,14 @@ def lattice_points_under_path(edges: Sequence[Edge], start_y: int,
     traced both ways adds its length to B twice and nothing to A, which
     counts its points exactly once.
     """
-    b = int(start_y)
+    b = integer(start_y, "start_y")
     x, y = 0, b
     area2 = 0
     on_path = 0
     xmin = 0
     ymin = y
     for dx, dy in edges:
+        dx, dy = integer(dx, "edge entry"), integer(dy, "edge entry")
         area2 += x * dy - y * dx  # cross((x, y), (x+dx, y+dy))
         on_path += math.gcd(dx, dy)
         x += dx

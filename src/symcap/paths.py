@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Edge, IntPolygon, cross, dot, index, lattice_points_under_path
+from .geometry import Edge, IntPolygon, cross, dot, index, integer, lattice_points_under_path
 
 
 class LatticePath(NamedTuple):
@@ -67,7 +67,7 @@ class PathOptimum(NamedTuple):
 def _merge(edges) -> tuple[Edge, ...]:
     out: list[Edge] = []
     for e in edges:
-        dx, dy = int(e[0]), int(e[1])
+        dx, dy = integer(e[0], "edge entry"), integer(e[1], "edge entry")
         if dx == 0 and dy == 0:
             raise ValueError("zero edge vector")
         if out:
@@ -195,10 +195,10 @@ def path_to_json(p: LatticePath) -> dict:
 
 
 def path_from_json(obj, kind: str) -> LatticePath:
-    edges = [(int(dx), int(dy)) for dx, dy in obj["edges"]]
+    edges = [(dx, dy) for dx, dy in obj["edges"]]
     p = convex_path(edges) if kind == "convex" else concave_path(edges)
     want = obj.get("start", [0, p.start_y])
-    if list(want) != [0, p.start_y]:
+    if [integer(v, "start entry") for v in want] != [0, p.start_y]:
         raise ValueError(f"start {want} does not match edges")
     return p
 

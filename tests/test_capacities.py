@@ -9,7 +9,6 @@ import random
 import sys
 import threading
 import time
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +32,7 @@ from symcap.capacities import (
 from symcap.weights import negative_weight_sequence
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
+E12_B1 = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1))
 HEXAGON = dom.convex_toric([(0, 0), (3, 0), (3, 1), (F(5, 2), 2), (1, F(5, 2)), (0, F(5, 2))])
 STAIR = dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])
 
@@ -44,7 +44,7 @@ CORPUS = [
     dom.polydisk(1, 1),
     dom.polydisk(1, 2),
     PENT,
-    dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1)),
+    E12_B1,
 ]
 
 
@@ -243,6 +243,17 @@ def test_convex_via_weights_stopping_bound(d):
         assert stops and terms.index(min(terms)) < stops[0]
 
 
+def test_convex_stop_needs_the_bound_nondecreasing():
+    # past(k, d, best) asks B(d) > best and B nondecreasing from d on.  With
+    # best far below every term, the first half holds both times; the
+    # second fails for k = 10**6 at block 1 and holds at block 10**4
+    ck(PENT, 1)
+    prefix = cap._source(PENT)
+    assert prefix.m > 0
+    assert not prefix.past(10 ** 6, 1, -10 ** 18)
+    assert prefix.past(1, 10 ** 4, -10 ** 18)
+
+
 def test_closed_examples():
     assert ck(dom.cp2(1), 3).value == 2
     assert ck(dom.s2xs2(1, 1), 1).value == 1
@@ -407,16 +418,16 @@ def test_memo_is_deterministic_under_threads():
 
 def test_disk_cache_round_trip(tmp_path):
     cap.clear_memo()
-    e12 = dom.ellipsoid(1, 2)
-    want = [ck(e12, k).value for k in range(9)]
+    want = [ck(E12_B1, k).value for k in range(9)]
     ck(PENT, 3)
-    ck(dom.ball(1), 5)  # a closed form: no file
+    ck(dom.ball(1), 5)  # closed forms and the union's ellipsoid part: no file
+    ck(dom.polydisk(1, 2), 5)
     assert cap.save_disk_cache(str(tmp_path)) == 9 + 4
     files = domain_files(tmp_path)
-    assert {key: len(p["entries"]) for key, p in files.items()} == {e12.key: 9, PENT.key: 4}
+    assert {key: len(p["entries"]) for key, p in files.items()} == {E12_B1.key: 9, PENT.key: 4}
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
-    assert [ck(e12, k).value for k in range(9)] == want
+    assert [ck(E12_B1, k).value for k in range(9)] == want
     # byte-for-byte stable across a second save, which writes nothing
     blobs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert cap.save_disk_cache(str(tmp_path)) == 0
@@ -437,13 +448,38 @@ def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
 
 
 def test_cache_entries_keep_witness_types():
-    # JSON turns tuples into lists: equality alone cannot tell them apart
+    # JSON turns tuples into lists: equality alone cannot tell them apart.
+    # An entry holds no method: it is the family's
     cap.clear_memo()
-    for d, k, kind in ((PENT, 5, dict), (STAIR, 4, tuple), (dom.ellipsoid(1, 2), 3, tuple),
-                       (dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, 2)), 5, tuple)):
+    for d, k, kind in ((PENT, 5, dict), (STAIR, 4, tuple), (STAIR, 0, tuple), (E12_B1, 5, tuple)):
         r = ck(d, k)
-        back = cap._entry_result(r.k, cap._entry_json(r))
+        entry = cap._entry_json(r)
+        assert set(entry) == {"c", "witness"}
+        back = cap._entry_result(r.k, entry, d.METHOD)
         assert type(back.witness) is kind and back == r
+
+
+def test_disk_cache_keeps_files_for_the_dp_families_alone(tmp_path, monkeypatch):
+    # seeded draws of every family: only unions, concave and convex domains
+    # get a file, and a warm run reads those, equal to the cold run down to
+    # witness types, and opens nothing for a closed form
+    rng = random.Random(16)
+    draws = [(family, domain(rng, family)) for family in FAMILIES for _ in range(3)]
+    filed = [d for family, d in draws if family in ("union", "ball_union", "concave", "convex")]
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+    cold = [capacity_sequence(d, 15) for _, d in draws]
+    cap.save_disk_cache(str(tmp_path))
+    assert set(domain_files(tmp_path)) == {d.key for d in filed}
+    cap.clear_memo()
+    cap.load_disk_cache(str(tmp_path))
+    opened = opened_paths(monkeypatch)
+    no_growth(monkeypatch)
+    warm = [capacity_sequence(d, 15) for _, d in draws]
+    assert warm == cold
+    assert [[type(r.witness) for r in seq] for seq in warm] == \
+        [[type(r.witness) for r in seq] for seq in cold]
+    assert sorted(opened) == sorted({str(file_of(tmp_path, d)) for d in filed})
 
 
 def test_disk_cache_concurrent_writers(tmp_path):
@@ -451,7 +487,7 @@ def test_disk_cache_concurrent_writers(tmp_path):
     cap.clear_memo()
     union = dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, F(5, 2)))
     capacity_sequence(union, 12)
-    want = {union.key: 13, dom.ellipsoid(1, F(5, 2)).key: 13}
+    want = {union.key: 13}  # the ellipsoid part has no file
     barrier = threading.Barrier(2)
 
     def writer(_):
@@ -466,7 +502,7 @@ def test_disk_cache_concurrent_writers(tmp_path):
                 futures = [ex.submit(writer, i) for i in range(2)]
                 counts = [f.result(timeout=60) for f in futures]
             # one writes, the other finds it done
-            assert sum(counts) == (26 if rounds == 0 else 0)
+            assert sum(counts) == (13 if rounds == 0 else 0)
             assert {key: len(p["entries"]) for key, p in domain_files(tmp_path).items()} == want
     finally:
         sys.setswitchinterval(interval)
@@ -477,7 +513,7 @@ def test_disk_cache_writers_of_different_domains_lose_no_entry(tmp_path, monkeyp
     # another grows b further and saves b.  The first is held between
     # reading b's file and replacing it until the second has saved, or for
     # 0.5 s: the longer prefix of b must survive
-    a, b = dom.ellipsoid(1, F(7, 3)), dom.disjoint_union(dom.ball(1), dom.ball(F(2, 3)))
+    a, b = STAIR, dom.disjoint_union(dom.ball(1), dom.ball(F(2, 3)))
     cap.clear_memo()
     capacity_sequence(a, 20)
     capacity_sequence(b, 10)
@@ -509,7 +545,7 @@ def test_disk_cache_writers_of_different_domains_lose_no_entry(tmp_path, monkeyp
 
 def _fail_after_temp_file(tmp_path, monkeypatch, module, name):
     cap.clear_memo()
-    ck(dom.ellipsoid(1, 2), 3)
+    ck(STAIR, 3)
 
     def broken(*args, **kwargs):
         assert [p.suffix for p in tmp_path.iterdir()] == [".tmp"]
@@ -532,7 +568,7 @@ def test_disk_cache_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
 
 def test_disk_cache_file_mode_follows_umask(tmp_path):
     cap.clear_memo()
-    ck(dom.ellipsoid(1, 2), 2)
+    ck(STAIR, 2)
     old = os.umask(0o022)
     try:
         cap.save_disk_cache(str(tmp_path))
@@ -607,17 +643,16 @@ def test_disk_cache_save_with_nothing_new_leaves_the_file(tmp_path):
     assert cap.save_disk_cache(str(tmp_path)) == 0
     assert stamps() == before
     # one new entry rewrites the file of its domain alone
-    e12 = dom.ellipsoid(1, 2)
-    ck(e12, 7)
+    ck(STAIR, 7)
     assert cap.save_disk_cache(str(tmp_path)) == 8
     after = stamps()
     changed = {name for name in before if after[name] != before[name]}
-    assert changed == {file_of(tmp_path, e12).name}
+    assert changed == {file_of(tmp_path, STAIR).name}
 
 
 def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
     ours, theirs = tmp_path / "ours", tmp_path / "theirs"
-    e = dom.ellipsoid(1, 3)
+    e = dom.disjoint_union(dom.ellipsoid(1, 3), dom.ball(1))
     cap.clear_memo()
     ck(e, 3)
     cap.save_disk_cache(str(ours))
@@ -636,16 +671,14 @@ def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
     os.replace(file_of(theirs, e), path)
     assert cap.save_disk_cache(str(ours)) == 0
     assert len(stored()) == 7
-    # a file with a shorter prefix, or one that disagrees, is replaced
+    # a file with a shorter prefix, one that disagrees, or one with a
+    # malformed entry past this prefix is replaced
     mine = [cap._entry_json(r) for r in capacity_sequence(e, 4)]
-    path.write_text(json.dumps({"version": cap._FORMAT, "key": e.key, "entries": mine[:2]}))
-    assert cap.save_disk_cache(str(ours)) == 5
-    assert stored() == mine
-    wrong = stored()[:2] + [dict(mine[2], c="7")]
-    path.write_text(json.dumps({"version": cap._FORMAT, "key": e.key,
-                                "entries": wrong + stored()[3:] * 2}))
-    assert cap.save_disk_cache(str(ours)) == 5
-    assert stored() == mine
+    for entries in (mine[:2], mine[:2] + [dict(mine[2], c="7")] + mine[3:] * 2,
+                    mine + [{"c": "nine", "witness": [0, 5]}]):
+        path.write_text(json.dumps({"version": cap._FORMAT, "key": e.key, "entries": entries}))
+        assert cap.save_disk_cache(str(ours)) == 5
+        assert stored() == mine
 
 
 def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
@@ -681,9 +714,10 @@ def test_ck_computes_each_domain_key_once(monkeypatch):
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
-    # an unknown version, another key's file or no JSON at all is a miss:
-    # the prefix is computed, with no warning, and the save restores the file
-    e = dom.ellipsoid(1, 3)
+    # an unknown version, a version-3 file with its stored methods, another
+    # key's file or no JSON at all is a miss: the prefix is computed and the
+    # save restores the file
+    e = dom.disjoint_union(dom.ellipsoid(1, 3), dom.ball(1))
     path = file_of(tmp_path, e)
     cap.clear_memo()
     cold = capacity_sequence(e, 5)
@@ -691,18 +725,18 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
     blob = path.read_bytes()
     payload = json.loads(blob)
     grown = []
-    grow = cap._EllipsoidPrefix._grow
-    monkeypatch.setattr(cap._EllipsoidPrefix, "_grow",
+    grow = cap._UnionPrefix._grow
+    monkeypatch.setattr(cap._UnionPrefix, "_grow",
                         lambda self, k: grown.append(len(self.results)) or grow(self, k))
-    for text in (json.dumps(dict(payload, version=99)),
+    version3 = dict(payload, version=3,
+                    entries=[dict(entry, method=e.METHOD) for entry in payload["entries"]])
+    for text in (json.dumps(dict(payload, version=99)), json.dumps(version3),
                  json.dumps(dict(payload, key=dom.ellipsoid(1, 4).key)), "{"):
         path.write_text(text)
         cap.clear_memo()
         cap.load_disk_cache(str(tmp_path))
         grown.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert capacity_sequence(e, 5) == cold
+        assert capacity_sequence(e, 5) == cold
         assert grown == [0]
         assert cap.save_disk_cache(str(tmp_path)) == 6
         assert path.read_bytes() == blob
@@ -720,13 +754,11 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
     cold = capacity_sequence(PENT, 5)
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert capacity_sequence(PENT, 5) == cold
+    assert capacity_sequence(PENT, 5) == cold
     assert cap.save_disk_cache(str(tmp_path)) == 6
     payload = json.loads(file_of(tmp_path, PENT).read_text())
-    assert payload["version"] == cap._FORMAT == 3
-    assert {entry["method"] for entry in payload["entries"]} == {"weights"}
+    assert payload["version"] == cap._FORMAT == 4
+    assert all(set(entry) == {"c", "witness"} for entry in payload["entries"])
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
     no_growth(monkeypatch)
@@ -789,23 +821,20 @@ def test_invariant_check_passes_valid_results():
 
 
 def test_cache_entry_of_zero_past_k0_is_recomputed(tmp_path):
-    # a well-formed entry c_k = 0 at k >= 1 breaks the invariant: the read
-    # warns and stops there, and the prefix recomputes it and what follows
-    e = dom.ellipsoid(F(2, 3), 1)
+    # a well-formed entry c_k = 0 at k >= 1 breaks the invariant: the whole
+    # file is a miss, the prefix is computed afresh and the save rewrites it
+    e = dom.disjoint_union(dom.ellipsoid(F(2, 3), 1), dom.ball(1))
     cap.clear_memo()
     cold = capacity_sequence(e, 6)
     cap.save_disk_cache(str(tmp_path))
     path = file_of(tmp_path, e)
-    payload = json.loads(path.read_text())
+    blob = path.read_bytes()
+    payload = json.loads(blob)
     payload["entries"][3]["c"] = "0"
     path.write_text(json.dumps(payload))
-    with pytest.warns(RuntimeWarning) as record:
-        held = cap._read_prefix(str(tmp_path), e.key)
-    assert held == cold[:3]
-    assert [str(w.message) for w in record] == [
-        f"ignoring malformed capacity cache entry {e.key}#3: RuntimeError: capacity "
-        f"invariant violated: {cold[3]._replace(value=F(0))}"]
+    assert cap._read_prefix(str(tmp_path), e) == []
     cap.clear_memo()
     cap.load_disk_cache(str(tmp_path))
-    with pytest.warns(RuntimeWarning, match="#3: RuntimeError"):
-        assert capacity_sequence(e, 6) == cold
+    assert capacity_sequence(e, 6) == cold
+    assert cap.save_disk_cache(str(tmp_path)) == 7
+    assert path.read_bytes() == blob

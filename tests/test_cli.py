@@ -260,16 +260,16 @@ def _files(cache_dir) -> dict:
 def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
     cap.clear_memo()
-    first = _run(capsys, "sequence", "-d", E12, "--kmax", "6", "--format", "json")
-    cache = file_of(tmp_path, parse_domain_spec(E12))
-    assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+    first = _run(capsys, "sequence", "-d", TWO_BALLS, "--kmax", "6", "--format", "json")
+    cache = file_of(tmp_path, parse_domain_spec(TWO_BALLS))
+    assert [p.name for p in tmp_path.iterdir()] == [cache.name]  # its ball parts get none
     blob = cache.read_bytes()
     cap.clear_memo()
-    second = _run(capsys, "sequence", "-d", E12, "--kmax", "6", "--format", "json")
+    second = _run(capsys, "sequence", "-d", TWO_BALLS, "--kmax", "6", "--format", "json")
     assert first == second
     assert cache.read_bytes() == blob
     payload = json.loads(blob)
-    assert payload["version"] == cap._FORMAT and payload["key"] == parse_domain_spec(E12).key
+    assert payload["version"] == cap._FORMAT and payload["key"] == parse_domain_spec(TWO_BALLS).key
     assert len(payload["entries"]) == 7
 
 
@@ -289,7 +289,7 @@ def test_warm_runs_compute_nothing(tmp_path, monkeypatch, capsys):
     for argv in runs:
         cap.clear_memo()
         cold.append(_run(capsys, *argv))
-    # no prefix grows but the balls', whose closed form gets no cache file
+    # no prefix grows but the closed forms', which get no cache file
     no_growth(monkeypatch)
     for argv, want in zip(runs, cold):
         cap.clear_memo()
@@ -301,9 +301,9 @@ def test_warm_obstruct_opens_only_the_files_of_its_domains(tmp_path, monkeypatch
     monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
     cap.clear_memo()
     for i in range(200):
-        capacity_sequence(dom.ellipsoid(1, F(2 * i + 3, 2)), 3)
+        capacity_sequence(dom.disjoint_union(dom.ball(1), dom.ball(F(2 * i + 3, 2))), 3)
     cap.save_disk_cache(str(tmp_path))
-    argv = ("obstruct", "--source", TWO_BALLS, "--target", E12, "--kmax", "12",
+    argv = ("obstruct", "--source", TWO_BALLS, "--target", STAIR, "--kmax", "12",
             "--format", "json")
     cap.clear_memo()
     cold = _run(capsys, *argv)
@@ -313,7 +313,7 @@ def test_warm_obstruct_opens_only_the_files_of_its_domains(tmp_path, monkeypatch
     assert _run(capsys, *argv) == cold
     # read when its source is made, and again by the save
     assert sorted(opened) == sorted(2 * [str(file_of(tmp_path, parse_domain_spec(spec)))
-                                         for spec in (TWO_BALLS, E12)])
+                                         for spec in (TWO_BALLS, STAIR)])
 
 
 def test_cache_session_matches_one_process(tmp_path, monkeypatch, capsys):
@@ -334,33 +334,48 @@ def test_cache_session_matches_one_process(tmp_path, monkeypatch, capsys):
     assert _files(session) == _files(tmp_path / "once")
 
 
-@pytest.mark.parametrize("corrupt", ["bad_value", "missing_method", "zero_value"])
+@pytest.mark.parametrize("corrupt", ["bad_value", "missing_value", "zero_value"])
 def test_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, corrupt):
+    # one malformed entry makes the whole file a silent miss: every k is
+    # computed afresh, and the save leaves a valid file
     monkeypatch.setenv("CAPACITY_CACHE_DIR", str(tmp_path))
-    argv = ("obstruct", "--source", BALL1, "--target", E12, "--kmax", "8", "--format", "json")
+    argv = ("sequence", "-d", STAIR, "--kmax", "8", "--format", "json")
     cap.clear_memo()
     cold = _run(capsys, *argv)
-    cache = file_of(tmp_path, parse_domain_spec(E12))
+    cache = file_of(tmp_path, parse_domain_spec(STAIR))
     blob = cache.read_bytes()
     payload = json.loads(blob)
-    key = f"{dom.domain_key(dom.ellipsoid(1, 2))}#4"
     if corrupt == "bad_value":
         payload["entries"][4]["c"] = "three"
     elif corrupt == "zero_value":  # well formed, but c_4 = 0 breaks the invariant
         payload["entries"][4]["c"] = "0"
     else:
-        del payload["entries"][4]["method"]
+        del payload["entries"][4]["c"]
     cache.write_text(json.dumps(payload))
     grown = []
-    grow = cap._EllipsoidPrefix._grow
-    monkeypatch.setattr(cap._EllipsoidPrefix, "_grow",
+    grow = cap._ConcavePrefix._grow
+    monkeypatch.setattr(cap._ConcavePrefix, "_grow",
                         lambda self, k: grown.append(len(self.results)) or grow(self, k))
     cap.clear_memo()
-    rc, out, err = _run(capsys, *argv)
-    assert (rc, out) == cold[:2]
-    assert err.count("warning:") == 1 and key in err and err.count("\n") == 1
-    assert grown == [4, 5, 6, 7, 8]  # c_0..c_3 came from the file
+    assert _run(capsys, *argv) == (0, cold[1], "")
+    assert grown == [0]  # from c_0, nothing read from the file
     assert cache.read_bytes() == blob
+
+
+def test_unwritable_cache_dir_keeps_the_output(tmp_path, monkeypatch, capsys):
+    # a cache "directory" that is a file: every read misses, the save fails
+    # with one line on stderr, and the run still succeeds
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ("sequence", "-d", TWO_BALLS, "--kmax", "6", "--format", "json")
+    monkeypatch.delenv("CAPACITY_CACHE_DIR", raising=False)
+    cap.clear_memo()
+    cold = _run(capsys, *argv)[1]
+    monkeypatch.setenv("CAPACITY_CACHE_DIR", str(blocker))
+    cap.clear_memo()
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (0, cold)
+    assert err.startswith("note: could not save capacity cache: ") and err.count("\n") == 1
 
 
 def test_startup_does_not_import_dataclasses():

@@ -16,7 +16,8 @@ import subprocess
 import sys
 
 import symcap.capacities as cap
-from symcap.cli import main
+from cache_files import domain_files
+from symcap.cli import main, parse_domain_spec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -155,6 +156,10 @@ def test_cli_invocations_match_their_recorded_output(monkeypatch):
 
 def test_cache_session_matches_its_recorded_output(tmp_path):
     assert run_session(tmp_path) == _golden()["session"]
+    # only the union, the staircase and the pentagon run the DP: the
+    # ellipsoid, ball, projective plane and sphere product get no file
+    assert set(domain_files(tmp_path)) == {parse_domain_spec(DOMAINS[name]).key
+                                           for name in ("disjoint_union", "pent", "staircase")}
 
 
 def test_demos_match_their_recorded_output():

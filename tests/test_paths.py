@@ -358,6 +358,29 @@ def test_concave_validation_errors():
     assert concave_path([(1, -2), (1, -1), (1, 0)]).edges == ((1, -2), (1, -1), (1, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: path_from_json({"edges": [[1.7, 0]]}, "convex"), "edge entry must be an int, got float"),
+    (lambda: path_from_json({"edges": [[True, 0]]}, "convex"), "edge entry must be an int, got bool"),
+    (lambda: path_from_json({"edges": [["2", -1]]}, "concave"), "edge entry must be an int, got str"),
+    (lambda: path_from_json({"start": [False, 1], "edges": [[1, -1]]}, "convex"),
+     "start entry must be an int, got bool"),
+    (lambda: convex_path([(1.5, 0)]), "edge entry must be an int, got float"),
+    (lambda: concave_path([(1, F(-1))]), "edge entry must be an int, got Fraction"),
+    (lambda: lhat(paths.LatticePath("convex", ((1.0, -1),), 1)), "edge entry must be an int, got float"),
+    (lambda: lcheck(paths.LatticePath("concave", ((1, False),), 0)), "edge entry must be an int, got bool"),
+    (lambda: lattice_points_under_path(((1, -1),), 1.9), "start_y must be an int, got float"),
+    (lambda: lattice_points_under_path(((True, -1),), 1), "edge entry must be an int, got bool"),
+    (lambda: path_vertices(((1, -1),), True), "start_y must be an int, got bool"),
+    (lambda: path_vertices(((1, -1.0),), 1), "edge entry must be an int, got float"),
+], ids=["json_float", "json_bool", "json_str", "json_start_bool", "convex_float", "concave_fraction", "lhat_float",
+        "lcheck_bool", "count_start_float", "count_edge_bool", "vertices_start_bool",
+        "vertices_edge_float"])
+def test_path_coordinates_must_be_ints(call, message):
+    # each was truncated in silence before: 1.7 and True became 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_validate_path_checks_start_height():
     from symcap.paths import LatticePath
 
