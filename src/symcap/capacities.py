@@ -19,19 +19,20 @@ Formulas implemented here:
 Each domain's family names its capacity source (SOURCE) and the method
 string its results carry (METHOD).  A source is the one store of its
 domain's values: a prefix c_0..c_{n-1} that grows on demand and keeps the
-work done so far.  A ball or projective plane keeps the block
-d(d+1)/2 <= k <= d(d+3)/2 it ends in, with its value d*a, and appends one
-k at a time, stepping to the next block when k passes the block's end, so
-a block's results share one value and no k takes a square root.  A
-polydisk or a sphere product appends one k at a time from its closed form;
-an ellipsoid pops one action per k from its own spectrum heap; a union,
-and a concave domain read as the union of its weight balls, adds max-plus
-DP columns; a convex domain takes its minimum over the shift l against the
-columns of its own DP of its excised balls.  The spectrum heap, the
-polydisk formula, the DP and the convex minimum run in integers over a
-common denominator fixed before the first value, and a value is built
-once from its integer.  Every result passes one invariant check, c_0 = 0
-and c_k > 0 for k >= 1, made on the value's numerator in integers.
+work done so far.  The closed forms share one prefix class, which draws
+(value, witness) from a generator per family: a ball or projective plane
+walks the blocks d(d+1)/2 <= k <= d(d+3)/2, whose d+1 results share one
+value d*a, so no k takes a square root; an ellipsoid pops one action per
+k from its own spectrum heap; a polydisk or sphere product pops the same
+heap, and each pair (m, n) whose (m+1)(n+1) passes the k covered so far
+settles the k up to it with one shared value.  A union, and a concave
+domain read as the union of its weight balls, adds max-plus DP columns; a
+convex domain takes its minimum over the shift l against the columns of
+its own DP of its excised balls.  The spectrum heap, the block walk, the
+DP and the convex minimum run in integers over a common denominator fixed
+before the first value, and a value is built once from its integer.
+Every source appends through one check of the invariant, c_0 = 0 and
+c_k > 0 for k >= 1, made on the value's numerator in integers.
 Each prefix grows under its own lock; a value already held is read
 without it, as results are only appended.  The two toric sources also
 hold the second method verify=True compares against.  Sources are made on
@@ -109,10 +110,11 @@ def ck_ball(a, k) -> CapacityResult:
     return _checked(CapacityResult(k, d * ball.a, ball.METHOD, d))
 
 
-def _scaled(a: Fraction, b: Fraction) -> tuple:
-    """(scale, a*scale, b*scale), scale the common denominator of a and b."""
-    scale = math.lcm(a.denominator, b.denominator)
-    return scale, a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+def _scaled(*sizes: Fraction) -> tuple:
+    """(scale, *(s*scale for s in sizes)), scale the sizes' common
+    denominator."""
+    scale = math.lcm(*(s.denominator for s in sizes))
+    return (scale, *(s.numerator * (scale // s.denominator) for s in sizes))
 
 
 def _spectrum(A: int, B: int):
@@ -184,12 +186,12 @@ class _UnionParts:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def result(self, k: int, method: str, stages: int | None = None) -> CapacityResult:
-        """c_k of the union of the first `stages` parts (default: all)."""
+    def result(self, k: int, stages: int | None = None) -> tuple:
+        """(c_k, its composition) of the union of the first `stages` parts
+        (default: all)."""
         stages = len(self.parts) if stages is None else stages
-        value = Fraction(self.best[stages - 1][k], self.scale)
-        return _checked(CapacityResult(k, value, method,
-                                       _union_witness(self.picks, k, stages)))
+        return (Fraction(self.best[stages - 1][k], self.scale),
+                _union_witness(self.picks, k, stages))
 
 
 def _union_table(parts, kmax: int) -> None:
@@ -258,9 +260,10 @@ class _Prefix:
     DP, starts from the domain's cache file, read whole, when a cache
     directory is loaded; the others always compute.
 
-    Subclasses define _grow(k), which appends results until n > k.  A
-    family with a second method overrides oracle.  A source that can be a
-    union part keeps `scale`, a multiple of every value's denominator.
+    Subclasses define _grow(k), which appends results through _add until
+    n > k.  A family with a second method overrides oracle.  A source that
+    can be a union part keeps `scale`, a multiple of every value's
+    denominator.
     """
 
     CACHED = False
@@ -293,70 +296,69 @@ class _Prefix:
         """c_k by a second method for verify=True, None if there is none."""
         return None
 
-
-class _BallPrefix(_Prefix):
-    """c_k = d*a from the closed form, appended one k at a time.  d is
-    constant on the block d(d+1)/2 <= k <= d(d+3)/2, so the prefix keeps
-    the block it ends in, (d, d*a), steps d when k passes the block's end
-    and shares one value among the block's results."""
-
-    def __init__(self, d: Domain):
-        super().__init__(d)
-        self.block = (0, Fraction(0))
-
-    def _grow(self, k: int) -> None:
+    def _add(self, entries) -> None:
+        """Append (value, witness) entries in turn, each checked as c_n with
+        n the number of results held."""
         results, method = self.results, self.method
-        d, value = self.block
-        for j in range(len(results), k + 1):
-            if 2 * j > d * (d + 3):  # past block d, so on block d+1
-                d += 1
-                value = d * self.domain.a
-                self.block = (d, value)
-            results.append(_checked(CapacityResult(j, value, method, d)))
+        for value, witness in entries:
+            results.append(_checked(CapacityResult(len(results), value, method, witness)))
 
 
-class _EllipsoidPrefix(_Prefix):
-    """The ellipsoid's spectrum, popped from a heap of its own one action
-    per k, in integers over the axes' common denominator."""
+def _ball_values(scale: int, A: int):
+    """(c_k, d) of B(A/scale) for k = 0, 1, ...: block d,
+    d(d+1)/2 <= k <= d(d+3)/2, holds d+1 results sharing one value d*A."""
+    for d in itertools.count():
+        value = Fraction(d * A, scale)
+        for _ in range(d + 1):
+            yield value, d
+
+
+def _ellipsoid_values(scale: int, A: int, B: int):
+    """(c_k, (m, n)) of E(A/scale, B/scale): one spectrum pop per k."""
+    for v, m, n in _spectrum(A, B):
+        yield Fraction(v, scale), (m, n)
+
+
+def _polydisk_values(scale: int, A: int, B: int):
+    """(c_k, (m, n)) of P(A/scale, B/scale), c_k the least m*A+n*B with
+    (m+1)(n+1) >= k+1, read off the ellipsoid's spectrum.  The pops come
+    out in (action, m, n) order, so the first pair with (m+1)(n+1) > k
+    gives c_k, ties kept at the smallest m: a pair past the k covered so
+    far settles every k up to (m+1)(n+1)-1 with one shared value."""
+    covered = 0
+    for v, m, n in _spectrum(A, B):
+        top = (m + 1) * (n + 1)
+        if top > covered:
+            value, witness = Fraction(v, scale), (m, n)
+            for _ in range(top - covered):
+                yield value, witness
+            covered = top
+
+
+_FORMULAS = {"ball": _ball_values, "ellipsoid": _ellipsoid_values, "polydisk": _polydisk_values}
+
+
+class _ClosedFormPrefix(_Prefix):
+    """A ball, ellipsoid or polydisk family's closed form, drawn as
+    (value, witness) from its generator in _FORMULAS, in integers over
+    `scale`, the lcm of the sizes' denominators.  A growth that raises
+    drops the generator, which may have lost a value or been closed, and
+    the next growth restarts it at the first k not held."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
-        self.scale, A, B = _scaled(d.a, d.b)
-        self.spectrum = _spectrum(A, B)
+        self.scale, *self.sizes = _scaled(*d._values())
+        self.values = None
 
     def _grow(self, k: int) -> None:
-        results, method, scale = self.results, self.method, self.scale
-        for v, m, n in itertools.islice(self.spectrum, k + 1 - len(results)):
-            results.append(_checked(CapacityResult(len(results), Fraction(v, scale), method, (m, n))))
-
-
-class _PolydiskPrefix(_Prefix):
-    """c_k = min{a*m+b*n : (m+1)(n+1) >= k+1} appended one k at a time, in
-    integers over a common denominator.  Per k only the smallest m of each
-    run of equal n can win, so the scan jumps between runs: O(sqrt k) steps.
-    Ties keep the smallest m."""
-
-    def __init__(self, d: Domain):
-        super().__init__(d)
-        self.scale, self.A, self.B = _scaled(d.a, d.b)
-        self.last = (None, None)  # the last minimum, and its value
-
-    def _grow(self, k: int) -> None:
-        A, B = self.A, self.B
-        for j in range(len(self.results), k + 1):
-            best = witness = None
-            m = 0
-            while True:
-                n = -(-(j + 1) // (m + 1)) - 1  # smallest n with (m+1)(n+1) >= j+1
-                v = A * m + B * n
-                if best is None or v < best:
-                    best, witness = v, (m, n)
-                if n == 0:
-                    break
-                m = -(-(j + 1) // n) - 1  # smallest m whose n is below this one
-            if best != self.last[0]:
-                self.last = (best, Fraction(best, self.scale))
-            self.results.append(_checked(CapacityResult(j, self.last[1], self.method, witness)))
+        if self.values is None:
+            self.values = itertools.islice(_FORMULAS[self.domain.SOURCE](self.scale, *self.sizes),
+                                           len(self.results), None)
+        try:
+            self._add(itertools.islice(self.values, k + 1 - len(self.results)))
+        except BaseException:
+            self.values = None
+            raise
 
 
 class _UnionPrefix(_Prefix):
@@ -377,8 +379,7 @@ class _UnionPrefix(_Prefix):
             self.table = _UnionParts(parts, math.lcm(*(
                 p.a.denominator if isinstance(p, Ball) else _source(p).scale for p in parts)))
         _union_table(self.table, k)
-        for j in range(len(self.results), k + 1):
-            self.results.append(self.table.result(j, self.method))
+        self._add(self.table.result(j) for j in range(len(self.results), k + 1))
 
 
 class _ConcavePrefix(_Prefix):
@@ -403,11 +404,8 @@ class _ConcavePrefix(_Prefix):
             for w in self.weights[len(self.table):k]:
                 self.table.add(Ball(w))
             _union_table(self.table, k)
-        for j in range(len(self.results), k + 1):
-            if j == 0:
-                self.results.append(CapacityResult(0, Fraction(0), self.method, ()))
-            else:
-                self.results.append(self.table.result(j, self.method, min(j, len(self.table))))
+        self._add(self.table.result(j, min(j, len(self.table))) if j else (Fraction(0), ())
+                  for j in range(len(self.results), k + 1))
 
     def oracle(self, k: int) -> CapacityResult:
         return ck_concave_toric(self.domain, k)
@@ -450,17 +448,15 @@ class _ConvexPrefix(_Prefix):
 
     def _grow(self, k: int) -> None:
         if not self.results:
-            self.results.append(CapacityResult(0, Fraction(0), self.method, {"l": 0}))
+            self._add([(Fraction(0), {"l": 0})])
         if k >= 1 and self.table is None:
             dec = negative_weight_sequence(self.domain)
             self.head = int(dec.head * self.scale)
             sizes = [int(w * self.scale) for w in dec.negatives]
             self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
             self.table = _UnionParts(map(Ball, dec.negatives), self.scale)
-        for j in range(len(self.results), k + 1):
-            value, l = self._minimum(j)
-            self.results.append(_checked(CapacityResult(
-                j, Fraction(value, self.scale), self.method, {"l": l})))
+        self._add((Fraction(value, self.scale), {"l": l})
+                  for value, l in map(self._minimum, range(len(self.results), k + 1)))
 
     def _minimum(self, k: int) -> tuple:
         """(the least T(l), its first argmin l), T over the common
@@ -494,9 +490,9 @@ class _ConvexPrefix(_Prefix):
 
 
 _SOURCE_KINDS = {  # by the family's SOURCE
-    "ball": _BallPrefix,
-    "ellipsoid": _EllipsoidPrefix,
-    "polydisk": _PolydiskPrefix,
+    "ball": _ClosedFormPrefix,
+    "ellipsoid": _ClosedFormPrefix,
+    "polydisk": _ClosedFormPrefix,
     "union": _UnionPrefix,
     "concave": _ConcavePrefix,
     "convex": _ConvexPrefix,
@@ -575,9 +571,13 @@ def clear_memo() -> None:
 
 def witness_to_json(w):
     """Witnesses of capacity sources are heterogeneous (pair, composition,
-    shift, degree); normalize to plain JSON for output and persistence."""
+    shift, degree), and the path oracles' are lattice paths; normalize to
+    plain JSON for output and persistence.  A path becomes its
+    path_to_json object with its kind, which path_from_json reads back."""
     if w is None or isinstance(w, (int, bool)):
         return w
+    if isinstance(w, paths.LatticePath):  # a tuple, but holding its kind
+        return {"kind": w.kind, **paths.path_to_json(w)}
     if isinstance(w, Fraction):
         return rational_str(w)
     if isinstance(w, (tuple, list)):

@@ -62,42 +62,30 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _result_json(res: capacities.CapacityResult) -> dict:
-    return {"k": res.k, "c": rational_str(res.value),
-            "decimal": _decimal(res.value), "method": res.method,
-            "witness": witness_to_json(res.witness)}
-
-
-def _result_csv_row(res: capacities.CapacityResult) -> str:
-    return f"{res.k},{rational_str(res.value)},{_decimal_str(res.value)},{res.method}"
-
-
-def _cmd_capacity(args) -> int:
-    domain = _load_domain(args.domain)
-    res = ck(domain, args.k)
-    if args.format == "json":
-        print(_dumps(_result_json(res)))
-    elif args.format == "csv":
-        print("k,c,decimal,method")
-        print(_result_csv_row(res))
-    else:
-        print(f"c_{res.k} = {rational_str(res.value)}")
-    return 0
-
-
-def _cmd_sequence(args) -> int:
-    domain = _load_domain(args.domain)
-    results = capacity_sequence(domain, args.kmax)
-    if args.format == "json":
-        print(_dumps([_result_json(r) for r in results]))
-    elif args.format == "csv":
+def _print_results(results: list, fmt: str, single: bool) -> int:
+    """Print capacity results as text lines, CSV rows under one header, or
+    JSON: one object when `single`, else a list."""
+    if fmt == "json":
+        objs = [{"k": r.k, "c": rational_str(r.value), "decimal": _decimal(r.value),
+                 "method": r.method, "witness": witness_to_json(r.witness)} for r in results]
+        print(_dumps(objs[0] if single else objs))
+    elif fmt == "csv":
         print("k,c,decimal,method")
         for r in results:
-            print(_result_csv_row(r))
+            print(f"{r.k},{rational_str(r.value)},{_decimal_str(r.value)},{r.method}")
     else:
         for r in results:
             print(f"c_{r.k} = {rational_str(r.value)}")
     return 0
+
+
+def _cmd_capacity(args) -> int:
+    return _print_results([ck(_load_domain(args.domain), args.k)], args.format, single=True)
+
+
+def _cmd_sequence(args) -> int:
+    results = capacity_sequence(_load_domain(args.domain), args.kmax)
+    return _print_results(results, args.format, single=False)
 
 
 def _cmd_obstruct(args) -> int:

@@ -794,6 +794,14 @@ def test_witness_json_forms():
     assert witness_to_json(ck(PENT, 2).witness) == {"l": 0}
 
 
+def test_witness_json_of_the_path_oracles_reads_back():
+    # a LatticePath is a tuple holding its kind, serialized with the kind
+    for res in (ck_convex_toric(dom.ball(1), 3), ck_concave_toric(STAIR, 3)):
+        obj = json.loads(json.dumps(witness_to_json(res.witness)))
+        assert obj["kind"] == res.witness.kind
+        assert paths.path_from_json(obj, obj["kind"]) == res.witness
+
+
 def test_values_are_fractions():
     for d in CORPUS:
         v = ck(d, 7).value

@@ -4,9 +4,12 @@ prefix grows, thread safety, and how much work a sequence does (counted in
 calls, never timed)."""
 
 import concurrent.futures
+import contextlib
+import heapq
 import itertools
 import random
 import sys
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +121,83 @@ def test_spectrum_extended_in_steps_matches_sorted_enumeration():
         want = sorted((m * a + n * b, m, n) for m in range(61) for n in range(61))[:60]
         assert got == want
         assert [tuple(e) for e in ellipsoid_spectrum(a, b, 59)] == got
+
+
+# the polydisk's heap read on ties: equal axes, and axes in ratio 2, 3/2 and
+# 5/3, whose actions tie at every multiple of the ratio's numerator
+TIE_AXES = [(1, 1), (1, 2), (2, 1), (F(3, 2), 1), (F(5, 3), 1), (1, F(1, 2))]
+
+
+def _tie_axes():
+    rng = random.Random("polydisk-ties")
+    draws = [domain(rng, "polydisk") for _ in range(20)]
+    return TIE_AXES + [(d.a, d.b) for d in draws]
+
+
+@pytest.mark.parametrize("ab", _tie_axes(), ids=lambda ab: "x".join(map(str, ab)))
+def test_polydisk_heap_read_matches_the_per_k_scan(ab):
+    K = 300
+    want = [_triple(ck_polydisk(*ab, k)) for k in range(K + 1)]
+    order = list(range(K + 1))
+    random.Random(str(ab)).shuffle(order)
+    for d in (dom.polydisk(*ab), dom.s2xs2(*ab)):
+        expected = [(k, v, d.METHOD, w) for k, v, _, w in want]
+        cap.clear_memo()
+        assert [_triple(r) for r in capacity_sequence(d, K)] == expected, d.key
+        cap.clear_memo()
+        got = {k: _triple(ck(d, k)) for k in order}
+        assert [got[k] for k in range(K + 1)] == expected, d.key
+
+
+# --- interrupted growth -------------------------------------------------------
+
+INTERRUPTED = [dom.ball(F(5, 3)), dom.cp2(F(7, 4)), dom.ellipsoid(1, 2),
+               dom.polydisk(F(3, 2), 1), dom.s2xs2(2, F(5, 3))]
+
+
+def _interrupt_once(monkeypatch, where) -> list:
+    """Make the next growth raise KeyboardInterrupt once: in the invariant
+    check of c_40, between a value's computation and its append, or in the
+    40th push onto a spectrum heap.  Returns the list the raise is noted in."""
+    fired = []
+    if where == "checked":
+        real = cap._checked
+
+        def checked(result):
+            if result.k == 40 and not fired:
+                fired.append(result.k)
+                raise KeyboardInterrupt
+            return real(result)
+
+        monkeypatch.setattr(cap, "_checked", checked)
+    else:
+        pushes = []
+
+        def heappush(heap, item):
+            pushes.append(item)
+            if len(pushes) == 40:
+                fired.append(item)
+                raise KeyboardInterrupt
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(cap, "heapq", types.SimpleNamespace(heappop=heapq.heappop,
+                                                                 heappush=heappush))
+    return fired
+
+
+@pytest.mark.parametrize("where", ["checked", "heappush"])
+@pytest.mark.parametrize("d", INTERRUPTED, ids=lambda d: d.TYPE)
+def test_interrupted_growth_loses_no_value(monkeypatch, d, where):
+    cap.clear_memo()
+    want = [_triple(r) for r in capacity_sequence(d, 100)]
+    cap.clear_memo()
+    fired = _interrupt_once(monkeypatch, where)
+    raises = where == "checked" or d.SOURCE != "ball"  # a ball pushes onto no heap
+    with pytest.raises(KeyboardInterrupt) if raises else contextlib.nullcontext():
+        capacity_sequence(d, 100)
+    assert bool(fired) == raises
+    assert [_triple(r) for r in capacity_sequence(d, 60)] == want[:61]
+    assert [_triple(r) for r in capacity_sequence(d, 100)] == want
 
 
 def _prefix_lengths() -> dict:
