@@ -19,26 +19,26 @@ Formulas implemented here:
 Each domain's family names its capacity source (SOURCE) and the method
 string its results carry (METHOD).  A source is the one store of its
 domain's values: a prefix c_0..c_{n-1} that grows on demand and keeps the
-work done so far.  The closed forms share one prefix class, which draws
-(value, witness) from a generator per family: a ball or projective plane
-walks the blocks d(d+1)/2 <= k <= d(d+3)/2, whose d+1 results share one
-value d*a, so no k takes a square root; an ellipsoid pops one action per
-k from its own spectrum heap; a polydisk or sphere product pops the same
-heap, and each pair (m, n) whose (m+1)(n+1) passes the k covered so far
-settles the k up to it with one shared value.  A union, and a concave
-domain read as the union of its weight balls, adds max-plus DP columns; a
-convex domain takes its minimum over the shift l against the columns of
-its own DP of its excised balls.  The spectrum heap, the block walk, the
-DP and the convex minimum run in integers over a common denominator fixed
-before the first value, and a value is built once from its integer.
-Every source appends through one check of the invariant, c_0 = 0 and
-c_k > 0 for k >= 1, made on the value's numerator in integers.
-Each prefix grows under its own lock; a value already held is read
-without it, as results are only appended.  The two toric sources also
-hold the second method verify=True compares against.  Sources are made on
-first use and kept per canonical domain key, so ck, capacity_sequence,
-capacity_values and the union DP all read the same prefixes.  Values are
-deterministic, so racing threads agree.
+work done so far.  A family defines only a generator of (value, witness)
+from a given k on; the one growth draws from it and appends each entry
+through one check of the invariant, c_0 = 0 and c_k > 0 for k >= 1, made
+on the numerator in integers.  A growth that raises drops the generator
+and all its state, and the next starts a fresh one at the first k not
+held.  A ball or projective plane walks the blocks
+d(d+1)/2 <= k <= d(d+3)/2, whose d+1 results share one value d*a; an
+ellipsoid pops one action per k from its own spectrum heap; a polydisk or
+sphere product pops the same heap, and each pair (m, n) whose (m+1)(n+1)
+passes the k covered so far settles the k up to it with one shared value.
+A union, and a concave domain read as the union of its weight balls, adds
+columns to the max-plus DP its generator owns; a convex domain takes its
+minimum over the shift l against its generator's DP of its excised balls.
+All of it runs in integers over a common denominator, and a value is
+built once from its integer.  Each prefix grows under its own lock; a
+value already held is read without it, as results are only appended.
+The two toric sources also hold the second method verify=True compares
+against.  Sources are made on first use and kept per canonical domain
+key, so ck, capacity_sequence, capacity_values and the union DP all read
+the same prefixes.  Values are deterministic, so racing threads agree.
 
 Unions, concave and convex domains, the three sources that run the
 max-plus DP, persist across processes: one small JSON file per domain in a
@@ -186,12 +186,13 @@ class _UnionParts:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def result(self, k: int, stages: int | None = None) -> tuple:
-        """(c_k, its composition) of the union of the first `stages` parts
-        (default: all)."""
-        stages = len(self.parts) if stages is None else stages
-        return (Fraction(self.best[stages - 1][k], self.scale),
-                _union_witness(self.picks, k, stages))
+    def result(self, k: int) -> tuple:
+        """(c_k, its composition), the shares read back from the last part."""
+        value, comp = Fraction(self.best[-1][k], self.scale), []
+        for picks in reversed(self.picks):
+            comp.append(picks[k])
+            k -= picks[k]
+        return value, (k, *reversed(comp))
 
 
 def _union_table(parts, kmax: int) -> None:
@@ -241,17 +242,6 @@ def _union_table(parts, kmax: int) -> None:
             picks.append(ts[sums.index(top)])
 
 
-def _union_witness(picks, k: int, nparts: int):
-    comp = [0] * nparts
-    j = k
-    for i in range(nparts - 1, 0, -1):
-        t = picks[i - 1][j]
-        comp[i] = t
-        j -= t
-    comp[0] = j
-    return tuple(comp)
-
-
 # --- capacity sources --------------------------------------------------------
 
 class _Prefix:
@@ -260,10 +250,14 @@ class _Prefix:
     DP, starts from the domain's cache file, read whole, when a cache
     directory is loaded; the others always compute.
 
-    Subclasses define _grow(k), which appends results through _add until
-    n > k.  A family with a second method overrides oracle.  A source that
-    can be a union part keeps `scale`, a multiple of every value's
-    denominator.
+    Subclasses define _values(start), a generator of the (value, witness)
+    of c_start, c_start+1, ..., which may read `want`, the k the growth
+    under way reaches; _grow, the one growth, appends its entries checked.
+    A growth that raises drops the generator, which may have lost an entry
+    or left a table half-written, and the next starts a fresh one at the
+    first k not held.  A family with a second method overrides oracle.  A
+    source that can be a union part keeps `scale`, a multiple of every
+    value's denominator.
     """
 
     CACHED = False
@@ -274,6 +268,7 @@ class _Prefix:
         self.method = d.METHOD
         cached = self.CACHED and _CACHE_DIR is not None
         self.results = _read_prefix(_CACHE_DIR, d) if cached else []
+        self.values = None  # the generator drawn from, made on the next growth
 
     def sequence(self, lo: int, hi: int) -> list:
         """c_lo..c_hi."""
@@ -296,12 +291,18 @@ class _Prefix:
         """c_k by a second method for verify=True, None if there is none."""
         return None
 
-    def _add(self, entries) -> None:
-        """Append (value, witness) entries in turn, each checked as c_n with
-        n the number of results held."""
+    def _grow(self, k: int) -> None:
+        """Append results until c_k is held."""
+        self.want = k
         results, method = self.results, self.method
-        for value, witness in entries:
-            results.append(_checked(CapacityResult(len(results), value, method, witness)))
+        if self.values is None:
+            self.values = self._values(len(results))
+        try:
+            for value, witness in itertools.islice(self.values, k + 1 - len(results)):
+                results.append(_checked(CapacityResult(len(results), value, method, witness)))
+        except BaseException:
+            self.values = None
+            raise
 
 
 def _ball_values(scale: int, A: int):
@@ -339,73 +340,67 @@ _FORMULAS = {"ball": _ball_values, "ellipsoid": _ellipsoid_values, "polydisk": _
 
 
 class _ClosedFormPrefix(_Prefix):
-    """A ball, ellipsoid or polydisk family's closed form, drawn as
-    (value, witness) from its generator in _FORMULAS, in integers over
-    `scale`, the lcm of the sizes' denominators.  A growth that raises
-    drops the generator, which may have lost a value or been closed, and
-    the next growth restarts it at the first k not held."""
+    """A ball, ellipsoid or polydisk family's closed form: its generator in
+    _FORMULAS, in integers over `scale`, the lcm of the sizes'
+    denominators, from the first k not held."""
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.scale, *self.sizes = _scaled(*d._values())
-        self.values = None
 
-    def _grow(self, k: int) -> None:
-        if self.values is None:
-            self.values = itertools.islice(_FORMULAS[self.domain.SOURCE](self.scale, *self.sizes),
-                                           len(self.results), None)
-        try:
-            self._add(itertools.islice(self.values, k + 1 - len(self.results)))
-        except BaseException:
-            self.values = None
-            raise
+    def _values(self, start: int):
+        return itertools.islice(_FORMULAS[self.domain.SOURCE](self.scale, *self.sizes), start, None)
 
 
 class _UnionPrefix(_Prefix):
-    """A union's max-plus DP, extended by one column per new k, over the
-    lcm of its parts' scales: a Ball part's denominator, any other part's
-    source scale.  The table, and with it the parts' sources, is made on
-    the first growth, so a union read from its file makes neither."""
+    """A union's max-plus DP over the lcm of its parts' scales: a Ball
+    part's denominator, any other part's source scale.  The table, and
+    with it the parts' sources, is made on the first draw, so a union read
+    from its file makes neither, and grown to the k wanted in one step."""
 
     CACHED = True
 
-    def __init__(self, d: Domain):
-        super().__init__(d)
-        self.table = None
-
-    def _grow(self, k: int) -> None:
-        if self.table is None:
-            parts = self.domain.parts
-            self.table = _UnionParts(parts, math.lcm(*(
-                p.a.denominator if isinstance(p, Ball) else _source(p).scale for p in parts)))
-        _union_table(self.table, k)
-        self._add(self.table.result(j) for j in range(len(self.results), k + 1))
+    def _values(self, start: int):
+        parts = self.domain.parts
+        table = _UnionParts(parts, math.lcm(*(
+            p.a.denominator if isinstance(p, Ball) else _source(p).scale for p in parts)))
+        for j in itertools.count(start):
+            if j >= len(table.best[-1]):
+                _union_table(table, max(j, self.want))
+            yield table.result(j)
 
 
 class _ConcavePrefix(_Prefix):
-    """The union of the domain's weight balls, largest first.  c_k uses
-    only the k largest balls, so ball i joins the DP at column i+1; the
-    expansion itself waits for the first k >= 1, as c_0 = 0 needs none.
-    The DP runs over the polygon's scale, a multiple of every weight's
-    denominator (see weights).  The oracle is the concave path optimum."""
+    """The union of the domain's weight balls, largest first, over the
+    polygon's scale, a multiple of every weight's denominator (see
+    weights).  c_0 = 0 needs no expansion.  c_k uses only the k largest
+    balls, so a growth to k adds the balls up to the k-th; c_j is read off
+    the table of all balls added, its composition cut to comp[:j]: weights
+    never rise and ties keep the smallest share, so each ball past the
+    j-th takes share 0, as an optimum giving one a share t leaves an unused
+    ball at least as large free to take t.  The oracle is the concave path
+    optimum."""
 
     CACHED = True
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.scale = d.int_omega.scale
-        self.weights = None
-        self.table = _UnionParts((), self.scale)
 
-    def _grow(self, k: int) -> None:
-        if k >= 1:
-            if self.weights is None:
-                self.weights = weight_expansion(self.domain)
-            for w in self.weights[len(self.table):k]:
-                self.table.add(Ball(w))
-            _union_table(self.table, k)
-        self._add(self.table.result(j, min(j, len(self.table))) if j else (Fraction(0), ())
-                  for j in range(len(self.results), k + 1))
+    def _values(self, start: int):
+        if not start:
+            yield Fraction(0), ()
+        weights = weight_expansion(self.domain)
+        self.table = table = _UnionParts((), self.scale)
+        grown = 0
+        for j in itertools.count(max(start, 1)):
+            if j > grown:
+                grown = max(j, self.want)
+                for w in weights[len(table):grown]:
+                    table.add(Ball(w))
+                _union_table(table, grown)
+            value, comp = table.result(j)
+            yield value, comp[:j]
 
     def oracle(self, k: int) -> CapacityResult:
         return ck_concave_toric(self.domain, k)
@@ -433,30 +428,28 @@ class _ConvexPrefix(_Prefix):
         and h^2 - S is twice the area (negative_weight_sequence asserts
         it), so once that holds it holds for every later d.
     Every later term then exceeds best, so the value is the exact minimum.
-    E's max-plus DP belongs to this prefix, over the same denominator, and
-    grows to the last block end a k reads, so a scan over k reuses its
-    columns.  c_0 = 0, with witness {"l": 0}, needs neither; the weight
-    sequence is found on the first growth to a k >= 1.  The oracle is the
-    convex path optimum."""
+    E's max-plus DP belongs to the generator, over the same denominator,
+    and grows to the last block end a k reads, so a scan over k reuses its
+    columns.  c_0 = 0, with witness {"l": 0}, needs neither DP nor weight
+    sequence.  The oracle is the convex path optimum."""
 
     CACHED = True
 
     def __init__(self, d: Domain):
         super().__init__(d)
         self.scale = d.int_omega.scale
-        self.table = None  # the DP of E, once grown
 
-    def _grow(self, k: int) -> None:
-        if not self.results:
-            self._add([(Fraction(0), {"l": 0})])
-        if k >= 1 and self.table is None:
-            dec = negative_weight_sequence(self.domain)
-            self.head = int(dec.head * self.scale)
-            sizes = [int(w * self.scale) for w in dec.negatives]
-            self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
-            self.table = _UnionParts(map(Ball, dec.negatives), self.scale)
-        self._add((Fraction(value, self.scale), {"l": l})
-                  for value, l in map(self._minimum, range(len(self.results), k + 1)))
+    def _values(self, start: int):
+        if not start:
+            yield Fraction(0), {"l": 0}
+        dec = negative_weight_sequence(self.domain)
+        self.head = int(dec.head * self.scale)
+        sizes = [int(w * self.scale) for w in dec.negatives]
+        self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
+        self.table = _UnionParts(map(Ball, dec.negatives), self.scale)
+        for k in itertools.count(max(start, 1)):
+            value, l = self._minimum(k)
+            yield Fraction(value, self.scale), {"l": l}
 
     def _minimum(self, k: int) -> tuple:
         """(the least T(l), its first argmin l), T over the common
@@ -490,9 +483,7 @@ class _ConvexPrefix(_Prefix):
 
 
 _SOURCE_KINDS = {  # by the family's SOURCE
-    "ball": _ClosedFormPrefix,
-    "ellipsoid": _ClosedFormPrefix,
-    "polydisk": _ClosedFormPrefix,
+    **dict.fromkeys(_FORMULAS, _ClosedFormPrefix),
     "union": _UnionPrefix,
     "concave": _ConcavePrefix,
     "convex": _ConvexPrefix,

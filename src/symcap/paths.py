@@ -136,10 +136,16 @@ def concave_path(edges) -> LatticePath:
     return LatticePath("concave", merged, b)
 
 
+def _maker(kind: str):
+    """The constructor of the paths of a kind."""
+    try:
+        return {"convex": convex_path, "concave": concave_path}[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown path kind {kind!r}") from None
+
+
 def validate_path(p: LatticePath) -> LatticePath:
-    if p.kind not in ("convex", "concave"):
-        raise ValueError(f"unknown path kind {p.kind!r}")
-    q = convex_path(p.edges) if p.kind == "convex" else concave_path(p.edges)
+    q = _maker(p.kind)(p.edges)
     if q.start_y != p.start_y:
         raise ValueError(f"start height {p.start_y} does not match edges (want {q.start_y})")
     return q
@@ -165,6 +171,7 @@ def lcheck(p: LatticePath) -> int:
 
 def _int_omega(d, kind: str) -> IntPolygon:
     """The integer polygon of d, a "convex" or "concave" toric domain."""
+    _maker(kind)
     if not getattr(d, kind):
         raise ValueError(f"domain is not {kind} toric: {d!r}")
     return d.int_omega
@@ -195,8 +202,7 @@ def path_to_json(p: LatticePath) -> dict:
 
 
 def path_from_json(obj, kind: str) -> LatticePath:
-    edges = [(dx, dy) for dx, dy in obj["edges"]]
-    p = convex_path(edges) if kind == "convex" else concave_path(edges)
+    p = _maker(kind)([(dx, dy) for dx, dy in obj["edges"]])
     want = obj.get("start", [0, p.start_y])
     if [integer(v, "start entry") for v in want] != [0, p.start_y]:
         raise ValueError(f"start {want} does not match edges")
@@ -212,8 +218,9 @@ def _witness(kind: str, edges: tuple[Edge, ...]) -> LatticePath:
     only direction-sorted, strictly rotating edge sequences and do not
     validate their candidates, so the one path they return is checked here
     and a failure is a bug in the search."""
+    make = _maker(kind)
     try:
-        p = convex_path(edges) if kind == "convex" else concave_path(edges)
+        p = make(edges)
     except ValueError as e:
         raise RuntimeError(f"{kind} search built an invalid path {edges}: {e}") from None
     if p.edges != edges:

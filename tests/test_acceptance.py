@@ -1,13 +1,16 @@
 """End-to-end acceptance sweep.
 
 Ten numbered criteria, each a separate test that prints one [PASS]/[FAIL]
-line (visible with -s; the test name mirrors the criterion either way).
+line (visible with -s; the test name mirrors the criterion either way),
+then embedding bounds from the literature read off the scaling bound.
 Every comparison is exact rational arithmetic, zero tolerance; the two
 long-running criteria also assert their wall-clock budgets.
 """
 
 import time
 from fractions import Fraction as F
+
+import pytest
 
 import symcap.capacities as cap
 import symcap.domains as dom
@@ -205,3 +208,33 @@ def test_criterion_10_asymptotics():
         assert time.monotonic() - t0 < 300
 
     _report(10, "square-root growth with bounded fourth-root residuals", body)
+
+
+# --- literature values, as maxima of c_k(src)/c_k(B(1)) over k <= 200 --------
+# (that they are the sharp embedding bounds for every k is not certified here)
+
+def test_literature_ball_packings_to_k_200():
+    # N equal balls B(1) fit into B(lambda) exactly when lambda is at least
+    # 1, 2, 2, 2, 5/2, 5/2, 8/3, 17/6 for N = 1..8 (McDuff-Polterovich 1994)
+    got = [scaling_lower_bound(dom.disjoint_union(*[dom.ball(1)] * n), dom.ball(1), 200)
+           for n in range(1, 9)]
+    assert got == [1, 2, 2, 2, F(5, 2), F(5, 2), F(8, 3), F(17, 6)]
+
+
+def test_literature_ellipsoids_into_a_ball_to_k_200():
+    # E(1, n) fits into B(lambda) exactly when n balls B(1) do (McDuff
+    # 2009): n = 2..8 repeat the packing bounds, and nine balls fill B(3)
+    got = [scaling_lower_bound(dom.ellipsoid(1, a), dom.ball(1), 200) for a in range(2, 10)]
+    assert got == [2, 2, 2, F(5, 2), F(5, 2), F(8, 3), F(17, 6), 3]
+
+
+@pytest.mark.parametrize("a, bound, first", [
+    (F(25, 4), F(5, 2), 5), (F(169, 25), F(13, 5), 20), (F(1156, 169), F(34, 13), 104)])
+def test_literature_fibonacci_staircase_corners_to_k_200(a, bound, first):
+    # the Fibonacci staircase of E(1, a) into a ball meets the volume bound
+    # sqrt(a) at a = (g_{n+1}/g_n)^2, g = 2, 5, 13, 34, ... the odd-index
+    # Fibonacci numbers (McDuff-Schlenk 2012); the ratio first reaches it
+    # at k = first
+    assert scaling_lower_bound(dom.ellipsoid(1, a), dom.ball(1), 200) == bound
+    assert scaling_lower_bound(dom.ellipsoid(1, a), dom.ball(1), first - 1) < bound
+    assert scaling_lower_bound(dom.ellipsoid(1, a), dom.ball(1), first) == bound

@@ -381,6 +381,22 @@ def test_path_coordinates_must_be_ints(call, message):
         call()
 
 
+BOGUS = paths.LatticePath("bogus", ((1, -1),), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_path(BOGUS),
+    lambda: path_from_json({"edges": [[1, -1]]}, "bogus"),
+    lambda: paths._witness("bogus", ((1, -1),)),
+    lambda: ell(T1, BOGUS),
+], ids=["validate_path", "path_from_json", "witness", "ell"])
+def test_unknown_path_kind_is_refused(call):
+    # path_from_json read such a path as concave, and ell (through
+    # _int_omega) raised AttributeError from the domain
+    with pytest.raises(ValueError, match="^unknown path kind 'bogus'$"):
+        call()
+
+
 def test_validate_path_checks_start_height():
     from symcap.paths import LatticePath
 

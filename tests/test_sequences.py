@@ -6,6 +6,7 @@ calls, never timed)."""
 import concurrent.futures
 import contextlib
 import heapq
+import inspect
 import itertools
 import random
 import sys
@@ -152,13 +153,28 @@ def test_polydisk_heap_read_matches_the_per_k_scan(ab):
 # --- interrupted growth -------------------------------------------------------
 
 INTERRUPTED = [dom.ball(F(5, 3)), dom.cp2(F(7, 4)), dom.ellipsoid(1, 2),
-               dom.polydisk(F(3, 2), 1), dom.s2xs2(2, F(5, 3))]
+               dom.polydisk(F(3, 2), 1), dom.s2xs2(2, F(5, 3)),
+               dom.disjoint_union(dom.ellipsoid(1, 2), dom.ellipsoid(1, 3)),
+               dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)]),
+               dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])]
+# the sources that push onto a spectrum heap (the union's parts are
+# ellipsoids), and the ones that grow a max-plus DP table
+HEAP_SOURCES = {"ellipsoid", "polydisk", "union"}
+DP_SOURCES = {"union", "concave", "convex"}
+
+
+def _picks_line() -> int:
+    """The line of _union_table that appends a column's pick."""
+    lines, first = inspect.getsourcelines(cap._union_table)
+    return first + next(i for i, line in enumerate(lines) if "picks.append(" in line)
 
 
 def _interrupt_once(monkeypatch, where) -> list:
     """Make the next growth raise KeyboardInterrupt once: in the invariant
-    check of c_40, between a value's computation and its append, or in the
-    40th push onto a spectrum heap.  Returns the list the raise is noted in."""
+    check of c_40, between a value's computation and its append; in the
+    40th push onto a spectrum heap; or in _union_table for column 20,
+    between its total's append and its pick's.  Returns the list the raise
+    is noted in."""
     fired = []
     if where == "checked":
         real = cap._checked
@@ -170,7 +186,7 @@ def _interrupt_once(monkeypatch, where) -> list:
             return real(result)
 
         monkeypatch.setattr(cap, "_checked", checked)
-    else:
+    elif where == "heappush":
         pushes = []
 
         def heappush(heap, item):
@@ -182,22 +198,49 @@ def _interrupt_once(monkeypatch, where) -> list:
 
         monkeypatch.setattr(cap, "heapq", types.SimpleNamespace(heappop=heapq.heappop,
                                                                  heappush=heappush))
+    else:
+        code, line = cap._union_table.__code__, _picks_line()
+
+        def at_pick(frame, event, arg):
+            if event == "line" and frame.f_lineno == line and frame.f_locals["j"] == 20:
+                fired.append(frame.f_locals["i"])
+                raise KeyboardInterrupt  # and unsets the trace function
+            return at_pick
+
+        def calls(frame, event, arg):
+            return at_pick if frame.f_code is code and not fired else None
+
+        sys.settrace(calls)  # the test restores the tracer it found
     return fired
 
 
-@pytest.mark.parametrize("where", ["checked", "heappush"])
+@pytest.mark.parametrize("where", ["checked", "heappush", "union_table"])
 @pytest.mark.parametrize("d", INTERRUPTED, ids=lambda d: d.TYPE)
 def test_interrupted_growth_loses_no_value(monkeypatch, d, where):
     cap.clear_memo()
     want = [_triple(r) for r in capacity_sequence(d, 100)]
     cap.clear_memo()
-    fired = _interrupt_once(monkeypatch, where)
-    raises = where == "checked" or d.SOURCE != "ball"  # a ball pushes onto no heap
-    with pytest.raises(KeyboardInterrupt) if raises else contextlib.nullcontext():
-        capacity_sequence(d, 100)
+    tracer = sys.gettrace()
+    try:
+        fired = _interrupt_once(monkeypatch, where)
+        raises = where == "checked" or d.SOURCE in (
+            HEAP_SOURCES if where == "heappush" else DP_SOURCES)
+        with pytest.raises(KeyboardInterrupt) if raises else contextlib.nullcontext():
+            capacity_sequence(d, 100)
+    finally:
+        sys.settrace(tracer)
     assert bool(fired) == raises
     assert [_triple(r) for r in capacity_sequence(d, 60)] == want[:61]
     assert [_triple(r) for r in capacity_sequence(d, 100)] == want
+
+
+def test_concave_growth_adds_only_the_balls_it_reads():
+    # c_k uses the k largest weight balls; of this triangle's 2000 balls a
+    # growth to k = 10 adds ten to the table, so small k stay cheap
+    cap.clear_memo()
+    d = dom.concave_toric([(0, 0), (1, 0), (0, 2000)])
+    ck(d, 10)
+    assert len(cap._source(d).table) == 10
 
 
 def _prefix_lengths() -> dict:
