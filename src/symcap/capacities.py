@@ -158,10 +158,11 @@ def ck_concave_toric(d, k) -> CapacityResult:
 class _UnionParts:
     """State of the max-plus DP over the parts of a union.
 
+    A part is a ball's size, an int over `scale`, or a capacity source.
     best[i] holds the best total of parts 0..i at each column and values[i]
     the values of part i, both as integers over `scale`, fixed when the
     table is made: a multiple of every part value's denominator.  Rows
-    hold c_0, c_1, ..., but only the share values d*a of a Ball part past
+    hold c_0, c_1, ..., but only the share values d*a of a ball part past
     part 0, and part 0's are best[0] itself.  picks[i-1][j] is part i's
     share of column j in best[i].  A part added later starts with empty
     rows, which the next _union_table call fills.
@@ -198,26 +199,25 @@ class _UnionParts:
 def _union_table(parts, kmax: int) -> None:
     """Extend the DP of `parts` (a _UnionParts) through column kmax.
 
-    A Ball part's values d*a come from the closed form, in integers; any
-    other part's are read from its source, whose prefix grows to kmax in
-    one step.  Column j of part i is the largest f[j-t] + v[t] over the
-    shares t that part is offered, f the best totals of the parts before
-    it and v its own values; ties keep the smallest share.  f never falls,
-    so on a run of equal v the first t of the run wins: a Ball part, whose
-    values rise only at t = d(d+1)/2, is offered those O(sqrt j) shares
-    alone, and keeps only their values, any other part all j+1.  So
-    growing from nothing to kmax costs at most (m-1)(kmax+1)(kmax+2)/2
-    steps over m parts however the growth is split.
+    A ball part of size a has the values d*a of the closed form; a source
+    part's are read from the source, whose prefix grows to kmax in one
+    step.  Column j of part i is the largest f[j-t] + v[t] over the shares
+    t that part is offered, f the best totals of the parts before it and v
+    its own values; ties keep the smallest share.  f never falls, so on a
+    run of equal v the first t of the run wins: a ball part, whose values
+    rise only at t = d(d+1)/2, is offered those O(sqrt j) shares alone,
+    and keeps only their values, a source part all j+1.  So growing from
+    nothing to kmax costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m
+    parts however the growth is split.
     """
-    balls = [isinstance(p, Ball) for p in parts.parts]
+    balls = [p if isinstance(p, int) else None for p in parts.parts]  # None for a source
     scale = parts.scale
     nshares = ball_multiplicity(kmax) + 1  # the shares d(d+1)/2 <= kmax
-    for i, (p, row, ball) in enumerate(zip(parts.parts, parts.values, balls)):
-        if not ball:
+    for i, (part, row, a) in enumerate(zip(parts.parts, parts.values, balls)):
+        if a is None:
             row.extend(r.value.numerator * (scale // r.value.denominator)
-                       for r in _source(p).sequence(len(row), kmax))
+                       for r in part.sequence(len(row), kmax))
             continue
-        a = p.a.numerator * (scale // p.a.denominator)
         if i:
             row.extend(range(len(row) * a, nshares * a, a))  # d*a, d = len(row), ...
             continue
@@ -230,7 +230,7 @@ def _union_table(parts, kmax: int) -> None:
         f, vi, row, picks = parts.best[i - 1], parts.values[i], parts.best[i], parts.picks[i - 1]
         n = ball_multiplicity(len(row)) + 1  # shares[:n] are the shares up to j
         for j in range(len(row), kmax + 1):
-            if balls[i]:
+            if balls[i] is not None:
                 n += shares[n] <= j
                 ts = shares[:n]
                 sums = [f[j - t] + v for t, v in zip(ts, vi)]
@@ -353,17 +353,19 @@ class _ClosedFormPrefix(_Prefix):
 
 
 class _UnionPrefix(_Prefix):
-    """A union's max-plus DP over the lcm of its parts' scales: a Ball
-    part's denominator, any other part's source scale.  The table, and
-    with it the parts' sources, is made on the first draw, so a union read
-    from its file makes neither, and grown to the k wanted in one step."""
+    """A union's max-plus DP over the lcm of its parts' scales, its parts
+    resolved once: a ball to its size over that lcm, any other part to its
+    source.  The table, and with it the parts' sources, is made on the
+    first draw, so a union read from its file makes neither, and grown to
+    the k wanted in one step."""
 
     CACHED = True
 
     def _values(self, start: int):
-        parts = self.domain.parts
-        table = _UnionParts(parts, math.lcm(*(
-            p.a.denominator if isinstance(p, Ball) else _source(p).scale for p in parts)))
+        parts = [p.a if isinstance(p, Ball) else _source(p) for p in self.domain.parts]
+        scale = math.lcm(*(p.denominator if isinstance(p, Fraction) else p.scale for p in parts))
+        table = _UnionParts([int(p * scale) if isinstance(p, Fraction) else p for p in parts],
+                            scale)
         for j in itertools.count(start):
             if j >= len(table.best[-1]):
                 _union_table(table, max(j, self.want))
@@ -371,21 +373,18 @@ class _UnionPrefix(_Prefix):
 
 
 class _ConcavePrefix(_Prefix):
-    """The union of the domain's weight balls, largest first, over the
-    polygon's scale, a multiple of every weight's denominator (see
-    weights).  c_0 = 0 needs no expansion.  c_k uses only the k largest
-    balls, so a growth to k adds the balls up to the k-th; c_j is read off
-    the table of all balls added, its composition cut to comp[:j]: weights
-    never rise and ties keep the smallest share, so each ball past the
-    j-th takes share 0, as an optimum giving one a share t leaves an unused
-    ball at least as large free to take t.  The oracle is the concave path
-    optimum."""
+    """The union of the domain's weight balls, largest first, their sizes
+    handed to the DP as integers over the polygon's scale, a multiple of
+    every weight's denominator (see weights).  c_0 = 0 needs no expansion.
+    c_k uses only the k largest balls, so a growth to k adds the balls up
+    to the k-th; c_j is read off the table of all balls added, its
+    composition cut to comp[:j]: weights never rise and ties keep the
+    smallest share, so each ball past the j-th takes share 0, as an
+    optimum giving one a share t leaves an unused ball at least as large
+    free to take t.  The oracle is the concave path optimum."""
 
     CACHED = True
-
-    def __init__(self, d: Domain):
-        super().__init__(d)
-        self.scale = d.int_omega.scale
+    scale = property(lambda self: self.domain.omega.scale)
 
     def _values(self, start: int):
         if not start:
@@ -397,7 +396,7 @@ class _ConcavePrefix(_Prefix):
             if j > grown:
                 grown = max(j, self.want)
                 for w in weights[len(table):grown]:
-                    table.add(Ball(w))
+                    table.add(int(w * self.scale))
                 _union_table(table, grown)
             value, comp = table.result(j)
             yield value, comp[:j]
@@ -428,28 +427,29 @@ class _ConvexPrefix(_Prefix):
         and h^2 - S is twice the area (negative_weight_sequence asserts
         it), so once that holds it holds for every later d.
     Every later term then exceeds best, so the value is the exact minimum.
-    E's max-plus DP belongs to the generator, over the same denominator,
+    E's max-plus DP, over the same denominator, is made with each generator
     and grows to the last block end a k reads, so a scan over k reuses its
     columns.  c_0 = 0, with witness {"l": 0}, needs neither DP nor weight
     sequence.  The oracle is the convex path optimum."""
 
     CACHED = True
-
-    def __init__(self, d: Domain):
-        super().__init__(d)
-        self.scale = d.int_omega.scale
+    scale = property(lambda self: self.domain.omega.scale)
 
     def _values(self, start: int):
         if not start:
             yield Fraction(0), {"l": 0}
-        dec = negative_weight_sequence(self.domain)
-        self.head = int(dec.head * self.scale)
-        sizes = [int(w * self.scale) for w in dec.negatives]
-        self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
-        self.table = _UnionParts(map(Ball, dec.negatives), self.scale)
+        self._excise()
         for k in itertools.count(max(start, 1)):
             value, l = self._minimum(k)
             yield Fraction(value, self.scale), {"l": l}
+
+    def _excise(self) -> None:
+        """Set up h, m, A, S and E's DP, dropping the weight sequence."""
+        dec = negative_weight_sequence(self.domain)
+        self.head = int(dec.head * self.scale)
+        self.table = _UnionParts([int(w * self.scale) for w in dec.negatives], self.scale)
+        sizes = self.table.parts
+        self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
 
     def _minimum(self, k: int) -> tuple:
         """(the least T(l), its first argmin l), T over the common

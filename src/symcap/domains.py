@@ -9,9 +9,9 @@ domains, derived once for balls, ellipsoids and polydisks, else None),
 the convex and concave toric flags (the axis reflection of omega, or the
 complement of omega in the quadrant, is convex) and CLOSED, volume and
 scale, the capacity SOURCE and METHOD, the CLI's WEIGHTS and PATHS, and a
-key computed once.  A domain is validated once, when it is built, in
-integers over its polygon's common denominator (int_omega, kept for the
-volume, the weights and the path searches); omega's points stay
+key computed once.  A domain is validated once, when it is built, in the
+integers its polygon carries (geometry.Polygon), which the volume, the
+weights and the path searches read from omega; its points stay
 Fractions.  Canonical polygons run counterclockwise from the origin,
 collinear runs merged; union parts are flat and sorted by key.
 """
@@ -22,8 +22,7 @@ import functools
 import json
 from fractions import Fraction
 
-from .geometry import (IntPolygon, Polygon, cross, cycle, int_polygon, rational,
-                       rational_str, turns_left)
+from .geometry import Polygon, cross, cycle, is_convex, rational, rational_str
 
 
 def _positive(value, name: str) -> Fraction:
@@ -33,11 +32,12 @@ def _positive(value, name: str) -> Fraction:
     return v
 
 
-def canonical_omega(poly) -> IntPolygon:
+def canonical_omega(poly) -> Polygon:
     """The canonical moment polygon, checked once, in integers over its
     common denominator: counterclockwise, starting at the origin vertex.
-    Accepts a Polygon or any iterable of point-likes, either way round."""
-    c = cycle(poly.vertices if isinstance(poly, Polygon) else poly)
+    Accepts a Polygon, its cycle canonical already, or any iterable of
+    point-likes, either way round."""
+    c = poly if isinstance(poly, Polygon) else cycle(poly)
     if c.area2 == 0:
         raise ValueError("moment polygon has zero area")
     vs, ints = (c.vertices, c.ints) if c.area2 > 0 else (c.vertices[::-1], c.ints[::-1])
@@ -48,17 +48,17 @@ def canonical_omega(poly) -> IntPolygon:
     if (0, 0) not in ints:
         raise ValueError("moment polygon must have the origin as a vertex")
     i = ints.index((0, 0))
-    return IntPolygon(vs[i:] + vs[:i], ints[i:] + ints[:i], c.scale, abs(c.area2))
+    return Polygon(vs[i:] + vs[:i], ints[i:] + ints[:i], c.scale, abs(c.area2))
 
 
-def _convex_toric_flag(c: IntPolygon) -> bool:
+def _convex_toric_flag(c: Polygon) -> bool:
     """Omega runs from the origin along the x-axis to (a, 0) and back down
     the y-axis from (0, b), turns left everywhere, and its four-fold axis
     reflection adds no reflex corner: the edge leaving (a, 0) has dx <= 0
     and the edge reaching (0, b) has dy >= 0.  Every other corner of the
     reflection turns as the corner of Omega it reflects."""
     (a, y1), (x2, _), (xm, ym), (xl, b) = c.ints[1], c.ints[2], c.ints[-2], c.ints[-1]
-    return y1 == 0 < a and xl == 0 < b and x2 <= a and ym <= b and turns_left(c.ints)
+    return y1 == 0 < a and xl == 0 < b and x2 <= a and ym <= b and is_convex(c)
 
 
 def check_concave_chain(chain) -> None:
@@ -75,7 +75,7 @@ def check_concave_chain(chain) -> None:
         raise ValueError(f"bad boundary chain (slopes not increasing): {chain}")
 
 
-def _concave_toric_flag(c: IntPolygon) -> bool:
+def _concave_toric_flag(c: Polygon) -> bool:
     try:
         check_concave_chain(c.ints[:0:-1])
     except ValueError:
@@ -128,14 +128,6 @@ class Domain:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
         return f"{type(self).__qualname__}({fields})"
-
-    @functools.cached_property
-    def int_omega(self) -> IntPolygon:
-        """omega in integers over its common denominator; a toric domain
-        keeps the one it was validated in."""
-        if self.omega is None:
-            raise ValueError("domain has no moment polygon")
-        return int_polygon(self.omega.vertices)
 
     @functools.cached_property
     def key(self) -> str:
@@ -235,23 +227,21 @@ class S2xS2(_Sized):
 
 
 class _Toric(Domain):
-    """A family given by its moment polygon, stored canonical, with the
-    integer polygon it was validated in; the flag the family does not fix
-    is read off that."""
+    """A family given by its moment polygon, stored canonical as it was
+    validated; the flag the family does not fix is read off its integers."""
 
     FIELDS = ("omega",)
-    convex = property(lambda self: _convex_toric_flag(self.int_omega))
-    concave = property(lambda self: _concave_toric_flag(self.int_omega))
+    convex = property(lambda self: _convex_toric_flag(self.omega))
+    concave = property(lambda self: _concave_toric_flag(self.omega))
 
     def __init__(self, omega):
         c = canonical_omega(omega)
         if not self._valid(c):
             raise ValueError(self._INVALID)
-        self._set(Polygon(c.vertices))
-        object.__setattr__(self, "int_omega", c)
+        self._set(c)
 
     def volume(self) -> Fraction:
-        return Fraction(self.int_omega.area2, 2 * self.int_omega.scale ** 2)
+        return self.omega.signed_area()
 
     def scale(self, mu: Fraction):
         return type(self)([(x * mu, y * mu) for x, y in self.omega.vertices])

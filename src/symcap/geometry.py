@@ -5,9 +5,10 @@ Conventions used throughout the package:
   * scalars are fractions.Fraction, never floats;
   * points are (x, y) pairs of Fractions;
   * polygons are vertex cycles with consecutive duplicates dropped and
-    collinear runs merged, orientation as supplied by the caller.  The
-    points stay Fractions; canonicalizing, areas and turns run once, in
-    integers over the vertices' common denominator (IntPolygon);
+    collinear runs merged, orientation as supplied by the caller.  A
+    Polygon carries its Fraction points and, from the one integer pass
+    that canonicalizes it, the same points over their common denominator
+    (ints, scale) and twice its area in those units (area2);
   * lattice paths live on integer coordinates and are encoded by their
     integer edge vectors, walked from (0, start_y).
 
@@ -86,34 +87,49 @@ def dot(u: Sequence, v: Sequence):
     return u[0] * v[0] + u[1] * v[1]
 
 
-class IntPolygon(NamedTuple):
-    """A vertex cycle twice over: its exact points, and the same points as
+class Polygon(NamedTuple):
+    """A canonical vertex cycle: its exact points, and the same points as
     integers over their common denominator, (x, y) standing for
-    (x/scale, y/scale).  area2 is twice the signed area times scale^2."""
+    (x/scale, y/scale); area2 is twice the signed area times scale^2.
+    Built by from_points (or cycle), which canonicalizes but never
+    reorders: no two consecutive vertices equal, no straight-through
+    vertex (collinear run) survives, and direction reversals (spikes) are
+    rejected outright.  It prints as its points alone."""
 
     vertices: tuple[Point, ...]
     ints: tuple[tuple[int, int], ...]
     scale: int
     area2: int
 
+    def __repr__(self) -> str:
+        return f"Polygon(vertices={self.vertices!r})"
 
-def int_polygon(vertices: Sequence[Point]) -> IntPolygon:
+    @staticmethod
+    def from_points(pts: Iterable) -> "Polygon":
+        return cycle(pts)
+
+    def signed_area(self) -> Fraction:
+        return Fraction(self.area2, 2 * self.scale * self.scale)
+
+
+def _polygon(vertices: Sequence[Point]) -> Polygon:
     """The Fraction points in integers over their common denominator."""
     scale = math.lcm(*(c.denominator for p in vertices for c in p))
     ints = tuple((x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
                  for x, y in vertices)
     area2 = sum(x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(ints, ints[1:] + ints[:1]))
-    return IntPolygon(tuple(vertices), ints, scale, area2)
+    return Polygon(tuple(vertices), ints, scale, area2)
 
 
-def cycle(pts: Iterable) -> IntPolygon:
-    """The canonical cycle of pts, in integers over their common denominator:
-    consecutive duplicates and closing repeats dropped, straight-through
-    vertices merged, a reversal rejected.  Merging a vertex keeps the
-    directions of its neighbours' edges, so one scan with each vertex's
-    first neighbours merges and rejects as a rescan after each merge would."""
+def cycle(pts: Iterable) -> Polygon:
+    """The canonical cycle of pts: consecutive duplicates and closing
+    repeats dropped, straight-through vertices merged, a reversal
+    rejected, all in integers over the points' common denominator.
+    Merging a vertex keeps the directions of its neighbours' edges, so one
+    scan with each vertex's first neighbours merges and rejects as a
+    rescan after each merge would."""
     pts = [point(p[0], p[1]) for p in pts]
-    ints = int_polygon(pts).ints
+    ints = _polygon(pts).ints
     out: list[int] = []  # indices of the distinct points, each vertex's first neighbours
     for i, p in enumerate(ints):
         if not out or p != ints[out[-1]]:
@@ -134,40 +150,15 @@ def cycle(pts: Iterable) -> IntPolygon:
             raise ValueError(f"degenerate polygon: reversal at vertex {pts[i]}")
     if len(kept) < 3:
         raise ValueError("degenerate polygon: collapses to a segment")
-    return int_polygon([pts[i] for i in kept])
-
-
-class Polygon(NamedTuple):
-    """Vertex cycle; construction canonicalizes but never reorders.
-
-    Canonical form: no two consecutive vertices equal, no straight-through
-    vertex (collinear run) survives, and direction reversals (spikes) are
-    rejected outright.
-    """
-
-    vertices: tuple[Point, ...]
-
-    @staticmethod
-    def from_points(pts: Iterable) -> "Polygon":
-        return Polygon(cycle(pts).vertices)
-
-    def signed_area(self) -> Fraction:
-        s = int_polygon(self.vertices)
-        return Fraction(s.area2, 2 * s.scale * s.scale)
-
-
-def turns_left(ints: Sequence[tuple[int, int]]) -> bool:
-    """True iff every consecutive edge pair of the cycle turns left or goes straight."""
-    return all((bx - ax) * (cy - by) >= (by - ay) * (cx - bx) for (ax, ay), (bx, by), (cx, cy)
-               in zip(ints[-2:] + ints[:-2], ints[-1:] + ints[:-1], ints))
+    return _polygon([pts[i] for i in kept])
 
 
 def is_convex(p: Polygon) -> bool:
     """True iff every consecutive edge pair turns left or goes straight, so
     True only for counterclockwise vertex order."""
-    if len(p.vertices) < 3:
-        raise ValueError("degenerate polygon: fewer than 3 vertices")
-    return turns_left(int_polygon(p.vertices).ints)
+    ints = p.ints
+    return all((bx - ax) * (cy - by) >= (by - ay) * (cx - bx) for (ax, ay), (bx, by), (cx, cy)
+               in zip(ints[-2:] + ints[:-2], ints[-1:] + ints[:-1], ints))
 
 
 def path_vertices(edges: Sequence[Edge], start_y: int) -> list[tuple[int, int]]:

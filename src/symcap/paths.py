@@ -20,8 +20,8 @@ moment polygon: for a convex domain the dual norm max <(|v1|,|v2|), w> over
 the vertices w (by symmetry, over the whole axis reflection), for a concave
 one the anti-norm min <(|v1|,|v2|), w> over the outer chain, the vertices
 after the origin.  dual_norm and anti_norm take them in Fractions over the
-polygon's points, the searches in integers over int_omega, the integer
-polygon the domain was validated in, so ell checks the searches' values.
+polygon's points, the searches in the integers the same polygon carries
+(omega.ints over omega.scale), so ell checks the searches' values.
 
 The optimizers enumerate paths as direction-sorted multisets of edge
 vectors (a convex chain is determined by its edge multiset), with
@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .geometry import Edge, IntPolygon, cross, dot, index, integer, lattice_points_under_path
+from .geometry import Edge, Polygon, cross, dot, index, integer, lattice_points_under_path
 
 
 class LatticePath(NamedTuple):
@@ -169,30 +169,30 @@ def lcheck(p: LatticePath) -> int:
     return lattice_points_under_path(q.edges, q.start_y, include_path=False)
 
 
-def _int_omega(d, kind: str) -> IntPolygon:
-    """The integer polygon of d, a "convex" or "concave" toric domain."""
+def _omega(d, kind: str) -> Polygon:
+    """The moment polygon of d, a "convex" or "concave" toric domain."""
     _maker(kind)
     if not getattr(d, kind):
         raise ValueError(f"domain is not {kind} toric: {d!r}")
-    return d.int_omega
+    return d.omega
 
 
 def dual_norm(d, v) -> Fraction:
     """The dual norm of v for the convex domain d."""
     p, q = abs(v[0]), abs(v[1])
-    return max(p * x + q * y for x, y in _int_omega(d, "convex").vertices)
+    return max(p * x + q * y for x, y in _omega(d, "convex").vertices)
 
 
 def anti_norm(d, v) -> Fraction:
     """The anti-norm of v for the concave domain d."""
     p, q = abs(v[0]), abs(v[1])
-    return min(p * x + q * y for x, y in _int_omega(d, "concave").vertices[1:])
+    return min(p * x + q * y for x, y in _omega(d, "concave").vertices[1:])
 
 
 def ell(d, p: LatticePath) -> Fraction:
     """Path length on the domain d: the sum over the edges of the norm of
     the path's kind."""
-    _int_omega(d, p.kind)  # rejects a domain of the other kind, empty path too
+    _omega(d, p.kind)  # rejects a domain of the other kind, empty path too
     norm = dual_norm if p.kind == "convex" else anti_norm
     return sum((norm(d, e) for e in p.edges), Fraction(0))
 
@@ -202,10 +202,20 @@ def path_to_json(p: LatticePath) -> dict:
 
 
 def path_from_json(obj, kind: str) -> LatticePath:
-    p = _maker(kind)([(dx, dy) for dx, dy in obj["edges"]])
-    want = obj.get("start", [0, p.start_y])
-    if [integer(v, "start entry") for v in want] != [0, p.start_y]:
-        raise ValueError(f"start {want} does not match edges")
+    """Invert path_to_json for a path of the kind; a malformed object
+    raises a ValueError that names the field."""
+    make = _maker(kind)
+    if not isinstance(obj, dict):
+        raise ValueError("path spec must be a JSON object")
+    edges = obj.get("edges")
+    if not (isinstance(edges, list)
+            and all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges)):
+        raise ValueError("field 'edges': need a list of [dx, dy] pairs")
+    p = make(edges)
+    start = obj.get("start", [0, p.start_y])
+    if not (isinstance(start, (list, tuple))
+            and [integer(v, "start entry") for v in start] == [0, p.start_y]):
+        raise ValueError(f"field 'start': {start!r} does not match the edges")
     return p
 
 
@@ -245,14 +255,14 @@ def min_convex(d, k: int) -> PathOptimum:
     for the convex domain d.  The tests check that every optimum holds
     exactly k+1, the count of the capacity formula (Hutchings, Beyond ECH
     capacities, Geom. Topol. 2016), so the two minima agree."""
-    poly = _int_omega(d, "convex")
+    poly = _omega(d, "convex")
     k = index(k)
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
     return _convex_search(poly, k)
 
 
-def _convex_search(poly: IntPolygon, k: int) -> PathOptimum:
+def _convex_search(poly: Polygon, k: int) -> PathOptimum:
     """The branch and bound behind min_convex, for k >= 1.
 
     best[0] holds the least (cost, edges, count) found so far among scored
@@ -417,7 +427,7 @@ def max_concave(d, k: int) -> PathOptimum:
     the directions j.. add at most max nu/(p - q) over them per unit of
     budget, which bounds the value a branch can still reach.
     """
-    poly = _int_omega(d, "concave")
+    poly = _omega(d, "concave")
     k = index(k)
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONCAVE, 0)

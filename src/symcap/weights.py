@@ -25,10 +25,10 @@ ends on every rational polygon.  Let D be the common denominator of the
 vertex coordinates.  Every shear is unimodular and every r (and the head
 h) is the coordinate sum of a vertex, so all vertices of all pieces stay
 in (1/D)Z, and the expansion runs in integers over D, on the integer
-polygon the domain was validated in (int_omega).  Each peeled ball
-therefore has size at least 1/D and area at least 1/(2D^2), and each step
-peels one ball off the area still to fill, so expanding a region of area
-A takes at most 2 D^2 A steps.
+points the domain's moment polygon carries (omega.ints over omega.scale).
+Each peeled ball therefore has size at least 1/D and area at least
+1/(2D^2), and each step peels one ball off the area still to fill, so
+expanding a region of area A takes at most 2 D^2 A steps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import domains
-from .geometry import rational_str
+from .geometry import Polygon, rational_str
 
 
 class NegativeWeightDecomposition(NamedTuple):
@@ -45,13 +45,19 @@ class NegativeWeightDecomposition(NamedTuple):
     negatives: tuple[Fraction, ...]
 
 
-def inscribed_triangle_size(omega) -> Fraction:
+def _omega(d) -> Polygon:
+    if d.omega is None:
+        raise ValueError("domain has no moment polygon")
+    return d.omega
+
+
+def inscribed_triangle_size(d) -> Fraction:
     """Largest r with {x + y <= r} (within the quadrant) inside the region.
 
     Equals the minimum of x + y over the outer boundary chain, attained at
     a vertex.
     """
-    c = omega.int_omega
+    c = _omega(d)
     return Fraction(min(x + y for x, y in c.ints[1:]), c.scale)
 
 
@@ -75,7 +81,7 @@ def _expand(chains: list) -> list:
     return sorted(out, reverse=True)
 
 
-def _balls(what: str, head: int, chains: list, c) -> tuple[Fraction, ...]:
+def _balls(what: str, head: int, chains: list, c: Polygon) -> tuple[Fraction, ...]:
     """The ball sizes below the integer chains of the polygon c, once the
     volume identity holds in integers: the balls fill c (head 0), or fill
     the head triangle minus c, so sum a_i^2, or head^2 minus it, is
@@ -91,18 +97,18 @@ def _balls(what: str, head: int, chains: list, c) -> tuple[Fraction, ...]:
     return tuple(Fraction(w, c.scale) for w in weights)
 
 
-def weight_expansion(omega) -> tuple[Fraction, ...]:
+def weight_expansion(d) -> tuple[Fraction, ...]:
     """Ball sizes filling a concave region, sorted nonincreasing."""
-    c = omega.int_omega
+    c = _omega(d)
     return _balls("weight expansion", 0, [c.ints[:0:-1]], c)
 
 
-def negative_weight_sequence(omega) -> NegativeWeightDecomposition:
+def negative_weight_sequence(d) -> NegativeWeightDecomposition:
     """Head size plus the ball sizes of the two sheared corner pieces of the
     head triangle minus the polygon, sorted nonincreasing."""
-    if not omega.convex:
+    if not d.convex:
         raise ValueError("negative weight sequence needs a convex toric polygon")
-    c = omega.int_omega
+    c = d.omega
     chain = c.ints[:0:-1]
     g = [x + y for x, y in chain]
     head = max(g)

@@ -22,8 +22,11 @@ Any of them may be drawn reversed, rotated or both.
 
 domain(rng, family) draws a domain of one of FAMILIES, its sizes in (1, 3]:
 a convex toric domain is a cut rectangle or an up-left walk, redrawn until
-it is convex toric, and a concave one is a staircase.  convex_path(rng) and
-concave_path(rng) draw valid lattice paths of either kind.
+it is convex toric, and a concave one is a staircase.  The family
+"toric_union", not in FAMILIES, draws a union of 2 or 3 parts from two
+balls, an ellipsoid, a staircase and a convex draw, one of them toric.
+convex_path(rng) and concave_path(rng) draw valid lattice paths of either
+kind.
 """
 
 import math
@@ -196,6 +199,11 @@ def domain(rng, family):
         return dom.disjoint_union(*(domain(rng, kind) for kind in kinds))
     if family == "ball_union":
         return dom.disjoint_union(*(domain(rng, "ball") for _ in range(rng.randint(2, 5))))
+    if family == "toric_union":
+        kinds = rng.sample(("ball", "ball", "ellipsoid", "concave", "convex"), rng.randint(2, 3))
+        if not {"concave", "convex"} & set(kinds):
+            kinds[0] = rng.choice(("concave", "convex"))
+        return dom.disjoint_union(*(domain(rng, kind) for kind in kinds))
     if family == "concave":
         return dom.concave_toric(_staircase(rng, _small))
     make = _CONVEX[rng.choice(list(_CONVEX)) if family == "convex" else family]

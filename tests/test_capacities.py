@@ -254,6 +254,16 @@ def test_convex_stop_needs_the_bound_nondecreasing():
     assert prefix.past(1, 10 ** 4, -10 ** 18)
 
 
+def test_convex_generator_keeps_no_weight_sequence():
+    # after set-up the generator reads h, m, A, S and E's DP off its source;
+    # the decomposition and the list of excised sizes are not kept alive
+    cap.clear_memo()
+    capacity_sequence(PENT, 30)
+    frame = cap._source(PENT).values.gi_frame
+    assert "self" in frame.f_locals
+    assert not {"dec", "negatives", "sizes"} & set(frame.f_locals)
+
+
 def test_closed_examples():
     assert ck(dom.cp2(1), 3).value == 2
     assert ck(dom.s2xs2(1, 1), 1).value == 1

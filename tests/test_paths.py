@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -379,6 +380,23 @@ def test_path_coordinates_must_be_ints(call, message):
     # each was truncated in silence before: 1.7 and True became 1
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"edges": [[1, -1]], "start": 5}, "field 'start': 5 does not match the edges"),
+    ({"edges": [[1, -1]], "start": [0]}, "field 'start': [0] does not match the edges"),
+    ({"edges": 5}, "field 'edges': need a list of [dx, dy] pairs"),
+    ({"edges": [5]}, "field 'edges': need a list of [dx, dy] pairs"),
+    ({"edges": [[1, -1, 0]]}, "field 'edges': need a list of [dx, dy] pairs"),
+    ({}, "field 'edges': need a list of [dx, dy] pairs"),
+    ([1], "path spec must be a JSON object"),
+    (None, "path spec must be a JSON object"),
+], ids=["start_int", "start_short", "edges_int", "edge_int", "edge_triple", "no_edges",
+        "list", "null"])
+def test_malformed_path_json_is_refused(obj, message):
+    # each leaked a TypeError or KeyError before
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        path_from_json(obj, "convex")
 
 
 BOGUS = paths.LatticePath("bogus", ((1, -1),), 1)

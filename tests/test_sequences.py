@@ -53,11 +53,12 @@ def _family_id(family):
     return "staircase" if family == "concave" else family
 
 
-# the largest K drawn per family: a per-k convex c_k is a path search
-KMAX = {"convex": 16}
+# the largest K drawn per family: a per-k convex c_k is a path search, and
+# a per-k union with toric parts folds every part's sequence in Fractions
+KMAX = {"convex": 16, "toric_union": 30}
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=_family_id)
+@pytest.mark.parametrize("family", [*FAMILIES, "toric_union"], ids=_family_id)
 def test_sequence_matches_per_k_formulas(family):
     rng = random.Random(f"sequence-{family}")
     for _ in range(6):
@@ -70,8 +71,8 @@ def test_sequence_matches_per_k_formulas(family):
             [_triple(_per_k(d, k)) for k in range(kmax + 1)], d.key
 
 
-@pytest.mark.parametrize("family", ["ellipsoid", "polydisk", "union", "concave", "convex"],
-                         ids=_family_id)
+@pytest.mark.parametrize("family", ["ellipsoid", "polydisk", "union", "concave", "convex",
+                                    "toric_union"], ids=_family_id)
 def test_prefix_grown_in_steps_matches_one_step(family):
     rng = random.Random(f"steps-{family}")
     K = KMAX.get(family, 40)

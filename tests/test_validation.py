@@ -58,7 +58,7 @@ def _check_family(family, flag, pts, canonical, flags):
     if not flag:
         assert got == (ValueError, family._INVALID)
         return None
-    assert got.omega == Polygon(canonical)
+    assert got.omega == Polygon.from_points(canonical)
     assert (got.convex, got.concave) == flags
     assert got.volume() == oracle.signed_area(canonical)
     assert got.key == _oracle_key(family, canonical)
