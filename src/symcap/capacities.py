@@ -17,34 +17,39 @@ Formulas implemented here:
               product shares the polydisk values
 
 Each domain's family names its capacity source (SOURCE) and the method
-string its results carry (METHOD).  A source is the one store of its
-domain's values: a prefix c_0..c_{n-1} that grows on demand and keeps the
-work done so far.  A family defines only a generator of (value, witness)
-from a given k on; the one growth draws from it and appends each entry
-through one check of the invariant, c_0 = 0 and c_k > 0 for k >= 1, made
-on the numerator in integers.  A growth that raises drops the generator
-and all its state, and the next starts a fresh one at the first k not
-held.  A ball or projective plane walks the blocks
-d(d+1)/2 <= k <= d(d+3)/2, whose d+1 results share one value d*a; an
-ellipsoid pops one action per k from its own spectrum heap; a polydisk or
-sphere product pops the same heap, and each pair (m, n) whose (m+1)(n+1)
+string its results carry (METHOD).  Every value a source returns passes
+one check of the invariant, c_0 = 0 and c_k > 0 for k >= 1, made on the
+numerator in integers.  A ball, ellipsoid or polydisk, whose values the
+projective plane and the sphere product share, keeps no results.  Its
+generator gives (value, witness) from k = 0 on, which a scan steps: a
+ball walks the blocks d(d+1)/2 <= k <= d(d+3)/2, whose d+1 results share
+one value d*a; an ellipsoid pops one action per k from its spectrum heap;
+a polydisk pops the same heap, and each pair (m, n) whose (m+1)(n+1)
 passes the k covered so far settles the k up to it with one shared value.
-A union, and a concave domain read as the union of its weight balls, adds
-columns to the max-plus DP its generator owns; a convex domain takes its
-minimum over the shift l against its generator's DP of its excised balls.
-All of it runs in integers over a common denominator, and a value is
-built once from its integer.  Each prefix grows under its own lock; a
-value already held is read without it, as results are only appended.
-The two toric sources also hold the second method verify=True compares
-against.  Sources are made on first use and kept per canonical domain
-key, so ck, capacity_sequence, capacity_values and the union DP all read
-the same prefixes.  Values are deterministic, so racing threads agree.
+Any other k is read from its random-access form: ball_multiplicity, a
+lattice count under bisection, a minimum over O(sqrt k) pairs.  The other
+sources are prefixes c_0..c_{n-1} that grow on demand and keep the work
+done so far.  Such a family defines only a generator from a given k on,
+and the one growth draws from it and appends each entry.  A growth, or a
+closed form's step, that raises drops the generator and all its state,
+and the next starts a fresh one.  A union, and a concave domain read as
+the union of its weight balls, adds columns to the max-plus DP its
+generator owns, which also owns a stream of each ellipsoid or polydisk
+part; a convex domain takes its minimum over the shift l against its
+generator's DP of its excised balls.  All of it runs in integers over a
+common denominator, and a value is built once from its integer.  Each
+source grows or steps under its own lock; a value already held is read
+without it.  The two toric sources also hold the second method
+verify=True compares against.  Sources are made on first use and kept
+per canonical domain key, so ck, capacity_sequence, capacity_values and
+the union DP all read the same sources.  Values are deterministic, so
+racing threads agree.
 
 Unions, concave and convex domains, the three sources that run the
 max-plus DP, persist across processes: one small JSON file per domain in a
 cache directory, named by a hash of the domain key, holds the key and each
-entry's value and witness; the method is the family's METHOD.  The other
-sources compute a prefix about as fast as a file is read, and get none.
+entry's value and witness; the method is the family's METHOD.  A closed
+form answers any k about as fast as a file is read, and gets none.
 Once a directory is loaded, a DP source reads its own file when it is made
 and starts from the results it holds, equal to the ones saved, witness
 types included.  A file is used whole or not at all: one malformed entry,
@@ -105,9 +110,8 @@ def ball_multiplicity(k: int) -> int:
 
 
 def ck_ball(a, k) -> CapacityResult:
-    ball = Ball(a)
-    d = ball_multiplicity(k)
-    return _checked(CapacityResult(k, d * ball.a, ball.METHOD, d))
+    """c_k of B(a) by the ball's random-access form."""
+    return _ClosedForm(Ball(a)).at(index(k))
 
 
 def _scaled(*sizes: Fraction) -> tuple:
@@ -158,7 +162,8 @@ def ck_concave_toric(d, k) -> CapacityResult:
 class _UnionParts:
     """State of the max-plus DP over the parts of a union.
 
-    A part is a ball's size, an int over `scale`, or a capacity source.
+    A part is a ball's size, an int over `scale`; an iterator of a closed
+    form's values c_0, c_1, ... as ints over `scale`; or a capacity source.
     best[i] holds the best total of parts 0..i at each column and values[i]
     the values of part i, both as integers over `scale`, fixed when the
     table is made: a multiple of every part value's denominator.  Rows
@@ -199,24 +204,28 @@ class _UnionParts:
 def _union_table(parts, kmax: int) -> None:
     """Extend the DP of `parts` (a _UnionParts) through column kmax.
 
-    A ball part of size a has the values d*a of the closed form; a source
-    part's are read from the source, whose prefix grows to kmax in one
-    step.  Column j of part i is the largest f[j-t] + v[t] over the shares
-    t that part is offered, f the best totals of the parts before it and v
-    its own values; ties keep the smallest share.  f never falls, so on a
-    run of equal v the first t of the run wins: a ball part, whose values
-    rise only at t = d(d+1)/2, is offered those O(sqrt j) shares alone,
-    and keeps only their values, a source part all j+1.  So growing from
-    nothing to kmax costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m
-    parts however the growth is split.
+    A ball part of size a has the values d*a of the closed form; an
+    iterator part's are drawn from it; a source part's are read from the
+    source, whose prefix grows to kmax in one step.  Column j of part i is
+    the largest f[j-t] + v[t] over the shares t that part is offered, f
+    the best totals of the parts before it and v its own values; ties keep
+    the smallest share.  f never falls, so on a run of equal v the first
+    t of the run wins: a ball part, whose values rise only at
+    t = d(d+1)/2, is offered those O(sqrt j) shares alone, and keeps only
+    their values, any other part all j+1.  So growing from nothing to kmax
+    costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the
+    growth is split.
     """
-    balls = [p if isinstance(p, int) else None for p in parts.parts]  # None for a source
+    balls = [p if isinstance(p, int) else None for p in parts.parts]
     scale = parts.scale
     nshares = ball_multiplicity(kmax) + 1  # the shares d(d+1)/2 <= kmax
     for i, (part, row, a) in enumerate(zip(parts.parts, parts.values, balls)):
-        if a is None:
+        if isinstance(part, _Prefix):
             row.extend(r.value.numerator * (scale // r.value.denominator)
                        for r in part.sequence(len(row), kmax))
+            continue
+        if a is None:
+            row.extend(itertools.islice(part, kmax + 1 - len(row)))
             continue
         if i:
             row.extend(range(len(row) * a, nshares * a, a))  # d*a, d = len(row), ...
@@ -246,9 +255,9 @@ def _union_table(parts, kmax: int) -> None:
 
 class _Prefix:
     """results holds c_0..c_{n-1} of one domain, grown on demand under a
-    lock and kept.  A CACHED source, one of the three that run the max-plus
-    DP, starts from the domain's cache file, read whole, when a cache
-    directory is loaded; the others always compute.
+    lock and kept: the source of a union, concave or convex domain, the
+    three that run the max-plus DP.  It is CACHED: it starts from the
+    domain's cache file, read whole, when a cache directory is loaded.
 
     Subclasses define _values(start), a generator of the (value, witness)
     of c_start, c_start+1, ..., which may read `want`, the k the growth
@@ -260,14 +269,13 @@ class _Prefix:
     value's denominator.
     """
 
-    CACHED = False
+    CACHED = True
 
     def __init__(self, d: Domain):
         self.lock = threading.Lock()
         self.domain = d
         self.method = d.METHOD
-        cached = self.CACHED and _CACHE_DIR is not None
-        self.results = _read_prefix(_CACHE_DIR, d) if cached else []
+        self.results = [] if _CACHE_DIR is None else _read_prefix(_CACHE_DIR, d)
         self.values = None  # the generator drawn from, made on the next growth
 
     def sequence(self, lo: int, hi: int) -> list:
@@ -305,23 +313,72 @@ class _Prefix:
             raise
 
 
-def _ball_values(scale: int, A: int):
-    """(c_k, d) of B(A/scale) for k = 0, 1, ...: block d,
+def _ball_values(A: int):
+    """(c_k, d) of B(A) for k = 0, 1, ...: block d,
     d(d+1)/2 <= k <= d(d+3)/2, holds d+1 results sharing one value d*A."""
     for d in itertools.count():
-        value = Fraction(d * A, scale)
         for _ in range(d + 1):
-            yield value, d
+            yield d * A, d
 
 
-def _ellipsoid_values(scale: int, A: int, B: int):
-    """(c_k, (m, n)) of E(A/scale, B/scale): one spectrum pop per k."""
+def _ball_at(k: int, A: int) -> tuple:
+    d = ball_multiplicity(k)
+    return d * A, d
+
+
+def _ellipsoid_values(A: int, B: int):
+    """(c_k, (m, n)) of E(A, B): one spectrum pop per k."""
     for v, m, n in _spectrum(A, B):
-        yield Fraction(v, scale), (m, n)
+        yield v, (m, n)
 
 
-def _polydisk_values(scale: int, A: int, B: int):
-    """(c_k, (m, n)) of P(A/scale, B/scale), c_k the least m*A+n*B with
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of (a*i + b) // m over 0 <= i < n, for n, a, b >= 0 and
+    m >= 1, in O(log) steps by the Euclid-like recursion of the AtCoder
+    Library."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+def _pairs_below(T: int, A: int, B: int) -> int:
+    """#{(m, n) >= 0 : m*A + n*B <= T}: for each m <= M = T // A, the
+    n up to (T - m*A) // B, summed from m = M down."""
+    if T < 0:
+        return 0
+    M = T // A
+    return _floor_sum(M + 1, B, A, T - M * A) + M + 1
+
+
+def _ellipsoid_at(k: int, A: int, B: int) -> tuple:
+    """(c_k, (m, n)) of E(A, B): c_k is the least T with k+1 pairs at or
+    below it, bisected in [0, k*min(A, B)].  The pairs on m*A + n*B = T
+    are m = m0 + j*B/g, g = gcd(A, B), and the spectrum orders them by m,
+    so c_k's is the i-th, i = k minus the pairs below T."""
+    lo, hi = 0, k * min(A, B)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _pairs_below(mid, A, B) > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    i, g = k - _pairs_below(lo - 1, A, B), math.gcd(A, B)
+    m = lo // g * pow(A // g, -1, B // g) % (B // g) + i * (B // g)
+    return lo, (m, (lo - m * A) // B)
+
+
+def _polydisk_values(A: int, B: int):
+    """(c_k, (m, n)) of P(A, B), c_k the least m*A+n*B with
     (m+1)(n+1) >= k+1, read off the ellipsoid's spectrum.  The pops come
     out in (action, m, n) order, so the first pair with (m+1)(n+1) > k
     gives c_k, ties kept at the smallest m: a pair past the k covered so
@@ -330,42 +387,129 @@ def _polydisk_values(scale: int, A: int, B: int):
     for v, m, n in _spectrum(A, B):
         top = (m + 1) * (n + 1)
         if top > covered:
-            value, witness = Fraction(v, scale), (m, n)
             for _ in range(top - covered):
-                yield value, witness
+                yield v, (m, n)
             covered = top
 
 
-_FORMULAS = {"ball": _ball_values, "ellipsoid": _ellipsoid_values, "polydisk": _polydisk_values}
+def _polydisk_at(k: int, A: int, B: int) -> tuple:
+    """(c_k, (m, n)) of P(A, B): the least m*A + n*B over m >= 0 with
+    n = ceil((k+1)/(m+1)) - 1, ties kept at the smallest m.  n falls in
+    runs as m grows, and on a run the first m is least, so only the first
+    m of each run is tried: O(sqrt k) of them, the last with n = 0."""
+    K, m, best = k + 1, 0, None
+    while True:
+        n = -(-K // (m + 1)) - 1
+        if best is None or m * A + n * B < best[0]:
+            best = m * A + n * B, (m, n)
+        if not n:
+            return best
+        m = -(-K // n) - 1  # the first m + 1 with ceil(K/(m+1)) <= n
 
 
-class _ClosedFormPrefix(_Prefix):
-    """A ball, ellipsoid or polydisk family's closed form: its generator in
-    _FORMULAS, in integers over `scale`, the lcm of the sizes'
-    denominators, from the first k not held."""
+# a closed form's generator and random-access form, by the family's SOURCE
+_FORMULAS = {"ball": (_ball_values, _ball_at), "ellipsoid": (_ellipsoid_values, _ellipsoid_at),
+             "polydisk": (_polydisk_values, _polydisk_at)}
+
+
+class _ClosedForm:
+    """A ball, ellipsoid or polydisk family's closed form, in integers over
+    `scale`, the lcm of the sizes' denominators, keeping no results.  A
+    read of k = 0, of the k after the last read or of the last k again
+    starts, steps or repeats one stream of the family's generator; any
+    other k is read from the random-access form.  The stream's state is
+    its last result and the generator's (a spectrum heap of O(sqrt k)
+    entries), and a read that raises drops it."""
+
+    CACHED = False
 
     def __init__(self, d: Domain):
-        super().__init__(d)
+        self.lock = threading.Lock()
+        self.domain = d
+        self.method = d.METHOD
         self.scale, *self.sizes = _scaled(*d._values())
+        self.generator, self.value_at = _FORMULAS[d.SOURCE]
+        self.stream = self.last = None
 
-    def _values(self, start: int):
-        return itertools.islice(_FORMULAS[self.domain.SOURCE](self.scale, *self.sizes), start, None)
+    def result(self, k: int) -> CapacityResult:
+        """c_k as sequence reads it.  The last k again, read without the
+        lock, and the k after it, one step of the stream, take a shorter
+        way, as a scan reads one k at a time."""
+        last = self.last
+        if last is not None and last.k == k:
+            return last
+        if k and last is not None and last.k == k - 1:
+            with self.lock:
+                if self.last is last:  # else another read moved the stream
+                    try:
+                        self.last = next(self.stream)
+                    except BaseException:
+                        self.stream = self.last = None
+                        raise
+                    return self.last
+        return self.sequence(k, k)[0]
+
+    def sequence(self, lo: int, hi: int) -> list:
+        """c_lo..c_hi, from the stream when lo = 0, which starts it afresh,
+        or lo follows the last k read; else from the random-access form."""
+        while True:
+            last = self.last
+            if lo and (last is None or last.k != lo - 1):
+                return [self.at(k) for k in range(lo, hi + 1)]
+            with self.lock:
+                if self.last is last:  # else another read moved the stream
+                    try:
+                        if not lo:
+                            self.stream = self._stream()
+                        got = list(itertools.islice(self.stream, hi + 1 - lo))
+                    except BaseException:
+                        self.stream = self.last = None
+                        raise
+                    self.last = got[-1]
+                    return got
+
+    def at(self, k: int) -> CapacityResult:
+        """c_k from the random-access form."""
+        v, witness = self.value_at(k, *self.sizes)
+        return _checked(CapacityResult(k, Fraction(v, self.scale), self.method, witness))
+
+    def oracle(self, k: int) -> None:
+        """Closed forms have one method."""
+        return None
+
+    def _stream(self):
+        """c_0, c_1, ... off the family's generator, a run of equal values
+        sharing one Fraction."""
+        scale, method, held = self.scale, self.method, None
+        for k, (v, witness) in enumerate(self.generator(*self.sizes)):
+            if v != held:
+                held, value = v, Fraction(v, scale)
+            yield _checked(CapacityResult(k, value, method, witness))
+
+
+def _closed_part(d: Domain, scale: int):
+    """A ball, ellipsoid or polydisk union part over `scale`: a ball's
+    size, else an iterator of its generator's values."""
+    generator, _ = _FORMULAS[d.SOURCE]
+    sizes = [v.numerator * (scale // v.denominator) for v in d._values()]
+    return sizes[0] if d.SOURCE == "ball" else map(operator.itemgetter(0), generator(*sizes))
 
 
 class _UnionPrefix(_Prefix):
     """A union's max-plus DP over the lcm of its parts' scales, its parts
-    resolved once: a ball to its size over that lcm, any other part to its
-    source.  The table, and with it the parts' sources, is made on the
-    first draw, so a union read from its file makes neither, and grown to
-    the k wanted in one step."""
-
-    CACHED = True
+    resolved once: a toric part to its source, a ball to its size over that
+    lcm, an ellipsoid or polydisk to a stream of its values over that lcm,
+    which the table owns.  The table, and with it the parts' sources and
+    streams, is made on the first draw, so a union read from its file makes
+    none, and grown to the k wanted in one step."""
 
     def _values(self, start: int):
-        parts = [p.a if isinstance(p, Ball) else _source(p) for p in self.domain.parts]
-        scale = math.lcm(*(p.denominator if isinstance(p, Fraction) else p.scale for p in parts))
-        table = _UnionParts([int(p * scale) if isinstance(p, Fraction) else p for p in parts],
-                            scale)
+        parts = [p if p.SOURCE in _FORMULAS else _source(p) for p in self.domain.parts]
+        scale = math.lcm(*(p.scale for p in parts if isinstance(p, _Prefix)),
+                         *(v.denominator for p in parts if not isinstance(p, _Prefix)
+                           for v in p._values()))
+        table = _UnionParts([p if isinstance(p, _Prefix) else _closed_part(p, scale)
+                             for p in parts], scale)
         for j in itertools.count(start):
             if j >= len(table.best[-1]):
                 _union_table(table, max(j, self.want))
@@ -383,7 +527,6 @@ class _ConcavePrefix(_Prefix):
     optimum giving one a share t leaves an unused ball at least as large
     free to take t.  The oracle is the concave path optimum."""
 
-    CACHED = True
     scale = property(lambda self: self.domain.omega.scale)
 
     def _values(self, start: int):
@@ -432,7 +575,6 @@ class _ConvexPrefix(_Prefix):
     columns.  c_0 = 0, with witness {"l": 0}, needs neither DP nor weight
     sequence.  The oracle is the convex path optimum."""
 
-    CACHED = True
     scale = property(lambda self: self.domain.omega.scale)
 
     def _values(self, start: int):
@@ -483,7 +625,7 @@ class _ConvexPrefix(_Prefix):
 
 
 _SOURCE_KINDS = {  # by the family's SOURCE
-    **dict.fromkeys(_FORMULAS, _ClosedFormPrefix),
+    **dict.fromkeys(_FORMULAS, _ClosedForm),
     "union": _UnionPrefix,
     "concave": _ConcavePrefix,
     "convex": _ConvexPrefix,
@@ -511,10 +653,12 @@ def _source(d: Domain):
 def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     """c_k from the domain's capacity source.
 
-    The source's prefix grows up to k and keeps the work, so asking
+    A DP source's prefix grows up to k and keeps the work, and a closed
+    form steps its stream when k follows the last k read, so asking
     k = 0, 1, 2, ... in turn costs about what one capacity_sequence costs:
     a convex domain's scan grows its excised balls' DP to the same columns
-    as one capacity_sequence does.
+    as one capacity_sequence does.  A closed form reads any other k from
+    its random-access form and keeps nothing.
 
     verify=True recomputes convex-toric values through the convex path
     optimum (paths.min_convex) and concave-toric values through the
@@ -541,9 +685,9 @@ def capacity_sequence(d: Domain, kmax) -> list:
 
 def capacity_values(d: Domain):
     """c_0, c_1, ... of d, without end, from d's source, which is looked up
-    once.  Each step reads the value held for its k or grows the prefix to
-    that k, so a scan that stops after k leaves the prefix grown to k and
-    no further."""
+    once.  Each step reads the value held for its k, grows a DP prefix to
+    that k or steps a closed form's stream, so a scan that stops after k
+    leaves a prefix grown to k and no further."""
     result = _source(d).result
     for k in itertools.count():
         yield result(k).value
@@ -645,8 +789,10 @@ def save_disk_cache(cache_dir: str) -> int:
     # wrote a longer prefix to it must not write its shorter one after
     with _SAVE_LOCK:
         for source in sources:
+            if not source.CACHED:
+                continue
             results = source.results[:]
-            if not (source.CACHED and results):
+            if not results:
                 continue
             d = source.domain
             if _read_prefix(cache_dir, d)[:len(results)] != results:

@@ -321,7 +321,15 @@ class DisjointUnion(Domain):
         raw = _need(obj, "parts")
         if not isinstance(raw, list) or not raw:
             raise ValueError("field 'parts': need a nonempty list")
-        return cls(tuple(domain_from_json(p) for p in raw))
+        return cls(tuple(_part_from_json(i, p) for i, p in enumerate(raw)))
+
+
+def _part_from_json(i: int, obj) -> Domain:
+    """Union part i, its validation error led by its index."""
+    try:
+        return domain_from_json(obj)
+    except ValueError as e:
+        raise ValueError(f"field 'parts[{i}]': {e}") from None
 
 
 FAMILIES = (Ball, Ellipsoid, Polydisk, ConvexToric, ConcaveToric, DisjointUnion, CP2, S2xS2)

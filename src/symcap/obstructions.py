@@ -7,9 +7,10 @@ not claimed: a clean scan is merely "no obstruction up to k_max".
 
 The scans read one k per step: check_embedding asks ck for the next
 index, scaling_lower_bound walks each domain's capacity source
-(capacities.capacity_values).  Either way a step reads a value the source
-holds or grows its prefix by that one index, so a scan that stops early
-grows no prefix past where it stopped.
+(capacities.capacity_values).  Either way a step reads a value a DP
+source holds or grows its prefix by that one index, or steps a closed
+form's stream, so a scan that stops early grows no prefix past where it
+stopped.
 
 Square roots (for the 2*sqrt(vol*k) growth model) are bracketed by rational
 intervals instead of floats, keeping every reported inequality exact.
@@ -45,8 +46,9 @@ def check_embedding(src, tgt, k_max) -> ObstructionReport:
     """Scan k = 0..k_max for a capacity violation of src -> tgt.
 
     Each step asks ck for the next index of the source and of the target,
-    which only extends their capacity prefixes (see capacities); stopping
-    at the first violation grows neither prefix past it.
+    which only extends their capacity prefixes or steps their closed
+    forms' streams (see capacities); stopping at the first violation grows
+    neither past it.
     """
     k_max = index(k_max, 1, "k_max")
     volume_ok = domains.volume(src) <= domains.volume(tgt)
@@ -67,7 +69,7 @@ def scaling_lower_bound(src, tgt, k_max) -> Fraction:
     The target must scale quadratically, which rules out the closed
     manifolds; capacities are positive for k >= 1, so no division by zero.
     Both domains' capacities are read one k per step from their capacity
-    sources, which grow to k_max and no further.
+    sources, which grow or step to k_max and no further.
     """
     k_max = index(k_max, 1, "k_max")
     if tgt.CLOSED:

@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -262,6 +263,20 @@ def test_convex_generator_keeps_no_weight_sequence():
     frame = cap._source(PENT).values.gi_frame
     assert "self" in frame.f_locals
     assert not {"dec", "negatives", "sizes"} & set(frame.f_locals)
+
+
+def test_closed_form_at_large_k_keeps_no_prefix():
+    # c_k of an ellipsoid is read by its random-access form, not off a
+    # prefix of the 10**6 results before it
+    cap.clear_memo()
+    d = dom.ellipsoid(1, F(3, 2))
+    tracemalloc.start()
+    try:
+        r = ck(d, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.value == 1731 and peak < 2 ** 20
 
 
 def test_closed_examples():

@@ -174,8 +174,8 @@ def _capacity(spec):
 
 
 # each polygon the constructors reject, each path search asked of a domain
-# of the wrong kind, and a size given as JSON true, with the one stderr
-# line it gets
+# of the wrong kind, a size given as JSON true, and a bad union part, with
+# the one stderr line it gets
 VALIDATION_ERRORS = {
     "reversal": (_capacity(_toric("convex_toric", (0, 0), (2, 0), (1, 0), (1, 2))),
                  "error: degenerate polygon: reversal at vertex (Fraction(2, 1), Fraction(0, 1))"),
@@ -202,6 +202,13 @@ VALIDATION_ERRORS = {
     "json_true_size": (
         ("sequence", "-d", '{"type":"ball","a":true}', "--kmax", "3"),
         "error: expected an exact rational (int, 'p/q' string, or Fraction), got bool"),
+    "union_part_size": (
+        _capacity('{"type":"disjoint_union","parts":[{"type":"ball","a":"1"},'
+                  '{"type":"ball","a":"0"}]}'),
+        "error: field 'parts[1]': field 'a': must be positive, got 0"),
+    "union_part_not_object": (
+        _capacity('{"type":"disjoint_union","parts":[5]}'),
+        "error: field 'parts[0]': domain spec must be a JSON object"),
 }
 
 
@@ -228,6 +235,42 @@ def test_long_weight_expansion(capsys):
     assert json.loads(out) == {"head": None, "weights": ["1"] * 100, "volume_check": True}
     rc, out, _ = _run(capsys, "capacity", "-d", LONG_LEG, "-k", "3")
     assert rc == 0 and out == "c_3 = 3\n"
+
+
+# the bytes of `capacity -k 1000000 --format json`, recorded from the
+# spectrum heap and the block walk, which grew c_0..c_k to answer k
+LARGE_K = {
+    BALL1: '{"k":1000000,"c":"1413","decimal":1413.0,"method":"ball_formula","witness":1413}',
+    '{"type":"ellipsoid","a":"1","b":"3/2"}':
+        '{"k":1000000,"c":"1731","decimal":1731.0,"method":"ellipsoid_spectrum",'
+        '"witness":[177,1036]}',
+    '{"type":"polydisk","a":"1","b":"3/2"}':
+        '{"k":1000000,"c":"2447","decimal":2447.0,"method":"polydisk_formula",'
+        '"witness":[1223,816]}',
+    '{"type":"cp2","a":"1"}':
+        '{"k":1000000,"c":"1413","decimal":1413.0,"method":"cp2","witness":1413}',
+    '{"type":"s2xs2","a":"1","b":"3/2"}':
+        '{"k":1000000,"c":"2447","decimal":2447.0,"method":"s2xs2","witness":[1223,816]}',
+}
+
+
+@pytest.mark.parametrize("spec", LARGE_K, ids=lambda spec: json.loads(spec)["type"])
+def test_closed_form_at_large_k(capsys, spec):
+    cap.clear_memo()
+    assert _run(capsys, "capacity", "-d", spec, "-k", "1000000", "--format", "json") == (
+        0, LARGE_K[spec] + "\n", "")
+
+
+def test_asymptotics_of_an_ellipsoid_at_k_10_12(capsys):
+    # c_k = 3464099/2 from a plain per-m lattice count and bisection
+    cap.clear_memo()
+    assert _run(capsys, "asymptotics", "-d", '{"type":"ellipsoid","a":"1","b":"3/2"}',
+                "-k", "1000000000000") == (0, (
+                    '{"k":1000000000000,"c":"3464099/2","decimal":1732050.0,'
+                    '"model_low":"433012701892219/250000000",'
+                    '"model_high":"866025403784439/500000000","model_decimal":1732050.0,'
+                    '"residual_high":"653784439/500000000000",'
+                    '"residual_decimal":0.00130757}\n'), "")
 
 
 def test_readme_flag_table_matches_parser():

@@ -8,6 +8,7 @@ import contextlib
 import heapq
 import inspect
 import itertools
+import math
 import random
 import sys
 import types
@@ -151,6 +152,80 @@ def test_polydisk_heap_read_matches_the_per_k_scan(ab):
         assert [got[k] for k in range(K + 1)] == expected, d.key
 
 
+# --- closed forms read at any k -------------------------------------------------
+
+CLOSED_FORMS = ("ball", "ellipsoid", "polydisk", "cp2", "s2xs2")
+
+
+def _closed_form_reference(d, K) -> dict:
+    """{k: (k, c_k, method, witness)} by the tests' references: the
+    ellipsoid spectrum, of E(a, a) for a ball, whose d is m + n there, to
+    K, and per_k.ck_polydisk at every 23rd k and at K."""
+    if d.SOURCE == "polydisk":
+        return {k: _triple(ck_polydisk(d.a, d.b, k)._replace(method=d.METHOD))
+                for k in (*range(0, K, 23), K)}
+    b = d.a if d.SOURCE == "ball" else d.b
+    return {k: (k, e.action, d.METHOD, e.m + e.n if d.SOURCE == "ball" else (e.m, e.n))
+            for k, e in enumerate(ellipsoid_spectrum(d.a, b, K))}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORMS)
+def test_closed_form_stream_and_random_access_agree(family):
+    # c_0..c_K read as one sequence (the stream), from the random-access
+    # form, by ck in shuffled order, and by 8 threads at once, half of them
+    # in order and half shuffled, all equal the references
+    K, rng = 1500, random.Random(f"closed-{family}")
+    for d in [domain(rng, family)] + ([dom.ellipsoid(1, 2)] if family == "ellipsoid" else []):
+        cap.clear_memo()
+        want = [_triple(r) for r in capacity_sequence(d, K)]
+        ref = _closed_form_reference(d, K)
+        assert [want[k] for k in ref] == list(ref.values()), d.key
+        assert [_triple(cap._source(d).at(k)) for k in range(K + 1)] == want, d.key
+
+        def read(seed):
+            order = list(range(K + 1))
+            if seed % 2:
+                random.Random(seed).shuffle(order)
+            got = {k: _triple(ck(d, k)) for k in order}
+            return [got[k] for k in range(K + 1)]
+
+        cap.clear_memo()
+        assert read(1) == want, d.key
+        cap.clear_memo()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+                futures = [ex.submit(read, seed) for seed in range(8)]
+                assert all(f.result(timeout=60) == want for f in futures), d.key
+        finally:
+            sys.setswitchinterval(interval)
+        _closed_forms_hold_no_results()
+
+
+@pytest.mark.parametrize("ab", [(1, F(3, 2)), (F(3, 2), F(7, 5)), (F(2, 3), F(4, 3))],
+                         ids=lambda ab: "x".join(map(str, ab)))
+def test_ellipsoid_at_large_k_matches_a_per_m_count(ab):
+    # c_k is the least T with more than k pairs (m, n), m*a + n*b <= T, and
+    # its pair the (k - #pairs below T)-th on m*a + n*b = T by ascending m;
+    # here every count goes one m at a time
+    (a, b), k = ab, 10 ** 8
+    cap.clear_memo()
+    r = ck(dom.ellipsoid(a, b), k)
+    T = r.value
+    below = sum(-((m * a - T) // b) for m in range(math.ceil(T / a)))  # m*a + n*b < T
+    at_most = sum((T - m * a) // b + 1 for m in range(math.floor(T / a) + 1))
+    assert below <= k < at_most
+    on_line = [(m, int((T - m * a) / b)) for m in range(math.floor(T / a) + 1)
+               if ((T - m * a) / b).denominator == 1]
+    assert r == (k, T, "ellipsoid_spectrum", on_line[k - below])
+
+
+def test_polydisk_at_large_k_matches_the_per_k_scan():
+    cap.clear_memo()
+    assert ck(dom.polydisk(1, F(3, 2)), 10 ** 5) == ck_polydisk(1, F(3, 2), 10 ** 5)
+
+
 # --- interrupted growth -------------------------------------------------------
 
 INTERRUPTED = [dom.ball(F(5, 3)), dom.cp2(F(7, 4)), dom.ellipsoid(1, 2),
@@ -245,18 +320,29 @@ def test_concave_growth_adds_only_the_balls_it_reads():
 
 
 def _prefix_lengths() -> dict:
-    """{domain key: n} of every capacity source, c_0..c_{n-1} held."""
-    return {key: len(s.results) for key, s in cap._SOURCES.items()}
+    """{domain key: n} of every DP source, c_0..c_{n-1} held."""
+    return {key: len(s.results) for key, s in cap._SOURCES.items() if s.CACHED}
+
+
+def _closed_forms_hold_no_results() -> None:
+    """No closed-form source keeps a per-k result but the last its stream
+    gave: none of its attributes is a collection of results."""
+    for s in cap._SOURCES.values():
+        if not s.CACHED:
+            held = [v for v in vars(s).values()
+                    if isinstance(v, (list, tuple, dict)) and not isinstance(v, cap.CapacityResult)]
+            assert not any(isinstance(r, cap.CapacityResult) for v in held for r in v), s.domain.key
 
 
 def _read_by(d) -> tuple:
-    """The domains whose capacities c_0..c_k a scan to k reads from their
-    sources: d, and the union parts behind it that are not balls.  The DP
-    takes the values of a ball part, or of a concave domain's weight
-    balls, from the closed form."""
+    """The domains whose capacities c_0..c_k a scan to k reads from a DP
+    source's prefix: d if it is a union or concave, and a union's toric
+    parts.  A closed form, a union's closed-form parts included, keeps no
+    prefix, and the DP takes a concave domain's weight balls' values from
+    the ball's closed form."""
     if isinstance(d, dom.DisjointUnion):
-        return (d, *(p for p in d.parts if not isinstance(p, dom.Ball)))
-    return (d,)
+        return (d, *(p for p in d.parts if p.SOURCE in ("concave", "convex")))
+    return (d,) if d.SOURCE in ("concave", "convex") else ()
 
 
 def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
@@ -282,6 +368,7 @@ def test_check_embedding_matches_a_per_k_scan_and_memoizes_only_what_it_read():
         # every prefix read grew to the last k scanned and no further
         last = kmax if first is None else first
         assert grown == {d.key: last + 1 for d in _read_by(src) + _read_by(tgt)}
+        _closed_forms_hold_no_results()
         early_exit.add(first is not None and first < kmax)
     assert early_exit == {True, False}
 
@@ -298,6 +385,7 @@ def test_scaling_lower_bound_matches_a_per_k_scan_and_grows_to_k_max():
         want = max(_per_k(src, k).value / _per_k(tgt, k).value for k in range(1, kmax + 1))
         assert got == want, (src.key, tgt.key, kmax)
         assert grown == {d.key: kmax + 1 for d in _read_by(src) + _read_by(tgt)}
+        _closed_forms_hold_no_results()
 
 
 def test_concurrent_ck_on_one_union():
@@ -353,10 +441,7 @@ def test_ball_prefix_shares_one_value_per_block():
     # d is constant on each block d(d+1)/2 <= k <= d(d+3)/2, and so is the
     # value object the ball's results hold
     cap.clear_memo()
-    target = dom.ball(F(7, 2))
-    rep = check_embedding(dom.ellipsoid(3, F(10, 3)), target, 300)
-    assert not rep.obstructed
-    results = cap._source(target).results
+    results = capacity_sequence(dom.ball(F(7, 2)), 300)
     assert len(results) == 301
     assert len({id(r.value) for r in results}) <= cap.ball_multiplicity(300) + 1
 
