@@ -21,12 +21,13 @@ string its results carry (METHOD).  Every value a source returns passes
 one check of the invariant, c_0 = 0 and c_k > 0 for k >= 1, made on the
 numerator in integers.  A ball, ellipsoid or polydisk, whose values the
 projective plane and the sphere product share, keeps no results.  Its
-generator gives (value, witness) from k = 0 on, which a scan steps: a
-ball walks the blocks d(d+1)/2 <= k <= d(d+3)/2, whose d+1 results share
-one value d*a; an ellipsoid pops one action per k from its spectrum heap;
-a polydisk pops the same heap, and each pair (m, n) whose (m+1)(n+1)
-passes the k covered so far settles the k up to it with one shared value.
-Any other k is read from its random-access form: ball_multiplicity, a
+generator gives the sequence from k = 0 on as runs (end, value, witness),
+each holding for the k below end that no earlier run covered, which a
+scan steps: a ball yields one run per block d(d+1)/2 <= k <= d(d+3)/2,
+of value d*a; an ellipsoid one run of length one per action popped from
+its spectrum heap; a polydisk pops the same heap, and each pair (m, n)
+whose (m+1)(n+1) passes the k covered so far is one run up to it.  Any
+other k is read from its random-access form: ball_multiplicity, a
 lattice count under bisection, a minimum over O(sqrt k) pairs.  The other
 sources are prefixes c_0..c_{n-1} that grow on demand and keep the work
 done so far.  Such a family defines only a generator from a given k on,
@@ -34,13 +35,14 @@ and the one growth draws from it and appends each entry.  A growth, or a
 closed form's step, that raises drops the generator and all its state,
 and the next starts a fresh one.  A union, and a concave domain read as
 the union of its weight balls, adds columns to the max-plus DP its
-generator owns, which also owns a stream of each ellipsoid or polydisk
-part; a convex domain takes its minimum over the shift l against its
-generator's DP of its excised balls.  All of it runs in integers over a
-common denominator, and a value is built once from its integer.  Each
+generator owns, which takes every part as a stream of runs: a closed
+form's generator, or a toric part's source read one k at a time; a
+convex domain takes its minimum over the shift l against its generator's
+DP of its excised balls.  All of it runs in integers over a common
+denominator, and a value is built once from its integer.  Each
 source grows or steps under its own lock; a value already held is read
-without it.  The two toric sources also hold the second method
-verify=True compares against.  Sources are made on first use and kept
+without it.  _ORACLES names the second method verify=True compares the
+two toric families against.  Sources are made on first use and kept
 per canonical domain key, so ck, capacity_sequence, capacity_values and
 the union DP all read the same sources.  Values are deterministic, so
 racing threads agree.
@@ -60,6 +62,7 @@ does not already hold its prefix.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import heapq
 import itertools
@@ -162,20 +165,20 @@ def ck_concave_toric(d, k) -> CapacityResult:
 class _UnionParts:
     """State of the max-plus DP over the parts of a union.
 
-    A part is a ball's size, an int over `scale`; an iterator of a closed
-    form's values c_0, c_1, ... as ints over `scale`; or a capacity source.
-    best[i] holds the best total of parts 0..i at each column and values[i]
-    the values of part i, both as integers over `scale`, fixed when the
-    table is made: a multiple of every part value's denominator.  Rows
-    hold c_0, c_1, ..., but only the share values d*a of a ball part past
-    part 0, and part 0's are best[0] itself.  picks[i-1][j] is part i's
-    share of column j in best[i].  A part added later starts with empty
-    rows, which the next _union_table call fills.
+    A part is an iterator of runs (end, v, witness), v an int over `scale`,
+    fixed when the table is made: a multiple of every part value's
+    denominator.  starts[i] holds the start of each run of part i drawn so
+    far and, last, the end of the last one, values[i] their values: always
+    drawn past the last column grown.  best[i] holds the best total of
+    parts 0..i at each column, and picks[i-1][j] is part i's share of
+    column j in best[i].  A part added later starts with empty rows, which
+    the next _union_table call fills.
     """
 
     def __init__(self, parts, scale: int):
         self.parts: list = []
         self.scale = scale
+        self.starts: list = []
         self.values: list = []
         self.best: list = []
         self.picks: list = []
@@ -185,9 +188,10 @@ class _UnionParts:
     def add(self, part) -> None:
         if self.parts:
             self.picks.append([])
-        self.best.append([])
-        self.values.append(self.best[0] if not self.parts else [])
         self.parts.append(part)
+        self.starts.append([0])
+        self.values.append([])
+        self.best.append([])
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -204,51 +208,39 @@ class _UnionParts:
 def _union_table(parts, kmax: int) -> None:
     """Extend the DP of `parts` (a _UnionParts) through column kmax.
 
-    A ball part of size a has the values d*a of the closed form; an
-    iterator part's are drawn from it; a source part's are read from the
-    source, whose prefix grows to kmax in one step.  Column j of part i is
-    the largest f[j-t] + v[t] over the shares t that part is offered, f
-    the best totals of the parts before it and v its own values; ties keep
-    the smallest share.  f never falls, so on a run of equal v the first
-    t of the run wins: a ball part, whose values rise only at
-    t = d(d+1)/2, is offered those O(sqrt j) shares alone, and keeps only
-    their values, any other part all j+1.  So growing from nothing to kmax
-    costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the
-    growth is split.
+    Each part's runs are drawn until one ends past kmax, and best[0] is
+    part 0's values.  Column j of part i is the largest f[j-t] + v[t] over
+    the shares t that part is offered, f the best totals of the parts
+    before it and v its own values; ties keep the smallest share.  f never
+    falls, so on a run of equal v the run's start wins: a part is offered
+    only its run starts up to j, O(sqrt j) of them for a ball, all j+1 for
+    an ellipsoid or a toric part.  So growing from nothing to kmax costs at
+    most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the growth is
+    split.
     """
-    balls = [p if isinstance(p, int) else None for p in parts.parts]
-    scale = parts.scale
-    nshares = ball_multiplicity(kmax) + 1  # the shares d(d+1)/2 <= kmax
-    for i, (part, row, a) in enumerate(zip(parts.parts, parts.values, balls)):
-        if isinstance(part, _Prefix):
-            row.extend(r.value.numerator * (scale // r.value.denominator)
-                       for r in part.sequence(len(row), kmax))
-            continue
-        if a is None:
-            row.extend(itertools.islice(part, kmax + 1 - len(row)))
-            continue
-        if i:
-            row.extend(range(len(row) * a, nshares * a, a))  # d*a, d = len(row), ...
-            continue
-        d = ball_multiplicity(len(row))  # d*a on each block d(d+1)/2 <= t <= d(d+3)/2
-        while len(row) <= kmax:
-            row.extend([d * a] * (min(d * (d + 3) // 2, kmax) + 1 - len(row)))
-            d += 1
-    shares = [d * (d + 1) // 2 for d in range(nshares + 1)]
+    for runs, starts, values in zip(parts.parts, parts.starts, parts.values):
+        while starts[-1] <= kmax:
+            end, v, _ = next(runs)
+            starts.append(end)
+            values.append(v)
+    row, starts, values = parts.best[0], parts.starts[0], parts.values[0]
+    r = bisect.bisect_right(starts, len(row)) - 1  # the run holding column len(row)
+    while len(row) <= kmax:
+        row.extend([values[r]] * (min(starts[r + 1], kmax + 1) - len(row)))
+        r += 1
     for i in range(1, len(parts)):
-        f, vi, row, picks = parts.best[i - 1], parts.values[i], parts.best[i], parts.picks[i - 1]
-        n = ball_multiplicity(len(row)) + 1  # shares[:n] are the shares up to j
+        f, starts, values = parts.best[i - 1], parts.starts[i], parts.values[i]
+        row, picks = parts.best[i], parts.picks[i - 1]
+        n = bisect.bisect_right(starts, len(row))  # starts[:n] are the run starts up to j
         for j in range(len(row), kmax + 1):
-            if balls[i] is not None:
-                n += shares[n] <= j
-                ts = shares[:n]
-                sums = [f[j - t] + v for t, v in zip(ts, vi)]
+            n += starts[n] <= j
+            if n == j + 1:  # every share up to j starts a run
+                sums = list(map(operator.add, f[j::-1], values))  # f[j-t] + v[t]
             else:
-                ts = range(j + 1)
-                sums = list(map(operator.add, f[j::-1], vi))  # f[j-t] + vi[t]
+                sums = [f[j - t] + v for t, v in zip(starts[:n], values)]
             top = max(sums)
             row.append(top)
-            picks.append(ts[sums.index(top)])
+            picks.append(starts[sums.index(top)])
 
 
 # --- capacity sources --------------------------------------------------------
@@ -264,9 +256,7 @@ class _Prefix:
     under way reaches; _grow, the one growth, appends its entries checked.
     A growth that raises drops the generator, which may have lost an entry
     or left a table half-written, and the next starts a fresh one at the
-    first k not held.  A family with a second method overrides oracle.  A
-    source that can be a union part keeps `scale`, a multiple of every
-    value's denominator.
+    first k not held.
     """
 
     CACHED = True
@@ -295,10 +285,6 @@ class _Prefix:
                     self._grow(k)
         return results[k]
 
-    def oracle(self, k: int) -> CapacityResult | None:
-        """c_k by a second method for verify=True, None if there is none."""
-        return None
-
     def _grow(self, k: int) -> None:
         """Append results until c_k is held."""
         self.want = k
@@ -314,11 +300,10 @@ class _Prefix:
 
 
 def _ball_values(A: int):
-    """(c_k, d) of B(A) for k = 0, 1, ...: block d,
-    d(d+1)/2 <= k <= d(d+3)/2, holds d+1 results sharing one value d*A."""
+    """The runs of B(A): block d, d(d+1)/2 <= k <= d(d+3)/2, is one run
+    of value d*A and witness d."""
     for d in itertools.count():
-        for _ in range(d + 1):
-            yield d * A, d
+        yield (d + 1) * (d + 2) // 2, d * A, d
 
 
 def _ball_at(k: int, A: int) -> tuple:
@@ -327,9 +312,10 @@ def _ball_at(k: int, A: int) -> tuple:
 
 
 def _ellipsoid_values(A: int, B: int):
-    """(c_k, (m, n)) of E(A, B): one spectrum pop per k."""
-    for v, m, n in _spectrum(A, B):
-        yield v, (m, n)
+    """The runs of E(A, B): the k-th spectrum pop is c_k, a run of length
+    one."""
+    for k, (v, m, n) in enumerate(_spectrum(A, B)):
+        yield k + 1, v, (m, n)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -378,18 +364,16 @@ def _ellipsoid_at(k: int, A: int, B: int) -> tuple:
 
 
 def _polydisk_values(A: int, B: int):
-    """(c_k, (m, n)) of P(A, B), c_k the least m*A+n*B with
-    (m+1)(n+1) >= k+1, read off the ellipsoid's spectrum.  The pops come
-    out in (action, m, n) order, so the first pair with (m+1)(n+1) > k
-    gives c_k, ties kept at the smallest m: a pair past the k covered so
-    far settles every k up to (m+1)(n+1)-1 with one shared value."""
+    """The runs of P(A, B), c_k the least m*A+n*B with (m+1)(n+1) >= k+1,
+    read off the ellipsoid's spectrum.  The pops come out in (action, m, n)
+    order, so the first pair with (m+1)(n+1) > k gives c_k, ties kept at
+    the smallest m: a pair past the k covered so far is one run, settling
+    every k up to (m+1)(n+1)-1."""
     covered = 0
     for v, m, n in _spectrum(A, B):
-        top = (m + 1) * (n + 1)
-        if top > covered:
-            for _ in range(top - covered):
-                yield v, (m, n)
-            covered = top
+        if (m + 1) * (n + 1) > covered:
+            covered = (m + 1) * (n + 1)
+            yield covered, v, (m, n)
 
 
 def _polydisk_at(k: int, A: int, B: int) -> tuple:
@@ -407,7 +391,7 @@ def _polydisk_at(k: int, A: int, B: int) -> tuple:
         m = -(-K // n) - 1  # the first m + 1 with ceil(K/(m+1)) <= n
 
 
-# a closed form's generator and random-access form, by the family's SOURCE
+# a closed form's generator of runs and random-access form, by the family's SOURCE
 _FORMULAS = {"ball": (_ball_values, _ball_at), "ellipsoid": (_ellipsoid_values, _ellipsoid_at),
              "polydisk": (_polydisk_values, _polydisk_at)}
 
@@ -416,10 +400,10 @@ class _ClosedForm:
     """A ball, ellipsoid or polydisk family's closed form, in integers over
     `scale`, the lcm of the sizes' denominators, keeping no results.  A
     read of k = 0, of the k after the last read or of the last k again
-    starts, steps or repeats one stream of the family's generator; any
-    other k is read from the random-access form.  The stream's state is
-    its last result and the generator's (a spectrum heap of O(sqrt k)
-    entries), and a read that raises drops it."""
+    starts, steps or repeats one stream of the runs of the family's
+    generator; any other k is read from the random-access form.  The
+    stream's state is its last result and the generator's (a spectrum heap
+    of O(sqrt k) entries), and a read that raises drops it."""
 
     CACHED = False
 
@@ -451,65 +435,66 @@ class _ClosedForm:
 
     def sequence(self, lo: int, hi: int) -> list:
         """c_lo..c_hi, from the stream when lo = 0, which starts it afresh,
-        or lo follows the last k read; else from the random-access form."""
-        while True:
-            last = self.last
-            if lo and (last is None or last.k != lo - 1):
-                return [self.at(k) for k in range(lo, hi + 1)]
-            with self.lock:
-                if self.last is last:  # else another read moved the stream
-                    try:
-                        if not lo:
-                            self.stream = self._stream()
-                        got = list(itertools.islice(self.stream, hi + 1 - lo))
-                    except BaseException:
-                        self.stream = self.last = None
-                        raise
-                    self.last = got[-1]
-                    return got
+        or lo follows the last k read; else from the random-access form,
+        read outside the lock."""
+        with self.lock:
+            if not lo or (self.last is not None and self.last.k == lo - 1):
+                try:
+                    if not lo:
+                        self.stream = self._stream()
+                    got = list(itertools.islice(self.stream, hi + 1 - lo))
+                except BaseException:
+                    self.stream = self.last = None
+                    raise
+                self.last = got[-1]
+                return got
+        return [self.at(k) for k in range(lo, hi + 1)]
 
     def at(self, k: int) -> CapacityResult:
         """c_k from the random-access form."""
         v, witness = self.value_at(k, *self.sizes)
         return _checked(CapacityResult(k, Fraction(v, self.scale), self.method, witness))
 
-    def oracle(self, k: int) -> None:
-        """Closed forms have one method."""
-        return None
-
     def _stream(self):
-        """c_0, c_1, ... off the family's generator, a run of equal values
+        """c_0, c_1, ... off the family's runs, the results of a run
         sharing one Fraction."""
-        scale, method, held = self.scale, self.method, None
-        for k, (v, witness) in enumerate(self.generator(*self.sizes)):
-            if v != held:
-                held, value = v, Fraction(v, scale)
-            yield _checked(CapacityResult(k, value, method, witness))
+        scale, method, k = self.scale, self.method, 0
+        for end, v, witness in self.generator(*self.sizes):
+            value = Fraction(v, scale)
+            while k < end:
+                yield _checked(CapacityResult(k, value, method, witness))
+                k += 1
 
 
-def _closed_part(d: Domain, scale: int):
-    """A ball, ellipsoid or polydisk union part over `scale`: a ball's
-    size, else an iterator of its generator's values."""
-    generator, _ = _FORMULAS[d.SOURCE]
-    sizes = [v.numerator * (scale // v.denominator) for v in d._values()]
-    return sizes[0] if d.SOURCE == "ball" else map(operator.itemgetter(0), generator(*sizes))
+def _source_runs(source, scale: int):
+    """The results of a toric union part's source, read one k at a time,
+    as runs of length one over `scale`."""
+    for k in itertools.count():
+        r = source.result(k)
+        yield k + 1, r.value.numerator * (scale // r.value.denominator), r.witness
+
+
+def _part_runs(d: Domain, scale: int):
+    """The runs of union part d over `scale`: a ball's, ellipsoid's or
+    polydisk's generator on its sizes over scale, else its source's."""
+    if d.SOURCE in _FORMULAS:
+        generator, _ = _FORMULAS[d.SOURCE]
+        return generator(*(v.numerator * (scale // v.denominator) for v in d._values()))
+    return _source_runs(_source(d), scale)
 
 
 class _UnionPrefix(_Prefix):
-    """A union's max-plus DP over the lcm of its parts' scales, its parts
-    resolved once: a toric part to its source, a ball to its size over that
-    lcm, an ellipsoid or polydisk to a stream of its values over that lcm,
-    which the table owns.  The table, and with it the parts' sources and
-    streams, is made on the first draw, so a union read from its file makes
-    none, and grown to the k wanted in one step."""
+    """A union's max-plus DP over the lcm of its parts' scales, each part
+    the runs of its family over that lcm, which the table owns.  The table,
+    and with it a toric part's source, is made on the first draw, so a
+    union read from its file makes none, and grown to the k wanted in one
+    step."""
 
     def _values(self, start: int):
-        parts = [p if p.SOURCE in _FORMULAS else _source(p) for p in self.domain.parts]
-        scale = math.lcm(*(p.scale for p in parts if isinstance(p, _Prefix)),
-                         *(v.denominator for p in parts if not isinstance(p, _Prefix)
-                           for v in p._values()))
-        table = _UnionParts([p if isinstance(p, _Prefix) else _closed_part(p, scale)
-                             for p in parts], scale)
+        parts = self.domain.parts
+        scale = math.lcm(*(_scaled(*p._values())[0] if p.SOURCE in _FORMULAS else p.omega.scale
+                           for p in parts))
+        table = _UnionParts([_part_runs(p, scale) for p in parts], scale)
         for j in itertools.count(start):
             if j >= len(table.best[-1]):
                 _union_table(table, max(j, self.want))
@@ -518,14 +503,14 @@ class _UnionPrefix(_Prefix):
 
 class _ConcavePrefix(_Prefix):
     """The union of the domain's weight balls, largest first, their sizes
-    handed to the DP as integers over the polygon's scale, a multiple of
+    handed to the DP as ball runs over the polygon's scale, a multiple of
     every weight's denominator (see weights).  c_0 = 0 needs no expansion.
     c_k uses only the k largest balls, so a growth to k adds the balls up
     to the k-th; c_j is read off the table of all balls added, its
     composition cut to comp[:j]: weights never rise and ties keep the
     smallest share, so each ball past the j-th takes share 0, as an
     optimum giving one a share t leaves an unused ball at least as large
-    free to take t.  The oracle is the concave path optimum."""
+    free to take t."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
@@ -539,13 +524,10 @@ class _ConcavePrefix(_Prefix):
             if j > grown:
                 grown = max(j, self.want)
                 for w in weights[len(table):grown]:
-                    table.add(int(w * self.scale))
+                    table.add(_ball_values(int(w * self.scale)))
                 _union_table(table, grown)
             value, comp = table.result(j)
             yield value, comp[:j]
-
-    def oracle(self, k: int) -> CapacityResult:
-        return ck_concave_toric(self.domain, k)
 
 
 class _ConvexPrefix(_Prefix):
@@ -573,7 +555,7 @@ class _ConvexPrefix(_Prefix):
     E's max-plus DP, over the same denominator, is made with each generator
     and grows to the last block end a k reads, so a scan over k reuses its
     columns.  c_0 = 0, with witness {"l": 0}, needs neither DP nor weight
-    sequence.  The oracle is the convex path optimum."""
+    sequence."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
@@ -589,8 +571,8 @@ class _ConvexPrefix(_Prefix):
         """Set up h, m, A, S and E's DP, dropping the weight sequence."""
         dec = negative_weight_sequence(self.domain)
         self.head = int(dec.head * self.scale)
-        self.table = _UnionParts([int(w * self.scale) for w in dec.negatives], self.scale)
-        sizes = self.table.parts
+        sizes = [int(w * self.scale) for w in dec.negatives]
+        self.table = _UnionParts(map(_ball_values, sizes), self.scale)
         self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
 
     def _minimum(self, k: int) -> tuple:
@@ -620,9 +602,6 @@ class _ConvexPrefix(_Prefix):
         return (4 * (H * H - S) * (d * d + 3 * d) >= 8 * H * H * k - H * H * m + 9 * S
                 and x > 0 and x * x > S * (8 * (d * (d + 3) // 2 - k) + m))
 
-    def oracle(self, k: int) -> CapacityResult:
-        return ck_convex_toric(self.domain, k)
-
 
 _SOURCE_KINDS = {  # by the family's SOURCE
     **dict.fromkeys(_FORMULAS, _ClosedForm),
@@ -630,6 +609,9 @@ _SOURCE_KINDS = {  # by the family's SOURCE
     "concave": _ConcavePrefix,
     "convex": _ConvexPrefix,
 }
+
+# the second method verify=True compares a toric family's values against
+_ORACLES = {"concave": ck_concave_toric, "convex": ck_convex_toric}
 
 _LOCK = threading.Lock()
 _SAVE_LOCK = threading.Lock()
@@ -666,9 +648,8 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     from a cache file included; other families have a single formula each.
     """
     k = index(k)
-    source = _source(d)
-    result = source.result(k)
-    other = source.oracle(k) if verify else None
+    result = _source(d).result(k)
+    other = _ORACLES[d.SOURCE](d, k) if verify and d.SOURCE in _ORACLES else None
     if other is not None and other.value != result.value:
         raise RuntimeError(
             f"cross-check failed for {d.key} at k={k}: "

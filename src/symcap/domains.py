@@ -295,11 +295,12 @@ class DisjointUnion(Domain):
 
     def __init__(self, parts):
         flat: list = []
-        for p in parts:
+        for i, p in enumerate(parts):
             if isinstance(p, DisjointUnion):
                 flat.extend(p.parts)
             elif p.CLOSED:
-                raise ValueError("closed manifolds cannot be parts of a disjoint union")
+                raise ValueError(f"field 'parts[{i}]': closed manifolds cannot be parts "
+                                 "of a disjoint union")
             else:
                 flat.append(p)
         if not flat:

@@ -25,6 +25,8 @@ a convex toric domain is a cut rectangle or an up-left walk, redrawn until
 it is convex toric, and a concave one is a staircase.  The family
 "toric_union", not in FAMILIES, draws a union of 2 or 3 parts from two
 balls, an ellipsoid, a staircase and a convex draw, one of them toric.
+"tie_union", not in FAMILIES either, draws a union of 3 or 4 of the fixed
+TIE_PARTS, whose values tie often, within a part and across parts.
 convex_path(rng) and concave_path(rng) draw valid lattice paths of either
 kind.
 """
@@ -187,6 +189,10 @@ def _small(rng):
 _SIZED = {"ball": dom.Ball, "ellipsoid": dom.Ellipsoid, "polydisk": dom.Polydisk,
           "cp2": dom.CP2, "s2xs2": dom.S2xS2}
 _CONVEX = {"cut_rectangle": _cut_rectangle, "up_left_walk": _up_left_walk}
+# polydisks whose actions tie, two equal balls, a ball as an ellipsoid and
+# a staircase whose weight balls are 2, 1, 1
+TIE_PARTS = (dom.polydisk(1, 1), dom.polydisk(1, 2), dom.polydisk(F(3, 2), 1), dom.ball(1),
+             dom.ball(1), dom.ellipsoid(1, 1), dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)]))
 
 
 def domain(rng, family):
@@ -204,6 +210,8 @@ def domain(rng, family):
         if not {"concave", "convex"} & set(kinds):
             kinds[0] = rng.choice(("concave", "convex"))
         return dom.disjoint_union(*(domain(rng, kind) for kind in kinds))
+    if family == "tie_union":
+        return dom.disjoint_union(*rng.sample(TIE_PARTS, rng.randint(3, 4)))
     if family == "concave":
         return dom.concave_toric(_staircase(rng, _small))
     make = _CONVEX[rng.choice(list(_CONVEX)) if family == "convex" else family]

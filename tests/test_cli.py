@@ -209,6 +209,10 @@ VALIDATION_ERRORS = {
     "union_part_not_object": (
         _capacity('{"type":"disjoint_union","parts":[5]}'),
         "error: field 'parts[0]': domain spec must be a JSON object"),
+    "union_part_closed": (
+        _capacity('{"type":"disjoint_union","parts":[{"type":"ball","a":"1"},'
+                  '{"type":"cp2","a":"1"}]}'),
+        "error: field 'parts[1]': closed manifolds cannot be parts of a disjoint union"),
 }
 
 

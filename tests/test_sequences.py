@@ -56,10 +56,10 @@ def _family_id(family):
 
 # the largest K drawn per family: a per-k convex c_k is a path search, and
 # a per-k union with toric parts folds every part's sequence in Fractions
-KMAX = {"convex": 16, "toric_union": 30}
+KMAX = {"convex": 16, "toric_union": 30, "tie_union": 60}
 
 
-@pytest.mark.parametrize("family", [*FAMILIES, "toric_union"], ids=_family_id)
+@pytest.mark.parametrize("family", [*FAMILIES, "toric_union", "tie_union"], ids=_family_id)
 def test_sequence_matches_per_k_formulas(family):
     rng = random.Random(f"sequence-{family}")
     for _ in range(6):
@@ -479,7 +479,8 @@ def test_convex_c0_needs_no_weight_sequence(monkeypatch):
 
 def _union_steps(monkeypatch) -> list:
     """The DP steps of each _union_table call, column j of a part after
-    the first counted as j+1 (a Ball part takes fewer)."""
+    the first counted as j+1 (a part with runs longer than one, as a
+    ball's, takes fewer)."""
     steps = []
     real = cap._union_table
 
