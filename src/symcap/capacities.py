@@ -36,16 +36,17 @@ closed form's step, that raises drops the generator and all its state,
 and the next starts a fresh one.  A union, and a concave domain read as
 the union of its weight balls, adds columns to the max-plus DP its
 generator owns, which takes every part as a stream of runs: a closed
-form's generator, or a toric part's source read one k at a time; a
-convex domain takes its minimum over the shift l against its generator's
-DP of its excised balls.  All of it runs in integers over a common
-denominator, and a value is built once from its integer.  Each
-source grows or steps under its own lock; a value already held is read
-without it.  _ORACLES names the second method verify=True compares the
-two toric families against.  Sources are made on first use and kept
-per canonical domain key, so ck, capacity_sequence, capacity_values and
-the union DP all read the same sources.  Values are deterministic, so
-racing threads agree.
+form's generator, or a toric part's source, grown to the table's last
+column in one growth and read one k at a time; a convex domain takes its
+minimum over the shift l against its generator's DP of its excised
+balls, n equal ones one part with its own closed form.  All of it runs
+in integers over a common denominator, and a value is built once from
+its integer.  Each source grows or steps under its own lock; a value
+already held is read without it.  _ORACLES names the second method
+verify=True compares the two toric families against.  Sources are made
+on first use and kept per canonical domain key, so ck,
+capacity_sequence, capacity_values and the union DP all read the same
+sources.  Values are deterministic, so racing threads agree.
 
 Unions, concave and convex domains, the three sources that run the
 max-plus DP, persist across processes: one small JSON file per domain in a
@@ -72,6 +73,7 @@ import operator
 import os
 import threading
 import zlib
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -167,12 +169,13 @@ class _UnionParts:
 
     A part is an iterator of runs (end, v, witness), v an int over `scale`,
     fixed when the table is made: a multiple of every part value's
-    denominator.  starts[i] holds the start of each run of part i drawn so
-    far and, last, the end of the last one, values[i] their values: always
-    drawn past the last column grown.  best[i] holds the best total of
-    parts 0..i at each column, and picks[i-1][j] is part i's share of
-    column j in best[i].  A part added later starts with empty rows, which
-    the next _union_table call fills.
+    denominator, and may stand for n equal balls (_ball_values).  starts[i]
+    holds the start of each run of part i drawn so far and, last, the end
+    of the last one, values[i] their values: always drawn past the last
+    column grown.  best[i] holds the best total of parts 0..i at each
+    column, and picks[i-1][j] is part i's share of column j in best[i].
+    A part added later starts with empty rows, which the next _union_table
+    call fills.
     """
 
     def __init__(self, parts, scale: int):
@@ -213,10 +216,10 @@ def _union_table(parts, kmax: int) -> None:
     the shares t that part is offered, f the best totals of the parts
     before it and v its own values; ties keep the smallest share.  f never
     falls, so on a run of equal v the run's start wins: a part is offered
-    only its run starts up to j, O(sqrt j) of them for a ball, all j+1 for
-    an ellipsoid or a toric part.  So growing from nothing to kmax costs at
-    most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however the growth is
-    split.
+    only its run starts up to j, O(sqrt(n*j)) of them for n equal balls,
+    all j+1 for an ellipsoid or a toric part.  So growing from nothing to
+    kmax costs at most (m-1)(kmax+1)(kmax+2)/2 steps over m parts however
+    the growth is split.
     """
     for runs, starts, values in zip(parts.parts, parts.starts, parts.values):
         while starts[-1] <= kmax:
@@ -299,11 +302,17 @@ class _Prefix:
             raise
 
 
-def _ball_values(A: int):
-    """The runs of B(A): block d, d(d+1)/2 <= k <= d(d+3)/2, is one run
-    of value d*A and witness d."""
+def _ball_values(A: int, n: int = 1):
+    """The runs of n disjoint balls B(A): c_l = D*A, D = n*q + r the
+    largest sum of n multiplicities d_i with sum d_i(d_i+1)/2 <= l, each
+    D one run of witness D.  By convexity of d(d+1)/2 the balanced split,
+    r of the d_i at q+1 and the rest at q, is the cheapest of total D, so
+    run D = n*q + r (r < n) ends at n*q(q+1)/2 + (r+1)(q+1), q+1 past its
+    start.  For n = 1 run d is block d, d(d+1)/2 <= k <= d(d+3)/2."""
+    end = 0
     for d in itertools.count():
-        yield (d + 1) * (d + 2) // 2, d * A, d
+        end += d // n + 1
+        yield end, d * A, d
 
 
 def _ball_at(k: int, A: int) -> tuple:
@@ -488,16 +497,20 @@ class _UnionPrefix(_Prefix):
     the runs of its family over that lcm, which the table owns.  The table,
     and with it a toric part's source, is made on the first draw, so a
     union read from its file makes none, and grown to the k wanted in one
-    step."""
+    step, each toric part's source first grown to that k in one growth."""
 
     def _values(self, start: int):
         parts = self.domain.parts
         scale = math.lcm(*(_scaled(*p._values())[0] if p.SOURCE in _FORMULAS else p.omega.scale
                            for p in parts))
         table = _UnionParts([_part_runs(p, scale) for p in parts], scale)
+        toric = [_source(p) for p in parts if p.SOURCE not in _FORMULAS]
         for j in itertools.count(start):
             if j >= len(table.best[-1]):
-                _union_table(table, max(j, self.want))
+                kmax = max(j, self.want)
+                for source in toric:  # one growth each, then drawn a k at a time
+                    source.result(kmax)
+                _union_table(table, kmax)
             yield table.result(j)
 
 
@@ -552,10 +565,10 @@ class _ConvexPrefix(_Prefix):
         and h^2 - S is twice the area (negative_weight_sequence asserts
         it), so once that holds it holds for every later d.
     Every later term then exceeds best, so the value is the exact minimum.
-    E's max-plus DP, over the same denominator, is made with each generator
-    and grows to the last block end a k reads, so a scan over k reuses its
-    columns.  c_0 = 0, with witness {"l": 0}, needs neither DP nor weight
-    sequence."""
+    E's max-plus DP, over the same denominator, is made with each generator,
+    one part per distinct size a_i (_ball_values of its count), and grows
+    to the last block end a k reads, so a scan over k reuses its columns.
+    c_0 = 0, with witness {"l": 0}, needs neither DP nor weight sequence."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
@@ -572,7 +585,9 @@ class _ConvexPrefix(_Prefix):
         dec = negative_weight_sequence(self.domain)
         self.head = int(dec.head * self.scale)
         sizes = [int(w * self.scale) for w in dec.negatives]
-        self.table = _UnionParts(map(_ball_values, sizes), self.scale)
+        # equal balls, as a Euclidean algorithm makes them, are one part
+        parts = itertools.starmap(_ball_values, Counter(sizes).items())
+        self.table = _UnionParts(parts, self.scale)
         self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
 
     def _minimum(self, k: int) -> tuple:

@@ -3,6 +3,7 @@ per-k formulas they replace: values, methods, witnesses, how far each
 prefix grows, thread safety, and how much work a sequence does (counted in
 calls, never timed)."""
 
+import collections
 import concurrent.futures
 import contextlib
 import heapq
@@ -232,7 +233,9 @@ INTERRUPTED = [dom.ball(F(5, 3)), dom.cp2(F(7, 4)), dom.ellipsoid(1, 2),
                dom.polydisk(F(3, 2), 1), dom.s2xs2(2, F(5, 3)),
                dom.disjoint_union(dom.ellipsoid(1, 2), dom.ellipsoid(1, 3)),
                dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)]),
-               dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])]
+               # excises B(2), B(1), B(1): two parts of the excised DP, so
+               # _union_table reaches a pick
+               dom.convex_toric([(0, 0), (3, 0), (3, 1), (1, 2), (0, 2)])]
 # the sources that push onto a spectrum heap (the union's parts are
 # ellipsoids), and the ones that grow a max-plus DP table
 HEAP_SOURCES = {"ellipsoid", "polydisk", "union"}
@@ -547,3 +550,71 @@ def test_convex_scan_grows_the_excised_dp_as_one_sequence(monkeypatch):
         grown[scan] = (_excised_columns(HEXAGON), sum(steps))
     assert grown["per_k"] == grown["sequence"]
     assert grown["sequence"][0] > max(r.witness["l"] for r in capacity_sequence(HEXAGON, 120))
+
+
+def test_union_grows_a_toric_part_in_one_step(monkeypatch):
+    # the union's table draws a toric part's results one k at a time, but
+    # the part's source grows to the table's last column first, in one
+    # growth, and no further
+    kmaxes = []
+    real = cap._union_table
+
+    def counting(parts, kmax):
+        kmaxes.append(kmax)
+        real(parts, kmax)
+
+    monkeypatch.setattr(cap, "_union_table", counting)
+    cap.clear_memo()
+    tri = dom.concave_toric([(0, 0), (1, 0), (0, 30)])
+    d = dom.disjoint_union(dom.ellipsoid(1, 2), tri)
+    capacity_sequence(d, 300)
+    assert kmaxes == [300, 300]  # the part's own table, then the union's
+    capacity_sequence(d, 400)
+    assert kmaxes == [300, 300, 400, 400]
+    assert _prefix_lengths() == {d.key: 401, tri.key: 401}
+
+
+def _expand(runs, L) -> list:
+    """(value, witness) at l = 0..L of a stream of runs."""
+    out = []
+    for end, v, witness in runs:
+        out += [(v, witness)] * (min(end, L + 1) - len(out))
+        if len(out) > L:
+            return out
+
+
+def test_one_ball_runs_are_its_blocks():
+    assert list(itertools.islice(cap._ball_values(7), 300)) == \
+        [((d + 1) * (d + 2) // 2, d * 7, d) for d in range(300)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17])
+def test_equal_balls_part_equals_the_dp_of_its_balls(n):
+    # n balls B(A) as one part read c_l = A*D(l, n), D the witness, equal
+    # to the max-plus DP over n single-ball parts
+    A, L = 7, 400
+    table = cap._UnionParts([cap._ball_values(A) for _ in range(n)], 1)
+    cap._union_table(table, L)
+    got = _expand(cap._ball_values(A, n), L)
+    assert [v for v, _ in got] == table.best[-1]
+    assert all(v == D * A for v, D in got)
+
+
+@pytest.mark.parametrize("kind", ["cut_rectangle", "up_left_walk"])
+def test_convex_excised_dp_has_one_part_per_ball_size(kind):
+    rng = random.Random(f"runs-{kind}")
+    repeats = False
+    for _ in range(4):
+        d = domain(rng, kind)
+        kmax = rng.randint(1, KMAX["convex"])
+        cap.clear_memo()
+        seq = capacity_sequence(d, kmax)
+        scale = d.omega.scale
+        sizes = [int(w * scale) for w in negative_weight_sequence(d).negatives]
+        parts = cap._source(d).table.parts
+        assert sorted((p.gi_frame.f_locals["A"], p.gi_frame.f_locals["n"]) for p in parts) == \
+            sorted(collections.Counter(sizes).items()), d.key
+        repeats |= len(parts) < len(sizes)
+        cap.clear_memo()
+        assert [_triple(r) for r in seq] == [_triple(_per_k(d, k)) for k in range(kmax + 1)], d.key
+    assert repeats
