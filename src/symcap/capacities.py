@@ -16,49 +16,20 @@ Formulas implemented here:
   closed      the projective plane shares the ball values, the sphere
               product shares the polydisk values
 
-Each domain's family names its capacity source (SOURCE) and the method
-string its results carry (METHOD).  Every value a source returns passes
-one check of the invariant, c_0 = 0 and c_k > 0 for k >= 1, made on the
-numerator in integers.  A ball, ellipsoid or polydisk, whose values the
-projective plane and the sphere product share, keeps no results.  Its
-generator gives the sequence from k = 0 on as runs (end, value, witness),
-each holding for the k below end that no earlier run covered, which a
-scan steps: a ball yields one run per block d(d+1)/2 <= k <= d(d+3)/2,
-of value d*a; an ellipsoid one run of length one per action popped from
-its spectrum heap; a polydisk pops the same heap, and each pair (m, n)
-whose (m+1)(n+1) passes the k covered so far is one run up to it.  Any
-other k is read from its random-access form: ball_multiplicity, a
-lattice count under bisection, a minimum over O(sqrt k) pairs.  The other
-sources are prefixes c_0..c_{n-1} that grow on demand and keep the work
-done so far.  Such a family defines only a generator from a given k on,
-and the one growth draws from it and appends each entry.  A growth, or a
-closed form's step, that raises drops the generator and all its state,
-and the next starts a fresh one.  A union, and a concave domain read as
-the union of its weight balls, adds columns to the max-plus DP its
-generator owns, which takes every part as a stream of runs: a closed
-form's generator, or a toric part's source, grown to the table's last
-column in one growth and read one k at a time; a convex domain takes its
-minimum over the shift l against its generator's DP of its excised
-balls, n equal ones one part with its own closed form.  All of it runs
-in integers over a common denominator, and a value is built once from
-its integer.  Each source grows or steps under its own lock; a value
-already held is read without it.  _ORACLES names the second method
-verify=True compares the two toric families against.  Sources are made
-on first use and kept per canonical domain key, so ck,
-capacity_sequence, capacity_values and the union DP all read the same
-sources.  Values are deterministic, so racing threads agree.
-
-Unions, concave and convex domains, the three sources that run the
-max-plus DP, persist across processes: one small JSON file per domain in a
-cache directory, named by a hash of the domain key, holds the key and each
-entry's value and witness; the method is the family's METHOD.  A closed
-form answers any k about as fast as a file is read, and gets none.
-Once a directory is loaded, a DP source reads its own file when it is made
-and starts from the results it holds, equal to the ones saved, witness
-types included.  A file is used whole or not at all: one malformed entry,
-like another version or key, makes it a silent miss, computed afresh and
-rewritten by the save, which writes a domain's file only when the file
-does not already hold its prefix.
+Each domain's family names its capacity source (SOURCE, _SOURCE_KINDS)
+and the method string its results carry (METHOD); every value passes
+_checked.  A ball, ellipsoid or polydisk, and the projective plane and
+sphere product that share their values, is a _ClosedForm, which keeps no
+results.  A union, concave or convex domain is a _Prefix: c_0..c_n, grown
+on demand from a table that runs the max-plus DP of _union_table.  Every
+source gives its sequence as runs (end, value, witness) over a given
+denominator, and a union draws each part from its source that way.  All
+of it runs in integers over a common denominator.  Sources are made on
+first use and kept per canonical domain key, so ck, capacity_sequence,
+capacity_values and the union DP all read the same sources; each grows
+under its own lock, and values are deterministic, so racing threads agree.
+The prefixes persist across processes, one JSON file per domain in the
+directory load_disk_cache names, written by save_disk_cache.
 """
 
 from __future__ import annotations
@@ -254,12 +225,12 @@ class _Prefix:
     three that run the max-plus DP.  It is CACHED: it starts from the
     domain's cache file, read whole, when a cache directory is loaded.
 
-    Subclasses define _values(start), a generator of the (value, witness)
-    of c_start, c_start+1, ..., which may read `want`, the k the growth
-    under way reaches; _grow, the one growth, appends its entries checked.
-    A growth that raises drops the generator, which may have lost an entry
-    or left a table half-written, and the next starts a fresh one at the
-    first k not held.
+    Subclasses hold their work in `table`, made on first use, and define
+    _extend(k), which makes the table if there is none and grows it until
+    c_k can be read, and _read(j), c_j's (value, witness) off the table;
+    _grow, the one growth, appends the entries checked.  A growth that
+    raises drops the table, which may have lost an entry or been left
+    half-written, and the next makes a fresh one.
     """
 
     CACHED = True
@@ -269,14 +240,14 @@ class _Prefix:
         self.domain = d
         self.method = d.METHOD
         self.results = [] if _CACHE_DIR is None else _read_prefix(_CACHE_DIR, d)
-        self.values = None  # the generator drawn from, made on the next growth
+        self.table = None
 
-    def sequence(self, lo: int, hi: int) -> list:
-        """c_lo..c_hi."""
+    def sequence(self, k: int) -> list:
+        """c_0..c_k."""
         with self.lock:
-            if hi >= len(self.results):
-                self._grow(hi)
-            return self.results[lo:hi + 1]
+            if k >= len(self.results):
+                self._grow(k)
+            return self.results[:k + 1]
 
     def result(self, k: int) -> CapacityResult:
         """c_k.  Results are only ever appended, so one already held is
@@ -288,17 +259,23 @@ class _Prefix:
                     self._grow(k)
         return results[k]
 
+    def runs(self, scale: int):
+        """The results, read one k at a time, as runs of length one over
+        scale, a multiple of every value's denominator."""
+        for k in itertools.count():
+            r = self.result(k)
+            yield k + 1, r.value.numerator * (scale // r.value.denominator), r.witness
+
     def _grow(self, k: int) -> None:
         """Append results until c_k is held."""
-        self.want = k
         results, method = self.results, self.method
-        if self.values is None:
-            self.values = self._values(len(results))
         try:
-            for value, witness in itertools.islice(self.values, k + 1 - len(results)):
-                results.append(_checked(CapacityResult(len(results), value, method, witness)))
+            self._extend(k)
+            for j in range(len(results), k + 1):
+                value, witness = self._read(j)
+                results.append(_checked(CapacityResult(j, value, method, witness)))
         except BaseException:
-            self.values = None
+            self.table = None
             raise
 
 
@@ -412,7 +389,9 @@ class _ClosedForm:
     starts, steps or repeats one stream of the runs of the family's
     generator; any other k is read from the random-access form.  The
     stream's state is its last result and the generator's (a spectrum heap
-    of O(sqrt k) entries), and a read that raises drops it."""
+    of O(sqrt k) entries), and a draw that raises drops it; sequence reads
+    a stream of its own.  It answers any k about as fast as a file is
+    read, so it is not CACHED."""
 
     CACHED = False
 
@@ -425,44 +404,43 @@ class _ClosedForm:
         self.stream = self.last = None
 
     def result(self, k: int) -> CapacityResult:
-        """c_k as sequence reads it.  The last k again, read without the
-        lock, and the k after it, one step of the stream, take a shorter
-        way, as a scan reads one k at a time."""
+        """c_k.  The last k again is read without the lock; k = 0 and the
+        k after the last, as a scan reads them, are drawn from the stream;
+        any other k is read from the random-access form outside the lock."""
         last = self.last
         if last is not None and last.k == k:
             return last
-        if k and last is not None and last.k == k - 1:
+        if not k or (last is not None and last.k == k - 1):
             with self.lock:
-                if self.last is last:  # else another read moved the stream
-                    try:
-                        self.last = next(self.stream)
-                    except BaseException:
-                        self.stream = self.last = None
-                        raise
-                    return self.last
-        return self.sequence(k, k)[0]
+                if not k or self.last is last:  # else another read moved the stream
+                    return self._draw(k)
+        return self.at(k)
 
-    def sequence(self, lo: int, hi: int) -> list:
-        """c_lo..c_hi, from the stream when lo = 0, which starts it afresh,
-        or lo follows the last k read; else from the random-access form,
-        read outside the lock."""
-        with self.lock:
-            if not lo or (self.last is not None and self.last.k == lo - 1):
-                try:
-                    if not lo:
-                        self.stream = self._stream()
-                    got = list(itertools.islice(self.stream, hi + 1 - lo))
-                except BaseException:
-                    self.stream = self.last = None
-                    raise
-                self.last = got[-1]
-                return got
-        return [self.at(k) for k in range(lo, hi + 1)]
+    def sequence(self, k: int) -> list:
+        """c_0..c_k, from a stream of its own: the shared one is left as
+        it is, and nothing needs dropping if this raises."""
+        return list(itertools.islice(self._stream(), k + 1))
+
+    def runs(self, scale: int):
+        """The family's runs over scale, a multiple of self.scale."""
+        return self.generator(*(v * (scale // self.scale) for v in self.sizes))
 
     def at(self, k: int) -> CapacityResult:
         """c_k from the random-access form."""
         v, witness = self.value_at(k, *self.sizes)
         return _checked(CapacityResult(k, Fraction(v, self.scale), self.method, witness))
+
+    def _draw(self, k: int) -> CapacityResult:
+        """c_k from a fresh stream at k = 0, else from one step of the
+        stream past c_{k-1}, the last k read."""
+        try:
+            if not k:
+                self.stream = self._stream()
+            self.last = next(self.stream)
+        except BaseException:
+            self.stream = self.last = None
+            raise
+        return self.last
 
     def _stream(self):
         """c_0, c_1, ... off the family's runs, the results of a run
@@ -475,43 +453,25 @@ class _ClosedForm:
                 k += 1
 
 
-def _source_runs(source, scale: int):
-    """The results of a toric union part's source, read one k at a time,
-    as runs of length one over `scale`."""
-    for k in itertools.count():
-        r = source.result(k)
-        yield k + 1, r.value.numerator * (scale // r.value.denominator), r.witness
-
-
-def _part_runs(d: Domain, scale: int):
-    """The runs of union part d over `scale`: a ball's, ellipsoid's or
-    polydisk's generator on its sizes over scale, else its source's."""
-    if d.SOURCE in _FORMULAS:
-        generator, _ = _FORMULAS[d.SOURCE]
-        return generator(*(v.numerator * (scale // v.denominator) for v in d._values()))
-    return _source_runs(_source(d), scale)
-
-
 class _UnionPrefix(_Prefix):
     """A union's max-plus DP over the lcm of its parts' scales, each part
-    the runs of its family over that lcm, which the table owns.  The table,
-    and with it a toric part's source, is made on the first draw, so a
-    union read from its file makes none, and grown to the k wanted in one
-    step, each toric part's source first grown to that k in one growth."""
+    the runs its source gives over that lcm.  The table, and with it each
+    part's source, is made on the first growth, so a union read from its
+    file makes none.  A growth to k grows each toric part's source to k
+    in one growth of its own, then the table to k in one step."""
 
-    def _values(self, start: int):
-        parts = self.domain.parts
-        scale = math.lcm(*(_scaled(*p._values())[0] if p.SOURCE in _FORMULAS else p.omega.scale
-                           for p in parts))
-        table = _UnionParts([_part_runs(p, scale) for p in parts], scale)
-        toric = [_source(p) for p in parts if p.SOURCE not in _FORMULAS]
-        for j in itertools.count(start):
-            if j >= len(table.best[-1]):
-                kmax = max(j, self.want)
-                for source in toric:  # one growth each, then drawn a k at a time
-                    source.result(kmax)
-                _union_table(table, kmax)
-            yield table.result(j)
+    def _extend(self, k: int) -> None:
+        if self.table is None:
+            sources = [_source(p) for p in self.domain.parts]
+            scale = math.lcm(*(s.scale for s in sources))
+            self.table = _UnionParts([s.runs(scale) for s in sources], scale)
+            self.toric = [s for s in sources if s.CACHED]
+        for source in self.toric:  # then drawn a k at a time
+            source.result(k)
+        _union_table(self.table, k)
+
+    def _read(self, j: int) -> tuple:
+        return self.table.result(j)
 
 
 class _ConcavePrefix(_Prefix):
@@ -523,24 +483,25 @@ class _ConcavePrefix(_Prefix):
     composition cut to comp[:j]: weights never rise and ties keep the
     smallest share, so each ball past the j-th takes share 0, as an
     optimum giving one a share t leaves an unused ball at least as large
-    free to take t."""
+    free to take t.  The expansion is made with each table."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
-    def _values(self, start: int):
-        if not start:
-            yield Fraction(0), ()
-        weights = weight_expansion(self.domain)
-        self.table = table = _UnionParts((), self.scale)
-        grown = 0
-        for j in itertools.count(max(start, 1)):
-            if j > grown:
-                grown = max(j, self.want)
-                for w in weights[len(table):grown]:
-                    table.add(_ball_values(int(w * self.scale)))
-                _union_table(table, grown)
-            value, comp = table.result(j)
-            yield value, comp[:j]
+    def _extend(self, k: int) -> None:
+        if not k:
+            return
+        if self.table is None:
+            self.weights = weight_expansion(self.domain)
+            self.table = _UnionParts((), self.scale)
+        for w in self.weights[len(self.table):k]:
+            self.table.add(_ball_values(int(w * self.scale)))
+        _union_table(self.table, k)
+
+    def _read(self, j: int) -> tuple:
+        if not j:
+            return Fraction(0), ()
+        value, comp = self.table.result(j)
+        return value, comp[:j]
 
 
 class _ConvexPrefix(_Prefix):
@@ -565,30 +526,31 @@ class _ConvexPrefix(_Prefix):
         and h^2 - S is twice the area (negative_weight_sequence asserts
         it), so once that holds it holds for every later d.
     Every later term then exceeds best, so the value is the exact minimum.
-    E's max-plus DP, over the same denominator, is made with each generator,
-    one part per distinct size a_i (_ball_values of its count), and grows
-    to the last block end a k reads, so a scan over k reuses its columns.
-    c_0 = 0, with witness {"l": 0}, needs neither DP nor weight sequence."""
+    The table is E's max-plus DP, over the same denominator, one part per
+    distinct size a_i (_ball_values of its count).  _extend only makes it,
+    with h, m, A and S; each read grows it to the last block end its k
+    reads, so a scan over k reuses its columns.  c_0 = 0, with witness
+    {"l": 0}, needs neither DP nor weight sequence."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
-    def _values(self, start: int):
-        if not start:
-            yield Fraction(0), {"l": 0}
-        self._excise()
-        for k in itertools.count(max(start, 1)):
-            value, l = self._minimum(k)
-            yield Fraction(value, self.scale), {"l": l}
-
-    def _excise(self) -> None:
-        """Set up h, m, A, S and E's DP, dropping the weight sequence."""
+    def _extend(self, k: int) -> None:
+        """Set up h, m, A, S and E's DP, keeping no weight sequence."""
+        if not k or self.table is not None:
+            return
         dec = negative_weight_sequence(self.domain)
         self.head = int(dec.head * self.scale)
         sizes = [int(w * self.scale) for w in dec.negatives]
-        # equal balls, as a Euclidean algorithm makes them, are one part
-        parts = itertools.starmap(_ball_values, Counter(sizes).items())
-        self.table = _UnionParts(parts, self.scale)
         self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
+        # equal balls, as a Euclidean algorithm makes them, are one part
+        self.table = _UnionParts(itertools.starmap(_ball_values, Counter(sizes).items()),
+                                 self.scale)
+
+    def _read(self, j: int) -> tuple:
+        if not j:
+            return Fraction(0), {"l": 0}
+        value, l = self._minimum(j)
+        return Fraction(value, self.scale), {"l": l}
 
     def _minimum(self, k: int) -> tuple:
         """(the least T(l), its first argmin l), T over the common
@@ -676,7 +638,7 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
 def capacity_sequence(d: Domain, kmax) -> list:
     """CapacityResults for k = 0..kmax, read from the domain's source,
     which grows to kmax in one step."""
-    return _source(d).sequence(0, index(kmax))
+    return _source(d).sequence(index(kmax))
 
 
 def capacity_values(d: Domain):

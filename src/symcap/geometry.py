@@ -20,6 +20,7 @@ column as an independent oracle.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,22 +28,30 @@ Point = tuple[Fraction, Fraction]
 Edge = tuple[int, int]
 
 
+# the strings rational accepts; Fraction alone also parses decimals and
+# exponents, and computes 10**e for "1e1000000"
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
 def rational(x) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction.
 
-    Strings accept "p/q" and plain "p". Floats and bools are rejected: every
-    quantity in this library is exact and rounding must never slip in
-    silently.
+    Strings accept "p/q" and plain "p", decimal digits with an optional
+    sign and surrounding whitespace, and nothing else. Floats and bools are
+    rejected: every quantity in this library is exact and rounding must
+    never slip in silently.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {x!r}") from exc
+        if _RATIONAL.fullmatch(x):
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:
+                pass
+        raise ValueError(f"not a rational: {x!r}")
     # floats included: a binary float is not the number the user wrote down,
     # and a bool (JSON true) is not a number at all
     raise ValueError(f"expected an exact rational (int, 'p/q' string, or "

@@ -256,13 +256,15 @@ def test_convex_stop_needs_the_bound_nondecreasing():
 
 
 def test_convex_generator_keeps_no_weight_sequence():
-    # after set-up the generator reads h, m, A, S and E's DP off its source;
-    # the decomposition and the list of excised sizes are not kept alive
+    # after set-up the source holds h, m, A, S and E's DP; the decomposition
+    # and the list of excised sizes are not kept alive
     cap.clear_memo()
     capacity_sequence(PENT, 30)
-    frame = cap._source(PENT).values.gi_frame
-    assert "self" in frame.f_locals
-    assert not {"dec", "negatives", "sizes"} & set(frame.f_locals)
+    held = {name: v for name, v in vars(cap._source(PENT)).items() if name != "results"}
+    assert {"head", "m", "A", "S", "table"} <= set(held)
+    assert not {"dec", "negatives", "sizes"} & set(held)
+    kept = (list, tuple, type(negative_weight_sequence(PENT)))
+    assert not any(isinstance(v, kept) for v in held.values())
 
 
 def test_closed_form_at_large_k_keeps_no_prefix():

@@ -174,8 +174,8 @@ def _capacity(spec):
 
 
 # each polygon the constructors reject, each path search asked of a domain
-# of the wrong kind, a size given as JSON true, and a bad union part, with
-# the one stderr line it gets
+# of the wrong kind, a size given as JSON true or in exponent notation, and
+# a bad union part, with the one stderr line it gets
 VALIDATION_ERRORS = {
     "reversal": (_capacity(_toric("convex_toric", (0, 0), (2, 0), (1, 0), (1, 2))),
                  "error: degenerate polygon: reversal at vertex (Fraction(2, 1), Fraction(0, 1))"),
@@ -202,6 +202,8 @@ VALIDATION_ERRORS = {
     "json_true_size": (
         ("sequence", "-d", '{"type":"ball","a":true}', "--kmax", "3"),
         "error: expected an exact rational (int, 'p/q' string, or Fraction), got bool"),
+    "exponent_size": (_capacity('{"type":"ball","a":"1e1000000"}'),
+                      "error: not a rational: '1e1000000'"),
     "union_part_size": (
         _capacity('{"type":"disjoint_union","parts":[{"type":"ball","a":"1"},'
                   '{"type":"ball","a":"0"}]}'),

@@ -72,6 +72,15 @@ def test_rational_rejects_floats():
         rational("7/0")
 
 
+def test_rational_accepts_only_integers_and_ratios():
+    # decimal and exponent notation are rejected before Fraction sees them:
+    # Fraction("1e999999999") would compute 10**999999999
+    for s in ("1e3", "1.5", "1e999999999", "1_000", "½", "1/2/3", ""):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            rational(s)
+    assert [rational(s) for s in ("7", " -3/4 ", "+2/6", "0")] == [7, F(-3, 4), F(1, 3), 0]
+
+
 def test_rational_rejects_bools():
     # JSON true is a bool, and a bool is an int: not a size of 1
     for b in (True, False):

@@ -235,11 +235,21 @@ INTERRUPTED = [dom.ball(F(5, 3)), dom.cp2(F(7, 4)), dom.ellipsoid(1, 2),
                dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)]),
                # excises B(2), B(1), B(1): two parts of the excised DP, so
                # _union_table reaches a pick
-               dom.convex_toric([(0, 0), (3, 0), (3, 1), (1, 2), (0, 2)])]
-# the sources that push onto a spectrum heap (the union's parts are
-# ellipsoids), and the ones that grow a max-plus DP table
-HEAP_SOURCES = {"ellipsoid", "polydisk", "union"}
+               dom.convex_toric([(0, 0), (3, 0), (3, 1), (1, 2), (0, 2)]),
+               # a raise in the toric part's growth, in its _union_table or
+               # its _checked, drops the part's table and the union's
+               pytest.param(dom.disjoint_union(
+                   dom.ball(1), dom.concave_toric([(0, 0), (3, 0), (1, 1), (0, 3)])),
+                   id="toric_union")]
+# the sources that push onto a spectrum heap (a union's, through an
+# ellipsoid or polydisk part), and the ones that grow a max-plus DP table
+HEAP_SOURCES = {"ellipsoid", "polydisk"}
 DP_SOURCES = {"union", "concave", "convex"}
+
+
+def _pushes(d) -> bool:
+    """Whether a growth of d pushes onto a spectrum heap."""
+    return any(p.SOURCE in HEAP_SOURCES for p in getattr(d, "parts", (d,)))
 
 
 def _picks_line() -> int:
@@ -302,13 +312,15 @@ def test_interrupted_growth_loses_no_value(monkeypatch, d, where):
     tracer = sys.gettrace()
     try:
         fired = _interrupt_once(monkeypatch, where)
-        raises = where == "checked" or d.SOURCE in (
-            HEAP_SOURCES if where == "heappush" else DP_SOURCES)
+        raises = where == "checked" or (
+            _pushes(d) if where == "heappush" else d.SOURCE in DP_SOURCES)
         with pytest.raises(KeyboardInterrupt) if raises else contextlib.nullcontext():
             capacity_sequence(d, 100)
     finally:
         sys.settrace(tracer)
     assert bool(fired) == raises
+    # a raise drops every DP table it passes through
+    assert not raises or all(s.table is None for s in cap._SOURCES.values() if s.CACHED)
     assert [_triple(r) for r in capacity_sequence(d, 60)] == want[:61]
     assert [_triple(r) for r in capacity_sequence(d, 100)] == want
 
