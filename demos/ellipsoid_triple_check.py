@@ -2,32 +2,34 @@
 
 An ellipsoid E(a,b) is simultaneously a convex and a concave toric
 domain, and its capacity sequence is also the sorted multiset
-{m*a + n*b}.  Running all three computations side by side is the
-strongest internal consistency check the library has.
+{m*a + n*b}.  The three roads are the convex and the concave path
+optimum and the closed form, capacity_sequence(ellipsoid(a, b), kmax),
+whose values are the actions m*a + n*b and whose witnesses are the pairs
+(m, n).  Running all three side by side is the strongest internal
+consistency check the library has.
 """
 
 from fractions import Fraction
 
 from symcap import (
+    capacity_sequence,
     ck_concave_toric,
     ck_convex_toric,
     ellipsoid,
-    ellipsoid_spectrum,
 )
 
 
 def table(a, b, kmax):
     d = ellipsoid(a, b)
-    sp = ellipsoid_spectrum(a, b, kmax)
     print(f"E({a},{b})")
     print(f"  {'k':>3} {'convex':>8} {'concave':>8} {'spectrum':>9}  (m,n)")
-    for k in range(kmax + 1):
+    for k, e in enumerate(capacity_sequence(d, kmax)):
         cv = ck_convex_toric(d, k).value
         cc = ck_concave_toric(d, k).value
-        e = sp[k]
-        mark = "" if cv == cc == e.action else "   <-- MISMATCH"
-        print(f"  {k:>3} {str(cv):>8} {str(cc):>8} {str(e.action):>9}  "
-              f"({e.m},{e.n}){mark}")
+        m, n = e.witness
+        mark = "" if cv == cc == e.value else "   <-- MISMATCH"
+        print(f"  {k:>3} {str(cv):>8} {str(cc):>8} {str(e.value):>9}  "
+              f"({m},{n}){mark}")
     print()
 
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import paths
-from .domains import Ball, Domain
+from .domains import Domain
 from .geometry import index, rational, rational_str
 from .weights import negative_weight_sequence, weight_expansion
 
@@ -58,13 +58,9 @@ class CapacityResult(NamedTuple):
     k: int
     value: Fraction
     method: str
+    # a source's is an int, a tuple of ints or {"l": l}, which JSON writes
+    # as it stands; an oracle's is a paths.LatticePath
     witness: object = None
-
-
-class SpectrumEntry(NamedTuple):
-    action: Fraction
-    m: int
-    n: int
 
 
 def _checked(result: CapacityResult) -> CapacityResult:
@@ -83,11 +79,6 @@ def ball_multiplicity(k: int) -> int:
     # d*(d+3) is always even, so maximality of d gives the upper bound too
     assert d * d + d <= 2 * k <= d * d + 3 * d
     return d
-
-
-def ck_ball(a, k) -> CapacityResult:
-    """c_k of B(a) by the ball's random-access form."""
-    return _ClosedForm(Ball(a)).at(index(k))
 
 
 def _scaled(*sizes: Fraction) -> tuple:
@@ -111,16 +102,6 @@ def _spectrum(A: int, B: int):
         heapq.heappush(heap, (v + B, m, n + 1))
         if n == 0:
             heapq.heappush(heap, (v + A, m + 1, 0))
-
-
-def ellipsoid_spectrum(a, b, k_max) -> list:
-    """The k_max+1 smallest actions m*a+n*b, sorted, ties ordered by (m,n)."""
-    a, b = rational(a), rational(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("ellipsoid axes must be positive")
-    scale, A, B = _scaled(a, b)
-    return [SpectrumEntry(Fraction(v, scale), m, n)
-            for v, m, n in itertools.islice(_spectrum(A, B), index(k_max) + 1)]
 
 
 def ck_convex_toric(d, k) -> CapacityResult:
@@ -662,27 +643,9 @@ def clear_memo() -> None:
 
 # --- cross-process persistence --------------------------------------------
 
-def witness_to_json(w):
-    """Witnesses of capacity sources are heterogeneous (pair, composition,
-    shift, degree), and the path oracles' are lattice paths; normalize to
-    plain JSON for output and persistence.  A path becomes its
-    path_to_json object with its kind, which path_from_json reads back."""
-    if w is None or isinstance(w, (int, bool)):
-        return w
-    if isinstance(w, paths.LatticePath):  # a tuple, but holding its kind
-        return {"kind": w.kind, **paths.path_to_json(w)}
-    if isinstance(w, Fraction):
-        return rational_str(w)
-    if isinstance(w, (tuple, list)):
-        return [witness_to_json(x) for x in w]
-    if isinstance(w, dict):
-        return {str(key): witness_to_json(v) for key, v in w.items()}
-    raise ValueError(f"unserializable witness: {w!r}")
-
-
 def _witness_from_json(w):
-    """Invert witness_to_json for the flat witnesses a capacity source
-    holds: lists are pairs or compositions, dicts shifts."""
+    """A witness as a capacity source holds it, from its JSON: an int
+    stays, a list is a pair or a composition, a dict a shift."""
     return tuple(w) if isinstance(w, list) else w
 
 
@@ -696,7 +659,7 @@ def _cache_path(cache_dir: str, key: str) -> str:
 
 
 def _entry_json(result: CapacityResult) -> dict:
-    return {"c": rational_str(result.value), "witness": witness_to_json(result.witness)}
+    return {"c": rational_str(result.value), "witness": result.witness}
 
 
 def _entry_result(k: int, entry, method: str) -> CapacityResult:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import capacities
-from .capacities import capacity_sequence, ck, witness_to_json
+from .capacities import capacity_sequence, ck
 from .domains import Domain, domain_from_json
 from .geometry import rational_str
 from .obstructions import asymptotic_ratio, check_embedding
@@ -31,11 +31,12 @@ from .weights import negative_weight_sequence, weight_expansion
 
 def parse_domain_spec(text: str) -> Domain:
     try:
-        obj = json.loads(text)
+        return domain_from_json(json.loads(text))
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed domain JSON at line {e.lineno}, "
                          f"column {e.colno}: {e.msg}") from None
-    return domain_from_json(obj)
+    except RecursionError:  # in the parser or in the parts of a union
+        raise ValueError("domain spec is nested too deeply") from None
 
 
 def _load_domain(arg: str) -> Domain:
@@ -67,7 +68,7 @@ def _print_results(results: list, fmt: str, single: bool) -> int:
     JSON: one object when `single`, else a list."""
     if fmt == "json":
         objs = [{"k": r.k, "c": rational_str(r.value), "decimal": _decimal(r.value),
-                 "method": r.method, "witness": witness_to_json(r.witness)} for r in results]
+                 "method": r.method, "witness": r.witness} for r in results]
         print(_dumps(objs[0] if single else objs))
     elif fmt == "csv":
         print("k,c,decimal,method")

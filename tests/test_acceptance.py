@@ -15,13 +15,7 @@ import pytest
 import symcap.capacities as cap
 import symcap.domains as dom
 from per_k import ck_concave_via_weights, ck_polydisk
-from symcap.capacities import (
-    ck,
-    ck_ball,
-    ck_concave_toric,
-    ck_convex_toric,
-    ellipsoid_spectrum,
-)
+from symcap.capacities import capacity_sequence, ck, ck_concave_toric, ck_convex_toric
 from symcap.obstructions import asymptotic_ratio, check_embedding, scaling_lower_bound
 from symcap.weights import weight_expansion
 
@@ -52,7 +46,7 @@ def test_criterion_01_ball_sequence_and_path_optimizer():
         oracle = [_ball_d(k) for k in range(31)]
         assert oracle[:11] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
         for k in range(31):
-            assert ck_ball(1, k).value == oracle[k]
+            assert ck(dom.ball(1), k).value == oracle[k]
             assert ck_convex_toric(dom.ball(1), k).value == oracle[k]
         assert time.monotonic() - t0 < 60
 
@@ -69,11 +63,11 @@ def test_criterion_02_ellipsoid_triple_oracle():
         }
         for (a, b), want in frozen.items():
             d = dom.ellipsoid(a, b)
-            sp = ellipsoid_spectrum(a, b, 12)
+            sp = capacity_sequence(d, 12)
             for k in range(13):
                 assert ck_convex_toric(d, k).value == want[k]
                 assert ck_concave_toric(d, k).value == want[k]
-                assert sp[k].action == want[k]
+                assert sp[k].value == want[k]
 
     _report(2, "three independent ellipsoid formulas agree, k <= 12", body)
 
@@ -134,7 +128,7 @@ def test_criterion_06_polydisk_closed_form():
 def test_criterion_07_closed_manifolds():
     def body():
         for k in range(51):
-            assert ck(dom.cp2(1), k).value == ck_ball(1, k).value
+            assert ck(dom.cp2(1), k).value == ck(dom.ball(1), k).value
             assert ck(dom.s2xs2(1, 1), k).value == ck_polydisk(1, 1, k).value
 
     _report(7, "closed manifold capacities match their open models, k <= 50",
@@ -201,9 +195,9 @@ def test_criterion_10_asymptotics():
             assert rep.residual_high <= 2
         # E(1,3): 0.9 <= c_k / (2 sqrt(vol k)) <= 1.1 for 10^3 <= k <= 10^4,
         # squared to stay in exact arithmetic: 4 vol = 6 here
-        sp = ellipsoid_spectrum(1, 3, 10000)
+        sp = capacity_sequence(dom.ellipsoid(1, 3), 10000)
         for k in range(1000, 10001):
-            c = sp[k].action
+            c = sp[k].value
             assert 486 * k <= 100 * c * c <= 726 * k
         assert time.monotonic() - t0 < 300
 

@@ -23,12 +23,9 @@ from random_polygons import FAMILIES, domain
 from symcap.capacities import (
     CapacityResult,
     ck,
-    ck_ball,
     ck_concave_toric,
     ck_convex_toric,
     capacity_sequence,
-    ellipsoid_spectrum,
-    witness_to_json,
 )
 from symcap.weights import negative_weight_sequence
 
@@ -55,54 +52,55 @@ def _seq(d, kmax):
 
 
 def test_ball_examples():
-    assert ck_ball(1, 0).value == 0
-    assert ck_ball(1, 3).value == 2
-    assert ck_ball(2, 2).value == 2
+    assert ck(dom.ball(1), 0).value == 0
+    assert ck(dom.ball(1), 3).value == 2
+    assert ck(dom.ball(2), 2).value == 2
 
 
 def test_ball_sequence_start():
     want = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
-    assert [ck_ball(1, k).value for k in range(11)] == want
+    assert [ck(dom.ball(1), k).value for k in range(11)] == want
 
 
 def test_ball_defining_inequalities():
     for k in range(201):
-        d = ck_ball(1, k).value
+        d = ck(dom.ball(1), k).value
         assert d * d + d <= 2 * k <= d * d + 3 * d
 
 
 def test_ball_scales_linearly():
     for k in range(30):
-        assert ck_ball(F(5, 3), k).value == F(5, 3) * ck_ball(1, k).value
+        assert ck(dom.ball(F(5, 3)), k).value == F(5, 3) * ck(dom.ball(1), k).value
 
 
 def test_spectrum_examples():
-    sp = ellipsoid_spectrum(1, 2, 4)
-    assert [e.action for e in sp] == [0, 1, 2, 2, 3]
-    sp0 = ellipsoid_spectrum(1, F(7, 2), 0)
-    assert sp0[0].action == 0 and (sp0[0].m, sp0[0].n) == (0, 0)
+    sp = capacity_sequence(dom.ellipsoid(1, 2), 4)
+    assert [e.value for e in sp] == [0, 1, 2, 2, 3]
+    sp0 = capacity_sequence(dom.ellipsoid(1, F(7, 2)), 0)
+    assert sp0[0].value == 0 and sp0[0].witness == (0, 0)
 
 
 def test_spectrum_round_ellipsoid_matches_ball():
-    sp = ellipsoid_spectrum(1, 1, 20)
+    sp = capacity_sequence(dom.ellipsoid(1, 1), 20)
     for k in range(21):
-        assert sp[k].action == ck_ball(1, k).value
+        assert sp[k].value == ck(dom.ball(1), k).value
 
 
 @pytest.mark.parametrize("ab", [(1, 2), (3, 2), (1, F(5, 2))])
 def test_spectrum_against_brute_force(ab):
     a, b = ab
     oracle = sorted(F(m) * a + F(n) * b for m in range(31) for n in range(31))
-    sp = ellipsoid_spectrum(a, b, 12)
-    assert [e.action for e in sp] == oracle[:13]
+    sp = capacity_sequence(dom.ellipsoid(a, b), 12)
+    assert [e.value for e in sp] == oracle[:13]
     for e in sp:
-        assert e.action == e.m * F(a) + e.n * F(b)
+        m, n = e.witness
+        assert e.value == m * F(a) + n * F(b)
 
 
 def test_spectrum_tie_order_lexicographic():
-    sp = ellipsoid_spectrum(1, 2, 4)
+    sp = capacity_sequence(dom.ellipsoid(1, 2), 4)
     # action 2 appears twice: (0,1) sorts before (2,0)
-    ties = [(e.m, e.n) for e in sp if e.action == 2]
+    ties = [e.witness for e in sp if e.value == 2]
     assert ties == sorted(ties)
 
 
@@ -164,7 +162,7 @@ def test_concave_triangle_with_a_long_leg():
     # E(1,100): its weight expansion is 100 balls of size 1
     d = dom.concave_toric([(0, 0), (1, 0), (0, 100)])
     assert [r.value for r in capacity_sequence(d, 40)] == \
-        [e.action for e in ellipsoid_spectrum(1, 100, 40)]
+        [e.value for e in capacity_sequence(dom.ellipsoid(1, 100), 40)]
 
 
 def _convex(d):
@@ -200,8 +198,9 @@ SHIFTS = 1200  # brute-force shifts; each minimum below sits far inside
 def _shift_terms(d, ks):
     """T(l) = c_{k+l}(B(h)) - c_l(excised balls) for l <= SHIFTS, per k."""
     dec = negative_weight_sequence(d)
+    head = dom.ball(dec.head)
     excised = capacity_sequence(dom.disjoint_union(*map(dom.ball, dec.negatives)), SHIFTS)
-    return {k: [ck_ball(dec.head, k + l).value - excised[l].value for l in range(SHIFTS + 1)]
+    return {k: [ck(head, k + l).value - excised[l].value for l in range(SHIFTS + 1)]
             for k in ks}
 
 
@@ -313,9 +312,7 @@ def test_indices_must_be_ints(k):
     calls = {
         "ck": lambda: ck(dom.ball(1), k),
         "capacity_sequence": lambda: capacity_sequence(dom.ellipsoid(1, 2), k),
-        "ck_ball": lambda: ck_ball(1, k),
         "ball_multiplicity": lambda: cap.ball_multiplicity(k),
-        "ellipsoid_spectrum": lambda: ellipsoid_spectrum(1, 2, k),
         "ck_convex_toric": lambda: ck_convex_toric(PENT, k),
         "ck_concave_toric": lambda: ck_concave_toric(STAIR, k),
         "min_convex": lambda: paths.min_convex(PENT, k),
@@ -387,13 +384,26 @@ def test_convex_formulas_agree(omega):
         [paths.min_convex(omega, k).value for k in range(31)], omega.key
 
 
-@pytest.mark.parametrize("ab", [(1, 2), (1, F(3, 2)), (3, 2)])
+# ab is an ellipsoid E(a, b) or a polydisk P(a, b): three hand-picked
+# ellipsoids, then seeded draws of both families, taken as they come
+@pytest.mark.parametrize("ab", [dom.ellipsoid(1, 2), dom.ellipsoid(1, F(3, 2)),
+                                dom.ellipsoid(3, 2)]
+                         + _draws("twins ellipsoid", "ellipsoid", 5)
+                         + _draws("twins polydisk", "polydisk", 5))
 def test_ellipsoid_three_way_agreement(ab):
-    d = dom.ellipsoid(*ab)
-    sp = ellipsoid_spectrum(*ab, 12)
+    # the closed form against its exact twins to K = 2000, production paths
+    # that share only the union DP: the moment polygon as a convex toric
+    # domain (head ball minus excised balls) and, for an ellipsoid, as a
+    # concave one (weight balls); then against the path optima to k = 12
+    K, concave = 2000, isinstance(ab, dom.Ellipsoid)
+    want = [r.value for r in capacity_sequence(ab, K)]
+    twins = [_convex(ab)] + ([dom.concave_toric(ab.omega.vertices)] if concave else [])
+    for twin in twins:
+        assert [r.value for r in capacity_sequence(twin, K)] == want, twin.key
     for k in range(13):
-        assert ck_convex_toric(d, k).value == sp[k].action
-        assert ck_concave_toric(d, k).value == sp[k].action
+        assert ck_convex_toric(ab, k).value == want[k]
+        assert not concave or ck_concave_toric(ab, k).value == want[k]
+    cap.clear_memo()
 
 
 def test_monotonicity_under_inclusion():
@@ -474,13 +484,18 @@ def test_disk_cache_warm_results_equal_cold(tmp_path, monkeypatch):
     assert [type(r.witness) for r in warm] == [type(r.witness) for r in cold]
 
 
+def _filed(r):
+    """r's cache entry as its file holds it: witness tuples are JSON lists."""
+    return json.loads(json.dumps(cap._entry_json(r)))
+
+
 def test_cache_entries_keep_witness_types():
     # JSON turns tuples into lists: equality alone cannot tell them apart.
     # An entry holds no method: it is the family's
     cap.clear_memo()
     for d, k, kind in ((PENT, 5, dict), (STAIR, 4, tuple), (STAIR, 0, tuple), (E12_B1, 5, tuple)):
         r = ck(d, k)
-        entry = cap._entry_json(r)
+        entry = _filed(r)
         assert set(entry) == {"c", "witness"}
         back = cap._entry_result(r.k, entry, d.METHOD)
         assert type(back.witness) is kind and back == r
@@ -566,7 +581,7 @@ def test_disk_cache_writers_of_different_domains_lose_no_entry(tmp_path, monkeyp
         second = ex.submit(grow_and_save_b)
         first.result(timeout=60)
         second.result(timeout=60)
-    want = {d.key: [cap._entry_json(r) for r in capacity_sequence(d, 20)] for d in (a, b)}
+    want = {d.key: [_filed(r) for r in capacity_sequence(d, 20)] for d in (a, b)}
     assert {key: p["entries"] for key, p in domain_files(tmp_path).items()} == want
 
 
@@ -700,7 +715,7 @@ def test_disk_cache_rereads_a_file_replaced_since_loading(tmp_path):
     assert len(stored()) == 7
     # a file with a shorter prefix, one that disagrees, or one with a
     # malformed entry past this prefix is replaced
-    mine = [cap._entry_json(r) for r in capacity_sequence(e, 4)]
+    mine = [_filed(r) for r in capacity_sequence(e, 4)]
     for entries in (mine[:2], mine[:2] + [dict(mine[2], c="7")] + mine[3:] * 2,
                     mine + [{"c": "nine", "witness": [0, 5]}]):
         path.write_text(json.dumps({"version": cap._FORMAT, "key": e.key, "entries": entries}))
@@ -716,7 +731,7 @@ def test_disk_cache_file_is_the_json_of_its_entries(tmp_path):
     files = domain_files(tmp_path)
     assert n == sum(len(p["entries"]) for p in files.values())
     for key, payload in files.items():
-        entries = [cap._entry_json(r) for r in cap._SOURCES[key].results]
+        entries = [_filed(r) for r in cap._SOURCES[key].results]
         assert payload == {"version": cap._FORMAT, "key": key, "entries": entries}
         assert file_of(tmp_path, cap._SOURCES[key].domain).read_text() == json.dumps(payload)
     cap.clear_memo()
@@ -813,20 +828,16 @@ def test_verify_cross_checks_values_read_from_a_cache_file(tmp_path):
 
 
 def test_witness_json_forms():
-    assert witness_to_json(None) is None
-    assert witness_to_json(3) == 3
-    assert witness_to_json((1, 2)) == [1, 2]
-    assert witness_to_json(F(3, 2)) == "3/2"
-    assert witness_to_json({"l": 4}) == {"l": 4}
-    assert witness_to_json(ck(PENT, 2).witness) == {"l": 0}
-
-
-def test_witness_json_of_the_path_oracles_reads_back():
-    # a LatticePath is a tuple holding its kind, serialized with the kind
-    for res in (ck_convex_toric(dom.ball(1), 3), ck_concave_toric(STAIR, 3)):
-        obj = json.loads(json.dumps(witness_to_json(res.witness)))
-        assert obj["kind"] == res.witness.kind
-        assert paths.path_from_json(obj, obj["kind"]) == res.witness
+    # a source's witness is an int, a tuple of ints or {"l": l}: json writes
+    # it as it stands, and _witness_from_json reads it back
+    for d in CORPUS + [STAIR]:
+        for k in (0, 3, 7):
+            w = ck(d, k).witness
+            assert cap._witness_from_json(json.loads(json.dumps(w))) == w, (d.key, k)
+    assert json.dumps(ck(dom.ball(1), 3).witness) == "2"
+    assert json.dumps(ck(dom.ellipsoid(1, 2), 3).witness) == "[2, 0]"
+    assert json.dumps(ck(STAIR, 0).witness) == "[]"
+    assert json.dumps(ck(PENT, 3).witness) == '{"l": 2}'
 
 
 def test_values_are_fractions():

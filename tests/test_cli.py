@@ -215,6 +215,12 @@ VALIDATION_ERRORS = {
         _capacity('{"type":"disjoint_union","parts":[{"type":"ball","a":"1"},'
                   '{"type":"cp2","a":"1"}]}'),
         "error: field 'parts[1]': closed manifolds cannot be parts of a disjoint union"),
+    # too deep for the parts' recursion, and for the JSON parser itself
+    "nested_unions": (
+        _capacity('{"type":"disjoint_union","parts":[' * 400 + BALL1 + ']}' * 400),
+        "error: domain spec is nested too deeply"),
+    "nested_json": (_capacity('{"type":' + '[' * 100000 + ']' * 100000 + '}'),
+                    "error: domain spec is nested too deeply"),
 }
 
 

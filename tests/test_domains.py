@@ -299,7 +299,6 @@ def _record_reprs():
          "negatives=(Fraction(1, 1), Fraction(1, 1)))"),
         (cap.ck(pent, 2),
          "CapacityResult(k=2, value=Fraction(3, 1), method='weights', witness={'l': 0})"),
-        (cap.ellipsoid_spectrum(1, 2, 2)[2], "SpectrumEntry(action=Fraction(2, 1), m=0, n=1)"),
         (check_embedding(dom.ball(1), dom.ball(2), 1),
          "ObstructionReport(obstructed=False, first_k=None, c_source=None, c_target=None, "
          "k_max=1, volume_ok=True, table=((0, Fraction(0, 1), Fraction(0, 1)), "

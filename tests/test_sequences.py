@@ -21,18 +21,15 @@ import symcap.capacities as cap
 import symcap.domains as dom
 from per_k import ck_concave_via_weights, ck_convex_from_paths, ck_polydisk, ck_union
 from random_polygons import FAMILIES, domain
-from symcap.capacities import capacity_sequence, ck, ck_ball, ellipsoid_spectrum
+from symcap.capacities import capacity_sequence, ck
 from symcap.obstructions import check_embedding, scaling_lower_bound
 from symcap.weights import negative_weight_sequence
 
 
 def _per_k(d, k):
     """c_k from the formula for this k alone."""
-    if isinstance(d, dom.Ball):
-        return ck_ball(d.a, k)
-    if isinstance(d, dom.Ellipsoid):
-        e = ellipsoid_spectrum(d.a, d.b, k)[k]
-        return cap.CapacityResult(k, e.action, "ellipsoid_spectrum", (e.m, e.n))
+    if isinstance(d, (dom.Ball, dom.Ellipsoid)):
+        return cap._ClosedForm(d).at(k)
     if isinstance(d, dom.Polydisk):
         return ck_polydisk(d.a, d.b, k)
     if isinstance(d, dom.DisjointUnion):
@@ -42,7 +39,7 @@ def _per_k(d, k):
     if isinstance(d, dom.ConvexToric):
         return ck_convex_from_paths(d, k)
     if isinstance(d, dom.CP2):
-        return ck_ball(d.a, k)._replace(method="cp2")
+        return cap._ClosedForm(dom.ball(d.a)).at(k)._replace(method="cp2")
     return ck_polydisk(d.a, d.b, k)._replace(method="s2xs2")
 
 
@@ -124,7 +121,7 @@ def test_spectrum_extended_in_steps_matches_sorted_enumeration():
         got = [(F(v, scale), m, n) for v, m, n in got]
         want = sorted((m * a + n * b, m, n) for m in range(61) for n in range(61))[:60]
         assert got == want
-        assert [tuple(e) for e in ellipsoid_spectrum(a, b, 59)] == got
+        assert [(r.value, *r.witness) for r in capacity_sequence(e, 59)] == got
 
 
 # the polydisk's heap read on ties: equal axes, and axes in ratio 2, 3/2 and
@@ -159,15 +156,24 @@ CLOSED_FORMS = ("ball", "ellipsoid", "polydisk", "cp2", "s2xs2")
 
 
 def _closed_form_reference(d, K) -> dict:
-    """{k: (k, c_k, method, witness)} by the tests' references: the
-    ellipsoid spectrum, of E(a, a) for a ball, whose d is m + n there, to
-    K, and per_k.ck_polydisk at every 23rd k and at K."""
+    """{k: (k, c_k, method, witness)} by the tests' references: for an
+    ellipsoid, the pairs m, n < R sorted by (m*A + n*B, m, n) over the
+    axes' common denominator, to K: a pair left out has action at least
+    R*min(A, B), which for sizes up to 3 is past c_K <= sqrt(2ab(K+1));
+    for a ball, the spectrum heap of E(a, a), whose d is m + n there, to
+    K; and per_k.ck_polydisk at every 23rd k and at K."""
     if d.SOURCE == "polydisk":
         return {k: _triple(ck_polydisk(d.a, d.b, k)._replace(method=d.METHOD))
                 for k in (*range(0, K, 23), K)}
-    b = d.a if d.SOURCE == "ball" else d.b
-    return {k: (k, e.action, d.METHOD, e.m + e.n if d.SOURCE == "ball" else (e.m, e.n))
-            for k, e in enumerate(ellipsoid_spectrum(d.a, b, K))}
+    if d.SOURCE == "ball":
+        scale, A = cap._scaled(d.a)
+        pops = itertools.islice(cap._spectrum(A, A), K + 1)
+        return {k: (k, F(v, scale), d.METHOD, m + n) for k, (v, m, n) in enumerate(pops)}
+    scale, A, B = cap._scaled(d.a, d.b)
+    R = math.isqrt(18 * (K + 1)) + 1
+    pairs = sorted((m * A + n * B, m, n) for m in range(R) for n in range(R))[:K + 1]
+    assert pairs[-1][0] < R * min(A, B)  # every pair of a smaller action is enumerated
+    return {k: (k, F(v, scale), d.METHOD, (m, n)) for k, (v, m, n) in enumerate(pairs)}
 
 
 @pytest.mark.parametrize("family", CLOSED_FORMS)
