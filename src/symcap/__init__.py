@@ -6,8 +6,7 @@ reports are `fractions.Fraction` values with zero rounding anywhere.
 """
 
 from .capacities import (CapacityResult, ball_multiplicity, capacity_sequence,
-                         ck, ck_concave_toric, ck_convex_toric, clear_memo,
-                         load_disk_cache, save_disk_cache)
+                         ck, clear_memo, load_disk_cache, save_disk_cache)
 from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
                       Domain, Ellipsoid, Polydisk, S2xS2, ball, concave_toric,
                       convex_toric, cp2, disjoint_union, domain_from_json,

@@ -58,8 +58,7 @@ class CapacityResult(NamedTuple):
     k: int
     value: Fraction
     method: str
-    # a source's is an int, a tuple of ints or {"l": l}, which JSON writes
-    # as it stands; an oracle's is a paths.LatticePath
+    # an int, a tuple of ints or {"l": l}, which JSON writes as it stands
     witness: object = None
 
 
@@ -102,18 +101,6 @@ def _spectrum(A: int, B: int):
         heapq.heappush(heap, (v + B, m, n + 1))
         if n == 0:
             heapq.heappush(heap, (v + A, m + 1, 0))
-
-
-def ck_convex_toric(d, k) -> CapacityResult:
-    """c_k as the convex path optimum; the search checks k."""
-    opt = paths.min_convex(d, k)
-    return _checked(CapacityResult(k, opt.value, "convex_path", opt.witness))
-
-
-def ck_concave_toric(d, k) -> CapacityResult:
-    """c_k as the concave path optimum; the search checks k."""
-    opt = paths.max_concave(d, k)
-    return _checked(CapacityResult(k, opt.value, "concave_path", opt.witness))
 
 
 class _UnionParts:
@@ -225,10 +212,8 @@ class _Prefix:
 
     def sequence(self, k: int) -> list:
         """c_0..c_k."""
-        with self.lock:
-            if k >= len(self.results):
-                self._grow(k)
-            return self.results[:k + 1]
+        self.result(k)
+        return self.results[:k + 1]
 
     def result(self, k: int) -> CapacityResult:
         """c_k.  Results are only ever appended, so one already held is
@@ -366,13 +351,14 @@ _FORMULAS = {"ball": (_ball_values, _ball_at), "ellipsoid": (_ellipsoid_values, 
 class _ClosedForm:
     """A ball, ellipsoid or polydisk family's closed form, in integers over
     `scale`, the lcm of the sizes' denominators, keeping no results.  A
-    read of k = 0, of the k after the last read or of the last k again
-    starts, steps or repeats one stream of the runs of the family's
-    generator; any other k is read from the random-access form.  The
-    stream's state is its last result and the generator's (a spectrum heap
-    of O(sqrt k) entries), and a draw that raises drops it; sequence reads
-    a stream of its own.  It answers any k about as fast as a file is
-    read, so it is not CACHED."""
+    cursor over one stream of the runs of the family's generator answers,
+    under the lock, a read of the last k again, of the k after it or of
+    k = 0, by repeating, stepping or restarting the stream; any other k is
+    read from the random-access form, outside the lock.  The stream's state
+    is its last result and the generator's (a spectrum heap of O(sqrt k)
+    entries), and a step that raises drops it; sequence reads a stream of
+    its own.  It answers any k about as fast as a file is read, so it is
+    not CACHED."""
 
     CACHED = False
 
@@ -385,16 +371,21 @@ class _ClosedForm:
         self.stream = self.last = None
 
     def result(self, k: int) -> CapacityResult:
-        """c_k.  The last k again is read without the lock; k = 0 and the
-        k after the last, as a scan reads them, are drawn from the stream;
-        any other k is read from the random-access form outside the lock."""
-        last = self.last
-        if last is not None and last.k == k:
-            return last
-        if not k or (last is not None and last.k == k - 1):
-            with self.lock:
-                if not k or self.last is last:  # else another read moved the stream
-                    return self._draw(k)
+        """c_k: from the cursor when it stands at k or k - 1 or k = 0 is
+        asked, else from the random-access form."""
+        with self.lock:
+            last = self.last
+            if last is not None and last.k == k:
+                return last
+            if not k or (last is not None and last.k == k - 1):
+                try:
+                    if not k:
+                        self.stream = self._stream()
+                    self.last = next(self.stream)
+                except BaseException:
+                    self.stream = self.last = None
+                    raise
+                return self.last
         return self.at(k)
 
     def sequence(self, k: int) -> list:
@@ -410,18 +401,6 @@ class _ClosedForm:
         """c_k from the random-access form."""
         v, witness = self.value_at(k, *self.sizes)
         return _checked(CapacityResult(k, Fraction(v, self.scale), self.method, witness))
-
-    def _draw(self, k: int) -> CapacityResult:
-        """c_k from a fresh stream at k = 0, else from one step of the
-        stream past c_{k-1}, the last k read."""
-        try:
-            if not k:
-                self.stream = self._stream()
-            self.last = next(self.stream)
-        except BaseException:
-            self.stream = self.last = None
-            raise
-        return self.last
 
     def _stream(self):
         """c_0, c_1, ... off the family's runs, the results of a run
@@ -568,9 +547,6 @@ _SOURCE_KINDS = {  # by the family's SOURCE
     "convex": _ConvexPrefix,
 }
 
-# the second method verify=True compares a toric family's values against
-_ORACLES = {"concave": ck_concave_toric, "convex": ck_convex_toric}
-
 _LOCK = threading.Lock()
 _SAVE_LOCK = threading.Lock()
 _SOURCES: dict = {}  # domain key -> capacity source
@@ -607,12 +583,14 @@ def ck(d: Domain, k, verify: bool = False) -> CapacityResult:
     """
     k = index(k)
     result = _source(d).result(k)
-    other = _ORACLES[d.SOURCE](d, k) if verify and d.SOURCE in _ORACLES else None
-    if other is not None and other.value != result.value:
-        raise RuntimeError(
-            f"cross-check failed for {d.key} at k={k}: "
-            f"{result.method} gives {rational_str(result.value)}, "
-            f"{other.method} gives {rational_str(other.value)}")
+    if verify and d.SOURCE in ("convex", "concave"):
+        # looked up on the module at each call, so a wrapped search is seen
+        other = (paths.min_convex if d.SOURCE == "convex" else paths.max_concave)(d, k)
+        if other.value != result.value:
+            raise RuntimeError(
+                f"cross-check failed for {d.key} at k={k}: "
+                f"{result.method} gives {rational_str(result.value)}, "
+                f"{d.SOURCE}_path gives {rational_str(other.value)}")
     return result
 
 

@@ -15,7 +15,9 @@ byte-identical bytes on every run.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -50,13 +52,23 @@ def _load_domain(arg: str) -> Domain:
     return parse_domain_spec(text)
 
 
-def _decimal(v: Fraction) -> float:
-    # 6 significant digits next to the exact rational
-    return float(f"{float(v):.6g}")
+_SIX_DIGITS = decimal.Context(prec=6)
 
 
 def _decimal_str(v: Fraction) -> str:
-    return f"{float(v):.6g}"
+    """v to 6 significant digits; past a float's range, v rounded to them
+    exactly by decimal."""
+    try:
+        return f"{float(v):.6g}"
+    except OverflowError:
+        return f"{_SIX_DIGITS.divide(v.numerator, v.denominator).normalize():.6g}"
+
+
+def _decimal(v: Fraction) -> float | None:
+    """_decimal_str(v) as a float, printed next to the exact rational, or
+    None (JSON null) past a float's range."""
+    d = float(_decimal_str(v))
+    return None if math.isinf(d) else d
 
 
 def _dumps(obj) -> str:

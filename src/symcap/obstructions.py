@@ -107,11 +107,8 @@ class AsymptoticReport(NamedTuple):
 def asymptotic_ratio(d, k) -> AsymptoticReport:
     """Compare c_k against the growth model 2*sqrt(vol*k)."""
     k = index(k, 1)
-    vol = domains.volume(d)
-    if vol <= 0:
-        raise ValueError("domain volume must be positive")
     c = ck(d, k).value
-    s_lo, s_hi = sqrt_interval(vol * k)
+    s_lo, s_hi = sqrt_interval(domains.volume(d) * k)
     model_low, model_high = 2 * s_lo, 2 * s_hi
     # k^(1/4) from below: root of the lower bracket of sqrt(k)
     r_lo, _ = sqrt_interval(Fraction(k))

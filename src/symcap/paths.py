@@ -5,10 +5,10 @@ height; it runs from (0, start_y) to (end_x, 0).
 
 Convex kind: the closed region bounded by the path and the axes is convex.
 Edge directions, read along the path, rotate strictly clockwise inside the
-open arc from just below "straight up" round to just above "straight left";
-the degenerate all-horizontal and all-vertical segment paths are admitted
-too.  Edges may point up-right or down-left: nothing restricts the path to
-monotone staircases, and min_convex searches the full class.
+open arc from just below "straight up" round to just above "straight left",
+so a single edge along either axis is a convex path too.  Edges may point
+up-right or down-left: nothing restricts the path to monotone staircases,
+and min_convex searches the full class.
 
 Concave kind: the path is the graph of a piecewise linear convex function;
 after stripping terminal height-zero runs every edge has dx >= 1, dy <= -1
@@ -79,61 +79,42 @@ def _merge(edges) -> tuple[Edge, ...]:
     return tuple(out)
 
 
-def _validate_convex_edges(edges) -> tuple[int, int]:
-    """Check a merged edge sequence, returning (end_x, start_y)."""
-    if not edges:
-        return 0, 0
-    a = sum(dx for dx, _ in edges)
+def _validate_convex_edges(edges) -> int:
+    """Check a merged edge sequence, returning its start height."""
     b = -sum(dy for _, dy in edges)
-    if a < 0 or b < 0:
+    if sum(dx for dx, _ in edges) < 0 or b < 0:
         raise ValueError("path must run from the y-axis down to the x-axis")
-    if all(dy == 0 for _, dy in edges):
-        # merged horizontal segment along the x-axis
-        if len(edges) != 1 or edges[0][0] <= 0:
-            raise ValueError("degenerate horizontal path must be a single forward edge")
-        return a, 0
-    if all(dx == 0 for dx, _ in edges):
-        if len(edges) != 1 or edges[0][1] >= 0:
-            raise ValueError("degenerate vertical path must be a single downward edge")
-        return 0, b
     for dx, dy in edges:
         if not (dx > 0 or (dx == 0 and dy < 0) or (dx < 0 and dy < 0)):
             raise ValueError(f"edge ({dx},{dy}) points outside the admissible arc")
     for i in range(len(edges) - 1):
         if cross(edges[i], edges[i + 1]) >= 0:
             raise ValueError("edge directions must rotate strictly clockwise")
-    return a, b
+    return b
 
 
-def _validate_concave_edges(edges) -> tuple[int, int]:
-    if not edges:
-        return 0, 0
-    a = sum(dx for dx, _ in edges)
-    b = -sum(dy for _, dy in edges)
-    for i, (dx, dy) in enumerate(edges):
+def _validate_concave_edges(edges) -> int:
+    """Check a merged edge sequence, returning its start height."""
+    for dx, dy in edges:
         if dx < 1:
             raise ValueError("concave path edges must advance in x (no vertical edges)")
         if dy > 0:
             raise ValueError("concave path edges cannot rise")
-        if dy == 0 and i != len(edges) - 1:
-            raise ValueError("horizontal run allowed only at the end of a concave path")
     for i in range(len(edges) - 1):
-        # slopes dy/dx must strictly increase
+        # slopes dy/dx must strictly increase, so a horizontal edge is last
         if cross(edges[i], edges[i + 1]) <= 0:
             raise ValueError("concave path slopes must strictly increase")
-    return a, b
+    return -sum(dy for _, dy in edges)
 
 
 def convex_path(edges) -> LatticePath:
     merged = _merge(edges)
-    _, b = _validate_convex_edges(merged)
-    return LatticePath("convex", merged, b)
+    return LatticePath("convex", merged, _validate_convex_edges(merged))
 
 
 def concave_path(edges) -> LatticePath:
     merged = _merge(edges)
-    _, b = _validate_concave_edges(merged)
-    return LatticePath("concave", merged, b)
+    return LatticePath("concave", merged, _validate_concave_edges(merged))
 
 
 def _maker(kind: str):

@@ -8,10 +8,10 @@ every part every share, in Fractions.
 
 from fractions import Fraction
 
-from symcap.capacities import (CapacityResult, _checked, ball_multiplicity, capacity_sequence,
-                               ck_convex_toric)
+from symcap.capacities import CapacityResult, _checked, ball_multiplicity, capacity_sequence
 from symcap.domains import Ball, DisjointUnion
 from symcap.geometry import index, rational
+from symcap.paths import min_convex
 from symcap.weights import negative_weight_sequence, weight_expansion
 
 
@@ -79,7 +79,7 @@ def ck_convex_from_paths(omega, k) -> CapacityResult:
     the weight formula gives it, the first shift l at which
     c_{k+l}(B(h)) - c_l(union of the excised balls) reaches that value."""
     k = index(k)
-    value = ck_convex_toric(omega, k).value
+    value = min_convex(omega, k).value
     dec = negative_weight_sequence(omega)
     for n in (16, 64, 256, 1024):
         excised = [0] * (n + 1)

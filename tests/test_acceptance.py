@@ -15,8 +15,9 @@ import pytest
 import symcap.capacities as cap
 import symcap.domains as dom
 from per_k import ck_concave_via_weights, ck_polydisk
-from symcap.capacities import capacity_sequence, ck, ck_concave_toric, ck_convex_toric
+from symcap.capacities import capacity_sequence, ck
 from symcap.obstructions import asymptotic_ratio, check_embedding, scaling_lower_bound
+from symcap.paths import max_concave, min_convex
 from symcap.weights import weight_expansion
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
@@ -47,7 +48,7 @@ def test_criterion_01_ball_sequence_and_path_optimizer():
         assert oracle[:11] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]
         for k in range(31):
             assert ck(dom.ball(1), k).value == oracle[k]
-            assert ck_convex_toric(dom.ball(1), k).value == oracle[k]
+            assert min_convex(dom.ball(1), k).value == oracle[k]
         assert time.monotonic() - t0 < 60
 
     _report(1, "ball capacity sequence, closed form and path search, k <= 30",
@@ -65,8 +66,8 @@ def test_criterion_02_ellipsoid_triple_oracle():
             d = dom.ellipsoid(a, b)
             sp = capacity_sequence(d, 12)
             for k in range(13):
-                assert ck_convex_toric(d, k).value == want[k]
-                assert ck_concave_toric(d, k).value == want[k]
+                assert min_convex(d, k).value == want[k]
+                assert max_concave(d, k).value == want[k]
                 assert sp[k].value == want[k]
 
     _report(2, "three independent ellipsoid formulas agree, k <= 12", body)
@@ -99,7 +100,7 @@ def test_criterion_04_concave_cross_check():
             d = dom.ellipsoid(1, x)
             for k in range(13):
                 assert ck_concave_via_weights(d, k).value == \
-                    ck_concave_toric(d, k).value
+                    max_concave(d, k).value
 
     _report(4, "concave domains: weights + union DP equals path optimum", body)
 
@@ -109,7 +110,7 @@ def test_criterion_05_convex_cross_check():
         for d in (dom.polydisk(1, 1), dom.polydisk(1, 2), PENT):
             d = dom.convex_toric(d.omega.vertices)
             for k in range(11):
-                assert ck(d, k).value == ck_convex_toric(d, k).value
+                assert ck(d, k).value == min_convex(d, k).value
 
     _report(5, "convex domains: shifted-ball difference equals path optimum",
             body)
@@ -120,7 +121,7 @@ def test_criterion_06_polydisk_closed_form():
         for a, b in ((1, 1), (1, 2)):
             for k in range(13):
                 assert ck_polydisk(a, b, k).value == \
-                    ck_convex_toric(dom.polydisk(a, b), k).value
+                    min_convex(dom.polydisk(a, b), k).value
 
     _report(6, "polydisk closed form equals path formula, k <= 12", body)
 

@@ -3,7 +3,10 @@ domains and on seeded random draws of every family (tests/random_polygons.py).""
 
 import concurrent.futures
 import functools
+import itertools
 import json
+import math
+import operator
 import os
 import random
 import sys
@@ -20,13 +23,8 @@ import symcap.paths as paths
 from cache_files import domain_files, file_of, no_growth, opened_paths
 from per_k import ck_concave_via_weights, ck_polydisk, ck_union
 from random_polygons import FAMILIES, domain
-from symcap.capacities import (
-    CapacityResult,
-    ck,
-    ck_concave_toric,
-    ck_convex_toric,
-    capacity_sequence,
-)
+from symcap.capacities import CapacityResult, capacity_sequence, ck
+from symcap.geometry import cross
 from symcap.weights import negative_weight_sequence
 
 PENT = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
@@ -120,20 +118,20 @@ def test_polydisk_witness_feasible():
 
 
 def test_convex_toric_examples():
-    assert ck_convex_toric(dom.ball(1), 3).value == 2
-    assert ck_convex_toric(dom.polydisk(1, 1), 2).value == 2
-    assert ck_convex_toric(PENT, 0).value == 0
+    assert paths.min_convex(dom.ball(1), 3).value == 2
+    assert paths.min_convex(dom.polydisk(1, 1), 2).value == 2
+    assert paths.min_convex(PENT, 0).value == 0
 
 
 def test_convex_toric_matches_polydisk_formula():
     for k in range(13):
-        assert ck_convex_toric(dom.polydisk(1, 1), k).value == ck_polydisk(1, 1, k).value
+        assert paths.min_convex(dom.polydisk(1, 1), k).value == ck_polydisk(1, 1, k).value
 
 
 def test_concave_toric_examples():
-    assert ck_concave_toric(dom.ellipsoid(1, 2), 4).value == 3
-    assert ck_concave_toric(dom.ball(1), 1).value == 1
-    assert ck_concave_toric(STAIR, 0).value == 0
+    assert paths.max_concave(dom.ellipsoid(1, 2), 4).value == 3
+    assert paths.max_concave(dom.ball(1), 1).value == 1
+    assert paths.max_concave(STAIR, 0).value == 0
 
 
 def test_union_examples():
@@ -313,8 +311,6 @@ def test_indices_must_be_ints(k):
         "ck": lambda: ck(dom.ball(1), k),
         "capacity_sequence": lambda: capacity_sequence(dom.ellipsoid(1, 2), k),
         "ball_multiplicity": lambda: cap.ball_multiplicity(k),
-        "ck_convex_toric": lambda: ck_convex_toric(PENT, k),
-        "ck_concave_toric": lambda: ck_concave_toric(STAIR, k),
         "min_convex": lambda: paths.min_convex(PENT, k),
         "max_concave": lambda: paths.max_concave(STAIR, k),
     }
@@ -354,6 +350,22 @@ def test_axiom_sublinear(d):
     for k in range(11):
         for l in range(11):
             assert vals[k + l] <= vals[k] + vals[l], (d.key, k, l)
+
+
+@pytest.mark.parametrize("family", ["convex", "concave", "toric_union"])
+def test_axiom_sublinear_to_k_2000(family):
+    # c_{k+l} <= c_k + c_l for all k <= l with k + l <= K, over the values'
+    # integer numerators: v[k + l] against v[k] + v[l], one map per k
+    K, rng = 2000, random.Random(f"sublinear-{family}")
+    for _ in range(2):
+        d = domain(rng, family)
+        vals = [r.value for r in capacity_sequence(d, K)]
+        scale = math.lcm(*(v.denominator for v in vals))
+        v = [c.numerator * (scale // c.denominator) for c in vals]
+        for k in range(K // 2 + 1):
+            sums = map(operator.add, itertools.repeat(v[k]), v[k:K - k + 1])
+            assert all(map(operator.le, v[2 * k:], sums)), (d.key, k)
+        cap.clear_memo()
 
 
 def test_axiom_union_versus_brute_force():
@@ -401,9 +413,46 @@ def test_ellipsoid_three_way_agreement(ab):
     for twin in twins:
         assert [r.value for r in capacity_sequence(twin, K)] == want, twin.key
     for k in range(13):
-        assert ck_convex_toric(ab, k).value == want[k]
-        assert not concave or ck_concave_toric(ab, k).value == want[k]
+        assert paths.min_convex(ab, k).value == want[k]
+        assert not concave or paths.max_concave(ab, k).value == want[k]
     cap.clear_memo()
+
+
+def _hull(points) -> list:
+    """The vertices of the convex hull of points, counterclockwise, by
+    Andrew's monotone chain."""
+    pts = sorted(set(points))
+
+    def half(chain):
+        out = []
+        for p in chain:
+            while len(out) > 1 and cross(
+                    (out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
+                    (p[0] - out[-1][0], p[1] - out[-1][1])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def _below(small, big, K) -> None:
+    """c_k(small) <= c_k(big) for every k <= K."""
+    pairs = zip(capacity_sequence(small, K), capacity_sequence(big, K))
+    bad = next(((r.k, r.value, s.value) for r, s in pairs if r.value > s.value), None)
+    assert bad is None, (small.key, big.key, bad)
+
+
+def _edge_triangles(vertices) -> list:
+    """E(t_x, t_y), the triangle under the line of an edge, for each edge
+    between consecutive vertices whose line falls; it meets the axes at
+    t_x and t_y."""
+    return [dom.ellipsoid(x0 + y0 * (x1 - x0) / (y0 - y1), y1 + x1 * (y0 - y1) / (x1 - x0))
+            for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
+            if (x1 - x0) * (y1 - y0) < 0]
+
+
+SANDWICH_K = 2000
 
 
 def test_monotonicity_under_inclusion():
@@ -412,6 +461,30 @@ def test_monotonicity_under_inclusion():
         c_mid = ck(dom.ellipsoid(1, 2), k).value
         c_big = ck(dom.ball(2), k).value
         assert c_small <= c_mid <= c_big
+    # an inclusion of moment regions is a symplectic embedding, so c_k is
+    # monotone under it; checked to K on seeded draws.  A convex region
+    # with axis intercepts a and b lies in the box [0, a] x [0, b], so it
+    # holds E(a, b), lies in P(a, b), in the triangle under the line of
+    # each slanted edge and in the hull of itself and a point p of the box.
+    # A concave region lies in E(a, b) and holds the triangle under the
+    # line of each edge of its chain, which the convex chain lies above
+    rng = random.Random("sandwiches")
+    for _ in range(5):
+        d = domain(rng, "convex")
+        (_, _), (a, _), *_, (_, b) = d.omega.vertices
+        p = (a * F(rng.randint(8, 12), 12), b * F(rng.randint(8, 12), 12))  # near (a, b)
+        _below(dom.ellipsoid(a, b), d, SANDWICH_K)
+        for outer in [dom.polydisk(a, b), dom.convex_toric(_hull(d.omega.vertices + (p,)))] \
+                + _edge_triangles(d.omega.vertices[1:]):
+            _below(d, outer, SANDWICH_K)
+        cap.clear_memo()
+    for _ in range(5):
+        d = domain(rng, "concave")
+        chain = d.omega.vertices[1:]
+        _below(d, dom.ellipsoid(chain[0][0], chain[-1][1]), SANDWICH_K)
+        for inner in _edge_triangles(chain):
+            _below(inner, d, SANDWICH_K)
+        cap.clear_memo()
 
 
 def test_polydisk_equals_product_of_spheres():
@@ -810,21 +883,25 @@ def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):
 
 def test_verify_cross_checks_values_read_from_a_cache_file(tmp_path):
     # a well-formed but wrong entry is served as stored, and verify=True
-    # finds it out
+    # finds it out against the path optimum of the domain's kind
+    for d, kind in ((PENT, "convex"), (STAIR, "concave")):
+        cap.clear_memo()
+        capacity_sequence(d, 6)
+        cap.save_disk_cache(str(tmp_path))
+        path = file_of(tmp_path, d)
+        payload = json.loads(path.read_text())
+        right = F(payload["entries"][5]["c"])
+        payload["entries"][5]["c"] = str(right + 1)
+        path.write_text(json.dumps(payload))
+        cap.clear_memo()
+        cap.load_disk_cache(str(tmp_path))
+        assert ck(d, 5).value == right + 1
+        assert ck(d, 4, verify=True).value == capacity_sequence(d, 4)[4].value
+        with pytest.raises(RuntimeError) as exc:
+            ck(d, 5, verify=True)
+        assert str(exc.value) == (f"cross-check failed for {d.key} at k=5: "
+                                  f"weights gives {right + 1}, {kind}_path gives {right}")
     cap.clear_memo()
-    capacity_sequence(PENT, 6)
-    cap.save_disk_cache(str(tmp_path))
-    path = file_of(tmp_path, PENT)
-    payload = json.loads(path.read_text())
-    wrong = F(payload["entries"][5]["c"]) + 1
-    payload["entries"][5]["c"] = str(wrong)
-    path.write_text(json.dumps(payload))
-    cap.clear_memo()
-    cap.load_disk_cache(str(tmp_path))
-    assert ck(PENT, 5).value == wrong
-    assert ck(PENT, 4, verify=True).value == capacity_sequence(PENT, 4)[4].value
-    with pytest.raises(RuntimeError, match="cross-check failed"):
-        ck(PENT, 5, verify=True)
 
 
 def test_witness_json_forms():

@@ -285,6 +285,33 @@ def test_asymptotics_of_an_ellipsoid_at_k_10_12(capsys):
                     '"residual_decimal":0.00130757}\n'), "")
 
 
+# balls whose capacities no float can hold: 10^400 and 2*10^400/3
+HUGE = "1" + "0" * 400
+HUGE_BALL = '{"type":"ball","a":"%s"}' % HUGE
+THIRDS_BALL = '{"type":"ball","a":"2%s/3"}' % HUGE[1:]
+
+
+def test_values_past_a_float_print_exactly(capsys):
+    # the exact c is printed; JSON writes null for a decimal no float
+    # holds, and CSV the exact value to 6 significant digits
+    cap.clear_memo()
+    assert _run(capsys, "capacity", "-d", HUGE_BALL, "-k", "1", "--format", "json") == (
+        0, '{"k":1,"c":"%s","decimal":null,"method":"ball_formula","witness":1}\n' % HUGE, "")
+    rc, out, err = _run(capsys, "sequence", "-d", HUGE_BALL, "--kmax", "3", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert [(r["c"], r["decimal"]) for r in json.loads(out)] == [
+        ("0", 0.0), (HUGE, None), (HUGE, None), ("2" + HUGE[1:], None)]
+    assert _run(capsys, "sequence", "-d", THIRDS_BALL, "--kmax", "3", "--format", "csv") == (
+        0, "k,c,decimal,method\n0,0,0,ball_formula\n"
+           f"1,2{HUGE[1:]}/3,6.66667e+399,ball_formula\n"
+           f"2,2{HUGE[1:]}/3,6.66667e+399,ball_formula\n"
+           f"3,4{HUGE[1:]}/3,1.33333e+400,ball_formula\n", "")
+    rc, out, err = _run(capsys, "asymptotics", "-d", HUGE_BALL, "-k", "3")
+    rep = json.loads(out)
+    assert (rc, err, rep["c"]) == (0, "", "2" + HUGE[1:])
+    assert (rep["decimal"], rep["model_decimal"], rep["residual_decimal"]) == (None, None, None)
+
+
 def test_readme_flag_table_matches_parser():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", fh.read(), re.M)

@@ -179,8 +179,9 @@ def _closed_form_reference(d, K) -> dict:
 @pytest.mark.parametrize("family", CLOSED_FORMS)
 def test_closed_form_stream_and_random_access_agree(family):
     # c_0..c_K read as one sequence (the stream), from the random-access
-    # form, by ck in shuffled order, and by 8 threads at once, half of them
-    # in order and half shuffled, all equal the references
+    # form, by ck in shuffled order and in a fixed order of cursor moves,
+    # and by 8 threads at once, half of them in order and half shuffled,
+    # all equal the references
     K, rng = 1500, random.Random(f"closed-{family}")
     for d in [domain(rng, family)] + ([dom.ellipsoid(1, 2)] if family == "ellipsoid" else []):
         cap.clear_memo()
@@ -198,6 +199,10 @@ def test_closed_form_stream_and_random_access_agree(family):
 
         cap.clear_memo()
         assert read(1) == want, d.key
+        # the cursor repeats, jumps, steps after a jump and restarts
+        cap.clear_memo()
+        order = (0, 0, 1, 2, 2, 5, 6, 3, 4, 0, 1)
+        assert [_triple(ck(d, k)) for k in order] == [want[k] for k in order], d.key
         cap.clear_memo()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
