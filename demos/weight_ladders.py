@@ -9,7 +9,6 @@ from symcap import (
     ellipsoid,
     negative_weight_sequence,
     polydisk,
-    volume,
     weight_expansion,
 )
 
@@ -18,7 +17,7 @@ def show_expansion(label, omega):
     ws = weight_expansion(omega)
     total = sum(w * w for w in ws) / 2
     print(f"{label}: weights {tuple(str(w) for w in ws)}  "
-          f"sum a_i^2/2 = {total} = area {volume(omega)}")
+          f"sum a_i^2/2 = {total} = area {omega.volume()}")
 
 
 def show_negative(label, omega):

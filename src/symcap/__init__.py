@@ -10,8 +10,7 @@ from .capacities import (CapacityResult, ball_multiplicity, capacity_sequence,
 from .domains import (CP2, Ball, ConcaveToric, ConvexToric, DisjointUnion,
                       Domain, Ellipsoid, Polydisk, S2xS2, ball, concave_toric,
                       convex_toric, cp2, disjoint_union, domain_from_json,
-                      domain_key, domain_to_json, ellipsoid, polydisk, s2xs2,
-                      scale_domain, volume)
+                      ellipsoid, polydisk, s2xs2, scale_domain)
 from .geometry import (Polygon, cross, is_convex, lattice_points_on_path,
                        lattice_points_under_path, path_vertices, rational,
                        rational_str)
@@ -20,8 +19,8 @@ from .obstructions import (AsymptoticReport, ObstructionReport,
                            scaling_lower_bound, sqrt_interval)
 from .paths import (LatticePath, PathOptimum, anti_norm, concave_path,
                     convex_path, dual_norm, ell, lcheck, lhat, max_concave,
-                    min_convex, path_from_json, path_to_json, validate_path)
-from .weights import (NegativeWeightDecomposition, inscribed_triangle_size,
-                      negative_weight_sequence, weight_expansion)
+                    min_convex, path_to_json, validate_path)
+from .weights import (NegativeWeightDecomposition, negative_weight_sequence,
+                      weight_expansion)
 
 __version__ = "0.1.0"

@@ -190,8 +190,9 @@ def _union_table(parts, kmax: int) -> None:
 class _Prefix:
     """results holds c_0..c_{n-1} of one domain, grown on demand under a
     lock and kept: the source of a union, concave or convex domain, the
-    three that run the max-plus DP.  It is CACHED: it starts from the
-    domain's cache file, read whole, when a cache directory is loaded.
+    three that run the max-plus DP, and the only sources the disk cache
+    holds: it starts from the domain's cache file, read whole, when a
+    cache directory is loaded.
 
     Subclasses hold their work in `table`, made on first use, and define
     _extend(k), which makes the table if there is none and grows it until
@@ -200,8 +201,6 @@ class _Prefix:
     raises drops the table, which may have lost an entry or been left
     half-written, and the next makes a fresh one.
     """
-
-    CACHED = True
 
     def __init__(self, d: Domain):
         self.lock = threading.Lock()
@@ -357,10 +356,8 @@ class _ClosedForm:
     read from the random-access form, outside the lock.  The stream's state
     is its last result and the generator's (a spectrum heap of O(sqrt k)
     entries), and a step that raises drops it; sequence reads a stream of
-    its own.  It answers any k about as fast as a file is read, so it is
-    not CACHED."""
-
-    CACHED = False
+    its own.  It answers any k about as fast as a file is read, so the
+    disk cache holds none."""
 
     def __init__(self, d: Domain):
         self.lock = threading.Lock()
@@ -425,7 +422,7 @@ class _UnionPrefix(_Prefix):
             sources = [_source(p) for p in self.domain.parts]
             scale = math.lcm(*(s.scale for s in sources))
             self.table = _UnionParts([s.runs(scale) for s in sources], scale)
-            self.toric = [s for s in sources if s.CACHED]
+            self.toric = [s for s in sources if isinstance(s, _Prefix)]
         for source in self.toric:  # then drawn a k at a time
             source.result(k)
         _union_table(self.table, k)
@@ -688,7 +685,7 @@ def save_disk_cache(cache_dir: str) -> int:
     # wrote a longer prefix to it must not write its shorter one after
     with _SAVE_LOCK:
         for source in sources:
-            if not source.CACHED:
+            if not isinstance(source, _Prefix):
                 continue
             results = source.results[:]
             if not results:

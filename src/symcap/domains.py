@@ -84,7 +84,7 @@ def _concave_toric_flag(c: Polygon) -> bool:
 
 
 def _triangle(a: Fraction, b: Fraction) -> Polygon:
-    return Polygon.from_points([(0, 0), (a, 0), (0, b)])
+    return cycle([(0, 0), (a, 0), (0, b)])
 
 
 def _need(obj: dict, field: str):
@@ -131,7 +131,7 @@ class Domain:
 
     @functools.cached_property
     def key(self) -> str:
-        return json.dumps(domain_to_json(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 class _Sized(Domain):
@@ -198,7 +198,7 @@ class Polydisk(_Sized):
 
     @functools.cached_property
     def omega(self) -> Polygon:
-        return Polygon.from_points([(0, 0), (self.a, 0), (self.a, self.b), (0, self.b)])
+        return cycle([(0, 0), (self.a, 0), (self.a, self.b), (0, self.b)])
 
     def volume(self) -> Fraction:
         return self.a * self.b
@@ -305,7 +305,7 @@ class DisjointUnion(Domain):
                 flat.append(p)
         if not flat:
             raise ValueError("disjoint union needs at least one part")
-        flat.sort(key=domain_key)
+        flat.sort(key=lambda p: p.key)
         self._set(tuple(flat))
 
     def volume(self) -> Fraction:
@@ -348,22 +348,12 @@ def disjoint_union(*parts) -> DisjointUnion:
     return DisjointUnion(parts)
 
 
-def volume(d: Domain) -> Fraction:
-    """Exact symplectic volume; equals the moment-polygon area for toric
-    domains, a^2/2 and ab for the two closed manifolds."""
-    return d.volume()
-
-
 def scale_domain(d: Domain, mu) -> Domain:
     """Scale all moment data by the positive rational mu."""
     return d.scale(_positive(mu, "mu"))
 
 
 # --- wire format -----------------------------------------------------------
-
-def domain_to_json(d: Domain) -> dict:
-    return d.to_json()
-
 
 def domain_from_json(obj) -> Domain:
     if not isinstance(obj, dict):
@@ -373,8 +363,3 @@ def domain_from_json(obj) -> Domain:
         if family.TYPE == kind:
             return family._from_json(obj)
     raise ValueError(f"field 'type': unknown domain type {kind!r}")
-
-
-def domain_key(d: Domain) -> str:
-    """Stable string key for caching and canonical part ordering."""
-    return d.key

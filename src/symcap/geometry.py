@@ -19,6 +19,7 @@ column as an independent oracle.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -75,12 +76,21 @@ def index(k, least: int = 0, name: str = "k") -> int:
     return k
 
 
+def _digits(n: int) -> str:
+    """str(n), through decimal past the digit limit of int-to-str
+    conversion, which decimal does not have."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 def rational_str(q) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     q = rational(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def point(x, y) -> Point:
@@ -100,10 +110,10 @@ class Polygon(NamedTuple):
     """A canonical vertex cycle: its exact points, and the same points as
     integers over their common denominator, (x, y) standing for
     (x/scale, y/scale); area2 is twice the signed area times scale^2.
-    Built by from_points (or cycle), which canonicalizes but never
-    reorders: no two consecutive vertices equal, no straight-through
-    vertex (collinear run) survives, and direction reversals (spikes) are
-    rejected outright.  It prints as its points alone."""
+    Built by cycle, which canonicalizes but never reorders: no two
+    consecutive vertices equal, no straight-through vertex (collinear
+    run) survives, and direction reversals (spikes) are rejected
+    outright.  It prints as its points alone."""
 
     vertices: tuple[Point, ...]
     ints: tuple[tuple[int, int], ...]
@@ -112,10 +122,6 @@ class Polygon(NamedTuple):
 
     def __repr__(self) -> str:
         return f"Polygon(vertices={self.vertices!r})"
-
-    @staticmethod
-    def from_points(pts: Iterable) -> "Polygon":
-        return cycle(pts)
 
     def signed_area(self) -> Fraction:
         return Fraction(self.area2, 2 * self.scale * self.scale)

@@ -23,7 +23,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import domains
 from .capacities import capacity_values, ck
 from .geometry import index, rational
 
@@ -51,7 +50,7 @@ def check_embedding(src, tgt, k_max) -> ObstructionReport:
     neither past it.
     """
     k_max = index(k_max, 1, "k_max")
-    volume_ok = domains.volume(src) <= domains.volume(tgt)
+    volume_ok = src.volume() <= tgt.volume()
     rows = []
     for k in range(k_max + 1):
         cs = ck(src, k).value
@@ -82,18 +81,14 @@ def scaling_lower_bound(src, tgt, k_max) -> Fraction:
     return best
 
 
-def sqrt_interval(value, eps=Fraction(1, 10 ** 9)) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(value) <= hi with hi - lo <= eps."""
+def sqrt_interval(value) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(value) <= hi with hi - lo <= 10^-9."""
     value = rational(value)
-    eps = rational(eps)
     if value < 0:
         raise ValueError("square root of a negative value")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     p, q = value.numerator, value.denominator
-    scale = -(-eps.denominator // eps.numerator)  # ceil(1/eps)
-    n = math.isqrt(p * q * scale * scale)
-    return Fraction(n, q * scale), Fraction(n + 1, q * scale)
+    n = math.isqrt(p * q * 10 ** 18)
+    return Fraction(n, q * 10 ** 9), Fraction(n + 1, q * 10 ** 9)
 
 
 class AsymptoticReport(NamedTuple):
@@ -108,7 +103,7 @@ def asymptotic_ratio(d, k) -> AsymptoticReport:
     """Compare c_k against the growth model 2*sqrt(vol*k)."""
     k = index(k, 1)
     c = ck(d, k).value
-    s_lo, s_hi = sqrt_interval(domains.volume(d) * k)
+    s_lo, s_hi = sqrt_interval(d.volume() * k)
     model_low, model_high = 2 * s_lo, 2 * s_hi
     # k^(1/4) from below: root of the lower bracket of sqrt(k)
     r_lo, _ = sqrt_interval(Fraction(k))

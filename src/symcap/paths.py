@@ -182,24 +182,6 @@ def path_to_json(p: LatticePath) -> dict:
     return {"start": [0, p.start_y], "edges": [[dx, dy] for dx, dy in p.edges]}
 
 
-def path_from_json(obj, kind: str) -> LatticePath:
-    """Invert path_to_json for a path of the kind; a malformed object
-    raises a ValueError that names the field."""
-    make = _maker(kind)
-    if not isinstance(obj, dict):
-        raise ValueError("path spec must be a JSON object")
-    edges = obj.get("edges")
-    if not (isinstance(edges, list)
-            and all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges)):
-        raise ValueError("field 'edges': need a list of [dx, dy] pairs")
-    p = make(edges)
-    start = obj.get("start", [0, p.start_y])
-    if not (isinstance(start, (list, tuple))
-            and [integer(v, "start entry") for v in start] == [0, p.start_y]):
-        raise ValueError(f"field 'start': {start!r} does not match the edges")
-    return p
-
-
 EMPTY_CONVEX = LatticePath("convex", (), 0)
 EMPTY_CONCAVE = LatticePath("concave", (), 0)
 
@@ -240,16 +222,10 @@ def min_convex(d, k: int) -> PathOptimum:
     k = index(k)
     if k == 0:
         return PathOptimum(Fraction(0), EMPTY_CONVEX, 1)
-    return _convex_search(poly, k)
 
-
-def _convex_search(poly: Polygon, k: int) -> PathOptimum:
-    """The branch and bound behind min_convex, for k >= 1.
-
-    best[0] holds the least (cost, edges, count) found so far among scored
-    paths with count >= k+1, and the tree is pruned against its cost; a
-    path is scored only when it is no dearer.
-    """
+    # best[0] holds the least (cost, edges, count) found so far among
+    # scored paths with count >= k+1, and the tree is pruned against its
+    # cost; a path is scored only when it is no dearer
     iverts, scale = poly.ints, poly.scale
     a_int = max(ix for ix, _ in iverts)  # xmax * scale, positive
     b_int = max(iy for _, iy in iverts)

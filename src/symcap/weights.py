@@ -45,22 +45,6 @@ class NegativeWeightDecomposition(NamedTuple):
     negatives: tuple[Fraction, ...]
 
 
-def _omega(d) -> Polygon:
-    if d.omega is None:
-        raise ValueError("domain has no moment polygon")
-    return d.omega
-
-
-def inscribed_triangle_size(d) -> Fraction:
-    """Largest r with {x + y <= r} (within the quadrant) inside the region.
-
-    Equals the minimum of x + y over the outer boundary chain, attained at
-    a vertex.
-    """
-    c = _omega(d)
-    return Fraction(min(x + y for x, y in c.ints[1:]), c.scale)
-
-
 def _expand(chains: list) -> list:
     """Ball sizes of the concave pieces below the integer chains, sorted
     nonincreasing, in the chains' units."""
@@ -99,7 +83,9 @@ def _balls(what: str, head: int, chains: list, c: Polygon) -> tuple[Fraction, ..
 
 def weight_expansion(d) -> tuple[Fraction, ...]:
     """Ball sizes filling a concave region, sorted nonincreasing."""
-    c = _omega(d)
+    c = d.omega
+    if c is None:
+        raise ValueError("domain has no moment polygon")
     return _balls("weight expansion", 0, [c.ints[:0:-1]], c)
 
 

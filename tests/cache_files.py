@@ -29,7 +29,7 @@ def no_growth(monkeypatch):
         raise AssertionError(f"{self.domain.key} grew to k={k}")
 
     for kind in cap._SOURCE_KINDS.values():
-        if kind.CACHED:
+        if issubclass(kind, cap._Prefix):
             monkeypatch.setattr(kind, "_grow", no_grow)
 
 

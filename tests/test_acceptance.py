@@ -89,7 +89,7 @@ def test_criterion_03_weight_expansions():
         assert len(corpus) >= 6
         for omega in corpus:
             ws = weight_expansion(omega)
-            assert sum(w * w for w in ws) / 2 == dom.volume(omega)
+            assert sum(w * w for w in ws) / 2 == omega.volume()
 
     _report(3, "weight expansions with exact volume identity", body)
 

@@ -814,16 +814,17 @@ def test_ck_computes_each_domain_key_once(monkeypatch):
     # a key is the JSON of its domain, encoded on first use and kept
     cap.clear_memo()
     calls = []
-    to_json = dom.domain_to_json
-    monkeypatch.setattr(dom, "domain_to_json", lambda d: calls.append(d) or to_json(d))
+    compute = dom.Domain.key.func
+    counted = functools.cached_property(lambda d: calls.append(d) or compute(d))
+    counted.__set_name__(dom.Domain, "key")
+    monkeypatch.setattr(dom.Domain, "key", counted)
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
     union = dom.disjoint_union(dom.ellipsoid(1, 2), dom.ball(1), pent)
     capacity_sequence(union, 5)
     for k in range(8):
         ck(union, k)
     # the pentagon's excised balls are a DP of its own source, with no key
-    assert sorted(map(dom.domain_key, calls)) == sorted(dom.domain_key(d)
-                                                       for d in (union, *union.parts))
+    assert sorted(d.key for d in calls) == sorted(d.key for d in (union, *union.parts))
 
 
 def test_disk_cache_rejects_unknown_format(tmp_path, monkeypatch):

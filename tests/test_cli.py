@@ -1,9 +1,11 @@
 """Command-line front end: parsing, formats, exit codes, cache persistence."""
 
 import argparse
+import decimal
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,6 +17,7 @@ import symcap.domains as dom
 from cache_files import file_of, no_growth, opened_paths
 from symcap.capacities import capacity_sequence
 from symcap.cli import build_parser, main, parse_domain_spec
+from symcap.obstructions import asymptotic_ratio
 
 BALL1 = '{"type":"ball","a":"1"}'
 E12 = '{"type":"ellipsoid","a":"1","b":"2"}'
@@ -204,6 +207,10 @@ VALIDATION_ERRORS = {
         "error: expected an exact rational (int, 'p/q' string, or Fraction), got bool"),
     "exponent_size": (_capacity('{"type":"ball","a":"1e1000000"}'),
                       "error: not a rational: '1e1000000'"),
+    "bad_vertex": (_capacity('{"type":"convex_toric","vertices":[[0,0],[1],[0,1]]}'),
+                   "error: field 'vertices': bad point [1]"),
+    "empty_union": (_capacity('{"type":"disjoint_union","parts":[]}'),
+                    "error: field 'parts': need a nonempty list"),
     "union_part_size": (
         _capacity('{"type":"disjoint_union","parts":[{"type":"ball","a":"1"},'
                   '{"type":"ball","a":"0"}]}'),
@@ -312,6 +319,42 @@ def test_values_past_a_float_print_exactly(capsys):
     assert (rep["decimal"], rep["model_decimal"], rep["residual_decimal"]) == (None, None, None)
 
 
+# sizes whose capacities pass the 4300 digits Python converts from int to
+# str: model_low of the ball has 4300 digits and residual_high 4308, and
+# c_2 of the union has a denominator of 6001
+VAST = "1" + "0" * 4290
+Q1, Q2 = 10 ** 3000 + 1, 10 ** 3000 + 3
+
+
+def _vast(text: str) -> F:
+    """The rational text names, read through decimal, which has no digit
+    limit."""
+    num, _, den = text.partition("/")
+    return F(int(decimal.Decimal(num)), int(decimal.Decimal(den or "1")))
+
+
+def test_values_past_the_int_digit_limit_print_exactly(capsys):
+    cap.clear_memo()
+    rc, out, err = _run(capsys, "asymptotics", "-d", '{"type":"ball","a":"%s"}' % VAST, "-k", "3")
+    rep = json.loads(out)
+    assert (rc, err, rep["c"]) == (0, "", "2" + VAST[1:])
+    assert (rep["decimal"], rep["model_decimal"], rep["residual_decimal"]) == (None, None, None)
+    want = asymptotic_ratio(dom.ball(int(VAST)), 3)
+    assert (_vast(rep["model_low"]), _vast(rep["residual_high"])) == (
+        want.model_low, want.residual_high)
+    assert len(rep["residual_high"].partition("/")[0]) == 4308
+    union = ('{"type":"disjoint_union","parts":[{"type":"ball","a":"%d/%d"},'
+             '{"type":"ball","a":"%d/%d"}]}' % (Q1 + 1, Q1, Q2 + 1, Q2))
+    rc, out, err = _run(capsys, "capacity", "-d", union, "-k", "2", "--format", "json")
+    got = json.loads(out)
+    assert (rc, err, got["decimal"]) == (0, "", 2.0)
+    assert _vast(got["c"]) == F(Q1 + 1, Q1) + F(Q2 + 1, Q2)
+    assert len(got["c"].partition("/")[2]) == 6001
+    # a spec past the limit is still refused
+    rc, out, err = _run(capsys, "capacity", "-d", '{"type":"ball","a":"%s"}' % ("1" * 4301), "-k", "1")
+    assert (rc, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_readme_flag_table_matches_parser():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         rows = re.findall(r"^\| `([a-z]+)` \| (.*) \|$", fh.read(), re.M)
@@ -327,12 +370,55 @@ def test_readme_flag_table_matches_parser():
         assert all(flags & set(strings) for strings in options), name
 
 
+def _readme_blocks() -> list:
+    """The bodies of README.md's fenced code blocks, as (language, body)."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return re.findall(r"^```(\w*)\n(.*?)^```$", fh.read(), re.M | re.S)
+
+
+def test_readme_cli_examples_print_what_readme_shows(capsys, monkeypatch):
+    # each `$ symcap ...` line, a trailing backslash continuing it, is run
+    # through main; its stdout must be the lines below it, byte for byte
+    monkeypatch.delenv("CAPACITY_CACHE_DIR", raising=False)
+    examples = [example.replace("\\\n", "")
+                for _, body in _readme_blocks()
+                for example in re.split(r"^\$ ", body, flags=re.M)[1:]]
+    assert len(examples) == 5
+    for example in examples:
+        command, _, shown = example.partition("\n")
+        argv = shlex.split(command)
+        assert argv[0] == "symcap", command
+        cap.clear_memo()
+        assert _run(capsys, *argv[1:]) == (0, shown.rstrip("\n") + "\n", ""), command
+
+
+def test_readme_quickstart_values():
+    # the quickstart runs line by line, and each expression equals the
+    # value its comment shows, on its line or on the comment line below
+    (body,) = [body for lang, body in _readme_blocks() if lang == "python"]
+    ns: dict = {}
+    checked, last = 0, None
+    cap.clear_memo()
+    for line in body.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip():
+            try:
+                last = eval(compile(code.strip(), "README", "eval"), ns)
+            except SyntaxError:
+                exec(code.strip(), ns)
+                last = None
+        if comment.strip() and last is not None:
+            assert last == eval(comment.split("--")[0], ns), line
+            checked, last = checked + 1, None
+    assert checked == 3
+
+
 def test_round_trip_all_domain_kinds():
     specs = [BALL1, E12, SQUARE, TWO_BALLS, PENT, STAIR,
              '{"type":"cp2","a":"1"}', '{"type":"s2xs2","a":"1","b":"2"}']
     for text in specs:
         d = parse_domain_spec(text)
-        assert parse_domain_spec(json.dumps(dom.domain_to_json(d))) == d
+        assert parse_domain_spec(json.dumps(d.to_json())) == d
 
 
 def _files(cache_dir) -> dict:

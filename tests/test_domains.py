@@ -87,18 +87,18 @@ def test_sized_families_take_one_size_per_field():
 
 
 def test_volume_examples():
-    assert dom.volume(dom.ball(1)) == F(1, 2)
-    assert dom.volume(dom.ellipsoid(1, 2)) == 1
-    assert dom.volume(dom.polydisk(1, 2)) == 2
-    assert dom.volume(dom.cp2(1)) == F(1, 2)
-    assert dom.volume(dom.s2xs2(1, 2)) == 2
+    assert dom.ball(1).volume() == F(1, 2)
+    assert dom.ellipsoid(1, 2).volume() == 1
+    assert dom.polydisk(1, 2).volume() == 2
+    assert dom.cp2(1).volume() == F(1, 2)
+    assert dom.s2xs2(1, 2).volume() == 2
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
-    assert dom.volume(pent) == F(7, 2)
+    assert pent.volume() == F(7, 2)
 
 
 def test_union_volume_is_sum():
     u = dom.disjoint_union(dom.ball(1), dom.ellipsoid(1, 2), dom.polydisk(1, 1))
-    assert dom.volume(u) == F(1, 2) + 1 + 1
+    assert u.volume() == F(1, 2) + 1 + 1
 
 
 def test_union_flattens_and_sorts():
@@ -118,10 +118,10 @@ def test_scale_domain_scales_moment_data():
     assert dom.scale_domain(dom.ball(1), 2) == dom.Ball(F(2))
     u = dom.disjoint_union(dom.ball(1), dom.polydisk(1, 2))
     su = dom.scale_domain(u, F(3, 2))
-    assert dom.volume(su) == F(9, 4) * dom.volume(u)
+    assert su.volume() == F(9, 4) * u.volume()
     pent = dom.convex_toric([(0, 0), (2, 0), (2, 1), (1, 2), (0, 2)])
     sp = dom.scale_domain(pent, 3)
-    assert dom.volume(sp) == 9 * dom.volume(pent)
+    assert sp.volume() == 9 * pent.volume()
     assert sp == dom.convex_toric([(0, 0), (6, 0), (6, 3), (3, 6), (0, 6)])
 
 
@@ -131,7 +131,7 @@ def test_scaled_union_is_the_union_of_the_scaled_parts():
     scaled = dom.scale_domain(dom.disjoint_union(dom.ball(1), dom.ball(F(2, 3))), 3)
     union = dom.disjoint_union(dom.ball(3), dom.ball(2))
     assert scaled == union
-    assert dom.domain_key(scaled) == dom.domain_key(union)
+    assert scaled.key == union.key
     cap.clear_memo()
     assert cap.ck(scaled, 4) == cap.ck(union, 4)
 
@@ -149,7 +149,7 @@ def test_wire_format_round_trip():
     ]
     assert {type(d) for d in cases} == set(dom.FAMILIES)
     for d in cases:
-        back = dom.domain_from_json(dom.domain_to_json(d))
+        back = dom.domain_from_json(d.to_json())
         assert type(back) is type(d) and back == d and hash(back) == hash(d)
 
 
@@ -174,8 +174,8 @@ def test_wire_format_accepts_integer_and_string_rationals():
 def test_domain_key_is_stable_and_canonical():
     u1 = dom.disjoint_union(dom.ball(2), dom.ball(1))
     u2 = dom.disjoint_union(dom.ball(1), dom.ball(2))
-    assert dom.domain_key(u1) == dom.domain_key(u2)
-    assert "#" not in dom.domain_key(u1)  # reserved for naming cache entries, key#k
+    assert u1.key == u2.key
+    assert "#" not in u1.key  # reserved for naming cache entries, key#k
 
 
 # one domain per family, plus a staircase, with its key: the key bytes name
@@ -204,12 +204,12 @@ FAMILY_CASES = [
 @pytest.mark.parametrize("d,key,closed", FAMILY_CASES,
                          ids=[type(d).__name__ for d, _, _ in FAMILY_CASES[:-1]] + ["staircase"])
 def test_family_definition(d, key, closed):
-    assert dom.domain_key(d) == key
+    assert d.key == key
     assert dom.domain_from_json(json.loads(key)) == d
-    assert dom.domain_from_json(dom.domain_to_json(d)) == d
+    assert dom.domain_from_json(d.to_json()) == d
     mu = F(5, 3)
     scaled = dom.scale_domain(d, mu)
-    assert dom.volume(scaled) == mu * mu * dom.volume(d)
+    assert scaled.volume() == mu * mu * d.volume()
     cap.clear_memo()
     values = [r.value for r in cap.capacity_sequence(d, 8)]
     assert [r.value for r in cap.capacity_sequence(scaled, 8)] == [mu * v for v in values]
@@ -219,7 +219,7 @@ def test_family_definition(d, key, closed):
         with pytest.raises(ValueError, match="closed manifolds"):
             scaling_lower_bound(dom.ball(1), d, 3)
     else:
-        assert dom.volume(dom.disjoint_union(dom.ball(9), d)) == F(81, 2) + dom.volume(d)
+        assert dom.disjoint_union(dom.ball(9), d).volume() == F(81, 2) + d.volume()
         assert scaling_lower_bound(dom.ball(1), d, 3) > 0
 
 
@@ -244,8 +244,8 @@ def test_domains_are_validated_once(monkeypatch):
     for d in (pent, stair):
         cap.capacity_sequence(d, 10)
         cap.ck(d, 6, verify=True)
-        dom.volume(d)
-        dom.domain_key(d)
+        d.volume()
+        assert d.key
     paths.min_convex(pent, 6)
     paths.max_concave(stair, 6)
     negative_weight_sequence(pent)
@@ -336,6 +336,6 @@ def test_domains_equal_only_within_one_family():
     assert dom.convex_toric([(0, 0), (1, 0), (0, 1)]) != dom.concave_toric([(0, 0), (1, 0), (0, 1)])
     assert dom.ball(1) != (F(1),) and dom.ball(1) != "ball"
     for d, _ in DOMAIN_REPRS:
-        twin = dom.domain_from_json(dom.domain_to_json(d))
+        twin = dom.domain_from_json(d.to_json())
         assert twin is not d and twin == d and hash(twin) == hash(d)
         assert len({d, twin, dom.scale_domain(d, 2)}) == 2

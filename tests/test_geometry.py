@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from random_polygons import concave_path, convex_path
-from symcap.geometry import (Polygon, cross, index, is_convex,
+from symcap.geometry import (cross, cycle, index, is_convex,
                              lattice_points_on_path,
                              lattice_points_under_path, path_vertices,
                              rational, rational_str)
@@ -101,18 +101,18 @@ def test_index_accepts_only_ints():
 
 
 def test_is_convex_examples():
-    assert is_convex(Polygon.from_points([(0, 0), (1, 0), (1, 1), (0, 1)]))
-    assert not is_convex(Polygon.from_points([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)]))
-    assert is_convex(Polygon.from_points([(0, 0), (1, 0), (0, 2)]))
+    assert is_convex(cycle([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    assert not is_convex(cycle([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)]))
+    assert is_convex(cycle([(0, 0), (1, 0), (0, 2)]))
 
 
 def test_is_convex_needs_three_vertices():
     with pytest.raises(ValueError):
-        Polygon.from_points([(0, 0), (1, 0)])
+        cycle([(0, 0), (1, 0)])
 
 
 def test_collinear_vertices_merged():
-    p = Polygon.from_points([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+    p = cycle([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
     assert len(p.vertices) == 4
     assert (F(1), F(0)) not in p.vertices
 
@@ -232,7 +232,7 @@ def test_random_convex_paths_cover_the_degenerate_and_non_monotone_cases():
 def test_polygon_rejects_spike():
     # a doubled-back vertex is not a simple polygon
     with pytest.raises(ValueError):
-        Polygon.from_points([(0, 0), (2, 0), (1, 0), (1, 2)])
+        cycle([(0, 0), (2, 0), (1, 0), (1, 2)])
 
 
 def test_cross_sign():

@@ -116,11 +116,8 @@ def test_sqrt_interval_brackets():
         assert hi - lo <= F(1, 10**9)
     lo, hi = sqrt_interval(F(0))
     assert lo == 0
-
-
-def test_sqrt_interval_custom_width():
-    lo, hi = sqrt_interval(F(2), eps=F(1, 100))
-    assert lo * lo <= 2 <= hi * hi and hi - lo <= F(1, 100)
+    with pytest.raises(ValueError, match="^square root of a negative value$"):
+        sqrt_interval(F(-1))
 
 
 def test_asymptotics_ball_endpoint():

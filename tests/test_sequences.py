@@ -215,6 +215,36 @@ def test_closed_form_stream_and_random_access_agree(family):
         _closed_forms_hold_no_results()
 
 
+@pytest.mark.parametrize("d", [dom.ball(F(3, 2)), dom.ellipsoid(1, 2), dom.polydisk(1, F(5, 3))],
+                         ids=lambda d: d.TYPE)
+def test_closed_form_stream_that_raises_is_dropped(monkeypatch, d):
+    # the generator raises once, on drawing the run that holds k = 3 (the
+    # 4th run of an ellipsoid): the cursor drops its stream, reads 3 and 4
+    # from the random-access form, and restarts the stream at k = 0
+    cap.clear_memo()
+    want = capacity_sequence(d, 4)
+    cap.clear_memo()
+    runs, at = cap._FORMULAS[d.SOURCE]
+    fired = []
+
+    def raising(*sizes):
+        start = 0
+        for run in runs(*sizes):
+            if start <= 3 < run[0] and not fired:
+                fired.append(run)
+                raise RuntimeError("stream step failed")
+            start = run[0]
+            yield run
+
+    monkeypatch.setitem(cap._FORMULAS, d.SOURCE, (raising, at))
+    assert [ck(d, k) for k in (0, 1, 2)] == want[:3]
+    with pytest.raises(RuntimeError, match="^stream step failed$"):
+        ck(d, 3)
+    assert fired and cap._source(d).stream is None
+    assert [ck(d, k) for k in (3, 4, 0, 1)] == [want[k] for k in (3, 4, 0, 1)]
+    cap.clear_memo()
+
+
 @pytest.mark.parametrize("ab", [(1, F(3, 2)), (F(3, 2), F(7, 5)), (F(2, 3), F(4, 3))],
                          ids=lambda ab: "x".join(map(str, ab)))
 def test_ellipsoid_at_large_k_matches_a_per_m_count(ab):
@@ -331,7 +361,8 @@ def test_interrupted_growth_loses_no_value(monkeypatch, d, where):
         sys.settrace(tracer)
     assert bool(fired) == raises
     # a raise drops every DP table it passes through
-    assert not raises or all(s.table is None for s in cap._SOURCES.values() if s.CACHED)
+    assert not raises or all(s.table is None for s in cap._SOURCES.values()
+                          if isinstance(s, cap._Prefix))
     assert [_triple(r) for r in capacity_sequence(d, 60)] == want[:61]
     assert [_triple(r) for r in capacity_sequence(d, 100)] == want
 
@@ -347,14 +378,15 @@ def test_concave_growth_adds_only_the_balls_it_reads():
 
 def _prefix_lengths() -> dict:
     """{domain key: n} of every DP source, c_0..c_{n-1} held."""
-    return {key: len(s.results) for key, s in cap._SOURCES.items() if s.CACHED}
+    return {key: len(s.results) for key, s in cap._SOURCES.items()
+            if isinstance(s, cap._Prefix)}
 
 
 def _closed_forms_hold_no_results() -> None:
     """No closed-form source keeps a per-k result but the last its stream
     gave: none of its attributes is a collection of results."""
     for s in cap._SOURCES.values():
-        if not s.CACHED:
+        if not isinstance(s, cap._Prefix):
             held = [v for v in vars(s).values()
                     if isinstance(v, (list, tuple, dict)) and not isinstance(v, cap.CapacityResult)]
             assert not any(isinstance(r, cap.CapacityResult) for v in held for r in v), s.domain.key

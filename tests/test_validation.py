@@ -14,7 +14,7 @@ import pytest
 import polygon_oracle as oracle
 import symcap.domains as dom
 from random_polygons import KINDS, polygons
-from symcap.geometry import Polygon, is_convex, rational_str
+from symcap.geometry import cycle, is_convex, rational_str
 from symcap.weights import negative_weight_sequence, weight_expansion
 
 CASES = polygons(20221, 3000)
@@ -58,7 +58,7 @@ def _check_family(family, flag, pts, canonical, flags):
     if not flag:
         assert got == (ValueError, family._INVALID)
         return None
-    assert got.omega == Polygon.from_points(canonical)
+    assert got.omega == cycle(canonical)
     assert (got.convex, got.concave) == flags
     assert got.volume() == oracle.signed_area(canonical)
     assert got.key == _oracle_key(family, canonical)
@@ -70,7 +70,7 @@ def test_validation_matches_the_fraction_oracle(kind):
     for case, pts, want, canonical, flags in _oracle():
         if case != kind:
             continue
-        got = _outcome(Polygon.from_points, pts)
+        got = _outcome(cycle, pts)
         if _failed(want):
             assert got == want, pts
         else:
