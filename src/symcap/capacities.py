@@ -44,14 +44,13 @@ import operator
 import os
 import threading
 import zlib
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import paths
 from .domains import Domain
 from .geometry import index, rational, rational_str
-from .weights import negative_weight_sequence, weight_expansion
+from .weights import negative_weight_runs, weight_runs
 
 
 class CapacityResult(NamedTuple):
@@ -432,15 +431,16 @@ class _UnionPrefix(_Prefix):
 
 
 class _ConcavePrefix(_Prefix):
-    """The union of the domain's weight balls, largest first, their sizes
-    handed to the DP as ball runs over the polygon's scale, a multiple of
-    every weight's denominator (see weights).  c_0 = 0 needs no expansion.
-    c_k uses only the k largest balls, so a growth to k adds the balls up
-    to the k-th; c_j is read off the table of all balls added, its
-    composition cut to comp[:j]: weights never rise and ties keep the
-    smallest share, so each ball past the j-th takes share 0, as an
-    optimum giving one a share t leaves an unused ball at least as large
-    free to take t.  The expansion is made with each table."""
+    """The union of the domain's weight balls, largest first, each handed
+    to the DP as the runs of one ball over the polygon's scale, the unit of
+    the weight runs (see weights).  c_0 = 0 needs no expansion.  c_k uses
+    only the k largest balls, so a growth to k adds the balls up to the
+    k-th, written out from the runs as it goes; c_j is read off the table
+    of all balls added, its composition cut to comp[:j]: weights never
+    rise and ties keep the smallest share, so each ball past the j-th
+    takes share 0, as an optimum giving one a share t leaves an unused
+    ball at least as large free to take t.  The runs are made with each
+    table."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
@@ -448,10 +448,10 @@ class _ConcavePrefix(_Prefix):
         if not k:
             return
         if self.table is None:
-            self.weights = weight_expansion(self.domain)
+            self.balls = (w for w, n in weight_runs(self.domain) for _ in range(n))
             self.table = _UnionParts((), self.scale)
-        for w in self.weights[len(self.table):k]:
-            self.table.add(_ball_values(int(w * self.scale)))
+        for w in itertools.islice(self.balls, k - len(self.table)):
+            self.table.add(_ball_values(w))
         _union_table(self.table, k)
 
     def _read(self, j: int) -> tuple:
@@ -480,28 +480,27 @@ class _ConvexPrefix(_Prefix):
         by Cauchy-Schwarz it is at most U(l) = sqrt(S(2l + m/4)) - A/2,
         with S = sum a_i^2 and A = sum a_i;
       - B'(d) >= 0 exactly when 4(h^2 - S)(d^2 + 3d) >= 8h^2 k - h^2 m + 9S,
-        and h^2 - S is twice the area (negative_weight_sequence asserts
-        it), so once that holds it holds for every later d.
+        and h^2 - S is twice the area (negative_weight_runs asserts it),
+        so once that holds it holds for every later d.
     Every later term then exceeds best, so the value is the exact minimum.
     The table is E's max-plus DP, over the same denominator, one part per
-    distinct size a_i (_ball_values of its count).  _extend only makes it,
-    with h, m, A and S; each read grows it to the last block end its k
-    reads, so a scan over k reuses its columns.  c_0 = 0, with witness
-    {"l": 0}, needs neither DP nor weight sequence."""
+    run (size, count) of the excised balls (_ball_values of the run), so
+    h, m, A and S and the parts are read off the runs with no ball written
+    out.  _extend only makes it; each read grows it to the last block end
+    its k reads, so a scan over k reuses its columns.  c_0 = 0, with
+    witness {"l": 0}, needs neither DP nor weight runs."""
 
     scale = property(lambda self: self.domain.omega.scale)
 
     def _extend(self, k: int) -> None:
-        """Set up h, m, A, S and E's DP, keeping no weight sequence."""
+        """Set up h, m, A, S and E's DP, keeping no weight runs."""
         if not k or self.table is not None:
             return
-        dec = negative_weight_sequence(self.domain)
-        self.head = int(dec.head * self.scale)
-        sizes = [int(w * self.scale) for w in dec.negatives]
-        self.m, self.A, self.S = len(sizes), sum(sizes), sum(a * a for a in sizes)
-        # equal balls, as a Euclidean algorithm makes them, are one part
-        self.table = _UnionParts(itertools.starmap(_ball_values, Counter(sizes).items()),
-                                 self.scale)
+        self.head, runs = negative_weight_runs(self.domain)
+        self.m = sum(n for _, n in runs)
+        self.A = sum(n * a for a, n in runs)
+        self.S = sum(n * a * a for a, n in runs)
+        self.table = _UnionParts(itertools.starmap(_ball_values, runs), self.scale)
 
     def _read(self, j: int) -> tuple:
         if not j:

@@ -56,19 +56,22 @@ _SIX_DIGITS = decimal.Context(prec=6)
 
 
 def _decimal_str(v: Fraction) -> str:
-    """v to 6 significant digits; past a float's range, v rounded to them
-    exactly by decimal."""
+    """v to 6 significant digits; outside a float's normal range, past its
+    top or nonzero below its least normal value, where float(v) overflows
+    or loses digits, v rounded to them exactly by decimal."""
     try:
-        return f"{float(v):.6g}"
+        if not v or abs(v) >= sys.float_info.min:
+            return f"{float(v):.6g}"
     except OverflowError:
-        return f"{_SIX_DIGITS.divide(v.numerator, v.denominator).normalize():.6g}"
+        pass
+    return f"{_SIX_DIGITS.divide(v.numerator, v.denominator).normalize():.6g}"
 
 
 def _decimal(v: Fraction) -> float | None:
     """_decimal_str(v) as a float, printed next to the exact rational, or
-    None (JSON null) past a float's range."""
+    None (JSON null) outside a float's normal range."""
     d = float(_decimal_str(v))
-    return None if math.isinf(d) else d
+    return None if math.isinf(d) or (v and abs(v) < sys.float_info.min) else d
 
 
 def _dumps(obj) -> str:

@@ -416,6 +416,16 @@ def test_ellipsoid_three_way_agreement(ab):
     cap.clear_memo()
 
 
+@pytest.mark.parametrize("b", [10 ** 30, 1 + F(1, 10 ** 30)])
+def test_huge_ratio_concave_triangles_equal_their_ellipsoids(b):
+    # the triangle with legs 1 and b holds 10^30 or 10^30 + 1 weight balls
+    # in two runs at most; c_0..c_100 reads the first 100 of them
+    want = [r.value for r in capacity_sequence(dom.ellipsoid(1, b), 100)]
+    triangle = dom.concave_toric([(0, 0), (b, 0), (0, 1)])
+    assert [r.value for r in capacity_sequence(triangle, 100)] == want
+    cap.clear_memo()
+
+
 def _hull(points) -> list:
     """The vertices of the convex hull of points, counterclockwise, by
     Andrew's monotone chain."""

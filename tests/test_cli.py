@@ -319,6 +319,19 @@ def test_values_past_a_float_print_exactly(capsys):
     assert (rep["decimal"], rep["model_decimal"], rep["residual_decimal"]) == (None, None, None)
 
 
+@pytest.mark.parametrize("zeros, csv", [(400, "1e-400"), (320, "1e-320")])
+def test_values_below_a_normal_float_print_exactly(capsys, zeros, csv):
+    # 10^-400 underflows a float to 0 and 10^-320 to a subnormal with five
+    # digits (9.99989e-321): JSON writes null, CSV the exact value rounded
+    cap.clear_memo()
+    tiny = "1/1" + "0" * zeros
+    spec = '{"type":"ball","a":"%s"}' % tiny
+    assert _run(capsys, "capacity", "-d", spec, "-k", "1", "--format", "json") == (
+        0, '{"k":1,"c":"%s","decimal":null,"method":"ball_formula","witness":1}\n' % tiny, "")
+    assert _run(capsys, "capacity", "-d", spec, "-k", "1", "--format", "csv") == (
+        0, f"k,c,decimal,method\n1,{tiny},{csv},ball_formula\n", "")
+
+
 # sizes whose capacities pass the 4300 digits Python converts from int to
 # str: model_low of the ball has 4300 digits and residual_high 4308, and
 # c_2 of the union has a denominator of 6001

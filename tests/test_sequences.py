@@ -506,13 +506,13 @@ def test_ball_prefix_shares_one_value_per_block():
 
 def test_staircase_sequence_expands_weights_once(monkeypatch):
     calls = []
-    real = cap.weight_expansion
+    real = cap.weight_runs
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cap, "weight_expansion", counting)
+    monkeypatch.setattr(cap, "weight_runs", counting)
     cap.clear_memo()
     d = dom.concave_toric([(0, 0), (5, 0), (3, F(1, 2)), (1, 2), (0, 4)])
     capacity_sequence(d, 30)
@@ -526,9 +526,9 @@ def test_convex_c0_needs_no_weight_sequence(monkeypatch):
     thin = dom.convex_toric([(0, 0), (F(611, 4), 0), (F(179, 4), F(1, 2)), (0, F(1, 2))])
 
     def refuse(d):
-        raise AssertionError("c_0 computed the negative weight sequence")
+        raise AssertionError("c_0 computed the negative weight runs")
 
-    monkeypatch.setattr(cap, "negative_weight_sequence", refuse)
+    monkeypatch.setattr(cap, "negative_weight_runs", refuse)
     cap.clear_memo()
     want = cap.CapacityResult(0, F(0), "weights", {"l": 0})
     assert ck(thin, 0) == want

@@ -7,8 +7,10 @@ import pytest
 import symcap.domains as dom
 from symcap.weights import (
     NegativeWeightDecomposition,
+    negative_weight_runs,
     negative_weight_sequence,
     weight_expansion,
+    weight_runs,
 )
 
 STAIR = [(0, 0), (3, 0), (1, 1), (0, 3)]
@@ -39,6 +41,8 @@ def test_ellipsoid_expansions():
 def test_polygon_expansions():
     assert weight_expansion(dom.concave_toric(STAIR)) == (2, 1, 1)
     assert weight_expansion(dom.concave_toric(STAIR2)) == (3, 1, 1)
+    # the two unit balls come from different pieces and share one run
+    assert weight_runs(dom.concave_toric(STAIR)) == [(2, 1), (1, 2)]
 
 
 def _subtractive_euclid(p, q):
@@ -122,8 +126,8 @@ def test_kind_mismatch_rejected():
 
 
 def test_expansion_has_no_depth_limit():
-    # each step peels one unit ball off the long leg, so the expansion
-    # runs as many steps as the leg is long
+    # the long leg's unit balls are peeled as one run, and written out one
+    # by one
     assert weight_expansion(dom.ellipsoid(1, 8)) == (1,) * 8
     long_leg = dom.concave_toric([(0, 0), (1, 0), (0, 2000)])
     assert weight_expansion(long_leg) == (1,) * 2000
@@ -138,10 +142,57 @@ def test_volume_identity_failure_names_both_volumes(monkeypatch):
     # an expansion that loses its smallest ball no longer fills the polygon
     import symcap.weights as weights
     real = weights._expand
-    monkeypatch.setattr(weights, "_expand", lambda chains: real(chains)[:-1])
+
+    def short(chains):
+        *runs, (w, n) = real(chains)
+        return runs + [(w, n - 1)] * (n > 1)
+
+    monkeypatch.setattr(weights, "_expand", short)
     with pytest.raises(ValueError) as exc:
         weight_expansion(dom.ellipsoid(1, F(3, 2)))
     assert str(exc.value) == "volume identity failed for weight expansion (got 5/8, want 3/4)"
     with pytest.raises(ValueError) as exc:
         negative_weight_sequence(PENT)
     assert str(exc.value) == "volume identity failed for negative weight sequence (got 4, want 7/2)"
+
+
+N30 = 10 ** 30
+
+
+def _chains_peeled(monkeypatch, f, d) -> tuple:
+    """(f(d), the number of chains f checked), d built before counting."""
+    chains = []
+    real = dom.check_concave_chain
+
+    def counting(chain):
+        chains.append(chain)
+        real(chain)
+
+    monkeypatch.setattr(dom, "check_concave_chain", counting)
+    return f(d), len(chains)
+
+
+def test_huge_ratio_triangles_peel_few_chains(monkeypatch):
+    # the legs' ratio sets the ball count, not the chains peeled
+    t = dom.concave_toric([(0, 0), (N30, 0), (0, 1)])
+    assert _chains_peeled(monkeypatch, weight_runs, t) == ([(1, N30)], 1)
+    near = dom.concave_toric([(0, 0), (1 + F(1, N30), 0), (0, 1)])
+    assert _chains_peeled(monkeypatch, weight_runs, near) == ([(N30, 1), (1, N30)], 2)
+    # E(1, N)'s moment triangle, convex: B(N-1) and N-1 balls B(1) excised
+    convex = dom.convex_toric([(0, 0), (N30, 0), (0, 1)])
+    assert _chains_peeled(monkeypatch, negative_weight_runs, convex) == (
+        (N30, [(N30 - 1, 1), (1, N30 - 1)]), 2)
+
+
+def test_fibonacci_leg_peels_at_most_five_chains_per_digit(monkeypatch):
+    # consecutive Fibonacci numbers are Lame's worst case: every quotient
+    # of Euclid's algorithm is 1, so no run holds more than one peel
+    fib = [1, 1]
+    while len(str(fib[-1])) < 30:
+        fib.append(fib[-1] + fib[-2])
+    a, b = fib[-1], fib[-2] + fib[-1]
+    assert len(str(a)) == 30
+    leg = dom.concave_toric([(0, 0), (F(b, a), 0), (0, 1)])
+    runs, chains = _chains_peeled(monkeypatch, weight_runs, leg)
+    assert runs == [(f, 1) for f in reversed(fib[2:])] + [(1, 2)]
+    assert chains <= 5 * 30
